@@ -208,10 +208,10 @@ def cmd_simulate(args) -> int:
         ctx.finish()
         print(f"error: {err}", file=sys.stderr)
         return SCI_FAIL
-    mean0, l20 = conserved_quantities(frames[0])
+    quantities = [conserved_quantities(SpectralField(grid, row)) for row in frames]
+    mean0, l20 = quantities[0]
     rows = []
-    for t, frame in zip(times, frames):
-        mean, l2 = conserved_quantities(frame)
+    for t, (mean, l2) in zip(times, quantities):
         rows.append(
             {
                 "t": float(t),

@@ -75,19 +75,6 @@ class DispersionModel:
         return np.asarray(tau, dtype=np.float64) - self.phase(k)
 
 
-@dataclass(frozen=True)
-class ModulationPoint:
-    """A space-time frequency with its modulation, sigma recomputed on demand."""
-
-    model: DispersionModel
-    k: float
-    tau: float
-
-    @property
-    def sigma(self) -> float:
-        return float(self.tau - self.model.phase(self.k))
-
-
 def free_evolve(model: DispersionModel, u0: SpectralField, t: float) -> SpectralField:
     """Apply the free propagator: coeff(k) -> exp(i t p(k)) coeff(k)."""
     if u0.grid.lam != model.lam:
@@ -130,11 +117,6 @@ def _scale_exact(model: DispersionModel, q: int):
         return q
     lam = Fraction(model.lam).limit_denominator(10**6)
     return Fraction(q, 1) / lam**model.order
-
-
-def phase_mismatch(model: DispersionModel, q_exact) -> float:
-    """Float phase mismatch omega = p(k1)+..-p(k) = (-1)^{j+1} q for the exact q."""
-    return model.sign * float(q_exact)
 
 
 def audit_resonance_bound(model: DispersionModel, kmax: int) -> ExperimentReport:
@@ -194,56 +176,37 @@ def audit_resonance_bound(model: DispersionModel, kmax: int) -> ExperimentReport
     )
 
 
-def classify_region(model: DispersionModel, k: float, tau: float) -> Region:
-    """Assign the unique modulation region label of a space-time frequency.
+def region_masks(
+    model: DispersionModel, k: np.ndarray, sigma: np.ndarray
+) -> dict[Region, np.ndarray]:
+    """Boolean masks per region for (k, sigma) arrays; every cell is in exactly one.
 
     Boundaries are inclusive toward the lower-indexed region, and |k| = 1
     (covered by both groups of defining inequalities) is assigned to D1-D3.
     """
-    if k == 0:
-        return Region.ZERO_MODE
-    abs_k = abs(k)
-    abs_sigma = abs(tau - model.phase(k))
-    n = model.order
-    inner = (2.0 * n / 3.0) * abs_k ** (n - 1)
-    outer = 2.0 * n * abs_k**n
-    if abs_k >= 1.0:
-        if abs_sigma <= inner:
-            return Region.D1
-        if abs_sigma <= outer:
-            return Region.D2
-        return Region.D3
-    return Region.D4 if abs_sigma > outer else Region.D5
-
-
-def classify_region_arrays(
-    model: DispersionModel, k: np.ndarray, sigma: np.ndarray
-) -> np.ndarray:
-    """Vectorized region labels (object array of Region) from k and sigma arrays."""
     k = np.asarray(k, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
     n = model.order
     abs_k = np.abs(k)
-    abs_s = np.abs(sigma)
-    inner = (2.0 * n / 3.0) * abs_k ** (n - 1)
-    outer = 2.0 * n * abs_k**n
-    out = np.empty(k.shape, dtype=object)
+    abs_s = np.abs(np.asarray(sigma, dtype=np.float64))
+    in_inner = abs_s <= (2.0 * n / 3.0) * abs_k ** (n - 1)
+    in_outer = abs_s <= 2.0 * n * abs_k**n
+    zero = k == 0
     big = abs_k >= 1.0
-    out[big & (abs_s <= inner)] = Region.D1
-    out[big & (abs_s > inner) & (abs_s <= outer)] = Region.D2
-    out[big & (abs_s > outer)] = Region.D3
-    out[~big & (abs_s > outer)] = Region.D4
-    out[~big & (abs_s <= outer)] = Region.D5
-    out[k == 0] = Region.ZERO_MODE
-    return out
+    small = ~big & ~zero
+    return {
+        Region.D1: big & in_inner,
+        Region.D2: big & ~in_inner & in_outer,
+        Region.D3: big & ~in_outer,
+        Region.D4: small & ~in_outer,
+        Region.D5: small & in_outer,
+        Region.ZERO_MODE: zero,
+    }
 
 
-def region_masks(
-    model: DispersionModel, k: np.ndarray, sigma: np.ndarray
-) -> dict[Region, np.ndarray]:
-    """Boolean masks per region for flat (k, sigma) arrays."""
-    labels = classify_region_arrays(model, k, sigma)
-    return {r: labels == r for r in Region}
+def classify_region(model: DispersionModel, k: float, tau: float) -> Region:
+    """The unique modulation region label of one space-time frequency."""
+    masks = region_masks(model, k, tau - model.phase(k))
+    return next(region for region, mask in masks.items() if mask)
 
 
 def enumerate_vanishing_q0(model: DispersionModel, kmax: int) -> Iterable[tuple[int, int]]:

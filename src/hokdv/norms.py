@@ -18,7 +18,7 @@ import struct
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -346,32 +346,33 @@ def smooth_bump_window(flat_radius: float = 1.0, support_radius: float = 2.0) ->
 
 
 def spacetime_from_timeseries(
-    frames: Sequence[SpectralField],
+    grid: TorusGrid,
+    frames: np.ndarray,
     times: np.ndarray,
     window: Callable | None = None,
 ) -> SpaceTimeField:
-    """Window a uniform time series of spatial fields and transform in time.
+    """Window a uniform (n_frames, M) time series of spatial coefficients and
+    transform in time.
 
     Produces coefficients F(k, tau_n) = dt * sum_i eta(t_i) u_i(k) e^{-i tau_n t_i}
     on the tau lattice with spacing 2*pi / (n_frames * dt).
     """
-    if len(frames) < 8:
-        raise ValueError(f"need at least 8 frames, got {len(frames)}")
+    frames = np.asarray(frames)
+    if frames.ndim != 2 or frames.shape[1] != grid.modes:
+        raise ValueError(f"frames must be (n_frames, {grid.modes}), got {frames.shape}")
+    n = len(frames)
+    if n < 8:
+        raise ValueError(f"need at least 8 frames, got {n}")
     times = np.asarray(times, dtype=np.float64)
-    if times.shape != (len(frames),):
+    if times.shape != (n,):
         raise ValueError("times must match frames")
     steps = np.diff(times)
     dt = steps[0]
     if not np.allclose(steps, dt, rtol=1e-9, atol=1e-12):
         raise ValueError("frames must be uniformly spaced in time")
-    grid = frames[0].grid
-    for f in frames[1:]:
-        if not f.grid.same_as(grid):
-            raise ValueError("frames live on different grids")
     eta = window if window is not None else smooth_bump_window()
     weights = np.asarray(eta(times), dtype=np.float64)
-    stack = np.stack([f.coeffs for f in frames], axis=1) * weights[None, :]
-    n = len(frames)
+    stack = frames.T * weights[None, :]
     spectrum = np.fft.fft(stack, axis=1)  # sum_i g_i exp(-2 pi i n i / N)
     tau_fft = 2.0 * np.pi * np.fft.fftfreq(n, d=dt)
     spectrum *= np.exp(-1j * tau_fft[None, :] * times[0]) * dt
@@ -413,21 +414,20 @@ def read_spacetime(path: Path) -> tuple[SpaceTimeField, DispersionModel]:
 
 def write_frames(
     path: Path,
-    frames: Sequence[SpectralField],
+    frames: np.ndarray,
     model: DispersionModel,
     dt: float,
 ) -> None:
-    """Serialize a frame sequence in the same container layout (dtau := dt)."""
-    grid = frames[0].grid
-    stack = np.stack([f.coeffs for f in frames], axis=1)
-    header = _HEADER.pack(grid.lam, model.j, grid.modes, len(frames), dt)
-    atomic_write_bytes(Path(path), header + np.ascontiguousarray(stack, dtype="<c16").tobytes())
+    """Serialize an (n_frames, M) frame series in the same container layout
+    (dtau := dt): rows of the payload are modes, columns are frames."""
+    n_frames, modes = frames.shape
+    header = _HEADER.pack(model.lam, model.j, modes, n_frames, dt)
+    atomic_write_bytes(Path(path), header + np.ascontiguousarray(frames.T, dtype="<c16").tobytes())
 
 
-def read_frames(path: Path) -> tuple[list[SpectralField], DispersionModel, float]:
+def read_frames(path: Path) -> tuple[np.ndarray, DispersionModel, float]:
+    """Inverse of write_frames: the (n_frames, M) series, its model and dt."""
     blob = Path(path).read_bytes()
     lam, j, modes, n_frames, dt = _HEADER.unpack_from(blob, 0)
     data = np.frombuffer(blob, dtype="<c16", offset=_HEADER.size).reshape(modes, n_frames)
-    grid = TorusGrid(lam, modes)
-    frames = [SpectralField(grid, data[:, i]) for i in range(n_frames)]
-    return frames, DispersionModel(j, lam), dt
+    return np.array(data.T, dtype=np.complex128, order="C"), DispersionModel(j, lam), dt

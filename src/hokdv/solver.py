@@ -89,12 +89,14 @@ def _product_term(model: DispersionModel, coeffs: np.ndarray, grid: TorusGrid,
 
 def integrate(
     model: DispersionModel, u0: SpectralField, cfg: SolverConfig
-) -> tuple[np.ndarray, list[SpectralField]]:
-    """March the equation from u0, returning uniformly spaced frames.
+) -> tuple[np.ndarray, np.ndarray]:
+    """March the equation from u0, returning (times, frames).
 
-    The mean mode is required to vanish (it is conserved and decoupled, and
-    all downstream norm machinery assumes a zero-free lattice).  Frames are
-    recorded every cfg.frame_stride steps, always including t = 0 and T.
+    frames is an (n_frames, M) coefficient array, one row per recorded time
+    with its Nyquist slot zero.  The mean mode is required to vanish (it is
+    conserved and decoupled, and all downstream norm machinery assumes a
+    zero-free lattice).  Frames are recorded every cfg.frame_stride steps,
+    always including t = 0 and T.
     """
     grid = u0.grid
     if grid.lam != model.lam:
@@ -121,7 +123,7 @@ def integrate(
 
     c = u0.coeffs.copy()
     times = [0.0]
-    frames = [SpectralField(grid, c)]
+    frames = [u0.coeffs]
     for step in range(steps):
         if cfg.nonlinear:
             if cfg.scheme == "ifrk4":
@@ -140,12 +142,12 @@ def integrate(
         t_now = (step + 1) * cfg.dt
         if (step + 1) % cfg.frame_stride == 0 or step + 1 == steps:
             frame = SpectralField(grid, c)
-            frames.append(frame)
+            frames.append(frame.coeffs)
             times.append(t_now)
             ratio = physical_l2_norm(frame) / max(initial_l2, 1e-300)
             if not np.isfinite(ratio) or ratio > cfg.blowup_factor:
                 raise BlowUpError(t_now, ratio)
-    return np.array(times), frames
+    return np.array(times), np.array(frames)
 
 
 def _ifrk4_step(model, c, grid, dt, half_mult, full_mult, mask):
@@ -169,11 +171,11 @@ def conserved_quantities(u: SpectralField) -> tuple[float, float]:
 def duhamel_map(
     model: DispersionModel,
     phi: SpectralField,
-    u_frames: list[SpectralField],
+    u_frames: np.ndarray,
     times: np.ndarray,
     window=None,
-) -> list[SpectralField]:
-    """Apply the cutoff Duhamel map frame-wise:
+) -> np.ndarray:
+    """Apply the cutoff Duhamel map to an (n_frames, M) frame series:
 
         Phi(u)(t) = eta(t) S(t) phi - (1/2) eta(t) int_0^t S(t-s) eta(s) d_x(u(s)^2) ds.
 
@@ -185,48 +187,43 @@ def duhamel_map(
     if len(times) < 4:
         raise ValueError("need at least 4 frames for the cumulative quadrature")
     grid = phi.grid
+    u_frames = np.asarray(u_frames)
+    if u_frames.shape != (len(times), grid.modes):
+        raise ValueError(
+            f"frames have shape {u_frames.shape}, expected ({len(times)}, {grid.modes})"
+        )
     eta = window if window is not None else smooth_bump_window()
     dt = times[1] - times[0]
     anchor = int(np.argmin(np.abs(times)))
     if abs(times[anchor]) > 1e-12:
         raise ValueError("frame times must include t = 0")
     lin = model.phase(grid.k_values)
-    mask = dealias_mask(grid)
-    eta_t = np.asarray(eta(times), dtype=np.float64)
-    integrand = np.empty((len(times), grid.modes), dtype=np.complex128)
-    for i, (t_i, frame) in enumerate(zip(times, u_frames)):
-        q = _product_term(model, frame.coeffs, grid, mask) * (-2.0)  # d_x(u^2) = -2 * product term
-        integrand[i] = np.exp(-1j * t_i * lin) * (eta_t[i] * q)
+    eta_t = np.asarray(eta(times), dtype=np.float64)[:, None]
+    t_col = times[:, None]
+    # d_x(u^2) = -2 * product term
+    q = _product_term(model, u_frames, grid, dealias_mask(grid)) * (-2.0)
+    integrand = np.exp(-1j * t_col * lin) * (eta_t * q)
     cumulative = _cumulative_integral(integrand, dt, anchor)
-    out = []
-    for i, t_i in enumerate(times):
-        propagated = np.exp(1j * t_i * lin) * (phi.coeffs - 0.5 * cumulative[i])
-        out.append(SpectralField(grid, eta_t[i] * propagated))
+    out = eta_t * (np.exp(1j * t_col * lin) * (phi.coeffs - 0.5 * cumulative))
+    out[:, grid.nyquist_index] = 0.0
     return out
 
 
-def _cumulative_integral(values: np.ndarray, dt: float, anchor: int) -> np.ndarray:
-    """Cumulative integral from the anchor index on a uniform grid.
+def _cumulative_integral(f: np.ndarray, dt: float, anchor: int) -> np.ndarray:
+    """Cumulative integral along axis 0 from the anchor index on a uniform grid.
 
     Interior panels use the fourth-order rule
     int_{t_i}^{t_{i+1}} f = dt (-f_{i-1} + 13 f_i + 13 f_{i+1} - f_{i+2}) / 24,
     one-sided cubic rules cover the ends.
     """
-    n = len(values)
-    panel = np.zeros_like(values[: n - 1])
-    for i in range(n - 1):
-        if 1 <= i <= n - 3:
-            stencil = (-values[i - 1] + 13 * values[i] + 13 * values[i + 1] - values[i + 2])
-        elif i == 0:
-            stencil = (9 * values[0] + 19 * values[1] - 5 * values[2] + values[3])
-        else:
-            stencil = (values[n - 4] - 5 * values[n - 3] + 19 * values[n - 2] + 9 * values[n - 1])
-        panel[i] = stencil * (dt / 24.0)
-    out = np.zeros_like(values)
-    for i in range(anchor + 1, n):
-        out[i] = out[i - 1] + panel[i - 1]
-    for i in range(anchor - 1, -1, -1):
-        out[i] = out[i + 1] - panel[i]
+    panel = np.empty_like(f[:-1])
+    panel[1:-1] = -f[:-3] + 13 * f[1:-2] + 13 * f[2:-1] - f[3:]
+    panel[0] = 9 * f[0] + 19 * f[1] - 5 * f[2] + f[3]
+    panel[-1] = f[-4] - 5 * f[-3] + 19 * f[-2] + 9 * f[-1]
+    panel *= dt / 24.0
+    out = np.zeros_like(f)
+    out[anchor + 1 :] = np.cumsum(panel[anchor:], axis=0)
+    out[:anchor] = -np.cumsum(panel[:anchor][::-1], axis=0)[::-1]
     return out
 
 
@@ -253,26 +250,24 @@ def contraction_experiment(
     times = dt * np.arange(-half, half + 1)
     eta = smooth_bump_window()
     flat = lambda t: np.ones_like(np.asarray(t, dtype=np.float64))
+    grid = phi.grid
 
-    def z_of(frames: list[SpectralField]) -> float:
-        stf = spacetime_from_timeseries(frames, times, window=flat)
+    def z_of(frames: np.ndarray) -> float:
+        stf = spacetime_from_timeseries(grid, frames, times, window=flat)
         return zs_norm(stf, s, model).total
 
-    def hs_sup(frames: list[SpectralField]) -> float:
+    def hs_sup(frames: np.ndarray) -> float:
         spec = NormSpec(s)
-        return max(sobolev_norm(f, spec) for f in frames)
+        return max(sobolev_norm(SpectralField(grid, row), spec) for row in frames)
 
-    eta_t = np.asarray(eta(times), dtype=np.float64)
-    current = [
-        SpectralField(phi.grid, eta_t[i] * free_evolve(model, phi, t).coeffs)
-        for i, t in enumerate(times)
-    ]
+    eta_t = np.asarray(eta(times), dtype=np.float64)[:, None]
+    current = eta_t * np.array([free_evolve(model, phi, t).coeffs for t in times])
     trace = ContractionTrace()
     trace.iterate_norms.append(z_of(current))
     scale = max(trace.iterate_norms[0], 1e-300)
     for _ in range(max_iter):
         nxt = duhamel_map(model, phi, current, times, window=eta)
-        diffs = [a - b for a, b in zip(nxt, current)]
+        diffs = nxt - current
         d = z_of(diffs)
         trace.diff_norms.append(d)
         trace.hs_sup_diffs.append(hs_sup(diffs))

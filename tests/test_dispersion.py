@@ -12,10 +12,10 @@ from hokdv.dispersion import (
     Region,
     audit_resonance_bound,
     classify_region,
-    classify_region_arrays,
     enumerate_vanishing_q0,
     free_evolve,
     integer_power_sum_gap,
+    region_masks,
     resonance_q0,
     resonance_q1_q2,
 )
@@ -181,9 +181,10 @@ def test_classifier_array_version_matches_scalar():
     rng = np.random.default_rng(5)
     k = rng.choice(np.concatenate([np.arange(1, 20), -np.arange(1, 20), [0]]), 200).astype(float)
     sigma = rng.uniform(-1e6, 1e6, 200)
-    labels = classify_region_arrays(model, k, sigma)
-    for kk, ss, lab in zip(k, sigma, labels):
-        assert lab is classify_region(model, kk, model.phase(kk) + ss)
+    masks = region_masks(model, k, sigma)
+    for i, (kk, ss) in enumerate(zip(k, sigma)):
+        label = classify_region(model, kk, model.phase(kk) + ss)
+        assert [r for r, m in masks.items() if m[i]] == [label]
 
 
 @settings(max_examples=200, deadline=None)

@@ -11,6 +11,7 @@ from hokdv.solver import (
     BlowUpError,
     ContractionTrace,
     SolverConfig,
+    _cumulative_integral,
     conserved_quantities,
     contraction_experiment,
     duhamel_map,
@@ -41,7 +42,17 @@ def test_linear_integration_is_exact(scheme):
     cfg = SolverConfig(dt=0.02, T=1.0, nonlinear=False, scheme=scheme, frame_stride=10)
     _, frames = integrate(model, u0, cfg)
     exact = free_evolve(model, u0, 1.0)
-    assert np.max(np.abs(frames[-1].coeffs - exact.coeffs)) < 1e-10
+    assert np.max(np.abs(frames[-1] - exact.coeffs)) < 1e-10
+
+
+def test_undealiased_frames_keep_nyquist_slot_zero():
+    grid = TorusGrid(1.0, 64)
+    model = DispersionModel(2, 1.0)
+    u0 = smooth_data(grid, scale=0.3, decay=0.3, max_mode=31)
+    times, frames = integrate(model, u0, SolverConfig(dt=1e-3, T=0.2, dealias=False, frame_stride=7))
+    assert frames.shape == (len(times), grid.modes)
+    assert np.abs(frames[1:]).max() > 0
+    assert np.all(frames[:, grid.nyquist_index] == 0)
 
 
 @pytest.mark.parametrize("j", [2, 3])
@@ -51,9 +62,9 @@ def test_invariants_over_unit_time(j):
     u0 = smooth_data(grid)
     cfg = SolverConfig(dt=5e-4, T=1.0, frame_stride=200)
     _, frames = integrate(model, u0, cfg)
-    mean0, l20 = conserved_quantities(frames[0])
-    for frame in frames:
-        mean, l2 = conserved_quantities(frame)
+    mean0, l20 = conserved_quantities(SpectralField(grid, frames[0]))
+    for row in frames:
+        mean, l2 = conserved_quantities(SpectralField(grid, row))
         assert abs(mean - mean0) < 1e-12
         assert abs(l2 - l20) / l20 < 1e-8
 
@@ -65,7 +76,7 @@ def test_temporal_convergence_order():
 
     def end_state(dt):
         cfg = SolverConfig(dt=dt, T=0.25, frame_stride=10**9)
-        return integrate(model, u0, cfg)[1][-1].coeffs
+        return integrate(model, u0, cfg)[1][-1]
 
     e1 = np.max(np.abs(end_state(0.002) - end_state(0.001)))
     e2 = np.max(np.abs(end_state(0.001) - end_state(0.0005)))
@@ -120,11 +131,22 @@ def test_duhamel_of_zero_is_windowed_free_flow():
     phi = SpectralField.from_modes(grid, {1: 0.05, -1: 0.05})
     times = frame_times(301)
     eta = smooth_bump_window()
-    zero = [SpectralField.zero(grid) for _ in times]
+    zero = np.zeros((len(times), grid.modes), dtype=np.complex128)
     out = duhamel_map(model, phi, zero, times)
     for idx in (0, 60, 150, 222, 300):
         expect = eta(times[idx]) * free_evolve(model, phi, times[idx]).coeffs
-        assert np.max(np.abs(out[idx].coeffs - expect)) < 1e-14
+        assert np.max(np.abs(out[idx] - expect)) < 1e-14
+
+
+def test_duhamel_rejects_frames_that_do_not_match_times():
+    grid = TorusGrid(1.0, 16)
+    model = DispersionModel(2, 1.0)
+    phi = SpectralField.from_modes(grid, {1: 0.05, -1: 0.05})
+    times = frame_times(301)
+    with pytest.raises(ValueError, match="frames have shape"):
+        duhamel_map(model, phi, np.zeros((100, grid.modes), dtype=np.complex128), times)
+    with pytest.raises(ValueError, match="frames have shape"):
+        duhamel_map(model, phi, np.zeros((len(times), 8), dtype=np.complex128), times)
 
 
 def test_duhamel_picard_two_matches_closed_second_iterate():
@@ -136,10 +158,7 @@ def test_duhamel_picard_two_matches_closed_second_iterate():
     times = frame_times(2801)
     eta = smooth_bump_window()
     eta_t = eta(times)
-    u1 = [
-        SpectralField(grid, eta_t[i] * free_evolve(model, phi, t).coeffs)
-        for i, t in enumerate(times)
-    ]
+    u1 = np.array([eta_t[i] * free_evolve(model, phi, t).coeffs for i, t in enumerate(times)])
     out = duhamel_map(model, phi, u1, times)
     worst = 0.0
     for idx in range(0, len(times), 137):
@@ -150,7 +169,7 @@ def test_duhamel_picard_two_matches_closed_second_iterate():
             free_evolve(model, phi, t).coeffs
             - 0.5 * second_iterate_closed(model, phi, t).field.coeffs
         )
-        worst = max(worst, np.max(np.abs(out[idx].coeffs - expect)))
+        worst = max(worst, np.max(np.abs(out[idx] - expect)))
     assert worst < 1e-8
 
 
@@ -161,18 +180,26 @@ def test_fixed_point_residual_of_converged_iteration():
     times = frame_times(301)
     eta = smooth_bump_window()
     eta_t = eta(times)
-    current = [
-        SpectralField(grid, eta_t[i] * free_evolve(model, phi, t).coeffs)
-        for i, t in enumerate(times)
-    ]
+    current = np.array(
+        [eta_t[i] * free_evolve(model, phi, t).coeffs for i, t in enumerate(times)]
+    )
     for _ in range(8):
         current = duhamel_map(model, phi, current, times)
     again = duhamel_map(model, phi, current, times)
-    residual = max(
-        np.max(np.abs(a.coeffs - b.coeffs)) for a, b in zip(again, current)
-    )
-    scale = max(np.max(np.abs(f.coeffs)) for f in current)
+    residual = np.max(np.abs(again - current))
+    scale = np.max(np.abs(current))
     assert residual < 1e-8 * scale
+
+
+@pytest.mark.parametrize("anchor", [0, 1, 6, 10])
+def test_cumulative_integral_is_exact_for_cubics(anchor):
+    """The interior and one-sided panel rules are all exact on cubics, from
+    any anchor, along axis 0 of a (times, modes) array."""
+    t = 0.3 * np.arange(11) - 0.9
+    f = np.stack([t**3 - 2 * t, 1j * t**2], axis=1)
+    exact = np.stack([t**4 / 4 - t**2, 1j * t**3 / 3], axis=1)
+    got = _cumulative_integral(f, 0.3, anchor)
+    assert np.max(np.abs(got - (exact - exact[anchor]))) < 1e-13
 
 
 # -- contraction -------------------------------------------------------------------
@@ -278,6 +305,6 @@ def test_solve_then_scale_commutes_with_scale_then_solve(mu):
     _, f_orig = integrate(
         model, u0, SolverConfig(dt=(T / factor) / 512, T=T / factor, frame_stride=10**9)
     )
-    rescaled_end, _ = scale_transform(model, f_orig[-1], mu)
-    diff = np.max(np.abs(f_scaled[-1].coeffs - rescaled_end.coeffs))
+    rescaled_end, _ = scale_transform(model, SpectralField(grid, f_orig[-1]), mu)
+    diff = np.max(np.abs(f_scaled[-1] - rescaled_end.coeffs))
     assert diff < 1e-8
