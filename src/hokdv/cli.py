@@ -134,7 +134,12 @@ def _begin(args, command: str, schema: dict[str, Field], check=None) -> RunConte
     config = validate_config(raw, schema)
     env_seed = os.environ.get("HOKDV_SEED")
     if env_seed is not None and "seed" in config:
-        config["seed"] = int(env_seed)
+        try:
+            config["seed"] = int(env_seed)
+        except ValueError:
+            raise ConfigError(
+                "seed", f"HOKDV_SEED must be an integer, got {env_seed!r}"
+            ) from None
     if check is not None:
         check(config)
     out_dir = _make_run_dir(Path(args.out_root), command, config)
@@ -186,21 +191,28 @@ SIMULATE_SCHEMA = {
 }
 
 
+def _solver_config(cfg: dict) -> SolverConfig:
+    try:
+        return SolverConfig(
+            dt=cfg["dt"],
+            T=cfg["T"],
+            dealias=cfg["dealias"],
+            scheme=cfg["scheme"],
+            nonlinear=cfg["nonlinear"],
+            frame_stride=cfg["frame_stride"],
+        )
+    except ValueError as err:
+        raise ConfigError("T", str(err)) from None
+
+
 def cmd_simulate(args) -> int:
-    ctx = _begin(args, "simulate", SIMULATE_SCHEMA)
+    ctx = _begin(args, "simulate", SIMULATE_SCHEMA, check=_solver_config)
     cfg = ctx.config
     model = DispersionModel(cfg["j"], cfg["lam"])
     grid = TorusGrid(cfg["lam"], cfg["M"])
     rng = np.random.default_rng(cfg["seed"])
     u0 = _initial_data(cfg, grid, rng)
-    solver_cfg = SolverConfig(
-        dt=cfg["dt"],
-        T=cfg["T"],
-        dealias=cfg["dealias"],
-        scheme=cfg["scheme"],
-        nonlinear=cfg["nonlinear"],
-        frame_stride=cfg["frame_stride"],
-    )
+    solver_cfg = _solver_config(cfg)
     try:
         times, frames = integrate(model, u0, solver_cfg)
     except BlowUpError as err:
@@ -334,7 +346,10 @@ def cmd_resonance_audit(args) -> int:
 ESTIMATE_SCHEMA = {
     "estimate": Field("str", required=True, check=lambda v: v in ESTIMATE_SEARCHES),
     "j": Field("int", 2, check=lambda v: v >= 1),
-    "lam": Field("float", 1.0, check=lambda v: v >= 1),
+    "lam": Field(
+        "float", 1.0, check=lambda v: v >= 1 and v.is_integer(),
+        help="the sigma lattice needs an integral lam",
+    ),
     "s": Field("float", -1.5),
     "a": Field("float", 0.3),
     "b": Field("float", 0.3),

@@ -9,7 +9,8 @@ signed phase, sigma = tau - p(k), so free solutions sit at sigma = 0.
 
 Resonance functions are evaluated in exact integer arithmetic on the
 index lattice m (k = m/lam); k^{2j+1} overflows 64-bit floats and ints
-long before the mode ranges used here run out.
+long before the mode ranges used here run out.  lam enters only as the
+float factor lam^{-(2j+1)} applied afterwards.
 """
 
 from __future__ import annotations
@@ -85,38 +86,14 @@ def free_evolve(model: DispersionModel, u0: SpectralField, t: float) -> Spectral
     return SpectralField(u0.grid, u0.coeffs * multiplier)
 
 
-def integer_power_sum_gap(j: int, m1: int, m2: int) -> int:
-    """Exact m^{2j+1} - m1^{2j+1} - m2^{2j+1} with m = m1 + m2 (index-lattice units)."""
-    n = 2 * j + 1
-    return (m1 + m2) ** n - m1**n - m2**n
+def resonance_q0(n: int, m1, m2):
+    """q0 = m1^n + m2^n - (m1+m2)^n on index-lattice modes, n = 2j+1.
 
-
-def resonance_q0(model: DispersionModel, m1: int, m2: int):
-    """Exact q0 = k1^{2j+1} + k2^{2j+1} - (k1+k2)^{2j+1} for k_i = m_i/lam.
-
-    Integer for lam = 1, exact Fraction otherwise (lam must then be integral).
+    Exact for Python ints; plain (unguarded) arithmetic on int64 arrays.  The
+    resonance function of k_i = m_i/lam is q0 / lam^n, and the triple forms
+    are q2 = q0(m1, m2+m3) and q1 = q0(m2, m3) + q2.
     """
-    q = -integer_power_sum_gap(model.j, m1, m2)
-    return _scale_exact(model, q)
-
-
-def resonance_q1_q2(model: DispersionModel, m1: int, m2: int, m3: int):
-    """Exact (q1, q2) for the frequency triple, k = k1 + k2 + k3 implied.
-
-    q1 = k1^n + k2^n + k3^n - k^n,  q2 = k1^n + (k2+k3)^n - k^n,  n = 2j+1.
-    """
-    n = model.order
-    m = m1 + m2 + m3
-    q1 = m1**n + m2**n + m3**n - m**n
-    q2 = m1**n + (m2 + m3) ** n - m**n
-    return _scale_exact(model, q1), _scale_exact(model, q2)
-
-
-def _scale_exact(model: DispersionModel, q: int):
-    if model.lam == 1:
-        return q
-    lam = Fraction(model.lam).limit_denominator(10**6)
-    return Fraction(q, 1) / lam**model.order
+    return m1**n + m2**n - (m1 + m2) ** n
 
 
 def audit_resonance_bound(model: DispersionModel, kmax: int) -> ExperimentReport:
@@ -218,5 +195,5 @@ def enumerate_vanishing_q0(model: DispersionModel, kmax: int) -> Iterable[tuple[
         for m2 in range(-kmax, kmax + 1):
             if m2 == 0 or m1 + m2 == 0:
                 continue
-            if m1**n + m2**n - (m1 + m2) ** n == 0:
+            if resonance_q0(n, m1, m2) == 0:
                 yield (m1, m2)

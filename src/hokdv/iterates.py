@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import DispersionModel, free_evolve, integer_power_sum_gap
+from .dispersion import DispersionModel, resonance_q0
 from .expquad import exponential_weights, lagrange_monomial_basis
 from .reporting import ExperimentReport
-from .torus import SpectralField, TorusGrid, convolve
+from .torus import SpectralField, TorusGrid, lattice_product
 from .norms import NormSpec, sobolev_norm
 
 
@@ -47,37 +47,21 @@ class IterateResult:
     max_denominator: int
 
 
-@dataclass(frozen=True)
-class PhiNData:
-    """Two-mode data family: coefficient N^{-s} at k = +-N."""
-
-    N: int
-    s: float
-
-    def __post_init__(self) -> None:
-        if self.N < 1:
-            raise ValueError(f"N must be a positive integer, got {self.N}")
-
-    def build(self, grid: TorusGrid) -> SpectralField:
-        """Realize the field; the grid must also hold mode 3N so that
-        third-iterate output cannot silently alias."""
-        if 3 * self.N >= grid.modes // 2:
-            raise ValueError(
-                f"grid with {grid.modes} modes cannot hold mode 3N = {3 * self.N}; "
-                "enlarge the lattice to avoid aliased iterates"
-            )
-        amp = float(self.N) ** (-self.s)
-        return SpectralField.from_modes(grid, {self.N: amp, -self.N: amp})
-
-
 def phi_n_data(N: int, s: float, grid: TorusGrid) -> SpectralField:
-    """Build the two-mode field N^{-s} (chi_N + chi_{-N}) on the grid."""
-    return PhiNData(N, s).build(grid)
+    """Build the two-mode field N^{-s} (chi_N + chi_{-N}) on the grid.
 
-
-def free_solution(model: DispersionModel, u0: SpectralField, t: float) -> SpectralField:
-    """First Picard iterate, the free flow S(t) u0."""
-    return free_evolve(model, u0, t)
+    The grid must also hold mode 3N so that third-iterate output cannot
+    silently alias.
+    """
+    if N < 1:
+        raise ValueError(f"N must be a positive integer, got {N}")
+    if 3 * N >= grid.modes // 2:
+        raise ValueError(
+            f"grid with {grid.modes} modes cannot hold mode 3N = {3 * N}; "
+            "enlarge the lattice to avoid aliased iterates"
+        )
+    amp = float(N) ** (-s)
+    return SpectralField.from_modes(grid, {N: amp, -N: amp})
 
 
 def _oscillatory_factor(t: float, omega: float) -> complex:
@@ -135,7 +119,7 @@ def second_iterate_closed(
                 raise ValueError(
                     f"iterate mode {m} leaves the lattice; enlarge the grid"
                 )
-            q0 = -integer_power_sum_gap(model.j, m1, m2)
+            q0 = resonance_q0(n, m1, m2)
             if q0 == 0:
                 raise ResonanceConsistencyError(
                     f"q0 = 0 at nonzero output mode ({m1}, {m2})"
@@ -176,11 +160,8 @@ def third_iterate_closed(
     out = np.zeros(grid.modes, dtype=np.complex128)
     resonant = 0
     max_den = 0
-    pow_cache = {m: m**n for m, _ in support}
     for m1, c1 in support:
-        p1 = pow_cache[m1]
         for m2, c2 in support:
-            p2 = pow_cache[m2]
             for m3, c3 in support:
                 m23 = m2 + m3
                 if m23 == 0:
@@ -192,15 +173,13 @@ def third_iterate_closed(
                     raise ValueError(
                         f"iterate mode {m} leaves the lattice; enlarge the grid"
                     )
-                p3 = pow_cache[m3]
-                pm = m**n
-                q0_23 = p2 + p3 - m23**n
+                q0_23 = resonance_q0(n, m2, m3)
                 if q0_23 == 0:
                     raise ResonanceConsistencyError(
                         f"q0(k2, k3) = 0 with nonzero prefactor at ({m1}, {m2}, {m3})"
                     )
-                q1 = p1 + p2 + p3 - pm
-                q2 = p1 + m23**n - pm
+                q2 = resonance_q0(n, m1, m23)
+                q1 = q0_23 + q2
                 if q1 == 0:
                     resonant += 1
                 max_den = max(max_den, abs(q0_23), abs(q1), abs(q2))
@@ -280,22 +259,14 @@ def second_iterate_quadrature(
     ik = 1j * grid.k_values
     weights = exponential_weights(lin, h, _NC4_NODES, _NC4_BASIS)
     step_mult = np.exp(1j * lin * h)
-
-    def forcing(s: float) -> np.ndarray:
-        u1 = free_evolve(model, u0, s)
-        return ik * convolve(u1, u1).coeffs
-
     acc = np.zeros(grid.modes, dtype=np.complex128)
-    node_vals = forcing(0.0)
     for i in range(steps):
-        s0 = i * h
-        panel = [node_vals]
-        for node in _NC4_NODES[1:]:
-            panel.append(forcing(s0 + node * h))
+        # the free flow u1 at the panel's four nodes, one batched product
+        u1 = u0.coeffs * np.exp(1j * ((i + _NC4_NODES[:, None]) * h) * lin)
+        panel = ik * lattice_product(u1, grid)
         acc = step_mult * acc
         for mth, values in enumerate(panel):
             acc = acc + weights[mth] * values
-        node_vals = panel[-1]
     return SpectralField(grid, acc)
 
 

@@ -64,16 +64,22 @@ def angle_bracket(x) -> np.ndarray:
     return np.hypot(1.0, np.asarray(x, dtype=np.float64))
 
 
-def sobolev_norm(u: SpectralField, spec: NormSpec) -> float:
+def sobolev_norm(
+    u: SpectralField | np.ndarray, spec: NormSpec, grid: TorusGrid | None = None
+) -> float | np.ndarray:
     """H^s (or homogeneous H-dot^s) norm, ((1/lam) sum w(k)^{2s} |coeff|^2)^{1/2}.
 
+    u is a SpectralField, or with `grid` given a coefficient array whose last
+    axis is the lattice: an (n_frames, M) series gives one norm per frame.
     The homogeneous weight |k|^s excludes the k = 0 mode; if that mode is
     populated it is dropped and a MeanModeDroppedWarning is issued.
     """
-    grid = u.grid
-    coeffs = u.coeffs
+    if grid is None:
+        grid, coeffs = u.grid, u.coeffs
+    else:
+        coeffs = np.asarray(u)
     if spec.homogeneous:
-        if abs(coeffs[0]) != 0.0:
+        if np.any(coeffs[..., 0] != 0.0):
             warnings.warn(
                 "homogeneous norm drops the populated mean mode",
                 MeanModeDroppedWarning,
@@ -81,11 +87,12 @@ def sobolev_norm(u: SpectralField, spec: NormSpec) -> float:
             )
         nz = grid.m_ints != 0
         w = np.abs(grid.k_values[nz]) ** spec.s
-        mass = np.sum((w * np.abs(coeffs[nz])) ** 2)
+        mass = np.sum((w * np.abs(coeffs[..., nz])) ** 2, axis=-1)
     else:
         w = angle_bracket(grid.k_values) ** spec.s
-        mass = np.sum((w * np.abs(coeffs)) ** 2)
-    return float(np.sqrt(mass / grid.lam))
+        mass = np.sum((w * np.abs(coeffs)) ** 2, axis=-1)
+    norm = np.sqrt(mass / grid.lam)
+    return float(norm) if norm.ndim == 0 else norm
 
 
 @dataclass(frozen=True)

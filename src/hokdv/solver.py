@@ -6,7 +6,7 @@ The linear part is diagonal in Fourier space and is always applied through
 its exact unimodular multiplier (k^{2j+1} time scales are hopeless for any
 explicit scheme on the raw equation); only the quadratic term is stepped,
 either by integrating-factor RK4 or by ETDRK4.  The quadratic product is
-the 2/3-dealiased normalized lattice convolution, evaluated by FFT.
+the 2/3-dealiased normalized lattice convolution, `torus.lattice_product`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .norms import (
     spacetime_from_timeseries,
     zs_norm,
 )
-from .torus import TWO_PI, SpectralField, TorusGrid, dealias_mask, physical_l2_norm
+from .torus import SpectralField, TorusGrid, dealias_mask, lattice_product, physical_l2_norm
 
 
 class BlowUpError(RuntimeError):
@@ -58,6 +58,12 @@ class SolverConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.frame_stride < 1:
             raise ValueError("frame_stride must be >= 1")
+        if abs(self.steps * self.dt - self.T) > 1e-9 * max(1.0, self.T):
+            raise ValueError("T must be an integer multiple of dt")
+
+    @property
+    def steps(self) -> int:
+        return int(round(self.T / self.dt))
 
 
 @dataclass
@@ -74,17 +80,8 @@ class ContractionTrace:
 
 def _product_term(model: DispersionModel, coeffs: np.ndarray, grid: TorusGrid,
                   mask: np.ndarray | None) -> np.ndarray:
-    """-(i k / 2) * (u (*) u) where (*) is the normalized lattice convolution.
-
-    Computed in physical space; the 2*pi factor converts the pointwise
-    product transform to the (dk)_lam convolution convention.
-    """
-    c = coeffs if mask is None else coeffs * mask
-    w = np.fft.ifft(c) * (grid.modes / grid.period)
-    prod = np.fft.fft(w * w) * (grid.period / grid.modes) * TWO_PI
-    if mask is not None:
-        prod = prod * mask
-    return -0.5j * grid.k_values * prod
+    """-(i k / 2) * (u (*) u) where (*) is the normalized lattice convolution."""
+    return -0.5j * grid.k_values * lattice_product(coeffs, grid, mask)
 
 
 def integrate(
@@ -103,9 +100,7 @@ def integrate(
         raise ValueError("grid lam does not match model lam")
     if abs(u0.mean_value()) > 1e-13:
         raise ValueError("initial data must be mean-zero")
-    steps = int(round(cfg.T / cfg.dt))
-    if abs(steps * cfg.dt - cfg.T) > 1e-9 * max(1.0, cfg.T):
-        raise ValueError("T must be an integer multiple of dt")
+    steps = cfg.steps
     lin = model.phase(grid.k_values)
     mask = dealias_mask(grid) if (cfg.dealias and cfg.nonlinear) else None
     half_mult = np.exp(1j * lin * cfg.dt / 2.0)
@@ -257,8 +252,7 @@ def contraction_experiment(
         return zs_norm(stf, s, model).total
 
     def hs_sup(frames: np.ndarray) -> float:
-        spec = NormSpec(s)
-        return max(sobolev_norm(SpectralField(grid, row), spec) for row in frames)
+        return float(np.max(sobolev_norm(frames, NormSpec(s), grid)))
 
     eta_t = np.asarray(eta(times), dtype=np.float64)[:, None]
     current = eta_t * np.array([free_evolve(model, phi, t).coeffs for t in times])

@@ -167,25 +167,40 @@ def inverse_transform(f: SpectralField) -> np.ndarray:
 
 
 def convolve(f: SpectralField, g: SpectralField) -> SpectralField:
-    """Lattice convolution with normalized counting measure.
+    """Direct lattice convolution with normalized counting measure.
 
     out(k) = (1/lam) sum_{k1} f(k - k1) g(k1), truncated back to the lattice.
     Under the integral-coefficient convention this equals 2*pi times the
     transform of the pointwise product whenever supports are small enough
-    that no wrapped mode survives truncation.
+    that no wrapped mode survives truncation.  The O(M^2) reference for
+    `lattice_product`.
     """
     _require_same_grid(f, g)
     grid = f.grid
     half = grid.modes // 2
-    # full linear convolution on mode index m, then truncate to |m| < M/2
-    a = np.roll(f.coeffs, half)  # ascending m order: -M/2 .. M/2-1
-    b = np.roll(g.coeffs, half)
-    full = np.convolve(a, b)  # index i corresponds to m = i - (M - 2) - ... see below
-    # full[i] = sum_{p+q=i} a[p] b[q]; a[p] is mode p - half, so m = i - 2*half
+    # ascending mode order -M/2 .. M/2-1; full[i] holds mode m = i - 2*half
+    full = np.convolve(np.roll(f.coeffs, half), np.roll(g.coeffs, half))
+    m = np.arange(-half + 1, half)
     out = np.zeros(grid.modes, dtype=np.complex128)
-    for m in range(-half + 1, half):
-        out[grid.index_of(m)] = full[m + 2 * half]
+    out[m % grid.modes] = full[m + 2 * half]
     return SpectralField(grid, out / grid.lam)
+
+
+def lattice_product(coeffs: np.ndarray, grid: TorusGrid,
+                    mask: np.ndarray | None = None) -> np.ndarray:
+    """u (*) u, the normalized lattice convolution of coeffs with itself,
+    along the last axis (leading axes are batched).
+
+    Computed in physical space; the 2*pi factor converts the pointwise
+    product transform to the (dk)_lam convolution convention.  With a mask
+    (`dealias_mask`), input and output are restricted to it.  Without one
+    the result equals `convolve` on the kept modes while every populated
+    pair has |m1 + m2| <= M/2 (the sum M/2 wraps only into the Nyquist slot).
+    """
+    c = coeffs if mask is None else coeffs * mask
+    w = np.fft.ifft(c) * (grid.modes / grid.period)
+    prod = np.fft.fft(w * w) * (grid.period / grid.modes) * TWO_PI
+    return prod if mask is None else prod * mask
 
 
 def inner_product(f: SpectralField, g: SpectralField) -> complex:

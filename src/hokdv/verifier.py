@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dispersion import DispersionModel, Region, region_masks
-from .norms import ZsNorm, angle_bracket, xsb_mass, ys_mass, zs_norm_cells
+from .dispersion import DispersionModel, Region, region_masks, resonance_q0
+from .norms import DyadicShell, ZsNorm, angle_bracket, xsb_mass, ys_mass, zs_norm_cells
 from .reporting import ExperimentReport
 
 
@@ -84,7 +84,7 @@ class ModulationField:
 
     def __init__(self, model: DispersionModel, m, sig_scaled, coeffs):
         self.model = model
-        self.sig_scale = int(round(model.lam)) ** model.order
+        self.sig_scale = _scale(model)
         m = np.asarray(m, dtype=np.int64)
         sig = np.asarray(sig_scaled, dtype=np.int64)
         vals = np.asarray(coeffs, dtype=np.complex128)
@@ -120,11 +120,10 @@ class ModulationField:
     def scaled(self, factor: complex) -> "ModulationField":
         return ModulationField(self.model, self.m, self.sig_scaled, self.coeffs * factor)
 
-    def shell_restricted(self, l: int) -> "ModulationField":
-        bracket = angle_bracket(self.sigma)
-        mask = (bracket >= 2.0**l) & (bracket < 2.0 ** (l + 1))
+    def where(self, keep: np.ndarray) -> "ModulationField":
+        """The cells selected by a boolean mask."""
         return ModulationField(
-            self.model, self.m[mask], self.sig_scaled[mask], self.coeffs[mask]
+            self.model, self.m[keep], self.sig_scaled[keep], self.coeffs[keep]
         )
 
     def region_restricted(self, regions: tuple[Region, ...]) -> "ModulationField":
@@ -132,9 +131,7 @@ class ModulationField:
         keep = np.zeros(len(self.m), dtype=bool)
         for r in regions:
             keep |= masks[r]
-        return ModulationField(
-            self.model, self.m[keep], self.sig_scaled[keep], self.coeffs[keep]
-        )
+        return self.where(keep)
 
     def describe(self) -> dict:
         return {
@@ -200,8 +197,7 @@ def convolve_modulation(f: ModulationField, g: ModulationField) -> ModulationFie
     m2 = g.m[None, :]
     m_out = m1 + m2
     # exact integer resonance shift on the scaled-sigma lattice
-    q0 = m1**n + m2**n - m_out**n
-    shift = model.sign * q0
+    shift = model.sign * resonance_q0(n, m1, m2)
     sig_out = f.sig_scaled[:, None] + g.sig_scaled[None, :] + shift
     vals = np.outer(f.coeffs, g.coeffs) * (f.dtau / model.lam)
     return ModulationField(model, m_out.ravel(), sig_out.ravel(), vals.ravel())
@@ -288,7 +284,7 @@ def resonant_pair(
     n = model.order
     amp = float(N) ** (-s)
     u1 = ModulationField(model, [N, -N], [0, 0], [amp, amp])
-    q0 = 2 * N**n - (2 * N) ** n
+    q0 = resonance_q0(n, N, N)
     a2_amp = 2.0 * N * amp**2 / abs(q0)
     shift = model.sign * q0
     u2 = ModulationField(
@@ -304,7 +300,13 @@ _GENERATORS = ("gaussian-random", "dyadic-concentrated", "free-solution-like", "
 
 
 def _scale(model: DispersionModel) -> int:
-    return int(round(model.lam)) ** model.order
+    """lam^(2j+1), the integer resolution of the scaled-sigma lattice.
+
+    Only an integral lam keeps resonance shifts integers on that lattice.
+    """
+    if not float(model.lam).is_integer():
+        raise ValueError(f"the sigma lattice needs an integral lam, got {model.lam}")
+    return int(model.lam) ** model.order
 
 
 def generate_field(
@@ -359,8 +361,10 @@ def dyadic_bilinear_ratio(
     for trial in range(cfg.trials):
         rng = _rng_for(cfg, trial)
         gen = "dyadic-concentrated"
-        u1 = dyadic_concentrated_field(model, cfg, rng, l=l1).shell_restricted(l1)
-        u2 = dyadic_concentrated_field(model, cfg, rng, l=l2).shell_restricted(l2)
+        u1 = dyadic_concentrated_field(model, cfg, rng, l=l1)
+        u2 = dyadic_concentrated_field(model, cfg, rng, l=l2)
+        u1 = u1.where(DyadicShell(l1).mask(u1.sigma))
+        u2 = u2.where(DyadicShell(l2).mask(u2.sigma))
         if u1.is_empty() or u2.is_empty():
             report.skipped += 1
             continue

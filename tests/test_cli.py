@@ -243,6 +243,25 @@ def test_picard_check_refuses_unresolved_budget(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv,seed,key",
+    [
+        (["simulate", "--set", "j = 2", "--set", "M = 64", "--set", "dt = 0.003",
+          "--set", "T = 0.01"], None, "'T'"),
+        (["contraction", "--set", "max_iter = 1"], "abc", "'seed'"),
+        (["estimate-search", "--set", "estimate = 3.1", "--set", "lam = 1.5"], None, "'lam'"),
+    ],
+    ids=["T-not-multiple-of-dt", "non-integer-seed", "non-integral-lam"],
+)
+def test_bad_input_exits_two_before_a_run_directory(tmp_path, monkeypatch, capsys,
+                                                    argv, seed, key):
+    if seed is not None:
+        monkeypatch.setenv("HOKDV_SEED", seed)
+    assert run(tmp_path, *argv) == 2
+    assert key in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_env_seed_overrides_config(tmp_path, monkeypatch):
     monkeypatch.setenv("HOKDV_SEED", "31337")
     code = run(tmp_path, "estimate-search", "--set", "estimate = 2.5", "--set", "trials = 5")

@@ -1,7 +1,5 @@
 """Dispersion phase, semigroup, exact resonance functions, region labels."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,10 +12,8 @@ from hokdv.dispersion import (
     classify_region,
     enumerate_vanishing_q0,
     free_evolve,
-    integer_power_sum_gap,
     region_masks,
     resonance_q0,
-    resonance_q1_q2,
 )
 from hokdv.norms import NormSpec, sobolev_norm
 from hokdv.torus import TorusGrid
@@ -76,40 +72,62 @@ def test_free_evolve_lambda_mismatch():
         free_evolve(DispersionModel(2, 1.0), u, 0.1)
 
 
+def triple_q1_q2(n, m1, m2, m3):
+    """(q1, q2) of the triple through resonance_q0, as third_iterate_closed forms them."""
+    q2 = resonance_q0(n, m1, m2 + m3)
+    return resonance_q0(n, m2, m3) + q2, q2
+
+
 def test_q0_antisymmetric_pair_vanishes():
-    assert resonance_q0(DispersionModel(2, 1.0), 1, -1) == 0
+    assert resonance_q0(5, 1, -1) == 0
 
 
 def test_q0_equal_pair_value():
-    assert resonance_q0(DispersionModel(2, 1.0), 1, 1) == -30
+    assert resonance_q0(5, 1, 1) == -30
 
 
 @pytest.mark.parametrize("N", list(range(1, 65)))
 def test_q0_equal_pair_scaling(N):
     # q0(N, N) = N^5 (2 - 2^5) = -30 N^5, checked against direct big-int powers
-    model = DispersionModel(2, 1.0)
     direct = N**5 + N**5 - (2 * N) ** 5
-    assert resonance_q0(model, N, N) == direct == -30 * N**5
+    assert resonance_q0(5, N, N) == direct == -30 * N**5
+
+
+def test_q0_on_int64_arrays_matches_python_ints():
+    m1 = np.array([[-7], [3], [40]], dtype=np.int64)
+    m2 = np.array([[5, -12, 33]], dtype=np.int64)
+    q = resonance_q0(7, m1, m2)
+    assert q.dtype == np.int64
+    expect = [[resonance_q0(7, int(a), int(b)) for b in m2[0]] for a in m1[:, 0]]
+    assert q.tolist() == expect
 
 
 @pytest.mark.parametrize("j,N", [(2, 3), (3, 5), (4, 2)])
 def test_resonant_triple_q1_vanishes_q2_does_not(j, N):
-    model = DispersionModel(j, 1.0)
-    q1, q2 = resonance_q1_q2(model, -N, N, N)
+    q1, q2 = triple_q1_q2(2 * j + 1, -N, N, N)
     assert q1 == 0
     assert q2 == (2 ** (2 * j + 1) - 2) * N ** (2 * j + 1)
     assert q2 != 0
 
 
 def test_q1_all_ones_value():
-    q1, _ = resonance_q1_q2(DispersionModel(2, 1.0), 1, 1, 1)
+    q1, _ = triple_q1_q2(5, 1, 1, 1)
     assert q1 == 3 - 3**5 == -240
 
 
-def test_rational_lattice_resonance_is_exact_fraction():
-    model = DispersionModel(2, 2.0)
-    q = resonance_q0(model, 1, 1)
-    assert q == Fraction(-30, 32)
+@settings(max_examples=200, deadline=None)
+@given(
+    j=st.integers(1, 4),
+    m1=st.integers(-10**6, 10**6),
+    m2=st.integers(-10**6, 10**6),
+    m3=st.integers(-10**6, 10**6),
+)
+def test_triple_forms_match_direct_powers(j, m1, m2, m3):
+    n = 2 * j + 1
+    m = m1 + m2 + m3
+    q1, q2 = triple_q1_q2(n, m1, m2, m3)
+    assert q1 == m1**n + m2**n + m3**n - m**n
+    assert q2 == m1**n + (m2 + m3) ** n - m**n
 
 
 def test_audit_small_case_ratio():
@@ -197,6 +215,6 @@ def test_gap_lower_bound_property(j, m1, m2):
     if m1 + m2 == 0:
         return
     n = 2 * j + 1
-    lhs = abs(integer_power_sum_gap(j, m1, m2))
+    lhs = abs(resonance_q0(n, m1, m2))
     rhs = n * abs((m1 + m2) * m1**j * m2**j)
     assert lhs >= rhs

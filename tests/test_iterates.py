@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hokdv.dispersion import DispersionModel
+from hokdv.dispersion import DispersionModel, free_evolve
 from hokdv.iterates import (
     IterateResult,
     ResonanceConsistencyError,
     _oscillatory_factor,
-    free_solution,
     growth_sweep,
     phi_n_data,
     quadrature_steps_needed,
@@ -115,8 +114,8 @@ def test_free_solution_keeps_norm_and_matches_t_zero():
     grid = TorusGrid(1.0, 64)
     model = DispersionModel(2, 1.0)
     u = phi_n_data(4, -1.0, grid)
-    assert np.array_equal(free_solution(model, u, 0.0).coeffs, u.coeffs)
-    out = free_solution(model, u, 0.37)
+    assert np.array_equal(free_evolve(model, u, 0.0).coeffs, u.coeffs)
+    out = free_evolve(model, u, 0.37)
     assert sobolev_norm(out, NormSpec(0.0)) == pytest.approx(
         sobolev_norm(u, NormSpec(0.0)), rel=1e-13
     )

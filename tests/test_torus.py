@@ -15,6 +15,7 @@ from hokdv.torus import (
     inner_product,
     inverse_transform,
     l2_norm,
+    lattice_product,
 )
 
 from helpers import random_band_limited
@@ -105,6 +106,38 @@ def test_convolution_matches_pointwise_product(lam):
     assert np.max(np.abs(direct.coeffs - TWO_PI * via_product.coeffs)) < 1e-12 * np.max(
         np.abs(direct.coeffs) + 1
     )
+
+
+@pytest.mark.parametrize("lam,modes", [(1.0, 32), (2.0, 64), (1.0, 96)])
+def test_lattice_product_matches_direct_convolution(lam, modes):
+    # support <= M/4: no m1 + m2 wraps onto a kept mode; m1 + m2 = +-M/2 lands
+    # in the Nyquist slot, which every SpectralField holds at zero
+    grid = TorusGrid(lam, modes)
+    rng = np.random.default_rng(modes)
+    for real in (True, False):
+        f = random_band_limited(grid, rng, modes // 4, real=real)
+        direct = convolve(f, f).coeffs
+        fast = SpectralField(grid, lattice_product(f.coeffs, grid)).coeffs
+        assert np.max(np.abs(fast - direct)) < 1e-12 * max(1.0, np.max(np.abs(direct)))
+
+
+def test_dealiased_lattice_product_is_masked_direct_convolution():
+    grid = TorusGrid(1.0, 64)
+    mask = dealias_mask(grid)
+    f = random_band_limited(grid, np.random.default_rng(4), 31, real=False)
+    kept = SpectralField(grid, f.coeffs * mask)
+    direct = convolve(kept, kept).coeffs * mask
+    fast = lattice_product(f.coeffs, grid, mask)
+    assert np.max(np.abs(fast - direct)) < 1e-12 * np.max(np.abs(direct))
+
+
+def test_lattice_product_batches_leading_axes():
+    grid = TorusGrid(1.0, 32)
+    rng = np.random.default_rng(9)
+    rows = np.array([random_band_limited(grid, rng, 8).coeffs for _ in range(6)])
+    batch = lattice_product(rows.reshape(2, 3, 32), grid, dealias_mask(grid))
+    for row, out in zip(rows, batch.reshape(6, 32)):
+        assert np.array_equal(out, lattice_product(row, grid, dealias_mask(grid)))
 
 
 def test_inner_product_single_mode_parseval():

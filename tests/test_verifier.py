@@ -46,6 +46,25 @@ def test_convolution_shift_is_the_resonance_gap(model):
     assert out.coeffs[0] == pytest.approx(1.0)  # dtau / lam = 1
 
 
+def test_stored_sigma_is_the_resonance_mismatch_at_integral_lam():
+    model = DispersionModel(2, 2.0)
+    f = ModulationField(model, [1, 3], [0, 0], [1.0, 1.0])
+    g = ModulationField(model, [2, -5], [0, 0], [1.0, 1.0])
+    out = convolve_modulation(f, g)
+    assert len(out.m) == 4
+    for m, sigma in zip(out.m, out.sigma):
+        pairs = [(a, int(m) - a) for a in (1, 3) if int(m) - a in (2, -5)]
+        assert len(pairs) == 1
+        k1, k2 = (v / model.lam for v in pairs[0])
+        expect = model.phase(k1) + model.phase(k2) - model.phase(k1 + k2)
+        assert sigma == pytest.approx(expect, rel=1e-12)
+
+
+def test_non_integral_lam_is_refused():
+    with pytest.raises(ValueError, match="integral lam"):
+        ModulationField(DispersionModel(2, 1.5), [1], [0], [1.0])
+
+
 def test_convolution_collision_accumulates(model):
     f = ModulationField(model, [1, 2], [0, 0], [1.0, 1.0])
     g = ModulationField(model, [1, 2], [0, 0], [1.0, 1.0])
