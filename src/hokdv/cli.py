@@ -301,7 +301,12 @@ def cmd_illposed_sweep(args) -> int:
 
 
 AUDIT_SCHEMA = {
-    "j_list": Field("int_list", required=True, check=lambda v: len(v) >= 1),
+    "j_list": Field(
+        "int_list",
+        required=True,
+        check=lambda v: len(v) >= 1 and min(v) >= 1,
+        help="every j must be >= 1",
+    ),
     "kmax": Field("int", required=True, check=lambda v: v >= 1),
     "lam": Field("float", 1.0, check=lambda v: v >= 1),
     "seed": Field("int", 2025),

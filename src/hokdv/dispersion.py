@@ -15,6 +15,7 @@ float factor lam^{-(2j+1)} applied afterwards.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -96,39 +97,106 @@ def resonance_q0(n: int, m1, m2):
     return m1**n + m2**n - (m1 + m2) ** n
 
 
-def audit_resonance_bound(model: DispersionModel, kmax: int) -> ExperimentReport:
-    """Exhaustively check |k^{2j+1}-k1^{2j+1}-k2^{2j+1}| >= (2j+1)|k k1^j k2^j|.
+_AUDIT_ROWS = 32  # m1 rows per audit block; every block spans all m2 columns
+_U = 2.0**-53  # unit roundoff of float64
 
-    Runs over every integer pair 1 <= |m1|, |m2| <= kmax with m1 + m2 != 0,
-    entirely in exact integer arithmetic.  Records the minimal LHS/RHS ratio
-    and any violating witness (none is expected; a violation would signal an
-    implementation bug, since the bound is a proved identity consequence).
+
+def _ratio_bounds(float_n, float_r, float_j, off, m1, m2):
+    """Certified float64 bounds lo <= lhs/rhs <= hi on the block (m1[:, None], m2).
+
+    float_n, float_r and float_j hold the correctly rounded m^n, n|m| and
+    |m|^j at index m + off.  With u = 2^-53, the computed |q0| lies within
+    3.1u(|a|+|b|+|c|) of the exact lhs and the computed rhs within 5.1u of
+    the exact one, relatively; the 8u and 16u slacks also cover the rounding
+    of the bounds themselves.  lo >= 1 therefore certifies lhs >= rhs.
+    Pairs with m1 + m2 = 0 or an overflowing power or rhs get hi = inf
+    and a lo that is nan or below 1.  Also returns the m1 + m2 != 0 mask.
+    """
+    idx = m1[:, None] + (m2 + off)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a, b, c = float_n[idx], float_n[m1 + off][:, None], float_n[m2 + off]
+        q = np.abs(a - b - c)
+        slack = (np.abs(a) + (np.abs(b) + np.abs(c))) * (8 * _U)
+        r = float_r[idx] * float_j[m1 + off][:, None] * float_j[m2 + off]
+        lo = (q - slack) / r * (1 - 16 * _U)
+        hi = np.where(r < math.inf, (q + slack) / r * (1 + 16 * _U), math.inf)
+    return idx != off, lo, hi
+
+
+def _first_min(num: np.ndarray, den: np.ndarray) -> int:
+    """Index of the first minimum of num/den (den > 0) by exact cross products.
+
+    A tournament of adjacent pairs in which the left entry wins ties, so the
+    result is the entry a sequential strict-< scan would keep.
+    """
+    idx = np.arange(num.size)
+    while idx.size > 1:
+        left, right = idx[0::2], idx[1::2]
+        head = left[: right.size]
+        right_wins = num[right] * den[head] < num[head] * den[right]
+        idx = np.concatenate([np.where(right_wins, right, head), left[right.size :]])
+    return int(idx[0])
+
+
+def audit_resonance_bound(model: DispersionModel, kmax: int) -> ExperimentReport:
+    """Check |k^{2j+1}-k1^{2j+1}-k2^{2j+1}| >= (2j+1)|k k1^j k2^j| on every pair.
+
+    Enumerates every integer pair 1 <= |m1|, |m2| <= kmax with m1 + m2 != 0,
+    in blocks of m1 rows, and decides every verdict exactly.  A float64
+    filter with a proved rounding bound certifies lhs >= rhs on the pairs
+    whose margin exceeds that bound and brackets each pair's ratio; exact
+    integer arithmetic (int64 where a guard proves every value and cross
+    product fits, Python ints otherwise) then settles every pair the filter
+    does not certify and every pair whose ratio may be the minimum (a
+    filtered exact predicate, after Shewchuk, Discrete Comput. Geom. 18,
+    1997).  Records the minimal LHS/RHS ratio, the first pair attaining it
+    in (m1, m2) order, and any violating witness (none is expected; a
+    violation would signal an implementation bug, since the bound is a
+    proved identity consequence).
     """
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     j, n = model.j, model.order
-    pow_n = {m: m**n for m in range(-2 * kmax, 2 * kmax + 1)}
-    pow_j = {m: m**j for m in range(-kmax, kmax + 1)}
-    pairs_checked = 0
+    off = 2 * kmax
+    pow_n = [m**n for m in range(-off, off + 1)]
+    pow_j = [abs(m) ** j for m in range(-off, off + 1)]
+    # Correctly rounded; inf (left to the exact step) from 2^1023 on.
+    float_n, float_j = (
+        np.array([float(p) if p.bit_length() <= 1023 else math.inf for p in pows])
+        for pows in (pow_n, pow_j)
+    )
+    float_r = n * np.abs(np.arange(-off, off + 1, dtype=np.float64))
+    max_lhs = (2 * kmax) ** n + 2 * kmax**n
+    max_rhs = n * 2 * kmax * kmax ** (2 * j)
+    dtype = np.int64 if max_lhs * max_rhs < 2**63 else object
+    exact_n, exact_j = np.array(pow_n, dtype=dtype), np.array(pow_j, dtype=dtype)
+
+    rng1 = np.concatenate([np.arange(-kmax, 0), np.arange(1, kmax + 1)])
+    pairs_checked = rng1.size * (rng1.size - 1)
     violations: list[tuple[int, int]] = []
     min_num, min_den = None, None  # running min of LHS/RHS as exact pair
     argmin = None
-    rng1 = [m for m in range(-kmax, kmax + 1) if m != 0]
-    for m1 in rng1:
-        p1 = pow_n[m1]
-        jf1 = abs(pow_j[m1])
-        for m2 in rng1:
-            m = m1 + m2
-            if m == 0:
-                continue
-            pairs_checked += 1
-            lhs = abs(pow_n[m] - p1 - pow_n[m2])
-            rhs = n * abs(m) * jf1 * abs(pow_j[m2])
-            if lhs < rhs:
-                violations.append((m1, m2))
-            if min_num is None or lhs * min_den < min_num * rhs:
-                min_num, min_den = lhs, rhs
-                argmin = (m1, m2)
+    min_hi = math.inf  # bounds the minimal ratio from above
+    for start in range(0, rng1.size, _AUDIT_ROWS):
+        m1 = rng1[start : start + _AUDIT_ROWS]
+        valid, lo, hi = _ratio_bounds(float_n, float_r, float_j, off, m1, rng1)
+        min_hi = min(min_hi, np.fmin.reduce(hi, axis=None))
+        # Exact step: every pair not certified both lhs >= rhs and above the
+        # minimum (nan compares false), walked in (m1, m2) order.
+        rows, cols = np.nonzero(valid & ~((lo >= 1) & (lo > min_hi)))
+        if rows.size == 0:
+            continue
+        p1, p2 = m1[rows], rng1[cols]
+        p = p1 + p2
+        lhs = np.abs(exact_n[p + off] - exact_n[p1 + off] - exact_n[p2 + off])
+        rhs = (n * np.abs(p)).astype(dtype) * exact_j[p1 + off] * exact_j[p2 + off]
+        bad = lhs < rhs
+        violations.extend(zip(p1[bad].tolist(), p2[bad].tolist()))
+        i = _first_min(lhs, rhs)
+        num, den = int(lhs[i]), int(rhs[i])
+        if min_num is None or num * min_den < min_num * den:
+            min_num, min_den = num, den
+            argmin = (int(p1[i]), int(p2[i]))
     min_ratio = float(Fraction(min_num, min_den)) if min_den else float("nan")
     return ExperimentReport(
         kind="resonance-audit",

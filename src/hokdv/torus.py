@@ -220,6 +220,11 @@ def physical_l2_norm(f: SpectralField) -> float:
 
 
 def dealias_mask(grid: TorusGrid) -> np.ndarray:
-    """2/3-rule mask: True on modes kept for quadratic products."""
-    cutoff = grid.modes // 3
+    """2/3-rule mask: True on modes kept for quadratic products.
+
+    Orszag's cutoff |m| <= (M - 1)//3: a product of two kept modes that
+    wraps around the M-point lattice lands on |m| >= M - 2*cutoff > cutoff,
+    outside the mask.
+    """
+    cutoff = (grid.modes - 1) // 3
     return np.abs(grid.m_ints) <= cutoff

@@ -25,3 +25,44 @@ def random_spacetime_coeffs(
     rng: np.random.Generator, modes: int, t_modes: int
 ) -> np.ndarray:
     return rng.normal(size=(modes, t_modes)) + 1j * rng.normal(size=(modes, t_modes))
+
+
+def reference_audit_summary(model, kmax: int) -> dict:
+    """The pure-Python double loop `audit_resonance_bound` replaced, as a reference.
+
+    Returns the report's summary dict: every pair in (m1, m2) order, exact
+    big-int cross-multiplication, strict-< update of the running minimum.
+    """
+    from fractions import Fraction
+
+    j, n = model.j, model.order
+    pow_n = {m: m**n for m in range(-2 * kmax, 2 * kmax + 1)}
+    pow_j = {m: m**j for m in range(-kmax, kmax + 1)}
+    pairs_checked = 0
+    violations: list[tuple[int, int]] = []
+    min_num, min_den = None, None  # running min of LHS/RHS as exact pair
+    argmin = None
+    rng1 = [m for m in range(-kmax, kmax + 1) if m != 0]
+    for m1 in rng1:
+        p1 = pow_n[m1]
+        jf1 = abs(pow_j[m1])
+        for m2 in rng1:
+            m = m1 + m2
+            if m == 0:
+                continue
+            pairs_checked += 1
+            lhs = abs(pow_n[m] - p1 - pow_n[m2])
+            rhs = n * abs(m) * jf1 * abs(pow_j[m2])
+            if lhs < rhs:
+                violations.append((m1, m2))
+            if min_num is None or lhs * min_den < min_num * rhs:
+                min_num, min_den = lhs, rhs
+                argmin = (m1, m2)
+    min_ratio = float(Fraction(min_num, min_den)) if min_den else float("nan")
+    return {
+        "pairs_checked": pairs_checked,
+        "violations": len(violations),
+        "min_ratio": min_ratio,
+        "min_ratio_pair": list(argmin) if argmin else None,
+        "witnesses": [list(v) for v in violations[:16]],
+    }

@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, config validation, determinism of
 emitted reports, manifests, and the environment seed override."""
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -127,6 +128,33 @@ def test_estimate_search_deterministic_outputs(tmp_path):
     assert (dirs[0] / "summary.json").read_bytes() == (dirs[1] / "summary.json").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv,data_files",
+    [
+        (["resonance-audit", "--set", "j_list = 1, 2, 3", "--set", "kmax = 30"], ["audit.csv"]),
+        (
+            ["illposed-sweep", "--set", "j = 2", "--set", "s_list = -1.5, -1.75, -2",
+             "--set", "N_list = 8, 16, 32, 64, 128"],
+            ["growth.csv", "verdicts.json"],
+        ),
+    ],
+    ids=["resonance-audit", "illposed-sweep"],
+)
+def test_data_files_identical_across_runs_and_job_counts(tmp_path, argv, data_files):
+    # Two runs at --jobs 1 and one at --jobs 2 (two worker processes).
+    digests = []
+    for jobs in ("1", "1", "2"):
+        out = tmp_path / f"run{len(digests)}"
+        assert main([*argv, "--jobs", jobs, "--out-root", str(out)]) == 0
+        run_dir = only_run_dir(out)
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert sorted(manifest["outputs"]) == sorted(data_files)
+        digests.append(
+            {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest() for name in data_files}
+        )
+    assert digests[0] == digests[1] == digests[2]
+
+
 def test_estimate_search_unknown_id(tmp_path):
     assert run(tmp_path, "estimate-search", "--set", "estimate = 9.9") == 2
 
@@ -250,8 +278,9 @@ def test_picard_check_refuses_unresolved_budget(tmp_path, capsys):
           "--set", "T = 0.01"], None, "'T'"),
         (["contraction", "--set", "max_iter = 1"], "abc", "'seed'"),
         (["estimate-search", "--set", "estimate = 3.1", "--set", "lam = 1.5"], None, "'lam'"),
+        (["resonance-audit", "--set", "j_list = 2, 0", "--set", "kmax = 5"], None, "'j_list'"),
     ],
-    ids=["T-not-multiple-of-dt", "non-integer-seed", "non-integral-lam"],
+    ids=["T-not-multiple-of-dt", "non-integer-seed", "non-integral-lam", "audit-j-below-one"],
 )
 def test_bad_input_exits_two_before_a_run_directory(tmp_path, monkeypatch, capsys,
                                                     argv, seed, key):

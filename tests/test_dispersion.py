@@ -1,10 +1,14 @@
 """Dispersion phase, semigroup, exact resonance functions, region labels."""
 
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hokdv.dispersion as dispersion
 from hokdv.dispersion import (
     DispersionModel,
     Region,
@@ -18,7 +22,7 @@ from hokdv.dispersion import (
 from hokdv.norms import NormSpec, sobolev_norm
 from hokdv.torus import TorusGrid
 
-from helpers import random_band_limited
+from helpers import random_band_limited, reference_audit_summary
 
 
 def test_phase_values():
@@ -153,6 +157,56 @@ def test_audit_classical_case_attains_equality():
     report = audit_resonance_bound(model, 40)
     assert report.summary["violations"] == 0
     assert report.summary["min_ratio"] == pytest.approx(1.0, abs=0)
+
+
+def _quiet_model(j):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the j = 1 sanity-mode warning
+        return DispersionModel(j, 1.0)
+
+
+@pytest.mark.parametrize("kmax", [1, 2, 7, 60])
+@pytest.mark.parametrize("j", [1, 2, 3, 4, 5])
+def test_audit_matches_reference_loop(j, kmax):
+    model = _quiet_model(j)
+    assert audit_resonance_bound(model, kmax).summary == reference_audit_summary(model, kmax)
+
+
+@pytest.mark.parametrize(
+    "j,kmax,dtype",
+    [(1, 200, np.int64), (2, 40, np.int64), (2, 45, object)],
+    ids=["j1-every-pair-ties-int64", "int64", "python-ints"],
+)
+def test_audit_exact_step_dtype_matches_reference(monkeypatch, j, kmax, dtype):
+    seen = []
+    first_min = dispersion._first_min
+
+    def spy(num, den):
+        seen.append(num.dtype)
+        return first_min(num, den)
+
+    monkeypatch.setattr(dispersion, "_first_min", spy)
+    model = _quiet_model(j)
+    assert audit_resonance_bound(model, kmax).summary == reference_audit_summary(model, kmax)
+    assert seen and all(d == np.dtype(dtype) for d in seen)
+
+
+@pytest.mark.parametrize("j,order,kmax", [(2, 3, 7), (2, 3, 60), (3, 5, 60)])
+def test_audit_reports_violations_like_reference(j, order, kmax):
+    # An order below 2j+1 breaks the bound on most pairs, which exercises
+    # the violation count and the witness list.
+    model = SimpleNamespace(j=j, order=order, lam=1.0)
+    summary = audit_resonance_bound(model, kmax).summary
+    assert summary["violations"] > 16
+    assert summary == reference_audit_summary(model, kmax)
+
+
+def test_audit_overflowing_float_powers_go_to_the_exact_step():
+    # float(4**601) overflows; those pairs must be decided exactly, not crash
+    model = DispersionModel(300, 1.0)
+    summary = audit_resonance_bound(model, 2).summary
+    assert summary == reference_audit_summary(model, 2)
+    assert summary["min_ratio"] == pytest.approx(6.78e87, rel=1e-3)
 
 
 @pytest.mark.parametrize("j", [2, 3])

@@ -182,7 +182,17 @@ def test_nyquist_mode_is_always_zero():
 def test_dealias_mask_keeps_bottom_third():
     grid = TorusGrid(1.0, 96)
     mask = dealias_mask(grid)
-    assert mask[grid.index_of(32)] and not mask[grid.index_of(33)]
+    assert mask[grid.index_of(31)] and not mask[grid.index_of(32)]
+
+
+@pytest.mark.parametrize("modes", [48, 96])
+def test_dealiased_square_of_third_mode_does_not_alias(modes):
+    # (M/3)^2 wraps onto -M/3; the mask must drop M/3 so nothing lands there.
+    grid = TorusGrid(1.0, modes)
+    third = modes // 3
+    f = SpectralField.from_modes(grid, {third: 1.0})
+    out = lattice_product(f.coeffs, grid, dealias_mask(grid))
+    assert out[grid.index_of(-third)] == 0.0
 
 
 @settings(max_examples=25, deadline=None)
