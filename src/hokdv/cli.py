@@ -153,18 +153,16 @@ def _initial_data(config: dict, grid: TorusGrid, rng: np.random.Generator) -> Sp
     if family == "cosine":
         a = config["initial_amplitude"] * np.pi
         return SpectralField.from_modes(grid, {1: a, -1: a})
-    if family == "smooth-random":
-        amps = {}
-        for m in range(1, config["initial_modes"] + 1):
-            a = (
-                config["initial_amplitude"]
-                * (rng.normal() + 1j * rng.normal())
-                * np.exp(-config["initial_decay"] * m)
-            )
-            amps[m] = a
-            amps[-m] = np.conj(a)
-        return SpectralField.from_modes(grid, amps)
-    raise ConfigError("initial", f"unknown data family {family!r}")
+    amps = {}
+    for m in range(1, config["initial_modes"] + 1):
+        a = (
+            config["initial_amplitude"]
+            * (rng.normal() + 1j * rng.normal())
+            * np.exp(-config["initial_decay"] * m)
+        )
+        amps[m] = a
+        amps[-m] = np.conj(a)
+    return SpectralField.from_modes(grid, amps)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +179,8 @@ SIMULATE_SCHEMA = {
     "dealias": Field("bool", True),
     "nonlinear": Field("bool", True),
     "frame_stride": Field("int", 10, check=lambda v: v >= 1),
-    "initial": Field("str", "smooth-random"),
+    "initial": Field("str", "smooth-random", help="one of phi_n, cosine, smooth-random",
+                     check=lambda v: v in ("phi_n", "cosine", "smooth-random")),
     "initial_N": Field("int", 4, check=lambda v: v >= 1),
     "initial_s": Field("float", 0.0),
     "initial_amplitude": Field("float", 0.05, check=lambda v: v > 0),
@@ -205,8 +204,18 @@ def _solver_config(cfg: dict) -> SolverConfig:
         raise ConfigError("T", str(err)) from None
 
 
+def _check_simulate(cfg: dict) -> None:
+    """Refuse a time step or initial data that the grid cannot carry."""
+    _solver_config(cfg)
+    try:
+        _initial_data(cfg, TorusGrid(cfg["lam"], cfg["M"]), np.random.default_rng(cfg["seed"]))
+    except ValueError as err:
+        key = "initial_N" if cfg["initial"] == "phi_n" else "initial_modes"
+        raise ConfigError(key, str(err)) from None
+
+
 def cmd_simulate(args) -> int:
-    ctx = _begin(args, "simulate", SIMULATE_SCHEMA, check=_solver_config)
+    ctx = _begin(args, "simulate", SIMULATE_SCHEMA, check=_check_simulate)
     cfg = ctx.config
     model = DispersionModel(cfg["j"], cfg["lam"])
     grid = TorusGrid(cfg["lam"], cfg["M"])
@@ -250,7 +259,8 @@ ILLPOSED_SCHEMA = {
     "j": Field("int", required=True, check=lambda v: v >= 1),
     "lam": Field("float", 1.0, check=lambda v: v >= 1),
     "s_list": Field("float_list", required=True, check=lambda v: len(v) >= 1),
-    "N_list": Field("int_list", required=True, check=lambda v: len(v) >= 3),
+    "N_list": Field("int_list", required=True, help="at least 3 positive N in ascending order",
+                    check=lambda v: len(v) >= 3 and min(v) >= 1 and v == sorted(set(v))),
     "t": Field("float", 1.0, check=lambda v: v > 0),
     "seed": Field("int", 2025),
 }
@@ -464,8 +474,10 @@ def cmd_contraction(args) -> int:
 
 
 PICARD_SCHEMA = {
-    "j_list": Field("int_list", [2], check=lambda v: len(v) >= 1),
-    "N_list": Field("int_list", [2, 4], check=lambda v: len(v) >= 1),
+    "j_list": Field("int_list", [2], check=lambda v: len(v) >= 1 and min(v) >= 1,
+                    help="every j must be >= 1"),
+    "N_list": Field("int_list", [2, 4], check=lambda v: len(v) >= 1 and min(v) >= 1,
+                    help="every N must be >= 1"),
     "t_list": Field("float_list", [0.1, 0.3], check=lambda v: len(v) >= 1 and min(v) >= 0),
     "s": Field("float", 0.0),
     "lam": Field("float", 1.0, check=lambda v: v >= 1),

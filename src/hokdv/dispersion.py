@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
@@ -71,10 +70,6 @@ class DispersionModel:
         k = np.asarray(k, dtype=np.float64)
         p = self.sign * k**self.order
         return p if p.ndim else float(p)
-
-    def sigma(self, k, tau):
-        """Modulation tau - p(k)."""
-        return np.asarray(tau, dtype=np.float64) - self.phase(k)
 
 
 def free_evolve(model: DispersionModel, u0: SpectralField, t: float) -> SpectralField:
@@ -252,16 +247,3 @@ def classify_region(model: DispersionModel, k: float, tau: float) -> Region:
     """The unique modulation region label of one space-time frequency."""
     masks = region_masks(model, k, tau - model.phase(k))
     return next(region for region, mask in masks.items() if mask)
-
-
-def enumerate_vanishing_q0(model: DispersionModel, kmax: int) -> Iterable[tuple[int, int]]:
-    """All integer pairs with m1, m2, m1+m2 nonzero and q0 = 0 (expected empty)."""
-    n = model.order
-    for m1 in range(-kmax, kmax + 1):
-        if m1 == 0:
-            continue
-        for m2 in range(-kmax, kmax + 1):
-            if m2 == 0 or m1 + m2 == 0:
-                continue
-            if resonance_q0(n, m1, m2) == 0:
-                yield (m1, m2)

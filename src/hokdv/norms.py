@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -151,18 +151,6 @@ class SpaceTimeField:
         """Field with cells outside the flat boolean mask zeroed."""
         kept = np.where(mask_cells.reshape(self.coeffs.shape), self.coeffs, 0.0)
         return SpaceTimeField(self.grid, self.dtau, kept)
-
-    def __add__(self, other: "SpaceTimeField") -> "SpaceTimeField":
-        self._check(other)
-        return SpaceTimeField(self.grid, self.dtau, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpaceTimeField") -> "SpaceTimeField":
-        self._check(other)
-        return SpaceTimeField(self.grid, self.dtau, self.coeffs - other.coeffs)
-
-    def _check(self, other: "SpaceTimeField") -> None:
-        if not self.grid.same_as(other.grid) or self.dtau != other.dtau:
-            raise ValueError("space-time lattices differ")
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +312,11 @@ def shell_masses(
     return masses
 
 
-def smooth_bump_window(flat_radius: float = 1.0, support_radius: float = 2.0) -> Callable:
-    """C-infinity cutoff equal to 1 on [-flat, flat], supported in [-support, support].
+def smooth_bump_window() -> Callable:
+    """C-infinity cutoff equal to 1 on [-1, 1], supported in [-2, 2].
 
     Built from the classical exp(-1/x) mollifier step.
     """
-    if not 0 < flat_radius < support_radius:
-        raise ValueError("need 0 < flat_radius < support_radius")
 
     def psi(x: np.ndarray) -> np.ndarray:
         out = np.zeros_like(x)
@@ -340,13 +326,13 @@ def smooth_bump_window(flat_radius: float = 1.0, support_radius: float = 2.0) ->
 
     def eta(t) -> np.ndarray:
         t = np.abs(np.asarray(t, dtype=np.float64))
-        y = (t - flat_radius) / (support_radius - flat_radius)
+        y = t - 1.0
         num = psi(1.0 - y)
         den = num + psi(y)
         with np.errstate(invalid="ignore"):
             val = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
-        val = np.where(t <= flat_radius, 1.0, val)
-        val = np.where(t >= support_radius, 0.0, val)
+        val = np.where(t <= 1.0, 1.0, val)
+        val = np.where(t >= 2.0, 0.0, val)
         return val
 
     return eta
@@ -390,33 +376,19 @@ def spacetime_from_timeseries(
 
 
 # ---------------------------------------------------------------------------
-# binary container (documented layout)
+# binary frame container (documented layout)
 #
 #   header, little-endian, 40 bytes:
 #       lam      float64
 #       j        int64
 #       modes    int64      (spatial lattice size M)
-#       t_modes  int64      (tau lattice size, or frame count)
-#       dtau     float64    (tau spacing, or frame time step)
-#   payload: modes * t_modes complex128 values, row-major, rows in fft
-#   mode order, columns in ascending tau (or time) order.
+#       n_frames int64
+#       dt       float64    (frame time step)
+#   payload: modes * n_frames complex128 values, row-major, rows in fft
+#   mode order, columns in ascending time order.
 # ---------------------------------------------------------------------------
 
 _HEADER = struct.Struct("<dqqqd")
-
-
-def write_spacetime(path: Path, u: SpaceTimeField, model: DispersionModel) -> None:
-    header = _HEADER.pack(u.grid.lam, model.j, u.grid.modes, u.t_modes, u.dtau)
-    payload = np.ascontiguousarray(u.coeffs, dtype="<c16").tobytes()
-    atomic_write_bytes(Path(path), header + payload)
-
-
-def read_spacetime(path: Path) -> tuple[SpaceTimeField, DispersionModel]:
-    blob = Path(path).read_bytes()
-    lam, j, modes, t_modes, dtau = _HEADER.unpack_from(blob, 0)
-    data = np.frombuffer(blob, dtype="<c16", offset=_HEADER.size)
-    coeffs = data.reshape(modes, t_modes)
-    return SpaceTimeField(TorusGrid(lam, modes), dtau, coeffs), DispersionModel(j, lam)
 
 
 def write_frames(
@@ -425,8 +397,8 @@ def write_frames(
     model: DispersionModel,
     dt: float,
 ) -> None:
-    """Serialize an (n_frames, M) frame series in the same container layout
-    (dtau := dt): rows of the payload are modes, columns are frames."""
+    """Serialize an (n_frames, M) frame series: rows of the payload are
+    modes, columns are frames."""
     n_frames, modes = frames.shape
     header = _HEADER.pack(model.lam, model.j, modes, n_frames, dt)
     atomic_write_bytes(Path(path), header + np.ascontiguousarray(frames.T, dtype="<c16").tobytes())

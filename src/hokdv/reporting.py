@@ -47,32 +47,26 @@ def format_value(value: Any) -> str:
     return str(value)
 
 
-def atomic_write_text(path: Path, text: str) -> None:
+def _atomic_write(path: Path, data: str | bytes, mode: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with os.fdopen(fd, mode) as handle:
+            handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: Path, text: str) -> None:
+    _atomic_write(path, text, "w")
 
 
 def atomic_write_bytes(path: Path, blob: bytes) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(path, blob, "wb")
 
 
 def rows_to_csv(rows: Sequence[Mapping[str, Any]], fields: Sequence[str]) -> str:
@@ -87,9 +81,6 @@ def write_report_csv(path: Path, report: ExperimentReport) -> None:
 
 
 def _jsonable(value: Any) -> Any:
-    if isinstance(value, float):
-        # keep full precision but stay valid JSON
-        return value
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
     if isinstance(value, dict):

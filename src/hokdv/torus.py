@@ -71,15 +71,12 @@ class TorusGrid:
             raise ValueError(f"mode {m} outside lattice |m| < {self.modes // 2}")
         return m % self.modes
 
-    def same_as(self, other: "TorusGrid") -> bool:
-        return self.lam == other.lam and self.modes == other.modes
-
 
 @dataclass(frozen=True)
 class SpectralField:
     """Fourier coefficients of a spatial function on a TorusGrid.
 
-    Immutable after construction; arithmetic returns new fields.
+    Immutable after construction.
     """
 
     grid: TorusGrid
@@ -107,39 +104,13 @@ class SpectralField:
             c[grid.index_of(m)] = a
         return cls(grid, c)
 
-    def coeff_at(self, m: int) -> complex:
-        return complex(self.coeffs[self.grid.index_of(m)])
-
     def mean_value(self) -> complex:
         """Spatial mean, coeff(0) / (2 pi lam)."""
         return complex(self.coeffs[0]) / self.grid.period
 
-    def is_conjugate_symmetric(self, tol: float = 1e-12) -> bool:
-        c = self.coeffs
-        mirrored = np.conj(c[(-self.grid.m_ints) % self.grid.modes])
-        return bool(np.max(np.abs(c - mirrored)) <= tol * max(1.0, np.max(np.abs(c))))
-
-    def support_modes(self, tol: float = 0.0) -> np.ndarray:
-        """Integer modes carrying coefficients larger than tol."""
-        mask = np.abs(self.coeffs) > tol
-        return np.sort(self.grid.m_ints[mask])
-
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        _require_same_grid(self, other)
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        _require_same_grid(self, other)
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: complex) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
 
 def _require_same_grid(f: SpectralField, g: SpectralField) -> None:
-    if not f.grid.same_as(g.grid):
+    if f.grid != g.grid:
         raise GridMismatchError(
             f"grids differ: (lam={f.grid.lam}, M={f.grid.modes}) vs "
             f"(lam={g.grid.lam}, M={g.grid.modes})"

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dispersion import DispersionModel, Region, region_masks, resonance_q0
-from .norms import DyadicShell, ZsNorm, angle_bracket, xsb_mass, ys_mass, zs_norm_cells
+from .norms import DyadicShell, ZsNorm, angle_bracket, xsb_mass, zs_norm_cells
 from .reporting import ExperimentReport
 
 
@@ -117,9 +117,6 @@ class ModulationField:
     def is_empty(self) -> bool:
         return len(self.m) == 0
 
-    def scaled(self, factor: complex) -> "ModulationField":
-        return ModulationField(self.model, self.m, self.sig_scaled, self.coeffs * factor)
-
     def where(self, keep: np.ndarray) -> "ModulationField":
         """The cells selected by a boolean mask."""
         return ModulationField(
@@ -158,11 +155,6 @@ class ModulationField:
             np.sqrt(
                 xsb_mass(self.k, self.sigma, self.coeffs, self.dtau, self.model.lam, s, b)
             )
-        )
-
-    def ys(self, s: float) -> float:
-        return float(
-            np.sqrt(ys_mass(self.m, self.k, self.coeffs, self.dtau, self.model.lam, s))
         )
 
     def zs(self, s: float, warn_range: bool = False) -> ZsNorm:

@@ -182,7 +182,7 @@ def test_criterion_4_secular_slope():
         N, s = 8, -2.0
         u0 = phi_n_data(N, s, grid)
         ts = np.linspace(0.02, 0.1, 9)
-        mags = [abs(third_iterate_closed(model, u0, t).field.coeff_at(N)) for t in ts]
+        mags = [abs(third_iterate_closed(model, u0, t).field.coeffs[grid.index_of(N)]) for t in ts]
         slope = np.polyfit(ts, mags, 1)[0]
         hand = 2 * N * (2 * N) * float(N) ** (-3 * s) / (
             (2 ** (2 * j + 1) - 2) * float(N) ** (2 * j + 1)

@@ -128,6 +128,10 @@ def test_estimate_search_deterministic_outputs(tmp_path):
     assert (dirs[0] / "summary.json").read_bytes() == (dirs[1] / "summary.json").read_bytes()
 
 
+SMALL_SIMULATE = ["simulate", "--set", "j = 2", "--set", "M = 64", "--set", "dt = 1e-3",
+                  "--set", "T = 0.05", "--set", "frame_stride = 5"]
+
+
 @pytest.mark.parametrize(
     "argv,data_files",
     [
@@ -137,8 +141,14 @@ def test_estimate_search_deterministic_outputs(tmp_path):
              "--set", "N_list = 8, 16, 32, 64, 128"],
             ["growth.csv", "verdicts.json"],
         ),
+        (SMALL_SIMULATE, ["conservation.csv", "frames.bin"]),
+        ([*SMALL_SIMULATE, "--set", "scheme = etdrk4"], ["conservation.csv", "frames.bin"]),
+        (["contraction", "--set", "max_iter = 3", "--set", "n_frames = 101"],
+         ["summary.json", "trace.csv"]),
+        (["picard-check", "--set", "N_list = 2", "--set", "t_list = 0.1, 0.3"], ["oracle.csv"]),
     ],
-    ids=["resonance-audit", "illposed-sweep"],
+    ids=["resonance-audit", "illposed-sweep", "simulate-ifrk4", "simulate-etdrk4",
+         "contraction", "picard-check"],
 )
 def test_data_files_identical_across_runs_and_job_counts(tmp_path, argv, data_files):
     # Two runs at --jobs 1 and one at --jobs 2 (two worker processes).
@@ -289,6 +299,43 @@ def test_bad_input_exits_two_before_a_run_directory(tmp_path, monkeypatch, capsy
     assert run(tmp_path, *argv) == 2
     assert key in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["picard-check", "--set", "j_list = 0"], 2),
+        (["picard-check", "--set", "N_list = 0"], 2),
+        (["illposed-sweep", "--set", "j = 2", "--set", "s_list = -2", "--set", "N_list = 0, 1, 2"], 2),
+        (["illposed-sweep", "--set", "j = 2", "--set", "s_list = -2", "--set", "N_list = 8, 4, 16"], 2),
+        (["illposed-sweep", "--set", "j = 2", "--set", "s_list = -2", "--set", "N_list = 8, 8, 16"], 2),
+        (["simulate", "--set", "j = 2", "--set", "M = 64", "--set", "dt = 0.01", "--set", "T = 0.1",
+          "--set", "initial = foo"], 2),
+        (["simulate", "--set", "j = 2", "--set", "M = 8", "--set", "dt = 0.01", "--set", "T = 0.1",
+          "--set", "initial = phi_n", "--set", "initial_N = 4"], 2),
+        (["simulate", "--set", "j = 2", "--set", "M = 8", "--set", "dt = 0.01", "--set", "T = 0.1"], 2),
+        (["simulate", "--set", "j = 2", "--set", "M = 64", "--set", "dt = 0.05", "--set", "T = 2.0",
+          "--set", "initial_amplitude = 40.0", "--set", "initial_decay = 0.3",
+          "--set", "initial_modes = 8"], 1),
+        (["contraction", "--set", "amplitude = 10.0", "--set", "max_iter = 8",
+          "--set", "n_frames = 101"], 1),
+        (["picard-check", "--set", "N_list = 2", "--set", "t_list = 0.1", "--set", "tol = 1e-30"], 1),
+    ],
+    ids=["picard-j-zero", "picard-N-zero", "sweep-N-zero", "sweep-N-descending",
+         "sweep-N-repeated", "simulate-unknown-initial", "simulate-phi-n-off-grid",
+         "simulate-random-modes-off-grid", "simulate-blow-up", "contraction-diverges",
+         "picard-disagrees"],
+)
+def test_nonzero_exit_leaves_no_run_directory_or_one_manifest(tmp_path, capsys, argv, code):
+    assert run(tmp_path, *argv) == code
+    dirs = list(tmp_path.iterdir())
+    if code == 2:
+        assert "usage error:" in capsys.readouterr().err
+        assert dirs == []
+    else:
+        assert len(dirs) == 1
+        assert [p.name for p in dirs[0].glob("manifest*")] == ["manifest.json"]
 
 
 def test_env_seed_overrides_config(tmp_path, monkeypatch):

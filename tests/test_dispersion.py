@@ -14,7 +14,6 @@ from hokdv.dispersion import (
     Region,
     audit_resonance_bound,
     classify_region,
-    enumerate_vanishing_q0,
     free_evolve,
     region_masks,
     resonance_q0,
@@ -211,7 +210,11 @@ def test_audit_overflowing_float_powers_go_to_the_exact_step():
 
 @pytest.mark.parametrize("j", [2, 3])
 def test_no_vanishing_q0_off_the_trivial_line(j):
-    assert list(enumerate_vanishing_q0(DispersionModel(j, 1.0), 60)) == []
+    m = np.arange(-60, 61, dtype=np.int64)
+    m1, m2 = np.meshgrid(m, m, indexing="ij")
+    off_line = (m1 != 0) & (m2 != 0) & (m1 + m2 != 0)
+    q0 = resonance_q0(DispersionModel(j, 1.0).order, m1, m2)
+    assert not np.any(off_line & (q0 == 0))
 
 
 def test_classify_region_examples():

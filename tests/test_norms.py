@@ -1,5 +1,5 @@
 """Sobolev, modulation-weighted, and region-decomposed norms; shells;
-space-time construction and the binary container."""
+space-time construction and the binary frame container."""
 
 import numpy as np
 import pytest
@@ -16,13 +16,11 @@ from hokdv.norms import (
     SpaceTimeField,
     dyadic_localize,
     read_frames,
-    read_spacetime,
     shell_masses,
     smooth_bump_window,
     sobolev_norm,
     spacetime_from_timeseries,
     write_frames,
-    write_spacetime,
     xsb_norm,
     ys_norm,
     zs_norm,
@@ -268,16 +266,6 @@ def test_window_is_one_on_core_and_vanishes_outside():
 # -- serialization ------------------------------------------------------------
 
 
-def test_spacetime_container_round_trip(tmp_path, model, grid):
-    u = random_field(grid, seed=12)
-    path = tmp_path / "field.stf"
-    write_spacetime(path, u, model)
-    back, back_model = read_spacetime(path)
-    assert np.array_equal(back.coeffs, u.coeffs)
-    assert back.dtau == u.dtau
-    assert back_model.j == model.j and back_model.lam == model.lam
-
-
 def test_frames_container_round_trip(tmp_path, model, grid):
     rng = np.random.default_rng(13)
     frames = np.array([random_band_limited(grid, rng, 6).coeffs for _ in range(5)])
@@ -318,7 +306,7 @@ def test_norms_satisfy_triangle_inequality(seed):
     grid = TorusGrid(1.0, 8)
     u = random_field(grid, seed=seed, t_modes=16)
     v = random_field(grid, seed=seed + 1, t_modes=16)
-    w = u + v
+    w = SpaceTimeField(grid, u.dtau, u.coeffs + v.coeffs)
     for norm in (
         lambda f: xsb_norm(f, NormSpec(-1.5, 0.5), model),
         lambda f: ys_norm(f, -1.5),

@@ -89,7 +89,10 @@ def test_ratios_are_scale_invariant(model):
         w = smoothed_derivative(convolve_modulation(a, b))
         return w.zs(-1.5).total / (a.zs(-1.5).total * b.zs(-1.5).total)
     base = ratio(u1, u2)
-    scaled = ratio(u1.scaled(7.3), u2.scaled(0.011))
+    scaled = ratio(
+        ModulationField(model, u1.m, u1.sig_scaled, u1.coeffs * 7.3),
+        ModulationField(model, u2.m, u2.sig_scaled, u2.coeffs * 0.011),
+    )
     assert scaled == pytest.approx(base, rel=1e-12)
 
 
