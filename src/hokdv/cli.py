@@ -20,8 +20,9 @@ import hashlib
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -36,13 +37,7 @@ from .iterates import (
     second_iterate_closed,
     second_iterate_quadrature,
 )
-from .reporting import (
-    atomic_write_text,
-    dump_json,
-    rows_to_csv,
-    write_report_csv,
-    write_report_json,
-)
+from .reporting import atomic_write_text, dump_json, rows_to_csv
 from .solver import (
     BlowUpError,
     SolverConfig,
@@ -53,8 +48,10 @@ from .solver import (
 from .torus import SpectralField, TorusGrid
 from .norms import write_frames
 from .verifier import (
+    GENERATORS,
     RatioSearchConfig,
     bilinear_zs_ratio,
+    check_search_lattice,
     dyadic_bilinear_ratio,
     embedding_ratio,
     product_l2_ratio,
@@ -62,32 +59,31 @@ from .verifier import (
 
 PASS, SCI_FAIL, USAGE = 0, 1, 2
 
-ESTIMATE_SEARCHES = {
-    "2.1": "dyadic-bilinear",
-    "2.2": "product-l2",
-    "2.5": "embedding",
-    "3.1": "bilinear-zs",
-}
-
 
 @dataclass
 class RunContext:
     command: str
     config: dict
     out_dir: Path
-    started: float
-    outputs: list[str]
-    verdicts: dict
+    started: float = field(default_factory=time.time)
+    outputs: list[str] = field(default_factory=list)
+    verdicts: dict = field(default_factory=dict)
 
     def record(self, name: str) -> Path:
         self.outputs.append(name)
         return self.out_dir / name
 
+    def write_csv(self, name: str, rows: list[dict], fields: list[str]) -> None:
+        atomic_write_text(self.record(name), rows_to_csv(rows, fields))
+
+    def write_json(self, name: str, payload: Any) -> None:
+        atomic_write_text(self.record(name), dump_json(payload))
+
     def finish(self) -> None:
         manifest = {
             "command": self.command,
             "config": self.config,
-            "seed": self.config.get("seed"),
+            "seed": self.config["seed"],
             "version": __version__,
             "started_unix": self.started,
             "finished_unix": time.time(),
@@ -122,28 +118,9 @@ def _make_run_dir(out_root: Path, command: str, config: dict) -> Path:
     return path
 
 
-def _begin(args, command: str, schema: dict[str, Field], check=None) -> RunContext:
-    """Resolve the configuration and make the run directory.  `check`, if
-    given, sees the resolved configuration first and raises ConfigError to
-    refuse it before anything is written."""
-    raw: dict = {}
-    if args.config:
-        raw.update(load_config(args.config))
-    for override in args.set or []:
-        raw.update(parse_config_text(override))
-    config = validate_config(raw, schema)
-    env_seed = os.environ.get("HOKDV_SEED")
-    if env_seed is not None and "seed" in config:
-        try:
-            config["seed"] = int(env_seed)
-        except ValueError:
-            raise ConfigError(
-                "seed", f"HOKDV_SEED must be an integer, got {env_seed!r}"
-            ) from None
-    if check is not None:
-        check(config)
-    out_dir = _make_run_dir(Path(args.out_root), command, config)
-    return RunContext(command, config, out_dir, time.time(), [], {})
+def _from_config(cls, cfg: dict):
+    """An instance of the dataclass cls built from the config keys named like its fields."""
+    return cls(**{f.name: cfg[f.name] for f in fields(cls)})
 
 
 def _initial_data(config: dict, grid: TorusGrid, rng: np.random.Generator) -> SpectralField:
@@ -166,7 +143,7 @@ def _initial_data(config: dict, grid: TorusGrid, rng: np.random.Generator) -> Sp
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands (every schema also takes `seed`, added by resolve_config)
 # ---------------------------------------------------------------------------
 
 SIMULATE_SCHEMA = {
@@ -186,20 +163,12 @@ SIMULATE_SCHEMA = {
     "initial_amplitude": Field("float", 0.05, check=lambda v: v > 0),
     "initial_modes": Field("int", 6, check=lambda v: v >= 1),
     "initial_decay": Field("float", 1.5),
-    "seed": Field("int", 2025),
 }
 
 
 def _solver_config(cfg: dict) -> SolverConfig:
     try:
-        return SolverConfig(
-            dt=cfg["dt"],
-            T=cfg["T"],
-            dealias=cfg["dealias"],
-            scheme=cfg["scheme"],
-            nonlinear=cfg["nonlinear"],
-            frame_stride=cfg["frame_stride"],
-        )
+        return _from_config(SolverConfig, cfg)
     except ValueError as err:
         raise ConfigError("T", str(err)) from None
 
@@ -214,21 +183,18 @@ def _check_simulate(cfg: dict) -> None:
         raise ConfigError(key, str(err)) from None
 
 
-def cmd_simulate(args) -> int:
-    ctx = _begin(args, "simulate", SIMULATE_SCHEMA, check=_check_simulate)
+def run_simulate(ctx: RunContext, jobs: int) -> bool:
     cfg = ctx.config
     model = DispersionModel(cfg["j"], cfg["lam"])
     grid = TorusGrid(cfg["lam"], cfg["M"])
     rng = np.random.default_rng(cfg["seed"])
     u0 = _initial_data(cfg, grid, rng)
-    solver_cfg = _solver_config(cfg)
     try:
-        times, frames = integrate(model, u0, solver_cfg)
+        times, frames = integrate(model, u0, _solver_config(cfg))
     except BlowUpError as err:
         ctx.verdicts["blow_up"] = {"t": err.t, "ratio": err.ratio}
-        ctx.finish()
         print(f"error: {err}", file=sys.stderr)
-        return SCI_FAIL
+        return False
     quantities = [conserved_quantities(SpectralField(grid, row)) for row in frames]
     mean0, l20 = quantities[0]
     rows = []
@@ -242,17 +208,11 @@ def cmd_simulate(args) -> int:
                 "l2_drift": abs(l2 - l20) / max(l20, 1e-300),
             }
         )
-    atomic_write_text(
-        ctx.record("conservation.csv"),
-        rows_to_csv(rows, ["t", "mean", "l2", "mean_drift", "l2_drift"]),
-    )
+    ctx.write_csv("conservation.csv", rows, ["t", "mean", "l2", "mean_drift", "l2_drift"])
     write_frames(ctx.record("frames.bin"), frames, model, cfg["dt"] * cfg["frame_stride"])
-    worst = max(r["l2_drift"] for r in rows)
-    ctx.verdicts["max_l2_drift"] = worst
+    ctx.verdicts["max_l2_drift"] = max(r["l2_drift"] for r in rows)
     ctx.verdicts["max_mean_drift"] = max(r["mean_drift"] for r in rows)
-    ctx.finish()
-    print(f"run directory: {ctx.out_dir}")
-    return PASS
+    return True
 
 
 ILLPOSED_SCHEMA = {
@@ -262,7 +222,6 @@ ILLPOSED_SCHEMA = {
     "N_list": Field("int_list", required=True, help="at least 3 positive N in ascending order",
                     check=lambda v: len(v) >= 3 and min(v) >= 1 and v == sorted(set(v))),
     "t": Field("float", 1.0, check=lambda v: v > 0),
-    "seed": Field("int", 2025),
 }
 
 
@@ -271,13 +230,12 @@ def _sweep_one(task):
     return growth_sweep(DispersionModel(j, lam), s, n_list, t)
 
 
-def cmd_illposed_sweep(args) -> int:
-    ctx = _begin(args, "illposed-sweep", ILLPOSED_SCHEMA)
+def run_illposed_sweep(ctx: RunContext, jobs: int) -> bool:
     cfg = ctx.config
     tasks = [
         (cfg["j"], cfg["lam"], s, cfg["N_list"], cfg["t"]) for s in cfg["s_list"]
     ]
-    reports = _parallel_map(_sweep_one, tasks, args.jobs)
+    reports = _parallel_map(_sweep_one, tasks, jobs)
     all_rows: list[dict] = []
     table = []
     ok = True
@@ -291,23 +249,15 @@ def cmd_illposed_sweep(args) -> int:
         summary["s"] = s
         table.append(summary)
         ok = ok and consistent
-    atomic_write_text(
-        ctx.record("growth.csv"),
-        rows_to_csv(all_rows, ["j", "s", "N", "t", "h_s_norm", "resonant_terms"]),
-    )
-    atomic_write_text(
-        ctx.record("verdicts.json"),
-        dump_json({"j": cfg["j"], "t": cfg["t"], "per_s": table, "passed": ok}),
-    )
+    ctx.write_csv("growth.csv", all_rows, ["j", "s", "N", "t", "h_s_norm", "resonant_terms"])
+    ctx.write_json("verdicts.json", {"j": cfg["j"], "t": cfg["t"], "per_s": table, "passed": ok})
     ctx.verdicts["passed"] = ok
-    ctx.finish()
     for entry in table:
         print(
             f"s={entry['s']}: fitted={entry['fitted_exponent']:.4f} "
             f"theory={entry['theory_exponent']:.4f} consistent={entry['consistent']}"
         )
-    print(f"run directory: {ctx.out_dir}")
-    return PASS if ok else SCI_FAIL
+    return ok
 
 
 AUDIT_SCHEMA = {
@@ -319,7 +269,6 @@ AUDIT_SCHEMA = {
     ),
     "kmax": Field("int", required=True, check=lambda v: v >= 1),
     "lam": Field("float", 1.0, check=lambda v: v >= 1),
-    "seed": Field("int", 2025),
 }
 
 
@@ -333,33 +282,35 @@ def _audit_one(task):
     return audit_resonance_bound(model, kmax)
 
 
-def cmd_resonance_audit(args) -> int:
-    ctx = _begin(args, "resonance-audit", AUDIT_SCHEMA)
+def run_resonance_audit(ctx: RunContext, jobs: int) -> bool:
     cfg = ctx.config
     tasks = [(j, cfg["lam"], cfg["kmax"]) for j in cfg["j_list"]]
-    reports = _parallel_map(_audit_one, tasks, args.jobs)
+    reports = _parallel_map(_audit_one, tasks, jobs)
     rows = []
     violations = 0
     for report in reports:
         rows.extend(report.rows)
         violations += report.summary["violations"]
-    atomic_write_text(
-        ctx.record("audit.csv"),
-        rows_to_csv(rows, ["j", "kmax", "pairs_checked", "violations", "min_ratio"]),
-    )
+    ctx.write_csv("audit.csv", rows, ["j", "kmax", "pairs_checked", "violations", "min_ratio"])
     ctx.verdicts["violations"] = violations
-    ctx.finish()
     for row in rows:
         print(
             f"j={row['j']}: pairs={row['pairs_checked']} violations={row['violations']} "
             f"min_ratio={row['min_ratio']:.8f}"
         )
-    print(f"run directory: {ctx.out_dir}")
-    return PASS if violations == 0 else SCI_FAIL
+    return violations == 0
 
+
+# estimate id -> (search name, search); each call looks the search up by name
+ESTIMATES = {
+    "2.1": ("dyadic-bilinear", lambda model, cfg, sc: dyadic_bilinear_ratio(model, cfg["l1"], cfg["l2"], sc)),
+    "2.2": ("product-l2", lambda model, cfg, sc: product_l2_ratio(model, cfg["a"], cfg["b"], sc)),
+    "2.5": ("embedding", lambda model, cfg, sc: embedding_ratio(model, cfg["s"], sc)),
+    "3.1": ("bilinear-zs", lambda model, cfg, sc: bilinear_zs_ratio(model, cfg["s"], sc)),
+}
 
 ESTIMATE_SCHEMA = {
-    "estimate": Field("str", required=True, check=lambda v: v in ESTIMATE_SEARCHES),
+    "estimate": Field("str", required=True, check=lambda v: v in ESTIMATES),
     "j": Field("int", 2, check=lambda v: v >= 1),
     "lam": Field(
         "float", 1.0, check=lambda v: v >= 1 and v.is_integer(),
@@ -374,47 +325,38 @@ ESTIMATE_SCHEMA = {
     "k_max": Field("int", 32, check=lambda v: v >= 2),
     "t_modes": Field("int", 64, check=lambda v: v >= 4),
     "support": Field("int", 48, check=lambda v: v >= 1),
-    "generator": Field("str", "mixed"),
-    "seed": Field("int", 2025),
+    "generator": Field("str", "mixed", check=lambda v: v == "mixed" or v in GENERATORS,
+                       help="mixed or one of " + ", ".join(GENERATORS)),
 }
 
 
-def cmd_estimate_search(args) -> int:
-    ctx = _begin(args, "estimate-search", ESTIMATE_SCHEMA)
+def _check_estimate(cfg: dict) -> None:
+    """Refuse a lattice whose generated cells int64 cannot multiply exactly."""
+    l_max = max(cfg["l1"], cfg["l2"]) if cfg["estimate"] == "2.1" else 6
+    search = _from_config(RatioSearchConfig, cfg)
+    try:
+        check_search_lattice(2 * cfg["j"] + 1, int(cfg["lam"]), search, l_max)
+    except ValueError as err:
+        raise ConfigError("k_max", str(err)) from None
+
+
+def run_estimate_search(ctx: RunContext, jobs: int) -> bool:
     cfg = ctx.config
-    model = DispersionModel(cfg["j"], cfg["lam"])
-    search_cfg = RatioSearchConfig(
-        trials=cfg["trials"],
-        k_max=cfg["k_max"],
-        t_modes=cfg["t_modes"],
-        support=cfg["support"],
-        generator=cfg["generator"],
-        seed=cfg["seed"],
-    )
-    estimate = cfg["estimate"]
-    if estimate == "2.1":
-        report = dyadic_bilinear_ratio(model, cfg["l1"], cfg["l2"], search_cfg)
-    elif estimate == "2.2":
-        report = product_l2_ratio(model, cfg["a"], cfg["b"], search_cfg)
-    elif estimate == "2.5":
-        report = embedding_ratio(model, cfg["s"], search_cfg)
-    else:
-        report = bilinear_zs_ratio(model, cfg["s"], search_cfg)
-    exp_report = report.to_experiment_report(
-        f"estimate-search-{ESTIMATE_SEARCHES[estimate]}"
-    )
-    write_report_csv(ctx.record("trials.csv"), exp_report)
-    write_report_json(ctx.record("summary.json"), exp_report)
+    name, run = ESTIMATES[cfg["estimate"]]
+    report = run(DispersionModel(cfg["j"], cfg["lam"]), cfg, _from_config(RatioSearchConfig, cfg))
+    ctx.write_csv("trials.csv", report.rows, list(report.rows[0]) if report.rows else [])
+    keys = ("max_ratio", "argmax_trial", "skipped", "flags", "witness")
+    summary = {key: getattr(report, key) for key in keys}
+    ctx.write_json("summary.json", {"kind": f"estimate-search-{name}", "inputs": report.params,
+                                    "summary": summary, "passed": None, "notes": []})
     ctx.verdicts["max_ratio"] = report.max_ratio
     ctx.verdicts["flags"] = report.flags
-    ctx.finish()
     print(
-        f"estimate {estimate} ({ESTIMATE_SEARCHES[estimate]}): max ratio "
+        f"estimate {cfg['estimate']} ({name}): max ratio "
         f"{report.max_ratio:.6g} over {cfg['trials']} trials"
         + (f"  [flags: {', '.join(report.flags)}]" if report.flags else "")
     )
-    print(f"run directory: {ctx.out_dir}")
-    return PASS
+    return True
 
 
 CONTRACTION_SCHEMA = {
@@ -425,12 +367,10 @@ CONTRACTION_SCHEMA = {
     "max_iter": Field("int", 10, check=lambda v: v >= 1),
     "n_frames": Field("int", 301, check=lambda v: v >= 41),
     "modes": Field("int", 16, check=lambda v: v >= 8 and v % 2 == 0),
-    "seed": Field("int", 2025),
 }
 
 
-def cmd_contraction(args) -> int:
-    ctx = _begin(args, "contraction", CONTRACTION_SCHEMA)
+def run_contraction(ctx: RunContext, jobs: int) -> bool:
     cfg = ctx.config
     model = DispersionModel(cfg["j"], cfg["lam"])
     grid = TorusGrid(cfg["lam"], cfg["modes"])
@@ -447,9 +387,7 @@ def cmd_contraction(args) -> int:
         }
         for i, (d, h) in enumerate(zip(trace.diff_norms, trace.hs_sup_diffs))
     ]
-    atomic_write_text(
-        ctx.record("trace.csv"), rows_to_csv(rows, ["iteration", "diff_zs", "diff_hs_sup"])
-    )
+    ctx.write_csv("trace.csv", rows, ["iteration", "diff_zs", "diff_hs_sup"])
     has_verdict = len(trace.diff_norms) >= 2
     verdict = bool(has_verdict and trace.factor < 0.5)
     payload = {
@@ -458,19 +396,13 @@ def cmd_contraction(args) -> int:
         "diverged": trace.diverged,
         "verdict_contracting": verdict if has_verdict else None,
     }
-    atomic_write_text(ctx.record("summary.json"), dump_json(payload))
+    ctx.write_json("summary.json", payload)
     ctx.verdicts.update(payload)
-    ctx.finish()
     print(
         f"contraction factor: {trace.factor:.6g} (converged={trace.converged}, "
         f"diverged={trace.diverged})"
     )
-    print(f"run directory: {ctx.out_dir}")
-    if trace.diverged:
-        return SCI_FAIL
-    if has_verdict and not verdict:
-        return SCI_FAIL
-    return PASS
+    return not trace.diverged and (verdict or not has_verdict)
 
 
 PICARD_SCHEMA = {
@@ -483,7 +415,6 @@ PICARD_SCHEMA = {
     "lam": Field("float", 1.0, check=lambda v: v >= 1),
     "steps": Field("int", 1024, check=lambda v: v >= 16),
     "tol": Field("float", 1e-6, check=lambda v: v > 0),
-    "seed": Field("int", 2025),
 }
 
 
@@ -510,8 +441,7 @@ def _check_picard_budget(cfg: dict) -> None:
             )
 
 
-def cmd_picard_check(args) -> int:
-    ctx = _begin(args, "picard-check", PICARD_SCHEMA, check=_check_picard_budget)
+def run_picard_check(ctx: RunContext, jobs: int) -> bool:
     cfg = ctx.config
     rows = []
     ok = True
@@ -531,20 +461,40 @@ def cmd_picard_check(args) -> int:
                 "pass": passed,
             }
         )
-    atomic_write_text(
-        ctx.record("oracle.csv"),
-        rows_to_csv(rows, ["j", "N", "t", "steps", "max_abs_err", "pass"]),
-    )
+    ctx.write_csv("oracle.csv", rows, ["j", "N", "t", "steps", "max_abs_err", "pass"])
     ctx.verdicts["passed"] = ok
-    ctx.finish()
     for row in rows:
         print(
             f"j={row['j']} N={row['N']} t={row['t']}: err={row['max_abs_err']:.3e} "
             f"{'ok' if row['pass'] else 'FAIL'}"
         )
-    print(f"run directory: {ctx.out_dir}")
-    return PASS if ok else SCI_FAIL
+    return ok
 
+
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: its schema, an optional check refusing a resolved config before anything
+    is written, and a runner that fills the run context and says whether every verdict passed."""
+
+    help: str
+    schema: dict[str, Field]
+    run: Callable[[RunContext, int], bool]
+    check: Callable[[dict], None] | None = None
+
+
+COMMANDS = {
+    "simulate": Command("integrate the nonlinear equation and track invariants",
+                        SIMULATE_SCHEMA, run_simulate, _check_simulate),
+    "illposed-sweep": Command("third-iterate growth exponents across s",
+                              ILLPOSED_SCHEMA, run_illposed_sweep),
+    "resonance-audit": Command("exact integer lower-bound audit", AUDIT_SCHEMA, run_resonance_audit),
+    "estimate-search": Command("empirical ratio search for one estimate",
+                               ESTIMATE_SCHEMA, run_estimate_search, _check_estimate),
+    "contraction": Command("cutoff Duhamel map contraction measurement",
+                           CONTRACTION_SCHEMA, run_contraction),
+    "picard-check": Command("closed-form vs quadrature oracle agreement",
+                            PICARD_SCHEMA, run_picard_check, _check_picard_budget),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -559,16 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "simulate": (cmd_simulate, "integrate the nonlinear equation and track invariants"),
-        "illposed-sweep": (cmd_illposed_sweep, "third-iterate growth exponents across s"),
-        "resonance-audit": (cmd_resonance_audit, "exact integer lower-bound audit"),
-        "estimate-search": (cmd_estimate_search, "empirical ratio search for one estimate"),
-        "contraction": (cmd_contraction, "cutoff Duhamel map contraction measurement"),
-        "picard-check": (cmd_picard_check, "closed-form vs quadrature oracle agreement"),
-    }
-    for name, (func, help_text) in commands.items():
-        p = sub.add_parser(name, help=help_text)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", type=str, default=None, help="key = value config file")
         p.add_argument(
             "--set",
@@ -578,21 +520,43 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--out-root", type=str, default="runs", help="run directory root")
         p.add_argument("--jobs", type=int, default=1, help="worker cap (experiments are deterministic regardless)")
-        p.set_defaults(func=func)
     return parser
 
 
+def resolve_config(args) -> dict:
+    """The checked config of a parsed command line; raises ConfigError or FileNotFoundError."""
+    command = COMMANDS[args.command]
+    raw: dict = {}
+    if args.config:
+        raw.update(load_config(args.config))
+    for override in args.set or []:
+        raw.update(parse_config_text(override))
+    config = validate_config(raw, {**command.schema, "seed": Field("int", 2025)})
+    env_seed = os.environ.get("HOKDV_SEED")
+    if env_seed is not None:
+        try:
+            config["seed"] = int(env_seed)
+        except ValueError:
+            raise ConfigError(
+                "seed", f"HOKDV_SEED must be an integer, got {env_seed!r}"
+            ) from None
+    if command.check is not None:
+        command.check(config)
+    return config
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as err:
+        config = resolve_config(args)
+    except (ConfigError, FileNotFoundError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return USAGE
-    except FileNotFoundError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return USAGE
+    ctx = RunContext(args.command, config, _make_run_dir(Path(args.out_root), args.command, config))
+    passed = COMMANDS[args.command].run(ctx, args.jobs)
+    ctx.finish()
+    print(f"run directory: {ctx.out_dir}")
+    return PASS if passed else SCI_FAIL
 
 
 if __name__ == "__main__":

@@ -3,9 +3,13 @@ modulation regions for the odd-order dispersive equation
 
     u_t + (-1)^{j+1} d_x^{2j+1} u + (1/2) d_x(u^2) = 0.
 
-The semigroup multiplier is exp(i t p(k)) with p(k) = (-1)^{j+1} k^{2j+1}.
-The modulation of a space-time frequency is measured against the same
-signed phase, sigma = tau - p(k), so free solutions sit at sigma = 0.
+The semigroup multiplier is exp(i t p(k)) with p(k) = (-1)^{j+1} k^{2j+1},
+which is exp(-(ik)^{2j+1} t) under coeff(k) = int e^{-ikx} f dx.  With the
+solver's 2 pi product factor, the code integrates u_t + d_x^{2j+1} u +
+pi d_x(u^2) = 0: the equation above for v(x) = -2 pi u(-x) at even j and
+for v = 2 pi u at odd j.  The modulation of a space-time frequency is
+measured against the same signed phase, sigma = tau - p(k), so free
+solutions sit at sigma = 0.
 
 Resonance functions are evaluated in exact integer arithmetic on the
 index lattice m (k = m/lam); k^{2j+1} overflows 64-bit floats and ints
@@ -194,8 +198,6 @@ def audit_resonance_bound(model: DispersionModel, kmax: int) -> ExperimentReport
             argmin = (int(p1[i]), int(p2[i]))
     min_ratio = float(Fraction(min_num, min_den)) if min_den else float("nan")
     return ExperimentReport(
-        kind="resonance-audit",
-        inputs={"j": j, "lam": model.lam, "kmax": kmax},
         rows=[
             {
                 "j": j,

@@ -311,8 +311,6 @@ def growth_sweep(
     theory = -2.0 * s - (2.0 * model.j - 1.0)
     threshold = -model.j + 0.5
     report = ExperimentReport(
-        kind="growth-sweep",
-        inputs={"j": model.j, "lam": model.lam, "s": s, "t": t, "N_list": list(n_list)},
         rows=rows,
         summary={
             "fitted_exponent": exponent,

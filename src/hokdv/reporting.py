@@ -11,29 +11,18 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 
 @dataclass
 class ExperimentReport:
-    """Record of one sweep/audit: inputs, per-row measurements, summary, verdict."""
+    """Record of one sweep/audit: per-row measurements, summary, verdict."""
 
-    kind: str
-    inputs: dict[str, Any]
     rows: list[dict[str, Any]]
     summary: dict[str, Any]
     passed: bool | None = None
-    notes: list[str] = field(default_factory=list)
-
-    def row_fields(self) -> list[str]:
-        names: list[str] = []
-        for row in self.rows:
-            for key in row:
-                if key not in names:
-                    names.append(key)
-        return names
 
 
 def format_value(value: Any) -> str:
@@ -76,10 +65,6 @@ def rows_to_csv(rows: Sequence[Mapping[str, Any]], fields: Sequence[str]) -> str
     return "\n".join(lines) + "\n"
 
 
-def write_report_csv(path: Path, report: ExperimentReport) -> None:
-    atomic_write_text(path, rows_to_csv(report.rows, report.row_fields()))
-
-
 def _jsonable(value: Any) -> Any:
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
@@ -94,15 +79,4 @@ def _jsonable(value: Any) -> Any:
 
 def dump_json(payload: Any) -> str:
     return json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=True) + "\n"
-
-
-def write_report_json(path: Path, report: ExperimentReport) -> None:
-    payload = {
-        "kind": report.kind,
-        "inputs": report.inputs,
-        "summary": report.summary,
-        "passed": report.passed,
-        "notes": report.notes,
-    }
-    atomic_write_text(path, dump_json(payload))
 

@@ -26,7 +26,6 @@ import numpy as np
 
 from .dispersion import DispersionModel, Region, region_masks, resonance_q0
 from .norms import DyadicShell, ZsNorm, angle_bracket, xsb_mass, zs_norm_cells
-from .reporting import ExperimentReport
 
 
 @dataclass(frozen=True)
@@ -56,20 +55,6 @@ class RatioReport:
     witness: dict | None = None
     skipped: int = 0
     flags: list[str] = field(default_factory=list)
-
-    def to_experiment_report(self, kind: str) -> ExperimentReport:
-        return ExperimentReport(
-            kind=kind,
-            inputs=self.params,
-            rows=self.rows,
-            summary={
-                "max_ratio": self.max_ratio,
-                "argmax_trial": self.argmax_trial,
-                "skipped": self.skipped,
-                "flags": self.flags,
-                "witness": self.witness,
-            },
-        )
 
 
 class ModulationField:
@@ -170,6 +155,13 @@ class ModulationField:
         )
 
 
+def check_int64_lattice(order: int, m_bound: int, sig_bound: int) -> None:
+    """Refuse a product of cells with |m1| + |m2| <= m_bound and |sig1| + |sig2|
+    <= sig_bound unless int64 holds every power, partial sum and output exactly."""
+    if 3 * m_bound**order + sig_bound >= 2**63:
+        raise ValueError("mode or modulation range too large for the exact int64 sigma lattice")
+
+
 def convolve_modulation(f: ModulationField, g: ModulationField) -> ModulationField:
     """Bilinear (k, tau) convolution with the normalized measure.
 
@@ -182,9 +174,10 @@ def convolve_modulation(f: ModulationField, g: ModulationField) -> ModulationFie
     if f.is_empty() or g.is_empty():
         return ModulationField(model, [], [], [])
     n = model.order
-    m_bound = int(np.max(np.abs(f.m))) + int(np.max(np.abs(g.m)))
-    if 3 * m_bound**n >= 2**62:
-        raise ValueError("mode range too large for exact int64 resonance shifts")
+    # largest |value| per array; the uint64 view keeps |int64 min| = 2^63 exact
+    arrays = (f.m, g.m, f.sig_scaled, g.sig_scaled)
+    mf, mg, sf, sg = (int(np.abs(a).view(np.uint64).max()) for a in arrays)
+    check_int64_lattice(n, mf + mg, sf + sg)
     m1 = f.m[:, None]
     m2 = g.m[None, :]
     m_out = m1 + m2
@@ -288,7 +281,16 @@ def resonant_pair(
     return u1, u2
 
 
-_GENERATORS = ("gaussian-random", "dyadic-concentrated", "free-solution-like", "phi_N-family")
+_MIXED = ("gaussian-random", "dyadic-concentrated", "free-solution-like", "phi_N-family")
+GENERATORS = _MIXED + ("fixed-tau",)  # the negative control is drawn only by name
+
+
+def check_search_lattice(order: int, lam: int, cfg: RatioSearchConfig, l_max: int = 6) -> None:
+    """Refuse cfg if two generated fields may not multiply exactly in int64; l_max is the
+    largest dyadic shell asked for, and resonant pairs reach 2N <= max(6, k_max)."""
+    m = max(cfg.k_max, 6)
+    sig = max(max(cfg.t_modes, 2 ** (max(l_max, 6) + 1)) * lam**order, m**order)
+    check_int64_lattice(order, 2 * m, 2 * sig)
 
 
 def _scale(model: DispersionModel) -> int:
@@ -320,7 +322,7 @@ def generate_field(
 def _pick_generator(cfg: RatioSearchConfig, trial: int) -> str:
     if cfg.generator != "mixed":
         return cfg.generator
-    return _GENERATORS[trial % len(_GENERATORS)]
+    return _MIXED[trial % len(_MIXED)]
 
 
 # ---------------------------------------------------------------------------

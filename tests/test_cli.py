@@ -3,12 +3,12 @@ emitted reports, manifests, and the environment seed override."""
 
 import hashlib
 import json
-import os
+import shlex
 from pathlib import Path
 
 import pytest
 
-from hokdv.cli import main
+from hokdv.cli import COMMANDS, build_parser, main, resolve_config
 from hokdv.config import ConfigError, parse_config_text, validate_config, Field
 
 
@@ -146,9 +146,15 @@ SMALL_SIMULATE = ["simulate", "--set", "j = 2", "--set", "M = 64", "--set", "dt 
         (["contraction", "--set", "max_iter = 3", "--set", "n_frames = 101"],
          ["summary.json", "trace.csv"]),
         (["picard-check", "--set", "N_list = 2", "--set", "t_list = 0.1, 0.3"], ["oracle.csv"]),
+        *(
+            (["estimate-search", "--set", f"estimate = {estimate}", "--set", "trials = 8"],
+             ["summary.json", "trials.csv"])
+            for estimate in ("2.1", "2.2", "2.5", "3.1")
+        ),
     ],
     ids=["resonance-audit", "illposed-sweep", "simulate-ifrk4", "simulate-etdrk4",
-         "contraction", "picard-check"],
+         "contraction", "picard-check", "estimate-2.1", "estimate-2.2", "estimate-2.5",
+         "estimate-3.1"],
 )
 def test_data_files_identical_across_runs_and_job_counts(tmp_path, argv, data_files):
     # Two runs at --jobs 1 and one at --jobs 2 (two worker processes).
@@ -163,6 +169,12 @@ def test_data_files_identical_across_runs_and_job_counts(tmp_path, argv, data_fi
             {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest() for name in data_files}
         )
     assert digests[0] == digests[1] == digests[2]
+    if argv[0] == "estimate-search":
+        summary = json.loads((run_dir / "summary.json").read_text())
+        assert sorted(summary) == ["inputs", "kind", "notes", "passed", "summary"]
+        assert sorted(summary["summary"]) == [
+            "argmax_trial", "flags", "max_ratio", "skipped", "witness"
+        ]
 
 
 def test_estimate_search_unknown_id(tmp_path):
@@ -216,7 +228,9 @@ def test_simulate_blow_up_exits_one(tmp_path, capsys):
         "--set", "initial_modes = 8",
     )
     assert code == 1
-    assert "unstable" in capsys.readouterr().err
+    out = capsys.readouterr()
+    assert "unstable" in out.err
+    assert out.out.startswith("run directory: ")
 
 
 def test_contraction_default_run_contracts(tmp_path):
@@ -321,11 +335,19 @@ def test_bad_input_exits_two_before_a_run_directory(tmp_path, monkeypatch, capsy
         (["contraction", "--set", "amplitude = 10.0", "--set", "max_iter = 8",
           "--set", "n_frames = 101"], 1),
         (["picard-check", "--set", "N_list = 2", "--set", "t_list = 0.1", "--set", "tol = 1e-30"], 1),
+        (["estimate-search", "--set", "estimate = 3.1", "--set", "generator = foo",
+          "--set", "trials = 2"], 2),
+        (["estimate-search", "--set", "estimate = 2.2", "--set", "k_max = 2000000",
+          "--set", "trials = 2", "--set", "generator = gaussian-random"], 2),
+        # |sig_scaled| reaches 64 * 256^7 = 2^62, so sums of two cells pass int64
+        (["estimate-search", "--set", "estimate = 3.1", "--set", "j = 3", "--set", "lam = 256",
+          "--set", "trials = 2"], 2),
     ],
     ids=["picard-j-zero", "picard-N-zero", "sweep-N-zero", "sweep-N-descending",
          "sweep-N-repeated", "simulate-unknown-initial", "simulate-phi-n-off-grid",
          "simulate-random-modes-off-grid", "simulate-blow-up", "contraction-diverges",
-         "picard-disagrees"],
+         "picard-disagrees", "estimate-unknown-generator", "estimate-k-max-past-int64",
+         "estimate-sigma-past-int64"],
 )
 def test_nonzero_exit_leaves_no_run_directory_or_one_manifest(tmp_path, capsys, argv, code):
     assert run(tmp_path, *argv) == code
@@ -390,3 +412,19 @@ def test_every_run_directory_has_exactly_one_manifest(tmp_path):
     payload = json.loads(manifests[0].read_text())
     for key in ("command", "config", "seed", "version", "outputs", "verdicts"):
         assert key in payload
+
+
+def readme_command_lines() -> list[str]:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("hokdv ")]
+
+
+def test_readme_commands_pass_their_schema_and_check():
+    # Resolves each README command through the command table without running it.
+    lines = readme_command_lines()
+    assert sorted(shlex.split(line)[1] for line in lines) == sorted(COMMANDS)
+    for line in lines:
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        assert set(resolve_config(args)) == {*COMMANDS[args.command].schema, "seed"}

@@ -68,6 +68,18 @@ def test_free_evolve_group_law():
     assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-12 * max(1, np.max(np.abs(b.coeffs)))
 
 
+@pytest.mark.parametrize("j", [2, 3])
+def test_free_evolve_solves_the_integrated_linear_equation(j):
+    # The linear part of u_t + d_x^{2j+1} u = 0 is u_t = -(ik)^{2j+1} u-hat under
+    # coeff(k) = int e^{-ikx} f dx; free_evolve must give its exact solution.
+    grid = TorusGrid(1.0, 32)
+    model = DispersionModel(j, 1.0)
+    u = random_band_limited(grid, np.random.default_rng(3), 4)
+    t = 0.3
+    expect = np.exp(-((1j * grid.k_values) ** model.order) * t) * u.coeffs
+    assert np.allclose(free_evolve(model, u, t).coeffs, expect, rtol=1e-12, atol=1e-12)
+
+
 def test_free_evolve_lambda_mismatch():
     grid = TorusGrid(2.0, 32)
     u = random_band_limited(grid, np.random.default_rng(0), 4)

@@ -2,14 +2,7 @@
 
 import json
 
-from hokdv.reporting import (
-    ExperimentReport,
-    atomic_write_text,
-    dump_json,
-    format_value,
-    rows_to_csv,
-    write_report_csv,
-)
+from hokdv.reporting import atomic_write_text, dump_json, format_value, rows_to_csv
 
 
 def test_scalar_formatting_full_precision():
@@ -22,18 +15,6 @@ def test_scalar_formatting_full_precision():
 def test_rows_to_csv_fills_missing_fields():
     text = rows_to_csv([{"a": 1, "b": 2.5}, {"a": 3}], ["a", "b"])
     assert text == "a,b\n1,2.5\n3,\n"
-
-
-def test_report_csv_union_of_row_fields(tmp_path):
-    report = ExperimentReport(
-        kind="demo",
-        inputs={},
-        rows=[{"x": 1}, {"x": 2, "y": 0.5}],
-        summary={},
-    )
-    path = tmp_path / "rows.csv"
-    write_report_csv(path, report)
-    assert path.read_text().splitlines()[0] == "x,y"
 
 
 def test_dump_json_is_sorted_and_parseable():

@@ -4,11 +4,12 @@ boundedness trends, the resonant family, and the negative control."""
 import numpy as np
 import pytest
 
-from hokdv.dispersion import DispersionModel, Region
+from hokdv.dispersion import DispersionModel, Region, resonance_q0
 from hokdv.verifier import (
     ModulationField,
     RatioSearchConfig,
     bilinear_zs_ratio,
+    check_search_lattice,
     convolve_modulation,
     dyadic_bilinear_ratio,
     embedding_ratio,
@@ -63,6 +64,38 @@ def test_stored_sigma_is_the_resonance_mismatch_at_integral_lam():
 def test_non_integral_lam_is_refused():
     with pytest.raises(ValueError, match="integral lam"):
         ModulationField(DispersionModel(2, 1.5), [1], [0], [1.0])
+
+
+def test_convolution_refuses_sigma_sums_past_int64():
+    # j = 3, lam = 256: |sig_scaled| = 64 * 256^7 = 2^62 on both cells, so the
+    # output sigma would wrap from +128 to -128
+    model = DispersionModel(3, 256.0)
+    big = 64 * 256**7
+    with pytest.raises(ValueError, match="int64"):
+        convolve_modulation(
+            ModulationField(model, [2], [big], [1.0]), ModulationField(model, [-1], [big], [1.0])
+        )
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_convolution_just_inside_int64_matches_python_ints(sign):
+    model = DispersionModel(3, 1.0)
+    n = model.order
+    sig1 = 2**62
+    sig2 = 2**63 - 1 - 3 * 3**n - sig1  # 3 (|m1| + |m2|)^n + |sig1| + |sig2| = 2^63 - 1
+    f = ModulationField(model, [2], [sign * sig1], [1.0])
+    out = convolve_modulation(f, ModulationField(model, [-1], [sign * sig2], [1.0]))
+    assert out.m.tolist() == [1]
+    assert out.sig_scaled.tolist() == [sign * (sig1 + sig2) + model.sign * resonance_q0(n, 2, -1)]
+    with pytest.raises(ValueError, match="int64"):
+        convolve_modulation(f, ModulationField(model, [-1], [sign * (sig2 + 1)], [1.0]))
+
+
+def test_search_lattice_check_accepts_the_criterion_9_range():
+    cfg = RatioSearchConfig(k_max=128, t_modes=64)
+    check_search_lattice(7, 4, cfg)  # j = 3, lam = 4
+    with pytest.raises(ValueError, match="int64"):
+        check_search_lattice(7, 256, cfg)
 
 
 def test_convolution_collision_accumulates(model):
