@@ -331,7 +331,10 @@ ESTIMATE_SCHEMA = {
 
 
 def _check_estimate(cfg: dict) -> None:
-    """Refuse a lattice whose generated cells int64 cannot multiply exactly."""
+    """Refuse a lattice whose generated cells int64 cannot multiply exactly, and a
+    generator for 2.1, which always draws dyadic-concentrated fields."""
+    if cfg["estimate"] == "2.1" and cfg["generator"] != "mixed":
+        raise ConfigError("generator", "estimate 2.1 draws only dyadic-concentrated fields")
     l_max = max(cfg["l1"], cfg["l2"]) if cfg["estimate"] == "2.1" else 6
     search = _from_config(RatioSearchConfig, cfg)
     try:

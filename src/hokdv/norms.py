@@ -193,14 +193,13 @@ def ys_mass(
     sel = k != 0
     if not np.any(sel):
         return 0.0
-    m_sel = m[sel]
-    order = np.argsort(m_sel, kind="stable")
-    m_sorted = m_sel[order]
-    amps = np.abs(coeffs[sel])[order] * cell_measure
-    boundaries = np.flatnonzero(np.diff(m_sorted)) + 1
-    starts = np.concatenate(([0], boundaries))
+    m_sel, k_sel, amps = m[sel], k[sel], np.abs(coeffs[sel]) * cell_measure
+    if (m_sel[1:] < m_sel[:-1]).any():  # sparse fields come sorted by m
+        order = np.argsort(m_sel, kind="stable")
+        m_sel, k_sel, amps = m_sel[order], k_sel[order], amps[order]
+    starts = np.flatnonzero(np.concatenate(([True], m_sel[1:] != m_sel[:-1])))
     col_l1 = np.add.reduceat(amps, starts)
-    col_k = k[sel][order][starts]
+    col_k = k_sel[starts]
     return float(np.sum(angle_bracket(col_k) ** (2.0 * s) * col_l1**2) / lam)
 
 

@@ -63,6 +63,10 @@ class ModulationField:
     sigma values are stored as integers scaled by lam**(2j+1), the exact
     resolution at which resonance shifts act; the physical cell measure
     in tau is dtau = 1.
+
+    Cells with m = 0 or a zero coefficient are dropped; the rest are sorted
+    by (m, sig_scaled) and unique, duplicates summed in that order.  Cells
+    already in that canonical form are kept as given, without a sort.
     """
 
     __slots__ = ("model", "m", "sig_scaled", "coeffs", "sig_scale")
@@ -73,15 +77,27 @@ class ModulationField:
         m = np.asarray(m, dtype=np.int64)
         sig = np.asarray(sig_scaled, dtype=np.int64)
         vals = np.asarray(coeffs, dtype=np.complex128)
-        keep = (m != 0) & (vals != 0)
-        m, sig, vals = m[keep], sig[keep], vals[keep]
-        if len(m):
-            order = np.lexsort((sig, m))
-            m, sig, vals = m[order], sig[order], vals[order]
-            new_cell = np.concatenate(([True], (np.diff(m) != 0) | (np.diff(sig) != 0)))
-            starts = np.flatnonzero(new_cell)
-            vals = np.add.reduceat(vals, starts)
+        keep = vals != 0
+        if not keep.all():
+            m, sig, vals = m[keep], sig[keep], vals[keep]
+        if not _is_canonical(m, sig):
+            # lexsort((sig, m)) as two stable passes; the m pass sorts offsets
+            # from min(m) in the narrowest unsigned type (numpy radix-sorts up
+            # to 16 bits), and the uint64 view keeps offsets past 2^63 exact
+            order = np.argsort(sig, kind="stable")
+            offset = (m[order] - m.min()).view(np.uint64)
+            offset = offset.astype(np.min_scalar_type(offset.max()))
+            order = order[np.argsort(offset, kind="stable")]
+            m, sig = m[order], sig[order]
+            new_cell = (m[1:] != m[:-1]) | (sig[1:] != sig[:-1])
+            starts = np.flatnonzero(np.concatenate(([True], new_cell)))
+            vals = np.add.reduceat(vals[order], starts)
             m, sig = m[starts], sig[starts]
+        # m = 0 cells merge only with each other: dropping them after the sort
+        # leaves the other cells as dropping them before would, on fewer cells
+        keep = m != 0
+        if not keep.all():
+            m, sig, vals = m[keep], sig[keep], vals[keep]
         self.m = m
         self.sig_scaled = sig
         self.coeffs = vals
@@ -153,6 +169,15 @@ class ModulationField:
             s,
             warn_range=warn_range,
         )
+
+
+def _is_canonical(m: np.ndarray, sig: np.ndarray) -> bool:
+    """True if the cells are sorted by (m, sig) and unique: m never decreases
+    and sig strictly increases where m repeats."""
+    if (m[1:] < m[:-1]).any():
+        return False
+    same_m = m[1:] == m[:-1]
+    return not (sig[1:][same_m] <= sig[:-1][same_m]).any()
 
 
 def check_int64_lattice(order: int, m_bound: int, sig_bound: int) -> None:
@@ -264,12 +289,15 @@ def resonant_pair(
     sweep measures, expressed at the level of a single bilinear estimate.
     """
     if N is None:
-        hi = max(3, cfg.k_max // 2)
-        N = int(rng.integers(2, hi + 1))
-    n = model.order
+        N = rng.integers(2, max(3, cfg.k_max // 2) + 1)
+    N, n = int(N), model.order
+    q0 = resonance_q0(n, N, N)
+    try:  # every product of the pair's cells; u2 with itself has the largest sums
+        check_int64_lattice(n, 4 * N, 2 * abs(q0))
+    except ValueError as err:
+        raise ValueError(f"resonant pair at N = {N}: {err}") from None
     amp = float(N) ** (-s)
     u1 = ModulationField(model, [N, -N], [0, 0], [amp, amp])
-    q0 = resonance_q0(n, N, N)
     a2_amp = 2.0 * N * amp**2 / abs(q0)
     shift = model.sign * q0
     u2 = ModulationField(

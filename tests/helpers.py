@@ -66,3 +66,25 @@ def reference_audit_summary(model, kmax: int) -> dict:
         "min_ratio_pair": list(argmin) if argmin else None,
         "witnesses": [list(v) for v in violations[:16]],
     }
+
+
+def reference_modulation_cells(m, sig_scaled, coeffs):
+    """The lexsort consolidation `ModulationField` used before its radix-backed
+    canonical form, as a reference: (m, sig_scaled, coeffs) arrays.
+
+    Drops m = 0 and zero-coefficient cells, sorts by (m, sig) with one lexsort,
+    and sums duplicate cells in that order.
+    """
+    m = np.asarray(m, dtype=np.int64)
+    sig = np.asarray(sig_scaled, dtype=np.int64)
+    vals = np.asarray(coeffs, dtype=np.complex128)
+    keep = (m != 0) & (vals != 0)
+    m, sig, vals = m[keep], sig[keep], vals[keep]
+    if len(m):
+        order = np.lexsort((sig, m))
+        m, sig, vals = m[order], sig[order], vals[order]
+        new_cell = np.concatenate(([True], (np.diff(m) != 0) | (np.diff(sig) != 0)))
+        starts = np.flatnonzero(new_cell)
+        vals = np.add.reduceat(vals, starts)
+        m, sig = m[starts], sig[starts]
+    return m, sig, vals

@@ -342,12 +342,15 @@ def test_bad_input_exits_two_before_a_run_directory(tmp_path, monkeypatch, capsy
         # |sig_scaled| reaches 64 * 256^7 = 2^62, so sums of two cells pass int64
         (["estimate-search", "--set", "estimate = 3.1", "--set", "j = 3", "--set", "lam = 256",
           "--set", "trials = 2"], 2),
+        # 2.1 always draws dyadic-concentrated fields, whatever generator says
+        (["estimate-search", "--set", "estimate = 2.1", "--set", "generator = fixed-tau",
+          "--set", "trials = 3"], 2),
     ],
     ids=["picard-j-zero", "picard-N-zero", "sweep-N-zero", "sweep-N-descending",
          "sweep-N-repeated", "simulate-unknown-initial", "simulate-phi-n-off-grid",
          "simulate-random-modes-off-grid", "simulate-blow-up", "contraction-diverges",
          "picard-disagrees", "estimate-unknown-generator", "estimate-k-max-past-int64",
-         "estimate-sigma-past-int64"],
+         "estimate-sigma-past-int64", "estimate-2.1-generator"],
 )
 def test_nonzero_exit_leaves_no_run_directory_or_one_manifest(tmp_path, capsys, argv, code):
     assert run(tmp_path, *argv) == code

@@ -22,6 +22,7 @@ from hokdv.norms import (
     spacetime_from_timeseries,
     write_frames,
     xsb_norm,
+    ys_mass,
     ys_norm,
     zs_norm,
 )
@@ -137,6 +138,22 @@ def test_ys_cauchy_schwarz_against_xsb(model, grid):
         u = SpaceTimeField(grid, 0.5, c)
         bound = np.sqrt(width * 0.5) * xsb_norm(u, NormSpec(-1.0, 0.0), DispersionModel(2, 1.0))
         assert ys_norm(u, -1.0) <= bound * (1 + 1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), s=st.sampled_from([-1.5, 0.0, 1.0]))
+def test_ys_mass_is_independent_of_cell_order(seed, s):
+    """Cells sorted by m (the sparse-field order, no sort inside) give the dense
+    ys_norm exactly; any shuffle of the same cells gives it to rounding."""
+    grid = TorusGrid(1.0, 16)
+    u = random_field(grid, seed=seed, t_modes=8)
+    m, k, _, vals = u.cell_arrays(DispersionModel(2, 1.0))
+    order = np.argsort(m, kind="stable")
+    sorted_mass = ys_mass(m[order], k[order], vals[order], u.dtau, grid.lam, s)
+    assert np.sqrt(sorted_mass) == ys_norm(u, s)
+    shuffle = np.random.default_rng(seed).permutation(len(m))
+    shuffled_mass = ys_mass(m[shuffle], k[shuffle], vals[shuffle], u.dtau, grid.lam, s)
+    assert shuffled_mass == pytest.approx(sorted_mass, rel=1e-13)
 
 
 # -- Z^s ---------------------------------------------------------------------

@@ -3,6 +3,8 @@ boundedness trends, the resonant family, and the negative control."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hokdv.dispersion import DispersionModel, Region, resonance_q0
 from hokdv.verifier import (
@@ -18,6 +20,8 @@ from hokdv.verifier import (
     resonant_pair,
     smoothed_derivative,
 )
+
+from helpers import reference_modulation_cells
 
 
 @pytest.fixture
@@ -36,6 +40,75 @@ def test_modulation_field_accumulates_duplicate_cells(model):
 def test_modulation_field_drops_zero_mode_and_zero_values(model):
     f = ModulationField(model, [0, 1, 2], [0, 0, 0], [5.0, 0.0, 1.0])
     assert f.m.tolist() == [2]
+
+
+# m pools: a narrow range, a span past 2^16 (uint32 offsets), and the int64
+# extremes, whose offsets from min(m) pass 2^63; sig pools reach near +-2^62
+_M_POOLS = (
+    st.integers(-3, 3),
+    st.sampled_from([-(2**17), -5, 0, 1, 2, 2**16 + 3]),
+    st.sampled_from([-(2**63), -(2**62), -1, 0, 1, 2**62, 2**63 - 1]),
+)
+_SIG = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([-(2**63), -(2**62) - 1, -(2**62), 2**62 - 1, 2**62, 2**63 - 1]),
+)
+_COEFF = st.one_of(
+    st.sampled_from([0j, 1 + 0j, -1 + 0j, 1j, -1j, 0.5 - 2j]),
+    st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+_CELLS = st.one_of(*(st.lists(st.tuples(pool, _SIG, _COEFF), max_size=16) for pool in _M_POOLS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=_CELLS, copies=st.integers(1, 4), shuffle=st.randoms(use_true_random=False),
+       canonical=st.booleans(), all_zero=st.booleans())
+@example(cells=[], copies=1, shuffle=None, canonical=False, all_zero=False)
+def test_modulation_field_matches_the_lexsort_reference(cells, copies, shuffle, canonical, all_zero):
+    """Radix-backed canonical form == the old lexsort consolidation, exactly."""
+    cells = cells * copies
+    if shuffle is not None:
+        shuffle.shuffle(cells)
+    m = np.array([c[0] for c in cells], dtype=np.int64)
+    sig = np.array([c[1] for c in cells], dtype=np.int64)
+    vals = np.array([0j if all_zero else c[2] for c in cells], dtype=np.complex128)
+    if canonical:
+        m, sig, vals = reference_modulation_cells(m, sig, vals)
+    f = ModulationField(DispersionModel(2, 1.0), m, sig, vals)
+    ref_m, ref_sig, ref_vals = reference_modulation_cells(m, sig, vals)
+    assert f.m.dtype == np.int64 and f.sig_scaled.dtype == np.int64
+    assert f.coeffs.dtype == np.complex128
+    assert np.array_equal(f.m, ref_m)
+    assert np.array_equal(f.sig_scaled, ref_sig)
+    assert np.array_equal(f.coeffs, ref_vals)
+    if all_zero:
+        assert f.is_empty()
+
+
+@pytest.mark.parametrize("m_span", [3, 2**17, 2**63])
+def test_large_shuffles_match_the_lexsort_reference(model, m_span):
+    """Thousands of cells on a few (m, sig) values: both stable passes decide the
+    order in which duplicates are summed, and so the bits of the sums."""
+    rng = np.random.default_rng(m_span)
+    m_pool = np.array([-m_span, -1, 1, 2, m_span - 1], dtype=np.int64)
+    sig_pool = np.array([-(2**62), -3, 0, 5, 2**62], dtype=np.int64)
+    n = 6000
+    m = rng.choice(m_pool, n)
+    sig = rng.choice(sig_pool, n)
+    vals = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, n) + 1j * rng.normal(size=n)
+    f = ModulationField(model, m, sig, vals)
+    ref_m, ref_sig, ref_vals = reference_modulation_cells(m, sig, vals)
+    assert np.array_equal(f.m, ref_m) and np.array_equal(f.sig_scaled, ref_sig)
+    assert np.array_equal(f.coeffs, ref_vals)
+
+
+def test_canonical_cells_are_not_resorted(model):
+    f = ModulationField(model, [3, -2, 3, 1, -2], [5, 7, -1, 0, 7], [1.0, 2.0, 3.0, 4.0, 5.0])
+    assert f.m.tolist() == [-2, 1, 3, 3] and f.sig_scaled.tolist() == [7, 0, -1, 5]
+    w = smoothed_derivative(f)
+    assert w.m is f.m and w.sig_scaled is f.sig_scaled
 
 
 def test_convolution_shift_is_the_resonance_gap(model):
@@ -89,6 +162,54 @@ def test_convolution_just_inside_int64_matches_python_ints(sign):
     assert out.sig_scaled.tolist() == [sign * (sig1 + sig2) + model.sign * resonance_q0(n, 2, -1)]
     with pytest.raises(ValueError, match="int64"):
         convolve_modulation(f, ModulationField(model, [-1], [sign * (sig2 + 1)], [1.0]))
+
+
+def _largest_resonant_N(model):
+    """The largest N whose resonant pair is built, by bisection over 2 .. 2^64."""
+    lo, hi = 2, 2**64
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            resonant_pair(model, RatioSearchConfig(), None, -1.5, N=mid)
+            lo = mid
+        except ValueError:
+            hi = mid
+    return lo
+
+
+@pytest.mark.filterwarnings("ignore:j = 1 is the classical KdV sanity mode")
+@settings(max_examples=60, deadline=None)
+@given(j=st.integers(1, 4), delta=st.integers(-4, 4), far=st.integers(2, 2**80))
+def test_resonant_pair_refuses_N_past_int64(j, delta, far):
+    """Either resonant_pair raises a ValueError naming N, or every product of its
+    cells is accepted and exact; N just past the edge is what convolution refuses."""
+    model = DispersionModel(j, 1.0)
+    n = model.order
+    edge = _largest_resonant_N(model)
+    assert j > 3 or edge >= 64  # criterion 9 (j <= 3) draws N <= k_max // 2 = 64
+    with pytest.raises(ValueError, match="int64"):  # a checked search never draws N > edge
+        check_search_lattice(n, 1, RatioSearchConfig(k_max=2 * (edge + 1)))
+    for N in (edge + delta, far):
+        if N > edge:
+            with pytest.raises(ValueError, match=f"N = {N}"):
+                resonant_pair(model, RatioSearchConfig(), None, -1.5, N=N)
+            continue
+        u1, u2 = resonant_pair(model, RatioSearchConfig(), None, -1.5, N=N)
+        for f, g in ((u1, u2), (u2, u2)):
+            out = convolve_modulation(f, g)
+            expect = {
+                (a + b, int(sa) + int(sb) + model.sign * resonance_q0(n, int(a), int(b)))
+                for a, sa in zip(f.m.tolist(), f.sig_scaled.tolist())
+                for b, sb in zip(g.m.tolist(), g.sig_scaled.tolist())
+                if a + b != 0
+            }
+            assert set(zip(out.m.tolist(), out.sig_scaled.tolist())) == expect
+    # one past the edge, u2's cells still fit int64 but their square does not
+    N = edge + 1
+    shift = model.sign * resonance_q0(n, N, N)
+    u2 = ModulationField(model, [2 * N, -2 * N], [shift, -shift], [1.0, 1.0])
+    with pytest.raises(ValueError, match="int64"):
+        convolve_modulation(u2, u2)
 
 
 def test_search_lattice_check_accepts_the_criterion_9_range():
