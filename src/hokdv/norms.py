@@ -168,12 +168,9 @@ def xsb_mass(
     s: float,
     b: float,
     homogeneous: bool = False,
-    where: np.ndarray | None = None,
 ) -> float:
     """Squared X_{s,b} mass of the listed cells (k = 0 cells excluded)."""
     sel = k != 0
-    if where is not None:
-        sel = sel & where
     if not np.any(sel):
         return 0.0
     kw = np.abs(k[sel]) if homogeneous else angle_bracket(k[sel])
@@ -247,9 +244,15 @@ def zs_norm_cells(
     masks = region_masks(model, k, sigma)
     exps = zs_region_exponents(model, s)
     lam = model.lam
+    # the weights of xsb_mass, formed once for the three blocks; the region
+    # masks exclude k = 0, and each block sums its cells in xsb_mass's order
+    k_bracket, sigma_bracket, mass = angle_bracket(k), angle_bracket(sigma), np.abs(coeffs) ** 2
 
     def block(mask: np.ndarray, se: float, be: float) -> float:
-        return np.sqrt(xsb_mass(k, sigma, coeffs, cell_measure, lam, se, be, where=mask))
+        if not np.any(mask):
+            return 0.0
+        weight = k_bracket[mask] ** (2.0 * se) * sigma_bracket[mask] ** (2.0 * be)
+        return np.sqrt(float(np.sum(weight * mass[mask]) * cell_measure / lam))
 
     x_d1d5 = block(masks[Region.D1] | masks[Region.D5], *exps["d1d5"])
     x_d2 = block(masks[Region.D2], *exps["d2"])
@@ -338,15 +341,12 @@ def smooth_bump_window() -> Callable:
 
 
 def spacetime_from_timeseries(
-    grid: TorusGrid,
-    frames: np.ndarray,
-    times: np.ndarray,
-    window: Callable | None = None,
+    grid: TorusGrid, frames: np.ndarray, times: np.ndarray
 ) -> SpaceTimeField:
-    """Window a uniform (n_frames, M) time series of spatial coefficients and
-    transform in time.
+    """Transform a uniform (n_frames, M) time series of spatial coefficients in
+    time; the caller windows the frames (e.g. by smooth_bump_window) first.
 
-    Produces coefficients F(k, tau_n) = dt * sum_i eta(t_i) u_i(k) e^{-i tau_n t_i}
+    Produces coefficients F(k, tau_n) = dt * sum_i u_i(k) e^{-i tau_n t_i}
     on the tau lattice with spacing 2*pi / (n_frames * dt).
     """
     frames = np.asarray(frames)
@@ -362,10 +362,7 @@ def spacetime_from_timeseries(
     dt = steps[0]
     if not np.allclose(steps, dt, rtol=1e-9, atol=1e-12):
         raise ValueError("frames must be uniformly spaced in time")
-    eta = window if window is not None else smooth_bump_window()
-    weights = np.asarray(eta(times), dtype=np.float64)
-    stack = frames.T * weights[None, :]
-    spectrum = np.fft.fft(stack, axis=1)  # sum_i g_i exp(-2 pi i n i / N)
+    spectrum = np.fft.fft(frames.T, axis=1)  # sum_i u_i exp(-2 pi i n i / N)
     tau_fft = 2.0 * np.pi * np.fft.fftfreq(n, d=dt)
     spectrum *= np.exp(-1j * tau_fft[None, :] * times[0]) * dt
     # reorder columns to ascending tau

@@ -225,8 +225,9 @@ def contraction_experiment(
     model: DispersionModel,
     phi: SpectralField,
     s: float,
-    max_iter: int = 12,
-    n_frames: int = 221,
+    *,
+    max_iter: int,
+    n_frames: int,
 ) -> ContractionTrace:
     """Iterate the cutoff Duhamel map and measure successive differences.
 
@@ -241,11 +242,10 @@ def contraction_experiment(
     dt = 2.2 / half  # frames span [-2.2, 2.2], past the window's support [-2, 2]
     times = dt * np.arange(-half, half + 1)
     eta = smooth_bump_window()
-    flat = lambda t: np.ones_like(np.asarray(t, dtype=np.float64))
     grid = phi.grid
 
     def z_of(frames: np.ndarray) -> float:
-        stf = spacetime_from_timeseries(grid, frames, times, window=flat)
+        stf = spacetime_from_timeseries(grid, frames, times)
         return zs_norm(stf, s, model).total
 
     def hs_sup(frames: np.ndarray) -> float:

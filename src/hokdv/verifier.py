@@ -20,7 +20,7 @@ evaluated in exact integer arithmetic on the scaled-sigma lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -158,16 +158,9 @@ class ModulationField:
             )
         )
 
-    def zs(self, s: float, warn_range: bool = False) -> ZsNorm:
+    def zs(self, s: float) -> ZsNorm:
         return zs_norm_cells(
-            self.m,
-            self.k,
-            self.sigma,
-            self.coeffs,
-            self.dtau,
-            self.model,
-            s,
-            warn_range=warn_range,
+            self.m, self.k, self.sigma, self.coeffs, self.dtau, self.model, s, warn_range=False
         )
 
 
@@ -222,10 +215,6 @@ def smoothed_derivative(w: ModulationField) -> ModulationField:
 # ---------------------------------------------------------------------------
 # field generators
 # ---------------------------------------------------------------------------
-
-
-def _rng_for(cfg: RatioSearchConfig, trial: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((cfg.seed, trial)))
 
 
 def _complex_normal(rng, size):
@@ -347,27 +336,39 @@ def generate_field(
     raise ValueError(f"unknown generator {name!r}")
 
 
-def _pick_generator(cfg: RatioSearchConfig, trial: int) -> str:
-    if cfg.generator != "mixed":
-        return cfg.generator
-    return _MIXED[trial % len(_MIXED)]
-
-
 # ---------------------------------------------------------------------------
 # ratio searches
 # ---------------------------------------------------------------------------
 
 
-def _update(report: RatioReport, trial: int, gen: str, lhs: float, rhs: float,
-            witness_fields: list[ModulationField]) -> None:
+def _run_trials(report: RatioReport, cfg: RatioSearchConfig, draw, measure) -> RatioReport:
+    """Fill report with cfg.trials trials of one search.
+
+    Trial t draws its fields as draw(generator, rng), from its own stream
+    seeded by (cfg.seed, t), with the configured generator (mixed cycles
+    through _MIXED).  A draw with an empty field is counted as skipped;
+    otherwise measure(*fields) gives the row values and the ratio, and the
+    first trial with the largest ratio sets max_ratio, argmax_trial and the
+    witness (its fields).
+    """
+    for trial in range(cfg.trials):
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, trial)))
+        gen = _MIXED[trial % len(_MIXED)] if cfg.generator == "mixed" else cfg.generator
+        fields = draw(gen, rng)
+        if any(f.is_empty() for f in fields):
+            report.skipped += 1
+            continue
+        values, ratio = measure(*fields)
+        report.rows.append({"trial": trial, "generator": gen, **values})
+        if ratio > report.max_ratio:
+            report.max_ratio, report.argmax_trial = ratio, trial
+            report.witness = {"fields": [f.describe() for f in fields]}
+    return report
+
+
+def _lhs_rhs(lhs: float, rhs: float) -> tuple[dict, float]:
     ratio = lhs / rhs if rhs > 0 else 0.0
-    report.rows.append(
-        {"trial": trial, "generator": gen, "lhs": lhs, "rhs": rhs, "ratio": ratio}
-    )
-    if ratio > report.max_ratio:
-        report.max_ratio = ratio
-        report.argmax_trial = trial
-        report.witness = {"fields": [f.describe() for f in witness_fields]}
+    return {"lhs": lhs, "rhs": rhs, "ratio": ratio}, ratio
 
 
 def dyadic_bilinear_ratio(
@@ -375,25 +376,21 @@ def dyadic_bilinear_ratio(
 ) -> RatioReport:
     """Shell-localized product bound: L2 of the convolution against
     (2^{l1} ^ 2^{l2})^{1/2} (2^{l1} v 2^{l2})^{1/(2(2j+1))} times the input masses."""
-    report = RatioReport(
-        params={"j": model.j, "lam": model.lam, "l1": l1, "l2": l2, **vars(cfg)}
-    )
     lo, hi = sorted((2.0**l1, 2.0**l2))
     prefactor = lo**0.5 * hi ** (1.0 / (2.0 * (2.0 * model.j + 1.0)))
-    for trial in range(cfg.trials):
-        rng = _rng_for(cfg, trial)
-        gen = "dyadic-concentrated"
+
+    def draw(gen, rng):
         u1 = dyadic_concentrated_field(model, cfg, rng, l=l1)
         u2 = dyadic_concentrated_field(model, cfg, rng, l=l2)
-        u1 = u1.where(DyadicShell(l1).mask(u1.sigma))
-        u2 = u2.where(DyadicShell(l2).mask(u2.sigma))
-        if u1.is_empty() or u2.is_empty():
-            report.skipped += 1
-            continue
+        return u1.where(DyadicShell(l1).mask(u1.sigma)), u2.where(DyadicShell(l2).mask(u2.sigma))
+
+    def measure(u1, u2):
         lhs = convolve_modulation(u1, u2).l2_norm()
-        rhs = prefactor * u1.l2_norm() * u2.l2_norm()
-        _update(report, trial, gen, lhs, rhs, [u1, u2])
-    return report
+        return _lhs_rhs(lhs, prefactor * u1.l2_norm() * u2.l2_norm())
+
+    report = RatioReport(params={"j": model.j, "lam": model.lam, "l1": l1, "l2": l2, **vars(cfg)})
+    # every trial draws dyadic-concentrated fields, and its rows say so
+    return _run_trials(report, replace(cfg, generator="dyadic-concentrated"), draw, measure)
 
 
 def product_l2_ratio(
@@ -408,61 +405,53 @@ def product_l2_ratio(
     admissible = (a + b >= (j + 1) / (2 * j + 1) - 1e-12) and min(a, b) > 1 / (
         2 * (2 * j + 1)
     )
+
+    def draw(gen, rng):
+        return generate_field(gen, model, cfg, rng), generate_field(gen, model, cfg, rng)
+
+    def measure(u, v):
+        return _lhs_rhs(convolve_modulation(u, v).l2_norm(), u.xsb(0.0, a) * v.xsb(0.0, b))
+
     report = RatioReport(
         params={"j": j, "lam": model.lam, "a": a, "b": b, **vars(cfg)},
         flags=[] if admissible else ["inadmissible-exponents"],
     )
-    for trial in range(cfg.trials):
-        rng = _rng_for(cfg, trial)
-        gen = _pick_generator(cfg, trial)
-        u = generate_field(gen, model, cfg, rng)
-        v = generate_field(gen, model, cfg, rng)
-        if u.is_empty() or v.is_empty():
-            report.skipped += 1
-            continue
-        lhs = convolve_modulation(u, v).l2_norm()
-        rhs = u.xsb(0.0, a) * v.xsb(0.0, b)
-        _update(report, trial, gen, lhs, rhs, [u, v])
-    return report
+    return _run_trials(report, cfg, draw, measure)
 
 
 def embedding_ratio(
     model: DispersionModel, s: float, cfg: RatioSearchConfig
 ) -> RatioReport:
     """The three embedding directions tying X_{s, 1/(2j)}, Z^s, X_{s, (2j-1)/(2j)},
-    plus the D1-u-D2-restricted X_{s, 1/2} control."""
+    plus the D1-u-D2-restricted X_{s, 1/2} control.
+
+    Each trial's ratio is the largest of its three directions; the maximum of
+    each direction over the trials is reported as params["max_by_direction"]."""
     j = model.j
-    report = RatioReport(params={"j": j, "lam": model.lam, "s": s, **vars(cfg)})
-    maxes = {"low_vs_zs": 0.0, "zs_vs_high": 0.0, "half_d12_vs_zs": 0.0}
-    for trial in range(cfg.trials):
-        rng = _rng_for(cfg, trial)
-        gen = _pick_generator(cfg, trial)
-        u = generate_field(gen, model, cfg, rng, s=s)
-        if u.is_empty():
-            report.skipped += 1
-            continue
+    directions = ("low_vs_zs", "zs_vs_high", "half_d12_vs_zs")
+
+    def draw(gen, rng):
+        return (generate_field(gen, model, cfg, rng, s=s),)
+
+    def measure(u):
         zs = u.zs(s).total
         low = u.xsb(s, 1.0 / (2.0 * j))
         high = u.xsb(s, (2.0 * j - 1.0) / (2.0 * j))
         u12 = u.region_restricted((Region.D1, Region.D2))
         zs12 = u12.zs(s).total
         half12 = u12.xsb(s, 0.5)
-        row = {
-            "trial": trial,
-            "generator": gen,
-            "low_vs_zs": low / zs if zs > 0 else 0.0,
-            "zs_vs_high": zs / high if high > 0 else 0.0,
-            "half_d12_vs_zs": half12 / zs12 if zs12 > 0 else 0.0,
-        }
-        report.rows.append(row)
-        for key in maxes:
-            if row[key] > maxes[key]:
-                maxes[key] = row[key]
-                if key == "low_vs_zs":
-                    report.argmax_trial = trial
-                    report.witness = {"fields": [u.describe()]}
-    report.max_ratio = max(maxes.values())
-    report.params["max_by_direction"] = maxes
+        ratios = (
+            low / zs if zs > 0 else 0.0,
+            zs / high if high > 0 else 0.0,
+            half12 / zs12 if zs12 > 0 else 0.0,
+        )
+        return dict(zip(directions, ratios)), max(ratios)
+
+    report = RatioReport(params={"j": j, "lam": model.lam, "s": s, **vars(cfg)})
+    _run_trials(report, cfg, draw, measure)
+    report.params["max_by_direction"] = {
+        key: max([0.0, *(row[key] for row in report.rows)]) for key in directions
+    }
     return report
 
 
@@ -475,20 +464,15 @@ def bilinear_zs_ratio(
 
     probed over random and adversarial pairs, including the resonant
     two-mode family that saturates it below the threshold regularity."""
-    report = RatioReport(params={"j": model.j, "lam": model.lam, "s": s, **vars(cfg)})
-    for trial in range(cfg.trials):
-        rng = _rng_for(cfg, trial)
-        gen = _pick_generator(cfg, trial)
+
+    def draw(gen, rng):
         if gen == "phi_N-family":
-            u1, u2 = resonant_pair(model, cfg, rng, s)
-        else:
-            u1 = generate_field(gen, model, cfg, rng, s=s)
-            u2 = generate_field(gen, model, cfg, rng, s=s)
-        if u1.is_empty() or u2.is_empty():
-            report.skipped += 1
-            continue
+            return resonant_pair(model, cfg, rng, s)
+        return generate_field(gen, model, cfg, rng, s=s), generate_field(gen, model, cfg, rng, s=s)
+
+    def measure(u1, u2):
         w = smoothed_derivative(convolve_modulation(u1, u2))
-        lhs = w.zs(s).total
-        rhs = u1.zs(s).total * u2.zs(s).total
-        _update(report, trial, gen, lhs, rhs, [u1, u2])
-    return report
+        return _lhs_rhs(w.zs(s).total, u1.zs(s).total * u2.zs(s).total)
+
+    report = RatioReport(params={"j": model.j, "lam": model.lam, "s": s, **vars(cfg)})
+    return _run_trials(report, cfg, draw, measure)

@@ -88,3 +88,30 @@ def reference_modulation_cells(m, sig_scaled, coeffs):
         vals = np.add.reduceat(vals, starts)
         m, sig = m[starts], sig[starts]
     return m, sig, vals
+
+
+def reference_zs_norm_cells(m, k, sigma, coeffs, cell_measure, model, s):
+    """The Z^s norm as `norms.zs_norm_cells` formed it before it shared its
+    weights across the region blocks, as a reference: one masked X_{s,b} mass
+    per block, each recomputing `k != 0` and both bracket weights."""
+    from hokdv.dispersion import Region, region_masks
+    from hokdv.norms import ZsNorm, angle_bracket, ys_mass, zs_region_exponents
+
+    def xsb_mass(se, be, where):
+        sel = (k != 0) & where
+        if not np.any(sel):
+            return 0.0
+        weight = angle_bracket(k[sel]) ** (2.0 * se) * angle_bracket(sigma[sel]) ** (2.0 * be)
+        return float(np.sum(weight * np.abs(coeffs[sel]) ** 2) * cell_measure / model.lam)
+
+    masks = region_masks(model, k, sigma)
+    exps = zs_region_exponents(model, s)
+
+    def block(mask, se, be):
+        return np.sqrt(xsb_mass(se, be, mask))
+
+    x_d1d5 = block(masks[Region.D1] | masks[Region.D5], *exps["d1d5"])
+    x_d2 = block(masks[Region.D2], *exps["d2"])
+    x_d3d4 = block(masks[Region.D3] | masks[Region.D4], *exps["d3d4"])
+    ys = np.sqrt(ys_mass(m, k, coeffs, cell_measure, model.lam, s))
+    return ZsNorm(float(x_d1d5), float(x_d2), float(x_d3d4), float(ys))

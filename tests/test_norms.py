@@ -1,9 +1,11 @@
 """Sobolev, modulation-weighted, and region-decomposed norms; shells;
 space-time construction and the binary frame container."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hokdv.dispersion import DispersionModel, Region, free_evolve, region_masks
@@ -25,10 +27,12 @@ from hokdv.norms import (
     ys_mass,
     ys_norm,
     zs_norm,
+    zs_norm_cells,
 )
 from hokdv.torus import SpectralField, TorusGrid
+from hokdv.verifier import ModulationField
 
-from helpers import random_band_limited, random_spacetime_coeffs
+from helpers import random_band_limited, random_spacetime_coeffs, reference_zs_norm_cells
 
 
 @pytest.fixture
@@ -197,6 +201,43 @@ def test_zs_sandwich_directions(model, grid):
     assert max(high_ratios) < 10.0
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    j=st.sampled_from([2, 3]),
+    lam=st.sampled_from([1, 2]),
+    s=st.sampled_from([-2.5, -1.5, -1.0, 0.5]),
+    seed=st.integers(0, 2**16),
+    cells=st.integers(0, 60),
+    dense=st.booleans(),
+    region=st.sampled_from([None, Region.D1, Region.D2, Region.D3, Region.D4, Region.D5]),
+)
+@example(j=2, lam=1, s=-1.5, seed=0, cells=0, dense=False, region=None)
+@example(j=3, lam=2, s=-2.5, seed=1, cells=40, dense=False, region=Region.D2)
+@example(j=2, lam=2, s=-1.5, seed=2, cells=0, dense=True, region=Region.D4)
+def test_zs_norm_cells_matches_the_xsb_mass_reference(j, lam, s, seed, cells, dense, region):
+    """Weights formed once per call give every Z^s component exactly as one
+    masked xsb_mass per region block did: sparse modulation-lattice cells and
+    dense cell arrays, with region blocks emptied by restriction to one region."""
+    model = DispersionModel(j, float(lam))
+    rng = np.random.default_rng(seed)
+    if dense:
+        u = random_field(TorusGrid(float(lam), 16), seed, t_modes=8 + cells, dtau=rng.uniform(0.1, 50))
+        m, k, sigma, vals = u.cell_arrays(model)
+        cell_measure = u.dtau
+    else:
+        sig = rng.choice([-1, 1], cells) * 2.0 ** rng.uniform(0, 12 + 5 * j, cells)
+        w = ModulationField(
+            model, rng.integers(-8, 9, cells), sig.astype(np.int64), rng.normal(size=cells) + 1j
+        )
+        m, k, sigma, vals, cell_measure = w.m, w.k, w.sigma, w.coeffs, w.dtau
+    if region is not None:
+        keep = region_masks(model, k, sigma)[region]
+        m, k, sigma, vals = m[keep], k[keep], sigma[keep], vals[keep]
+    got = zs_norm_cells(m, k, sigma, vals, cell_measure, model, s, warn_range=False)
+    want = reference_zs_norm_cells(m, k, sigma, vals, cell_measure, model, s)
+    assert astuple(got) == astuple(want)
+
+
 def test_region_masks_partition_nonzero_columns(model, grid):
     u = random_field(grid)
     m, k, sigma, _ = u.cell_arrays(model)
@@ -217,7 +258,7 @@ def test_free_solution_mass_sits_in_bottom_shell(model, grid):
     phi = random_band_limited(grid, rng, 3)
     times = -4.0 + 8.0 * np.arange(2048) / 2048
     frames = np.array([free_evolve(model, phi, t).coeffs for t in times])
-    stf = spacetime_from_timeseries(grid, frames, times)
+    stf = spacetime_from_timeseries(grid, smooth_bump_window()(times)[:, None] * frames, times)
     masses = shell_masses(stf, model)
     assert masses[:4].sum() / masses.sum() > 0.99
 
@@ -244,7 +285,7 @@ def test_time_independent_frames_concentrate_at_zero_tau(model, grid):
     phi = random_band_limited(grid, np.random.default_rng(6), 4)
     times = -4.0 + 8.0 * np.arange(512) / 512
     frames = np.tile(phi.coeffs, (len(times), 1))
-    stf = spacetime_from_timeseries(grid, frames, times)
+    stf = spacetime_from_timeseries(grid, smooth_bump_window()(times)[:, None] * frames, times)
     tau = stf.tau_values
     mass = np.abs(stf.coeffs) ** 2
     near = mass[:, np.abs(tau) < 8].sum()

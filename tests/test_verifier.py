@@ -392,9 +392,53 @@ def test_bilinear_zs_search_runs_on_scaled_tori(lam):
     assert len(report.rows) + report.skipped == cfg.trials
 
 
-def test_witness_serialization_replays(model):
-    cfg = RatioSearchConfig(trials=30, k_max=16, t_modes=32, support=24, seed=77)
-    report = bilinear_zs_ratio(model, -1.5, cfg)
+def _bilinear_zs(model, fields, s):
+    u1, u2 = fields
+    w = smoothed_derivative(convolve_modulation(u1, u2))
+    return w.zs(s).total / (u1.zs(s).total * u2.zs(s).total)
+
+
+def _embedding(model, fields, s):
+    """The largest of the three embedding direction ratios."""
+    (u,) = fields
+    j = model.j
+    u12 = u.region_restricted((Region.D1, Region.D2))
+    return max(
+        u.xsb(s, 1.0 / (2.0 * j)) / u.zs(s).total,
+        u.zs(s).total / u.xsb(s, (2.0 * j - 1.0) / (2.0 * j)),
+        u12.xsb(s, 0.5) / u12.zs(s).total,
+    )
+
+
+def _dyadic_bilinear(model, fields, s):
+    u1, u2 = fields
+    prefactor = 1.0 * (2.0**3) ** (1.0 / (2.0 * (2.0 * model.j + 1.0)))  # l1 = 0, l2 = 3
+    return convolve_modulation(u1, u2).l2_norm() / (prefactor * u1.l2_norm() * u2.l2_norm())
+
+
+def _product_l2(model, fields, s):
+    u, v = fields
+    return convolve_modulation(u, v).l2_norm() / (u.xsb(0.0, 0.3) * v.xsb(0.0, 0.3))
+
+
+_SMALL = RatioSearchConfig(trials=30, k_max=16, t_modes=32, support=24, seed=77)
+
+
+@pytest.mark.parametrize(
+    "search,replay,cfg",
+    [
+        (lambda model, cfg: bilinear_zs_ratio(model, -1.5, cfg), _bilinear_zs, _SMALL),
+        # the README run, whose largest ratio (trial 89, zs_vs_high) is not low_vs_zs's
+        (lambda model, cfg: embedding_ratio(model, -1.5, cfg), _embedding,
+         RatioSearchConfig(trials=200)),
+        (lambda model, cfg: dyadic_bilinear_ratio(model, 0, 3, cfg), _dyadic_bilinear, _SMALL),
+        (lambda model, cfg: product_l2_ratio(model, 0.3, 0.3, cfg), _product_l2, _SMALL),
+    ],
+    ids=["3.1", "2.5", "2.1", "2.2"],
+)
+def test_witness_serialization_replays(model, search, replay, cfg):
+    """The serialized witness of every search is the trial that attains max_ratio."""
+    report = search(model, cfg)
     assert report.witness is not None
     fields = []
     for desc in report.witness["fields"]:
@@ -407,6 +451,5 @@ def test_witness_serialization_replays(model):
                 [c["re"] + 1j * c["im"] for c in cells],
             )
         )
-    w = smoothed_derivative(convolve_modulation(fields[0], fields[1]))
-    replayed = w.zs(-1.5).total / (fields[0].zs(-1.5).total * fields[1].zs(-1.5).total)
+    replayed = replay(model, fields, -1.5)
     assert replayed == pytest.approx(report.max_ratio, rel=1e-12)
