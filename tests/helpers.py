@@ -115,3 +115,42 @@ def reference_zs_norm_cells(m, k, sigma, coeffs, cell_measure, model, s):
     x_d3d4 = block(masks[Region.D3] | masks[Region.D4], *exps["d3d4"])
     ys = np.sqrt(ys_mass(m, k, coeffs, cell_measure, model.lam, s))
     return ZsNorm(float(x_d1d5), float(x_d2), float(x_d3d4), float(ys))
+
+
+def reference_second_iterate_quadrature(model, u0, t, steps):
+    """The per-panel loop `second_iterate_quadrature` used before it evaluated
+    its panels in blocks, as a reference, checks included: one (4, M) forcing
+    product per panel, then acc = step_mult * acc and the four node terms
+    added one at a time."""
+    from hokdv.expquad import exponential_weights
+    from hokdv.iterates import _NC4_BASIS, _NC4_NODES, quadrature_steps_needed
+    from hokdv.torus import lattice_product
+
+    if steps < 16:
+        raise ValueError(f"steps must be >= 16, got {steps}")
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    grid = u0.grid
+    if grid.lam != model.lam:
+        raise ValueError("grid lam does not match model lam")
+    needed = quadrature_steps_needed(model, u0, t)
+    if steps < needed:
+        raise ValueError(
+            f"{steps} panels cannot resolve the forcing oscillation over "
+            f"[0, {t}]; steps must be >= {needed}"
+        )
+    if t == 0.0:
+        return SpectralField.zero(grid)
+    h = t / steps
+    lin = model.phase(grid.k_values)
+    ik = 1j * grid.k_values
+    weights = exponential_weights(lin, h, _NC4_NODES, _NC4_BASIS)
+    step_mult = np.exp(1j * lin * h)
+    acc = np.zeros(grid.modes, dtype=np.complex128)
+    for i in range(steps):
+        u1 = u0.coeffs * np.exp(1j * ((i + _NC4_NODES[:, None]) * h) * lin)
+        panel = ik * lattice_product(u1, grid)
+        acc = step_mult * acc
+        for mth, values in enumerate(panel):
+            acc = acc + weights[mth] * values
+    return SpectralField(grid, acc)

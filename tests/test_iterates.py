@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from hokdv.dispersion import DispersionModel, free_evolve
 from hokdv.iterates import (
+    _PANEL_BLOCK_VALUES,
     IterateResult,
     ResonanceConsistencyError,
     _oscillatory_factor,
@@ -21,7 +22,7 @@ from hokdv.iterates import (
 from hokdv.norms import NormSpec, sobolev_norm
 from hokdv.torus import SpectralField, TorusGrid, inverse_transform
 
-from helpers import random_band_limited
+from helpers import random_band_limited, reference_second_iterate_quadrature
 
 
 def osc_integral(t, omega):
@@ -251,6 +252,54 @@ def test_duhamel_quadrature_rejects_tiny_budget():
     assert np.all(second_iterate_quadrature(model, u, 0.0, 64).coeffs == 0)
 
 
+@pytest.mark.parametrize("modes", [16, 32, 64, 128])
+@pytest.mark.parametrize("lam", [1.0, 2.0])
+@pytest.mark.parametrize("j", [2, 3])
+def test_blocked_quadrature_matches_the_per_panel_reference(j, lam, modes):
+    grid = TorusGrid(lam, modes)
+    model = DispersionModel(j, lam)
+    block = max(1, _PANEL_BLOCK_VALUES // modes)
+    covered = set()
+    for N, t in ((1, 0.05), (2, 0.3), (min(4, (modes // 2 - 1) // 3), 0.2 * lam)):
+        u = phi_n_data(N, 0.0, grid)
+        needed = quadrature_steps_needed(model, u, t)
+        # 16 panels, the smallest accepted budget, part of one block, whole
+        # blocks, and whole blocks plus a partial one
+        budgets = {16, needed, max(needed, block // 2 + 1), 3 * block, 2 * block + 7}
+        for steps in sorted(b for b in budgets if b >= needed):
+            blocked = second_iterate_quadrature(model, u, t, steps).coeffs
+            reference = reference_second_iterate_quadrature(model, u, t, steps).coeffs
+            assert np.array_equal(blocked, reference), (N, t, steps)
+            assert np.any(blocked != 0)
+            covered.add("one" if steps <= block else "whole" if steps % block == 0 else "partial")
+            if steps == 16:
+                covered.add("16")
+            if steps == needed:
+                covered.add("needed")
+    assert {"one", "whole", "partial", "16", "needed"} <= covered
+
+
+def test_blocked_quadrature_keeps_zero_time_and_refusals():
+    grid = TorusGrid(1.0, 32)
+    model = DispersionModel(2, 1.0)
+    u = phi_n_data(2, 0.0, grid)
+    zero = second_iterate_quadrature(model, u, 0.0, 16)
+    assert np.array_equal(zero.coeffs, np.zeros(grid.modes, dtype=np.complex128))
+    assert np.array_equal(zero.coeffs, reference_second_iterate_quadrature(model, u, 0.0, 16).coeffs)
+    refused = [
+        (model, u, 0.1, 15),
+        (model, u, -0.1, 64),
+        (DispersionModel(2, 2.0), u, 0.1, 64),
+        (model, u, 0.3, quadrature_steps_needed(model, u, 0.3) - 1),
+    ]
+    for args in refused:
+        with pytest.raises(ValueError) as blocked:
+            second_iterate_quadrature(*args)
+        with pytest.raises(ValueError) as reference:
+            reference_second_iterate_quadrature(*args)
+        assert str(blocked.value) == str(reference.value)
+
+
 # -- third iterate ---------------------------------------------------------------
 
 
@@ -348,6 +397,13 @@ def test_growth_sweep_needs_three_points():
         growth_sweep(model, -2.0, [8, 16], 1.0)
     with pytest.raises(ValueError):
         growth_sweep(model, -2.0, [16, 8, 32], 1.0)
+
+
+@pytest.mark.parametrize("n_list", [[8, 8, 16], [8, 8, 8]])
+def test_growth_sweep_refuses_repeated_n(n_list):
+    model = DispersionModel(2, 1.0)
+    with pytest.raises(ValueError, match="strictly ascending"):
+        growth_sweep(model, -2.0, n_list, 1.0)
 
 
 def test_growth_rows_carry_resonance_counts():
