@@ -55,7 +55,7 @@ class DyadicShell:
             raise ValueError("shell index must be nonnegative")
 
     def mask(self, sigma: np.ndarray) -> np.ndarray:
-        bracket = np.hypot(1.0, np.asarray(sigma, dtype=np.float64))
+        bracket = angle_bracket(sigma)
         return (bracket >= 2.0**self.l) & (bracket < 2.0 ** (self.l + 1))
 
 
@@ -178,6 +178,38 @@ def xsb_mass(
     return float(np.sum(weight * np.abs(coeffs[sel]) ** 2) * cell_measure / lam)
 
 
+def _ys_columns(m: np.ndarray, k: np.ndarray, s: float) -> tuple | None:
+    """The cells-only half of the Y^s mass: (sel, order, starts, weights) such that
+    the k != 0 cells, gathered by sel and then order (None: all cells, as they
+    are), form columns of equal m at starts with <k>^{2s} weights; None if every
+    cell has k = 0."""
+    sel = k != 0
+    if not np.any(sel):
+        return None
+    if sel.all():
+        sel = None
+    else:
+        m, k = m[sel], k[sel]
+    order = None
+    if (m[1:] < m[:-1]).any():  # sparse fields come sorted by m
+        order = np.argsort(m, kind="stable")
+        m, k = m[order], k[order]
+    starts = np.flatnonzero(np.concatenate(([True], m[1:] != m[:-1])))
+    return sel, order, starts, angle_bracket(k[starts]) ** (2.0 * s)
+
+
+def _ys_mass(columns: tuple | None, coeffs: np.ndarray, cell_measure: float, lam: float) -> float:
+    """The coefficient half of the Y^s mass over _ys_columns' layout."""
+    if columns is None:
+        return 0.0
+    sel, order, starts, weights = columns
+    amps = np.abs(coeffs if sel is None else coeffs[sel]) * cell_measure
+    if order is not None:
+        amps = amps[order]
+    col_l1 = np.add.reduceat(amps, starts)
+    return float(np.sum(weights * col_l1**2) / lam)
+
+
 def ys_mass(
     m: np.ndarray,
     k: np.ndarray,
@@ -187,17 +219,7 @@ def ys_mass(
     s: float,
 ) -> float:
     """Squared Y^s mass: l2 in k of <k>^s times the L1-in-tau column integral."""
-    sel = k != 0
-    if not np.any(sel):
-        return 0.0
-    m_sel, k_sel, amps = m[sel], k[sel], np.abs(coeffs[sel]) * cell_measure
-    if (m_sel[1:] < m_sel[:-1]).any():  # sparse fields come sorted by m
-        order = np.argsort(m_sel, kind="stable")
-        m_sel, k_sel, amps = m_sel[order], k_sel[order], amps[order]
-    starts = np.flatnonzero(np.concatenate(([True], m_sel[1:] != m_sel[:-1])))
-    col_l1 = np.add.reduceat(amps, starts)
-    col_k = k_sel[starts]
-    return float(np.sum(angle_bracket(col_k) ** (2.0 * s) * col_l1**2) / lam)
+    return _ys_mass(_ys_columns(m, k, s), coeffs, cell_measure, lam)
 
 
 @dataclass(frozen=True)
@@ -224,6 +246,58 @@ def zs_region_exponents(model: DispersionModel, s: float) -> dict[str, tuple[flo
     }
 
 
+@dataclass(frozen=True)
+class ZsWeights:
+    """The cells-only half of the Z^s norm of one cell set at one s.
+
+    blocks holds, for the D1 u D5, D2 and D3 u D4 blocks, None if the block
+    is empty, or (mask, weights): the block's cell mask and its cells'
+    <k>^{2s_r} <sigma>^{2b_r} weights.  ys is the Y^s column layout of
+    _ys_columns.
+    """
+
+    blocks: tuple
+    ys: tuple | None
+    lam: float
+
+    def norm(self, coeffs: np.ndarray, cell_measure: float) -> ZsNorm:
+        """The coefficient half: Z^s of coeffs on these cells, each block summed
+        in the cells' order."""
+        mass = np.abs(coeffs) ** 2
+        x = []
+        for block in self.blocks:
+            if block is None:
+                x.append(0.0)
+                continue
+            mask, weights = block
+            x.append(np.sqrt(float(np.sum(weights * mass[mask]) * cell_measure / self.lam)))
+        ys = np.sqrt(_ys_mass(self.ys, coeffs, cell_measure, self.lam))
+        return ZsNorm(float(x[0]), float(x[1]), float(x[2]), float(ys))
+
+
+def zs_weights(
+    m: np.ndarray, k: np.ndarray, sigma: np.ndarray, model: DispersionModel, s: float
+) -> ZsWeights:
+    """The Z^s weights of the cells (m, k, sigma): region masks, bracket powers
+    and Y^s columns, everything of the norm that does not read a coefficient."""
+    masks = region_masks(model, k, sigma)
+    exps = zs_region_exponents(model, s)
+    # brackets formed once for the three blocks; the region masks exclude k = 0
+    k_bracket, sigma_bracket = angle_bracket(k), angle_bracket(sigma)
+
+    def block(mask: np.ndarray, se: float, be: float):
+        if not np.any(mask):
+            return None
+        return mask, k_bracket[mask] ** (2.0 * se) * sigma_bracket[mask] ** (2.0 * be)
+
+    blocks = (
+        block(masks[Region.D1] | masks[Region.D5], *exps["d1d5"]),
+        block(masks[Region.D2], *exps["d2"]),
+        block(masks[Region.D3] | masks[Region.D4], *exps["d3d4"]),
+    )
+    return ZsWeights(blocks, _ys_columns(m, k, s), model.lam)
+
+
 def zs_norm_cells(
     m: np.ndarray,
     k: np.ndarray,
@@ -233,7 +307,11 @@ def zs_norm_cells(
     model: DispersionModel,
     s: float,
     warn_range: bool = True,
+    weights: dict | None = None,
 ) -> ZsNorm:
+    """Z^s of the listed cells: the weight pass zs_weights, then its coefficient
+    pass.  weights, if given, is a cache of weight passes by s for these very
+    cells: one found there is used, one formed here is stored there."""
     if warn_range and not (-model.j + 0.5 <= s <= -model.j / 2.0):
         warnings.warn(
             f"s = {s} outside the window [{-model.j + 0.5}, {-model.j / 2.0}] the "
@@ -241,24 +319,12 @@ def zs_norm_cells(
             NormRangeWarning,
             stacklevel=2,
         )
-    masks = region_masks(model, k, sigma)
-    exps = zs_region_exponents(model, s)
-    lam = model.lam
-    # the weights of xsb_mass, formed once for the three blocks; the region
-    # masks exclude k = 0, and each block sums its cells in xsb_mass's order
-    k_bracket, sigma_bracket, mass = angle_bracket(k), angle_bracket(sigma), np.abs(coeffs) ** 2
-
-    def block(mask: np.ndarray, se: float, be: float) -> float:
-        if not np.any(mask):
-            return 0.0
-        weight = k_bracket[mask] ** (2.0 * se) * sigma_bracket[mask] ** (2.0 * be)
-        return np.sqrt(float(np.sum(weight * mass[mask]) * cell_measure / lam))
-
-    x_d1d5 = block(masks[Region.D1] | masks[Region.D5], *exps["d1d5"])
-    x_d2 = block(masks[Region.D2], *exps["d2"])
-    x_d3d4 = block(masks[Region.D3] | masks[Region.D4], *exps["d3d4"])
-    ys = np.sqrt(ys_mass(m, k, coeffs, cell_measure, lam, s))
-    return ZsNorm(float(x_d1d5), float(x_d2), float(x_d3d4), float(ys))
+    zw = None if weights is None else weights.get(s)
+    if zw is None:
+        zw = zs_weights(m, k, sigma, model, s)
+        if weights is not None:
+            weights[s] = zw
+    return zw.norm(coeffs, cell_measure)
 
 
 # ---------------------------------------------------------------------------

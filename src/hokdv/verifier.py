@@ -21,6 +21,7 @@ evaluated in exact integer arithmetic on the scaled-sigma lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +58,68 @@ class RatioReport:
     flags: list[str] = field(default_factory=list)
 
 
+class _CellPlan:
+    """How a list of cells reaches canonical form, and what its canonical cells
+    alone determine.
+
+    Cells are sorted by (m, sig_scaled): vals[order] summed over the segments
+    at starts (both None if the cells are canonical already), then the m = 0
+    cells dropped by keep (None if there are none).  m and sig_scaled are the
+    canonical cells.  The arrays that depend on those cells and the model
+    alone (k, sigma, the smoothed-derivative multiplier, the Z^s weights per
+    s) are formed on first use and kept, read-only, as they may serve many
+    fields.  A plan never sees coefficients, so it is built for cells whose
+    coefficients are all nonzero.
+    """
+
+    def __init__(self, model: DispersionModel, m: np.ndarray, sig: np.ndarray):
+        self.model = model
+        self.order = self.starts = self.keep = None
+        if not _is_canonical(m, sig):
+            # lexsort((sig, m)) as two stable passes; the m pass sorts offsets
+            # from min(m) in the narrowest unsigned type (numpy radix-sorts up
+            # to 16 bits), and the uint64 view keeps offsets past 2^63 exact
+            order = np.argsort(sig, kind="stable")
+            offset = (m[order] - m.min()).view(np.uint64)
+            offset = offset.astype(np.min_scalar_type(offset.max()))
+            order = order[np.argsort(offset, kind="stable")]
+            m, sig = m[order], sig[order]
+            new_cell = (m[1:] != m[:-1]) | (sig[1:] != sig[:-1])
+            starts = np.flatnonzero(np.concatenate(([True], new_cell)))
+            self.order, self.starts = order, starts
+            m, sig = m[starts], sig[starts]
+        # m = 0 cells merge only with each other: dropping them after the sort
+        # leaves the other cells as dropping them before would, on fewer cells
+        keep = m != 0
+        if not keep.all():
+            self.keep = keep
+            m, sig = m[keep], sig[keep]
+        self.m, self.sig_scaled = m, sig
+        self.zs_weights: dict = {}  # zs_norm_cells' cache of weight passes by s
+
+    def apply(self, vals: np.ndarray) -> np.ndarray:
+        """The canonical coefficients of the planned cells with values vals:
+        duplicates summed in canonical order, m = 0 cells dropped."""
+        if self.order is not None:
+            vals = np.add.reduceat(vals[self.order], self.starts)
+        if self.keep is not None:
+            vals = vals[self.keep]
+        return vals
+
+    @cached_property
+    def k(self) -> np.ndarray:
+        return _read_only(self.m / self.model.lam)
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        return _read_only(self.sig_scaled / float(_scale(self.model)))
+
+    @cached_property
+    def multiplier(self) -> np.ndarray:
+        """i k <sigma>^{-1} per cell."""
+        return _read_only(1j * self.k / angle_bracket(self.sigma))
+
+
 class ModulationField:
     """Sparse space-time field on the curved (m, sigma) lattice.
 
@@ -69,47 +132,37 @@ class ModulationField:
     already in that canonical form are kept as given, without a sort.
     """
 
-    __slots__ = ("model", "m", "sig_scaled", "coeffs", "sig_scale")
+    __slots__ = ("model", "m", "sig_scaled", "coeffs", "sig_scale", "_plan")
 
     def __init__(self, model: DispersionModel, m, sig_scaled, coeffs):
-        self.model = model
-        self.sig_scale = _scale(model)
         m = np.asarray(m, dtype=np.int64)
         sig = np.asarray(sig_scaled, dtype=np.int64)
         vals = np.asarray(coeffs, dtype=np.complex128)
         keep = vals != 0
         if not keep.all():
             m, sig, vals = m[keep], sig[keep], vals[keep]
-        if not _is_canonical(m, sig):
-            # lexsort((sig, m)) as two stable passes; the m pass sorts offsets
-            # from min(m) in the narrowest unsigned type (numpy radix-sorts up
-            # to 16 bits), and the uint64 view keeps offsets past 2^63 exact
-            order = np.argsort(sig, kind="stable")
-            offset = (m[order] - m.min()).view(np.uint64)
-            offset = offset.astype(np.min_scalar_type(offset.max()))
-            order = order[np.argsort(offset, kind="stable")]
-            m, sig = m[order], sig[order]
-            new_cell = (m[1:] != m[:-1]) | (sig[1:] != sig[:-1])
-            starts = np.flatnonzero(np.concatenate(([True], new_cell)))
-            vals = np.add.reduceat(vals[order], starts)
-            m, sig = m[starts], sig[starts]
-        # m = 0 cells merge only with each other: dropping them after the sort
-        # leaves the other cells as dropping them before would, on fewer cells
-        keep = m != 0
-        if not keep.all():
-            m, sig, vals = m[keep], sig[keep], vals[keep]
-        self.m = m
-        self.sig_scaled = sig
-        self.coeffs = vals
+        plan = _CellPlan(model, m, sig)
+        self._set(plan, plan.apply(vals))
+
+    def _set(self, plan: _CellPlan, coeffs: np.ndarray) -> None:
+        self.model, self.sig_scale, self._plan = plan.model, _scale(plan.model), plan
+        self.m, self.sig_scaled, self.coeffs = plan.m, plan.sig_scaled, coeffs
+
+    @classmethod
+    def _planned(cls, plan: _CellPlan, coeffs: np.ndarray) -> "ModulationField":
+        """The field on a plan's canonical cells with nonzero coefficients coeffs."""
+        field = cls.__new__(cls)
+        field._set(plan, coeffs)
+        return field
 
     # -- geometry -----------------------------------------------------------
     @property
     def k(self) -> np.ndarray:
-        return self.m / self.model.lam
+        return self._plan.k
 
     @property
     def sigma(self) -> np.ndarray:
-        return self.sig_scaled / float(self.sig_scale)
+        return self._plan.sigma
 
     @property
     def dtau(self) -> float:
@@ -160,8 +213,14 @@ class ModulationField:
 
     def zs(self, s: float) -> ZsNorm:
         return zs_norm_cells(
-            self.m, self.k, self.sigma, self.coeffs, self.dtau, self.model, s, warn_range=False
+            self.m, self.k, self.sigma, self.coeffs, self.dtau, self.model, s,
+            warn_range=False, weights=self._plan.zs_weights,
         )
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _is_canonical(m: np.ndarray, sig: np.ndarray) -> bool:
@@ -180,11 +239,18 @@ def check_int64_lattice(order: int, m_bound: int, sig_bound: int) -> None:
         raise ValueError("mode or modulation range too large for the exact int64 sigma lattice")
 
 
-def convolve_modulation(f: ModulationField, g: ModulationField) -> ModulationField:
+def convolve_modulation(
+    f: ModulationField, g: ModulationField, memo: dict | None = None
+) -> ModulationField:
     """Bilinear (k, tau) convolution with the normalized measure.
 
     Output cells are (m1 + m2, sig1 + sig2 + resonance shift); the shift is
     the exact integer gap p(k1) + p(k2) - p(k1+k2) on the scaled lattice.
+
+    memo, if given, holds the cell plans of one search's products by their
+    input cells: a plan is stored the second time its cells come up and
+    applied on every later product of the same cells.  A product with a zero
+    outer value is canonicalized from its values, as any field is.
     """
     model = f.model
     if g.model != model:
@@ -196,20 +262,36 @@ def convolve_modulation(f: ModulationField, g: ModulationField) -> ModulationFie
     arrays = (f.m, g.m, f.sig_scaled, g.sig_scaled)
     mf, mg, sf, sg = (int(np.abs(a).view(np.uint64).max()) for a in arrays)
     check_int64_lattice(n, mf + mg, sf + sg)
+    vals = (np.outer(f.coeffs, g.coeffs) * (f.dtau / model.lam)).ravel()
+    if not vals.all():
+        return ModulationField(model, *_product_cells(f, g), vals)
+    key = (model, f.m.tobytes(), f.sig_scaled.tobytes(), g.m.tobytes(), g.sig_scaled.tobytes())
+    plan = None if memo is None else memo.get(key)
+    if plan is None:
+        plan = _CellPlan(model, *_product_cells(f, g))
+        for shared in (plan.m, plan.sig_scaled):  # every product of these cells holds them
+            _read_only(shared)
+        if memo is not None:
+            memo[key] = plan if key in memo else None  # the first sight records the key
+    return ModulationField._planned(plan, plan.apply(vals))
+
+
+def _product_cells(f: ModulationField, g: ModulationField) -> tuple[np.ndarray, np.ndarray]:
+    """The raw (m, sig_scaled) output cells of f * g, row-major over (f, g)."""
     m1 = f.m[:, None]
     m2 = g.m[None, :]
-    m_out = m1 + m2
     # exact integer resonance shift on the scaled-sigma lattice
-    shift = model.sign * resonance_q0(n, m1, m2)
+    shift = f.model.sign * resonance_q0(f.model.order, m1, m2)
     sig_out = f.sig_scaled[:, None] + g.sig_scaled[None, :] + shift
-    vals = np.outer(f.coeffs, g.coeffs) * (f.dtau / model.lam)
-    return ModulationField(model, m_out.ravel(), sig_out.ravel(), vals.ravel())
+    return (m1 + m2).ravel(), sig_out.ravel()
 
 
 def smoothed_derivative(w: ModulationField) -> ModulationField:
     """Apply i k <sigma>^{-1}: the derivative smoothed by one modulation power."""
-    mult = 1j * w.k / angle_bracket(w.sigma)
-    return ModulationField(w.model, w.m, w.sig_scaled, w.coeffs * mult)
+    vals = w.coeffs * w._plan.multiplier
+    if vals.all():  # same cells: keep their plan and what it holds
+        return ModulationField._planned(w._plan, vals)
+    return ModulationField(w.model, w.m, w.sig_scaled, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +429,12 @@ def _run_trials(report: RatioReport, cfg: RatioSearchConfig, draw, measure) -> R
     Trial t draws its fields as draw(generator, rng), from its own stream
     seeded by (cfg.seed, t), with the configured generator (mixed cycles
     through _MIXED).  A draw with an empty field is counted as skipped;
-    otherwise measure(*fields) gives the row values and the ratio, and the
-    first trial with the largest ratio sets max_ratio, argmax_trial and the
-    witness (its fields).
+    otherwise measure(memo, *fields) gives the row values and the ratio, and
+    the first trial with the largest ratio sets max_ratio, argmax_trial and
+    the witness (its fields).  memo is the search's own convolve_modulation
+    memo: it starts empty and ends with the search.
     """
+    memo: dict = {}
     for trial in range(cfg.trials):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, trial)))
         gen = _MIXED[trial % len(_MIXED)] if cfg.generator == "mixed" else cfg.generator
@@ -358,7 +442,7 @@ def _run_trials(report: RatioReport, cfg: RatioSearchConfig, draw, measure) -> R
         if any(f.is_empty() for f in fields):
             report.skipped += 1
             continue
-        values, ratio = measure(*fields)
+        values, ratio = measure(memo, *fields)
         report.rows.append({"trial": trial, "generator": gen, **values})
         if ratio > report.max_ratio:
             report.max_ratio, report.argmax_trial = ratio, trial
@@ -384,8 +468,8 @@ def dyadic_bilinear_ratio(
         u2 = dyadic_concentrated_field(model, cfg, rng, l=l2)
         return u1.where(DyadicShell(l1).mask(u1.sigma)), u2.where(DyadicShell(l2).mask(u2.sigma))
 
-    def measure(u1, u2):
-        lhs = convolve_modulation(u1, u2).l2_norm()
+    def measure(memo, u1, u2):
+        lhs = convolve_modulation(u1, u2, memo).l2_norm()
         return _lhs_rhs(lhs, prefactor * u1.l2_norm() * u2.l2_norm())
 
     report = RatioReport(params={"j": model.j, "lam": model.lam, "l1": l1, "l2": l2, **vars(cfg)})
@@ -409,8 +493,8 @@ def product_l2_ratio(
     def draw(gen, rng):
         return generate_field(gen, model, cfg, rng), generate_field(gen, model, cfg, rng)
 
-    def measure(u, v):
-        return _lhs_rhs(convolve_modulation(u, v).l2_norm(), u.xsb(0.0, a) * v.xsb(0.0, b))
+    def measure(memo, u, v):
+        return _lhs_rhs(convolve_modulation(u, v, memo).l2_norm(), u.xsb(0.0, a) * v.xsb(0.0, b))
 
     report = RatioReport(
         params={"j": j, "lam": model.lam, "a": a, "b": b, **vars(cfg)},
@@ -433,7 +517,7 @@ def embedding_ratio(
     def draw(gen, rng):
         return (generate_field(gen, model, cfg, rng, s=s),)
 
-    def measure(u):
+    def measure(memo, u):
         zs = u.zs(s).total
         low = u.xsb(s, 1.0 / (2.0 * j))
         high = u.xsb(s, (2.0 * j - 1.0) / (2.0 * j))
@@ -470,8 +554,8 @@ def bilinear_zs_ratio(
             return resonant_pair(model, cfg, rng, s)
         return generate_field(gen, model, cfg, rng, s=s), generate_field(gen, model, cfg, rng, s=s)
 
-    def measure(u1, u2):
-        w = smoothed_derivative(convolve_modulation(u1, u2))
+    def measure(memo, u1, u2):
+        w = smoothed_derivative(convolve_modulation(u1, u2, memo))
         return _lhs_rhs(w.zs(s).total, u1.zs(s).total * u2.zs(s).total)
 
     report = RatioReport(params={"j": model.j, "lam": model.lam, "s": s, **vars(cfg)})

@@ -28,6 +28,7 @@ from hokdv.norms import (
     ys_norm,
     zs_norm,
     zs_norm_cells,
+    zs_weights,
 )
 from hokdv.torus import SpectralField, TorusGrid
 from hokdv.verifier import ModulationField
@@ -215,9 +216,11 @@ def test_zs_sandwich_directions(model, grid):
 @example(j=3, lam=2, s=-2.5, seed=1, cells=40, dense=False, region=Region.D2)
 @example(j=2, lam=2, s=-1.5, seed=2, cells=0, dense=True, region=Region.D4)
 def test_zs_norm_cells_matches_the_xsb_mass_reference(j, lam, s, seed, cells, dense, region):
-    """Weights formed once per call give every Z^s component exactly as one
+    """Weights formed once per cell set give every Z^s component exactly as one
     masked xsb_mass per region block did: sparse modulation-lattice cells and
-    dense cell arrays, with region blocks emptied by restriction to one region."""
+    dense cell arrays, with region blocks emptied by restriction to one region.
+    One weight pass serves two coefficient vectors on the same cells, directly
+    and through zs_norm_cells' weights cache."""
     model = DispersionModel(j, float(lam))
     rng = np.random.default_rng(seed)
     if dense:
@@ -233,9 +236,18 @@ def test_zs_norm_cells_matches_the_xsb_mass_reference(j, lam, s, seed, cells, de
     if region is not None:
         keep = region_masks(model, k, sigma)[region]
         m, k, sigma, vals = m[keep], k[keep], sigma[keep], vals[keep]
-    got = zs_norm_cells(m, k, sigma, vals, cell_measure, model, s, warn_range=False)
-    want = reference_zs_norm_cells(m, k, sigma, vals, cell_measure, model, s)
-    assert astuple(got) == astuple(want)
+    n = len(vals)
+    other = rng.normal(size=n) * 10.0 ** rng.integers(-6, 6, n) + 1j * rng.normal(size=n)
+    weights, cache = zs_weights(m, k, sigma, model, s), {}
+    for coeffs in (vals, other):
+        want = astuple(reference_zs_norm_cells(m, k, sigma, coeffs, cell_measure, model, s))
+        for got in (
+            zs_norm_cells(m, k, sigma, coeffs, cell_measure, model, s, warn_range=False),
+            weights.norm(coeffs, cell_measure),
+            zs_norm_cells(m, k, sigma, coeffs, cell_measure, model, s, False, weights=cache),
+        ):
+            assert astuple(got) == want
+    assert list(cache) == [s]  # the second coefficient vector reused the first's weights
 
 
 def test_region_masks_partition_nonzero_columns(model, grid):

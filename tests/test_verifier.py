@@ -7,7 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hokdv.dispersion import DispersionModel, Region, resonance_q0
+from hokdv.norms import angle_bracket, xsb_mass
 from hokdv.verifier import (
+    _MIXED,
     ModulationField,
     RatioSearchConfig,
     bilinear_zs_ratio,
@@ -16,12 +18,13 @@ from hokdv.verifier import (
     dyadic_bilinear_ratio,
     embedding_ratio,
     fixed_tau_field,
+    generate_field,
     product_l2_ratio,
     resonant_pair,
     smoothed_derivative,
 )
 
-from helpers import reference_modulation_cells
+from helpers import reference_modulation_cells, reference_zs_norm_cells
 
 
 @pytest.fixture
@@ -210,6 +213,91 @@ def test_resonant_pair_refuses_N_past_int64(j, delta, far):
     u2 = ModulationField(model, [2 * N, -2 * N], [shift, -shift], [1.0, 1.0])
     with pytest.raises(ValueError, match="int64"):
         convolve_modulation(u2, u2)
+
+
+def _raw_product(f, g):
+    """The outer-product cells of f * g, row-major, before any consolidation."""
+    model = f.model
+    m = f.m[:, None] + g.m[None, :]
+    shift = model.sign * resonance_q0(model.order, f.m[:, None], g.m[None, :])
+    sig = f.sig_scaled[:, None] + g.sig_scaled[None, :] + shift
+    vals = np.outer(f.coeffs, g.coeffs) * (f.dtau / model.lam)
+    return m.ravel(), sig.ravel(), vals.ravel()
+
+
+def _reference_product(f, g):
+    return reference_modulation_cells(*_raw_product(f, g))
+
+
+def _reference_smoothed(model, m, sig, vals):
+    """i k <sigma>^{-1} on reference cells, zero results dropped."""
+    mult = 1j * (m / model.lam) / angle_bracket(sig / float(int(model.lam) ** model.order))
+    return reference_modulation_cells(m, sig, vals * mult)
+
+
+# products of these underflow to 0 (1e-170 squared), cancel exactly (+-1, +-1j)
+# or sum with rounding that depends on the order (3e8 against 1e-8 + 1j)
+_PLAN_COEFF = st.sampled_from([1.0, -1.0, 1j, -1j, 0.5 - 2j, 1e-170, -1e-170j, 3e8, 1e-8 + 1j])
+
+
+@st.composite
+def _plan_cells(draw):
+    """(model, f cells, g cells, h cells): random cells on a narrow lattice, g built
+    so that every product of f's cells with g's lands on one target cell (at
+    m = 0 when the target says so), or a resonant pair at some N."""
+    model = DispersionModel(draw(st.sampled_from([2, 3])), float(draw(st.sampled_from([1, 2]))))
+    cells = st.lists(st.tuples(st.integers(-4, 4), st.integers(-3, 3)), max_size=8, unique=True)
+    kind = draw(st.sampled_from(["random", "collide", "resonant"]))
+    f, h = draw(cells), draw(cells)
+    if kind == "random":
+        g = draw(cells)
+    elif kind == "collide":
+        f = list({m: (m, sig) for m, sig in f}.values())  # distinct m, so distinct g cells
+        target_m, target_sig = draw(st.integers(-3, 3)), draw(st.integers(-50, 50))
+        shift = [model.sign * resonance_q0(model.order, m, target_m - m) for m, _ in f]
+        g = [(target_m - m, target_sig - sig - q) for (m, sig), q in zip(f, shift)]
+    else:
+        u1, u2 = resonant_pair(model, RatioSearchConfig(), None, -1.5, N=draw(st.integers(2, 64)))
+        pair = [list(zip(u.m.tolist(), u.sig_scaled.tolist())) for u in (u1, u2)]
+        f, g = pair if draw(st.booleans()) else pair[::-1]
+    return model, f, g, h
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=_plan_cells(), data=st.data())
+def test_cell_plans_match_a_fresh_product_and_the_reference(cells, data):
+    """Within one memo, (f, g) cells come up three times with fresh coefficients,
+    then f's cells with h's: every product, smoothed derivative and Z^s equals a
+    fresh no-memo call and the reference consolidation of the raw outer cells."""
+    model, f_cells, g_cells, h_cells = cells
+
+    def field(cells):
+        coeffs = data.draw(st.lists(_PLAN_COEFF, min_size=len(cells), max_size=len(cells)))
+        return ModulationField(model, [c[0] for c in cells], [c[1] for c in cells], coeffs)
+
+    memo, sightings = {}, 0
+    products = [(field(f_cells), field(g_cells)) for _ in range(3)]
+    products.append((field(f_cells), field(h_cells)))
+    for i, (f, g) in enumerate(products):
+        out = convolve_modulation(f, g, memo)
+        if i < 3 and not (f.is_empty() or g.is_empty()) and _raw_product(f, g)[2].all():
+            # the first sight of (f, g) records its key, the second stores its plan
+            sightings += 1
+            stored = [plan for plan in memo.values() if plan is not None]
+            assert stored == ([] if sightings == 1 else [out._plan])
+        fresh = convolve_modulation(f, g)
+        ref = _reference_product(f, g)
+        for got in (out, fresh):
+            assert np.array_equal(got.m, ref[0]) and np.array_equal(got.sig_scaled, ref[1])
+            assert np.array_equal(got.coeffs, ref[2])
+        w = smoothed_derivative(out)
+        ref_w = _reference_smoothed(model, *ref)
+        for got, want in zip((w.m, w.sig_scaled, w.coeffs), ref_w):
+            assert np.array_equal(got, want)
+        assert np.array_equal(w.coeffs, smoothed_derivative(fresh).coeffs)
+        if not w.is_empty():
+            want = reference_zs_norm_cells(w.m, w.k, w.sigma, w.coeffs, 1.0, model, -1.5)
+            assert w.zs(-1.5) == want
 
 
 def test_search_lattice_check_accepts_the_criterion_9_range():
@@ -453,3 +541,59 @@ def test_witness_serialization_replays(model, search, replay, cfg):
         )
     replayed = replay(model, fields, -1.5)
     assert replayed == pytest.approx(report.max_ratio, rel=1e-12)
+
+
+def _replay_rows(search: str, model, cfg):
+    """A search's rows recomputed trial by trial through the reference helpers:
+    products by the lexsort consolidation of the raw outer cells, Z^s by
+    reference_zs_norm_cells, X_{0,b} by xsb_mass on the cells."""
+    s, a = -1.5, 0.3
+    rows = []
+    for trial in range(cfg.trials):
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, trial)))
+        gen = _MIXED[trial % len(_MIXED)]
+        if search == "3.1" and gen == "phi_N-family":
+            u, v = resonant_pair(model, cfg, rng, s)
+        else:
+            kw = {"s": s} if search == "3.1" else {}
+            u = generate_field(gen, model, cfg, rng, **kw)
+            v = generate_field(gen, model, cfg, rng, **kw)
+        m, sig, vals = _reference_product(u, v)
+        scale = float(int(model.lam) ** model.order)
+        if search == "3.1":
+            m, sig, vals = _reference_smoothed(model, m, sig, vals)
+
+            def zs(m, sig, vals):
+                k, sigma = m / model.lam, sig / scale
+                return reference_zs_norm_cells(m, k, sigma, vals, 1.0, model, s).total
+
+            lhs = zs(m, sig, vals)
+            rhs = zs(u.m, u.sig_scaled, u.coeffs) * zs(v.m, v.sig_scaled, v.coeffs)
+        else:
+            lhs = float(np.sqrt(np.sum(np.abs(vals) ** 2) * 1.0 / model.lam))
+
+            def xsb(f):
+                return float(np.sqrt(xsb_mass(
+                    f.m / model.lam, f.sig_scaled / scale, f.coeffs, 1.0, model.lam, 0.0, a
+                )))
+
+            rhs = xsb(u) * xsb(v)
+        rows.append({"trial": trial, "generator": gen, "lhs": lhs, "rhs": rhs,
+                     "ratio": lhs / rhs if rhs > 0 else 0.0})
+    return rows
+
+
+@pytest.mark.parametrize("j,lam", [(2, 1.0), (3, 2.0)])
+def test_search_rows_replay_through_the_reference_helpers(j, lam):
+    """Plans reused across a search's trials change no row: 3.1 and 2.2 mixed rows
+    equal a trial-by-trial reference recomputation exactly, and a search run
+    again after another search gives the same report (each search's memo is
+    its own)."""
+    model = DispersionModel(j, lam)
+    cfg = RatioSearchConfig(trials=40, k_max=64, seed=11)
+    first = bilinear_zs_ratio(model, -1.5, cfg)
+    assert first.rows == _replay_rows("3.1", model, cfg)
+    other = product_l2_ratio(model, 0.3, 0.3, cfg)
+    assert other.rows == _replay_rows("2.2", model, cfg)
+    again = bilinear_zs_ratio(model, -1.5, cfg)
+    assert vars(again) == vars(first)
