@@ -406,6 +406,15 @@ def smooth_bump_window() -> Callable:
     return eta
 
 
+def uniform_step(times: np.ndarray) -> float:
+    """The step of a uniformly spaced time grid: every step equal to the first
+    within rtol 1e-9, atol 1e-12, or ValueError."""
+    steps = np.diff(times)
+    if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
+        raise ValueError("frames must be uniformly spaced in time")
+    return steps[0]
+
+
 def spacetime_from_timeseries(
     grid: TorusGrid, frames: np.ndarray, times: np.ndarray
 ) -> SpaceTimeField:
@@ -424,10 +433,7 @@ def spacetime_from_timeseries(
     times = np.asarray(times, dtype=np.float64)
     if times.shape != (n,):
         raise ValueError("times must match frames")
-    steps = np.diff(times)
-    dt = steps[0]
-    if not np.allclose(steps, dt, rtol=1e-9, atol=1e-12):
-        raise ValueError("frames must be uniformly spaced in time")
+    dt = uniform_step(times)
     spectrum = np.fft.fft(frames.T, axis=1)  # sum_i u_i exp(-2 pi i n i / N)
     tau_fft = 2.0 * np.pi * np.fft.fftfreq(n, d=dt)
     spectrum *= np.exp(-1j * tau_fft[None, :] * times[0]) * dt

@@ -15,14 +15,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dispersion import DispersionModel, free_evolve
+from .dispersion import DispersionModel
 from .expquad import phi_functions
 from .norms import (
     NormSpec,
+    ZsNorm,
     smooth_bump_window,
     sobolev_norm,
     spacetime_from_timeseries,
-    zs_norm,
+    uniform_step,
+    zs_norm_cells,
 )
 from .torus import SpectralField, TorusGrid, dealias_mask, lattice_product, physical_l2_norm
 
@@ -162,11 +164,72 @@ def conserved_quantities(u: SpectralField) -> tuple[float, float]:
     return float(np.real(u.mean_value())), physical_l2_norm(u)
 
 
+@dataclass(frozen=True, eq=False)
+class FrameGrid:
+    """The time-only arrays of a uniform frame grid on one torus: dt, the index
+    of t = 0, the window eta(t_i) as a column, the propagators S(t_i) and
+    S(-t_i) as (n_frames, M) arrays, and the dealias mask.  The grid's
+    space-time cells (m, k, sigma) and their Z^s weight passes by s are formed
+    by the first zs_norm that needs them."""
+
+    model: DispersionModel
+    grid: TorusGrid
+    times: np.ndarray
+    dt: float
+    anchor: int
+    eta_t: np.ndarray
+    forward: np.ndarray
+    backward: np.ndarray
+    mask: np.ndarray
+    cells: list = field(default_factory=list)
+    zs_weights: dict = field(default_factory=dict)
+
+    def free_flow(self, phi: SpectralField) -> np.ndarray:
+        """The windowed free flow eta(t_i) S(t_i) phi, one row per frame."""
+        out = self.eta_t * (phi.coeffs * self.forward)  # free_evolve's operand order
+        out[:, self.grid.nyquist_index] = 0.0
+        return out
+
+    def zs_norm(self, frames: np.ndarray, s: float) -> ZsNorm:
+        """Z^s of the space-time field of a frame series on this grid, as
+        norms.zs_norm gives it."""
+        stf = spacetime_from_timeseries(self.grid, frames, self.times)
+        if not self.cells:
+            self.cells.extend(stf.cell_arrays(self.model)[:3])
+        return zs_norm_cells(*self.cells, stf.coeffs.reshape(-1), stf.dtau, self.model, s,
+                             weights=self.zs_weights)
+
+
+def frame_grid(model: DispersionModel, grid: TorusGrid, times: np.ndarray) -> FrameGrid:
+    """Check a frame grid (at least 4 frames, uniformly spaced, t = 0 among them)
+    and build its time-only arrays."""
+    times = np.asarray(times, dtype=np.float64)
+    if len(times) < 4:
+        raise ValueError("need at least 4 frames for the cumulative quadrature")
+    if grid.lam != model.lam:
+        raise ValueError(f"grid lam {grid.lam} does not match model lam {model.lam}")
+    dt = uniform_step(times)
+    anchor = int(np.argmin(np.abs(times)))
+    if abs(times[anchor]) > 1e-12:
+        raise ValueError("frame times must include t = 0")
+    lin = model.phase(grid.k_values)
+    t_col = times[:, None]
+    return FrameGrid(
+        model, grid, times, dt, anchor,
+        eta_t=np.asarray(smooth_bump_window()(times), dtype=np.float64)[:, None],
+        forward=np.exp(1j * t_col * lin),
+        backward=np.exp(-1j * t_col * lin),
+        mask=dealias_mask(grid),
+    )
+
+
 def duhamel_map(
     model: DispersionModel,
     phi: SpectralField,
     u_frames: np.ndarray,
     times: np.ndarray,
+    *,
+    held: FrameGrid | None = None,
 ) -> np.ndarray:
     """Apply the cutoff Duhamel map to an (n_frames, M) frame series:
 
@@ -175,30 +238,24 @@ def duhamel_map(
     The integral is factored through S(t) S(-s) so the cumulative quadrature
     (fourth-order, uniform grid anchored at t = 0) runs once over the frames.
     eta is `smooth_bump_window()`; a fixed point of this map solves the
-    equation on its flat core [-1, 1].
+    equation on its flat core [-1, 1].  held, if given, is frame_grid(model,
+    phi.grid, times), built once for maps over the same frame grid.
     """
-    times = np.asarray(times, dtype=np.float64)
-    if len(times) < 4:
-        raise ValueError("need at least 4 frames for the cumulative quadrature")
+    if held is None:
+        held = frame_grid(model, phi.grid, times)
+    elif held.model != model or held.grid != phi.grid or not np.array_equal(held.times, times):
+        raise ValueError("held frame grid was built for another model, torus or times")
     grid = phi.grid
     u_frames = np.asarray(u_frames)
-    if u_frames.shape != (len(times), grid.modes):
+    if u_frames.shape != (len(held.times), grid.modes):
         raise ValueError(
-            f"frames have shape {u_frames.shape}, expected ({len(times)}, {grid.modes})"
+            f"frames have shape {u_frames.shape}, expected ({len(held.times)}, {grid.modes})"
         )
-    eta = smooth_bump_window()
-    dt = times[1] - times[0]
-    anchor = int(np.argmin(np.abs(times)))
-    if abs(times[anchor]) > 1e-12:
-        raise ValueError("frame times must include t = 0")
-    lin = model.phase(grid.k_values)
-    eta_t = np.asarray(eta(times), dtype=np.float64)[:, None]
-    t_col = times[:, None]
     # d_x(u^2) = -2 * product term
-    q = _product_term(model, u_frames, grid, dealias_mask(grid)) * (-2.0)
-    integrand = np.exp(-1j * t_col * lin) * (eta_t * q)
-    cumulative = _cumulative_integral(integrand, dt, anchor)
-    out = eta_t * (np.exp(1j * t_col * lin) * (phi.coeffs - 0.5 * cumulative))
+    q = _product_term(model, u_frames, grid, held.mask) * (-2.0)
+    integrand = held.backward * (held.eta_t * q)
+    cumulative = _cumulative_integral(integrand, held.dt, held.anchor)
+    out = held.eta_t * (held.forward * (phi.coeffs - 0.5 * cumulative))
     out[:, grid.nyquist_index] = 0.0
     return out
 
@@ -241,24 +298,22 @@ def contraction_experiment(
     half = n_frames // 2
     dt = 2.2 / half  # frames span [-2.2, 2.2], past the window's support [-2, 2]
     times = dt * np.arange(-half, half + 1)
-    eta = smooth_bump_window()
     grid = phi.grid
+    held = frame_grid(model, grid, times)
 
     def z_of(frames: np.ndarray) -> float:
-        stf = spacetime_from_timeseries(grid, frames, times)
-        return zs_norm(stf, s, model).total
+        return held.zs_norm(frames, s).total
 
     def hs_sup(frames: np.ndarray) -> float:
         return float(np.max(sobolev_norm(frames, NormSpec(s), grid)))
 
-    eta_t = np.asarray(eta(times), dtype=np.float64)[:, None]
-    current = eta_t * np.array([free_evolve(model, phi, t).coeffs for t in times])
+    current = held.free_flow(phi)
     trace = ContractionTrace()
     trace.iterate_norms.append(z_of(current))
     scale = max(trace.iterate_norms[0], 1e-300)
     floor = 1e-13 * scale
     for _ in range(max_iter):
-        nxt = duhamel_map(model, phi, current, times)
+        nxt = duhamel_map(model, phi, current, times, held=held)
         diffs = nxt - current
         d = z_of(diffs)
         trace.diff_norms.append(d)

@@ -154,3 +154,76 @@ def reference_second_iterate_quadrature(model, u0, t, steps):
         for mth, values in enumerate(panel):
             acc = acc + weights[mth] * values
     return SpectralField(grid, acc)
+
+
+def reference_duhamel_map(model, phi, u_frames, times):
+    """The cutoff Duhamel map as `solver.duhamel_map` formed it before it took
+    held frame-grid arrays, as a reference: window, propagators and dealias
+    mask built afresh on every call."""
+    from hokdv.norms import smooth_bump_window
+    from hokdv.solver import _cumulative_integral, _product_term
+    from hokdv.torus import dealias_mask
+
+    times = np.asarray(times, dtype=np.float64)
+    grid = phi.grid
+    dt = times[1] - times[0]
+    anchor = int(np.argmin(np.abs(times)))
+    lin = model.phase(grid.k_values)
+    eta_t = np.asarray(smooth_bump_window()(times), dtype=np.float64)[:, None]
+    t_col = times[:, None]
+    q = _product_term(model, u_frames, grid, dealias_mask(grid)) * (-2.0)
+    integrand = np.exp(-1j * t_col * lin) * (eta_t * q)
+    cumulative = _cumulative_integral(integrand, dt, anchor)
+    out = eta_t * (np.exp(1j * t_col * lin) * (phi.coeffs - 0.5 * cumulative))
+    out[:, grid.nyquist_index] = 0.0
+    return out
+
+
+def reference_contraction_experiment(model, phi, s, *, max_iter, n_frames):
+    """`solver.contraction_experiment` as it ran before it held its frame grid,
+    as a reference: the free flow frame by frame through `free_evolve`, every
+    map through `reference_duhamel_map`, every Z^s through a fresh `zs_norm`."""
+    from hokdv.dispersion import free_evolve
+    from hokdv.norms import (
+        NormSpec, smooth_bump_window, sobolev_norm, spacetime_from_timeseries, zs_norm,
+    )
+    from hokdv.solver import ContractionTrace
+
+    if n_frames % 2 == 0:
+        n_frames += 1
+    half = n_frames // 2
+    dt = 2.2 / half
+    times = dt * np.arange(-half, half + 1)
+    grid = phi.grid
+
+    def z_of(frames):
+        return zs_norm(spacetime_from_timeseries(grid, frames, times), s, model).total
+
+    def hs_sup(frames):
+        return float(np.max(sobolev_norm(frames, NormSpec(s), grid)))
+
+    eta_t = np.asarray(smooth_bump_window()(times), dtype=np.float64)[:, None]
+    current = eta_t * np.array([free_evolve(model, phi, t).coeffs for t in times])
+    trace = ContractionTrace()
+    trace.iterate_norms.append(z_of(current))
+    scale = max(trace.iterate_norms[0], 1e-300)
+    floor = 1e-13 * scale
+    for _ in range(max_iter):
+        nxt = reference_duhamel_map(model, phi, current, times)
+        diffs = nxt - current
+        d = z_of(diffs)
+        trace.diff_norms.append(d)
+        trace.hs_sup_diffs.append(hs_sup(diffs))
+        trace.iterate_norms.append(z_of(nxt))
+        current = nxt
+        if d <= floor:
+            trace.converged = True
+            break
+        if not np.isfinite(d) or d > 1e8 * scale:
+            trace.diverged = True
+            break
+    ratios = [b / a for a, b in zip(trace.diff_norms, trace.diff_norms[1:]) if a > floor]
+    trace.factor = max(ratios) if ratios else float("nan")
+    if not ratios and len(trace.diff_norms) >= 1:
+        trace.converged = trace.converged or trace.diff_norms[-1] <= floor
+    return trace

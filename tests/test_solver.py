@@ -6,7 +6,13 @@ import pytest
 
 from hokdv.dispersion import DispersionModel, free_evolve
 from hokdv.iterates import second_iterate_closed
-from hokdv.norms import NormSpec, smooth_bump_window, sobolev_norm
+from hokdv.norms import (
+    NormSpec,
+    smooth_bump_window,
+    sobolev_norm,
+    spacetime_from_timeseries,
+    zs_norm,
+)
 from hokdv.solver import (
     BlowUpError,
     ContractionTrace,
@@ -15,13 +21,14 @@ from hokdv.solver import (
     conserved_quantities,
     contraction_experiment,
     duhamel_map,
+    frame_grid,
     integrate,
     scale_time_factor,
     scale_transform,
 )
 from hokdv.torus import SpectralField, TorusGrid
 
-from helpers import random_band_limited
+from helpers import random_band_limited, reference_contraction_experiment, reference_duhamel_map
 
 
 def smooth_data(grid, scale=0.05, decay=1.5, max_mode=6, seed=7):
@@ -149,6 +156,44 @@ def test_duhamel_rejects_frames_that_do_not_match_times():
         duhamel_map(model, phi, np.zeros((len(times), 8), dtype=np.complex128), times)
 
 
+def test_duhamel_refuses_unevenly_spaced_times():
+    """Every panel is integrated with one dt, so a grid whose spacing changes
+    at t = 0 is refused rather than integrated with the wrong step."""
+    grid = TorusGrid(1.0, 16)
+    model = DispersionModel(2, 1.0)
+    phi = SpectralField.from_modes(grid, {1: 0.05, -1: 0.05})
+    times = np.concatenate((0.022 * np.arange(-65, 0), 0.073 * np.arange(66)))
+    assert len(times) == 131
+    zero = np.zeros((len(times), grid.modes), dtype=np.complex128)
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        duhamel_map(model, phi, zero, times)
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        frame_grid(model, grid, times)
+
+
+def test_duhamel_held_frame_grid_gives_the_same_bits():
+    """One held frame grid serves maps of different data and frames, and its
+    Z^s norms at different s, with the bits of the fresh computation."""
+    grid = TorusGrid(1.0, 16)
+    model = DispersionModel(2, 1.0)
+    times = frame_times(301)
+    held = frame_grid(model, grid, times)
+    for seed, s in ((1, -1.5), (2, -1.25), (3, -1.5)):
+        phi = smooth_data(grid, scale=0.2, seed=seed)
+        free = held.free_flow(phi)
+        assert np.array_equal(free, np.array(
+            [smooth_bump_window()(t) * free_evolve(model, phi, t).coeffs for t in times]
+        ))
+        frames = duhamel_map(model, phi, free, times, held=held)
+        assert np.array_equal(frames, duhamel_map(model, phi, free, times))
+        assert np.array_equal(frames, reference_duhamel_map(model, phi, free, times))
+        assert held.zs_norm(frames, s) == zs_norm(
+            spacetime_from_timeseries(grid, frames, times), s, model
+        )
+    with pytest.raises(ValueError, match="held frame grid"):
+        duhamel_map(model, phi, free[1:], times[1:], held=held)
+
+
 def test_duhamel_picard_two_matches_closed_second_iterate():
     """One application of the map to the free flow must reproduce
     u1 - (1/2) A2 on the window core."""
@@ -246,6 +291,33 @@ def test_contraction_diverges_for_large_data():
     phi = SpectralField.from_modes(grid, {1: 10 * np.pi, -1: 10 * np.pi})
     trace = contraction_experiment(model, phi, -1.5, max_iter=8, n_frames=101)
     assert trace.diverged or trace.factor >= 1.0
+
+
+@pytest.mark.parametrize("n_frames", [41, 100, 301])
+@pytest.mark.parametrize("modes", [16, 32])
+@pytest.mark.parametrize("lam", [1.0, 2.0])
+@pytest.mark.parametrize("j", [2, 3])
+def test_contraction_matches_the_reference_experiment(j, lam, modes, n_frames):
+    """The held frame grid changes no bit of the trace: zero data (converges at
+    once), small data, diverging data and small data on six complex modes,
+    against the experiment that evolves every frame, builds every propagator
+    and forms every Z^s afresh."""
+    model = DispersionModel(j, lam)
+    grid = TorusGrid(lam, modes)
+    s = -1.5 if j == 2 else -2.0
+    data = [SpectralField.from_modes(grid, {1: a * np.pi, -1: a * np.pi})
+            for a in (0.0, 0.01, 10.0)]
+    outcomes = []
+    for phi in data + [smooth_data(grid, scale=0.01)]:
+        got = contraction_experiment(model, phi, s, max_iter=6, n_frames=n_frames)
+        ref = reference_contraction_experiment(model, phi, s, max_iter=6, n_frames=n_frames)
+        assert got.iterate_norms == ref.iterate_norms
+        assert got.diff_norms == ref.diff_norms
+        assert got.hs_sup_diffs == ref.hs_sup_diffs
+        assert np.array_equal(got.factor, ref.factor, equal_nan=True)
+        assert (got.converged, got.diverged) == (ref.converged, ref.diverged)
+        outcomes.append((got.converged, got.diverged))
+    assert outcomes[0] == (True, False) and outcomes[2] == (False, True)
 
 
 # -- scaling ------------------------------------------------------------------------
