@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -147,13 +146,12 @@ def _initial_data(config: dict, grid: TorusGrid, rng: np.random.Generator) -> Sp
 # ---------------------------------------------------------------------------
 
 SIMULATE_SCHEMA = {
-    "j": Field("int", required=True, check=lambda v: v >= 1),
+    "j": Field("int", check=lambda v: v >= 1),
     "lam": Field("float", 1.0, check=lambda v: v >= 1),
-    "M": Field("int", required=True, check=lambda v: v >= 8 and v % 2 == 0),
-    "dt": Field("float", required=True, check=lambda v: v > 0),
-    "T": Field("float", required=True, check=lambda v: v > 0),
+    "M": Field("int", check=lambda v: v >= 8 and v % 2 == 0),
+    "dt": Field("float", check=lambda v: v > 0),
+    "T": Field("float", check=lambda v: v > 0),
     "scheme": Field("str", "ifrk4", check=lambda v: v in ("ifrk4", "etdrk4")),
-    "dealias": Field("bool", True),
     "nonlinear": Field("bool", True),
     "frame_stride": Field("int", 10, check=lambda v: v >= 1),
     "initial": Field("str", "smooth-random", help="one of phi_n, cosine, smooth-random",
@@ -174,8 +172,11 @@ def _solver_config(cfg: dict) -> SolverConfig:
 
 
 def _check_simulate(cfg: dict) -> None:
-    """Refuse a time step or initial data that the grid cannot carry."""
-    _solver_config(cfg)
+    """Refuse a time step, a frame stride or initial data that the run cannot carry:
+    frames.bin stores one frame spacing, so the stride must divide the steps."""
+    steps = _solver_config(cfg).steps
+    if steps % cfg["frame_stride"]:
+        raise ConfigError("frame_stride", f"{cfg['frame_stride']} does not divide the {steps} steps")
     try:
         _initial_data(cfg, TorusGrid(cfg["lam"], cfg["M"]), np.random.default_rng(cfg["seed"]))
     except ValueError as err:
@@ -216,10 +217,10 @@ def run_simulate(ctx: RunContext, jobs: int) -> bool:
 
 
 ILLPOSED_SCHEMA = {
-    "j": Field("int", required=True, check=lambda v: v >= 1),
+    "j": Field("int", check=lambda v: v >= 1),
     "lam": Field("float", 1.0, check=lambda v: v >= 1),
-    "s_list": Field("float_list", required=True, check=lambda v: len(v) >= 1),
-    "N_list": Field("int_list", required=True, help="at least 3 positive N in ascending order",
+    "s_list": Field("float_list", check=lambda v: len(v) >= 1),
+    "N_list": Field("int_list", help="at least 3 positive N in ascending order",
                     check=lambda v: len(v) >= 3 and min(v) >= 1 and v == sorted(set(v))),
     "t": Field("float", 1.0, check=lambda v: v > 0),
 }
@@ -261,13 +262,9 @@ def run_illposed_sweep(ctx: RunContext, jobs: int) -> bool:
 
 
 AUDIT_SCHEMA = {
-    "j_list": Field(
-        "int_list",
-        required=True,
-        check=lambda v: len(v) >= 1 and min(v) >= 1,
-        help="every j must be >= 1",
-    ),
-    "kmax": Field("int", required=True, check=lambda v: v >= 1),
+    "j_list": Field("int_list", check=lambda v: len(v) >= 1 and min(v) >= 1,
+                    help="every j must be >= 1"),
+    "kmax": Field("int", check=lambda v: v >= 1),
     "lam": Field("float", 1.0, check=lambda v: v >= 1),
 }
 
@@ -310,7 +307,7 @@ ESTIMATES = {
 }
 
 ESTIMATE_SCHEMA = {
-    "estimate": Field("str", required=True, check=lambda v: v in ESTIMATES),
+    "estimate": Field("str", check=lambda v: v in ESTIMATES),
     "j": Field("int", 2, check=lambda v: v >= 1),
     "lam": Field(
         "float", 1.0, check=lambda v: v >= 1 and v.is_integer(),
@@ -535,14 +532,6 @@ def resolve_config(args) -> dict:
     for override in args.set or []:
         raw.update(parse_config_text(override))
     config = validate_config(raw, {**command.schema, "seed": Field("int", 2025)})
-    env_seed = os.environ.get("HOKDV_SEED")
-    if env_seed is not None:
-        try:
-            config["seed"] = int(env_seed)
-        except ValueError:
-            raise ConfigError(
-                "seed", f"HOKDV_SEED must be an integer, got {env_seed!r}"
-            ) from None
     if command.check is not None:
         command.check(config)
     return config

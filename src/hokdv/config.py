@@ -1,14 +1,17 @@
 """Flat key = value experiment configuration with typed schema validation.
 
 The format is one `key = value` pair per line; `#` starts a comment.
-Values parse as int, float, bool (true/false), comma-separated lists of
-those, or bare strings.  Unknown and missing keys are hard usage errors
-naming the offending key, so a config file plus the command line always
-pins a run completely.
+Values stay text until `validate_config` parses each one once, by the kind
+its schema field names: int, float (finite only), bool (true/false in any
+case), str (kept as written), or comma-separated int_list / float_list.
+Unknown, missing and unparsable keys are hard usage errors naming the
+offending key, so a config file plus the command line always pins a run
+completely.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -22,23 +25,8 @@ class ConfigError(ValueError):
         self.key = key
 
 
-def _parse_scalar(text: str) -> Any:
-    lowered = text.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
-
-
-def parse_config_text(text: str) -> dict[str, Any]:
-    out: dict[str, Any] = {}
+def parse_config_text(text: str) -> dict[str, str]:
+    out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -48,81 +36,70 @@ def parse_config_text(text: str) -> dict[str, Any]:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigError(raw.strip(), f"empty key on line {lineno}")
-        if "," in value:
-            out[key] = [_parse_scalar(v.strip()) for v in value.split(",") if v.strip()]
-        else:
-            out[key] = _parse_scalar(value)
+        out[key] = value
     return out
 
 
-def load_config(path: str | Path) -> dict[str, Any]:
+def load_config(path: str | Path) -> dict[str, str]:
     return parse_config_text(Path(path).read_text())
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered not in ("true", "false"):
+        raise ValueError(text)
+    return lowered == "true"
+
+
+def _items(parse: Callable[[str], Any]) -> Callable[[str], list]:
+    return lambda text: [parse(item.strip()) for item in text.split(",") if item.strip()]
+
+
+# schema kind -> (parser of the value text, which raises ValueError, and what it expects)
+PARSERS: dict[str, tuple[Callable[[str], Any], str]] = {
+    "int": (int, "an integer"),
+    "float": (_finite, "a finite number"),
+    "bool": (_bool, "true or false"),
+    "str": (str, "a string"),
+    "int_list": (_items(int), "a comma-separated list of integers"),
+    "float_list": (_items(_finite), "a comma-separated list of finite numbers"),
+}
 
 
 @dataclass(frozen=True)
 class Field:
-    """One schema entry: expected type, default (None means required)."""
+    """One schema entry: kind (a key of PARSERS), default (None means required)."""
 
-    kind: str  # int | float | bool | str | int_list | float_list
+    kind: str
     default: Any = None
-    required: bool = False
     check: Callable[[Any], bool] | None = None
     help: str = ""
 
 
-def _coerce(key: str, kind: str, value: Any) -> Any:
-    def fail(msg: str):
-        raise ConfigError(key, msg)
-
-    if kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            fail(f"expected integer, got {value!r}")
-        return value
-    if kind == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            fail(f"expected number, got {value!r}")
-        return float(value)
-    if kind == "bool":
-        if not isinstance(value, bool):
-            fail(f"expected true/false, got {value!r}")
-        return value
-    if kind == "str":
-        if isinstance(value, bool):
-            fail(f"expected string, got {value!r}")
-        if isinstance(value, (int, float)):
-            return format(value, "g")
-        if not isinstance(value, str):
-            fail(f"expected string, got {value!r}")
-        return value
-    if kind in ("int_list", "float_list"):
-        items = value if isinstance(value, list) else [value]
-        coerced = []
-        for item in items:
-            if kind == "int_list":
-                if isinstance(item, bool) or not isinstance(item, int):
-                    fail(f"expected list of integers, got {item!r}")
-                coerced.append(item)
-            else:
-                if isinstance(item, bool) or not isinstance(item, (int, float)):
-                    fail(f"expected list of numbers, got {item!r}")
-                coerced.append(float(item))
-        return coerced
-    raise AssertionError(f"unknown schema kind {kind}")
-
-
-def validate_config(raw: dict[str, Any], schema: dict[str, Field]) -> dict[str, Any]:
+def validate_config(raw: dict[str, str], schema: dict[str, Field]) -> dict[str, Any]:
     for key in raw:
         if key not in schema:
             raise ConfigError(key, "unknown key")
     out: dict[str, Any] = {}
     for key, spec in schema.items():
         if key in raw:
-            value = _coerce(key, spec.kind, raw[key])
-        elif spec.required:
+            parse, expected = PARSERS[spec.kind]
+            try:
+                value = parse(raw[key])
+            except ValueError:
+                raise ConfigError(key, f"expected {expected}, got {raw[key]!r}") from None
+        elif spec.default is None:
             raise ConfigError(key, "missing required key")
         else:
             value = spec.default
-        if value is not None and spec.check is not None and not spec.check(value):
+        if spec.check is not None and not spec.check(value):
             raise ConfigError(key, f"invalid value {value!r}" + (f" ({spec.help})" if spec.help else ""))
         out[key] = value
     return out

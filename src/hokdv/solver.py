@@ -47,7 +47,6 @@ class SolverConfig:
 
     dt: float
     T: float
-    dealias: bool = True
     scheme: str = "ifrk4"  # "ifrk4" or "etdrk4"
     nonlinear: bool = True
     frame_stride: int = 1
@@ -79,8 +78,7 @@ class ContractionTrace:
     diverged: bool = False
 
 
-def _product_term(model: DispersionModel, coeffs: np.ndarray, grid: TorusGrid,
-                  mask: np.ndarray | None) -> np.ndarray:
+def _product_term(coeffs: np.ndarray, grid: TorusGrid, mask: np.ndarray) -> np.ndarray:
     """-(i k / 2) * (u (*) u) where (*) is the normalized lattice convolution."""
     return -0.5j * grid.k_values * lattice_product(coeffs, grid, mask)
 
@@ -103,7 +101,7 @@ def integrate(
         raise ValueError("initial data must be mean-zero")
     steps = cfg.steps
     lin = model.phase(grid.k_values)
-    mask = dealias_mask(grid) if (cfg.dealias and cfg.nonlinear) else None
+    mask = dealias_mask(grid)
     half_mult = np.exp(1j * lin * cfg.dt / 2.0)
     full_mult = half_mult * half_mult
     initial_l2 = physical_l2_norm(u0)
@@ -123,15 +121,15 @@ def integrate(
     for step in range(steps):
         if cfg.nonlinear:
             if cfg.scheme == "ifrk4":
-                c = _ifrk4_step(model, c, grid, cfg.dt, half_mult, full_mult, mask)
+                c = _ifrk4_step(c, grid, cfg.dt, half_mult, full_mult, mask)
             else:
-                n0 = _product_term(model, c, grid, mask)
+                n0 = _product_term(c, grid, mask)
                 a = half_mult * c + stage_w * n0
-                na = _product_term(model, a, grid, mask)
+                na = _product_term(a, grid, mask)
                 b = half_mult * c + stage_w * na
-                nb = _product_term(model, b, grid, mask)
+                nb = _product_term(b, grid, mask)
                 cc = half_mult * a + stage_w * (2.0 * nb - n0)
-                nc = _product_term(model, cc, grid, mask)
+                nc = _product_term(cc, grid, mask)
                 c = full_mult * c + w1 * n0 + w2 * (na + nb) + w3 * nc
         else:
             c = full_mult * c
@@ -146,15 +144,15 @@ def integrate(
     return np.array(times), np.array(frames)
 
 
-def _ifrk4_step(model, c, grid, dt, half_mult, full_mult, mask):
+def _ifrk4_step(c, grid, dt, half_mult, full_mult, mask):
     """Classical RK4 on the integrating-factor transform w(t) = e^{-Lt} u."""
-    f1 = _product_term(model, c, grid, mask)
+    f1 = _product_term(c, grid, mask)
     w2 = half_mult * (c + 0.5 * dt * f1)
-    f2 = np.conj(half_mult) * _product_term(model, w2, grid, mask)
+    f2 = np.conj(half_mult) * _product_term(w2, grid, mask)
     w3 = half_mult * c + 0.5 * dt * half_mult * f2
-    f3 = np.conj(half_mult) * _product_term(model, w3, grid, mask)
+    f3 = np.conj(half_mult) * _product_term(w3, grid, mask)
     w4 = full_mult * (c + dt * f3)
-    f4 = np.conj(full_mult) * _product_term(model, w4, grid, mask)
+    f4 = np.conj(full_mult) * _product_term(w4, grid, mask)
     w_new = c + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
     return full_mult * w_new
 
@@ -252,7 +250,7 @@ def duhamel_map(
             f"frames have shape {u_frames.shape}, expected ({len(held.times)}, {grid.modes})"
         )
     # d_x(u^2) = -2 * product term
-    q = _product_term(model, u_frames, grid, held.mask) * (-2.0)
+    q = _product_term(u_frames, grid, held.mask) * (-2.0)
     integrand = held.backward * (held.eta_t * q)
     cumulative = _cumulative_integral(integrand, held.dt, held.anchor)
     out = held.eta_t * (held.forward * (phi.coeffs - 0.5 * cumulative))
@@ -326,11 +324,9 @@ def contraction_experiment(
         if not np.isfinite(d) or d > 1e8 * scale:
             trace.diverged = True
             break
-    ratios = [b / a for a, b in zip(trace.diff_norms, trace.diff_norms[1:]) if a > floor]
+    # every difference but the last exceeds the floor, or the loop would have stopped there
+    ratios = [b / a for a, b in zip(trace.diff_norms, trace.diff_norms[1:])]
     trace.factor = max(ratios) if ratios else float("nan")
-    if not ratios and len(trace.diff_norms) >= 1:
-        # a single step may already sit on the floor (e.g. phi = 0)
-        trace.converged = trace.converged or trace.diff_norms[-1] <= floor
     return trace
 
 

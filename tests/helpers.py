@@ -171,7 +171,7 @@ def reference_duhamel_map(model, phi, u_frames, times):
     lin = model.phase(grid.k_values)
     eta_t = np.asarray(smooth_bump_window()(times), dtype=np.float64)[:, None]
     t_col = times[:, None]
-    q = _product_term(model, u_frames, grid, dealias_mask(grid)) * (-2.0)
+    q = _product_term(u_frames, grid, dealias_mask(grid)) * (-2.0)
     integrand = np.exp(-1j * t_col * lin) * (eta_t * q)
     cumulative = _cumulative_integral(integrand, dt, anchor)
     out = eta_t * (np.exp(1j * t_col * lin) * (phi.coeffs - 0.5 * cumulative))

@@ -1,5 +1,5 @@
 """Command-line contract: exit codes, config validation, determinism of
-emitted reports, manifests, and the environment seed override."""
+emitted reports, and manifests."""
 
 import hashlib
 import json
@@ -30,7 +30,7 @@ def newest_run_dir(tmp_path) -> Path:
 
 
 def test_parse_config_types():
-    cfg = parse_config_text(
+    raw = parse_config_text(
         """
         # comment
         j = 2
@@ -40,13 +40,29 @@ def test_parse_config_types():
         N_list = 8, 16, 32
         """
     )
+    assert raw == {"j": "2", "t": "0.5", "flag": "true", "name": "phi_n", "N_list": "8, 16, 32"}
+    schema = {"j": Field("int"), "t": Field("float"), "flag": Field("bool"), "name": Field("str"),
+              "N_list": Field("int_list")}
+    cfg = validate_config(raw, schema)
     assert cfg == {"j": 2, "t": 0.5, "flag": True, "name": "phi_n", "N_list": [8, 16, 32]}
+    assert [type(cfg[key]) for key in ("j", "t", "flag")] == [int, float, bool]
+
+
+def test_each_kind_has_its_own_parser():
+    schema = {"name": Field("str"), "flag": Field("bool"), "x": Field("float"),
+              "xs": Field("float_list"), "ns": Field("int_list")}
+    raw = {"name": "3.10", "flag": "FALSE", "x": "2", "xs": "1, , 2.5,", "ns": "7"}
+    cfg = validate_config(raw, schema)
+    assert cfg == {"name": "3.10", "flag": False, "x": 2.0, "xs": [1.0, 2.5], "ns": [7]}
+    for key, text in [("flag", "1"), ("x", "true"), ("ns", "1, 2.0"), ("x", "1, 2")]:
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            validate_config({**raw, key: text}, schema)
 
 
 def test_validate_rejects_unknown_and_missing_keys():
-    schema = {"j": Field("int", required=True)}
+    schema = {"j": Field("int")}
     with pytest.raises(ConfigError, match="unknown"):
-        validate_config({"j": 2, "bogus": 1}, schema)
+        validate_config({"j": "2", "bogus": "1"}, schema)
     with pytest.raises(ConfigError, match="missing required key"):
         validate_config({}, schema)
     with pytest.raises(ConfigError, match="'j'"):
@@ -296,22 +312,53 @@ def test_picard_check_refuses_unresolved_budget(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv,seed,key",
+    "argv,key",
     [
         (["simulate", "--set", "j = 2", "--set", "M = 64", "--set", "dt = 0.003",
-          "--set", "T = 0.01"], None, "'T'"),
-        (["contraction", "--set", "max_iter = 1"], "abc", "'seed'"),
-        (["estimate-search", "--set", "estimate = 3.1", "--set", "lam = 1.5"], None, "'lam'"),
-        (["resonance-audit", "--set", "j_list = 2, 0", "--set", "kmax = 5"], None, "'j_list'"),
+          "--set", "T = 0.01"], "'T'"),
+        # 21 steps in frames of 10: the last frame would sit off the stored spacing
+        (["simulate", "--set", "j = 2", "--set", "M = 32", "--set", "dt = 5e-4",
+          "--set", "T = 0.0105", "--set", "frame_stride = 10"], "'frame_stride'"),
+        (["contraction", "--set", "max_iter = 1", "--set", "seed = abc"], "'seed'"),
+        (["estimate-search", "--set", "estimate = 3.1", "--set", "lam = 1.5"], "'lam'"),
+        (["resonance-audit", "--set", "j_list = 2, 0", "--set", "kmax = 5"], "'j_list'"),
     ],
-    ids=["T-not-multiple-of-dt", "non-integer-seed", "non-integral-lam", "audit-j-below-one"],
+    ids=["T-not-multiple-of-dt", "frame-stride-not-dividing-steps", "non-integer-seed",
+         "non-integral-lam", "audit-j-below-one"],
 )
-def test_bad_input_exits_two_before_a_run_directory(tmp_path, monkeypatch, capsys,
-                                                    argv, seed, key):
-    if seed is not None:
-        monkeypatch.setenv("HOKDV_SEED", seed)
+def test_bad_input_exits_two_before_a_run_directory(tmp_path, capsys, argv, key):
     assert run(tmp_path, *argv) == 2
     assert key in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+SIMULATE_PHI_N = ["simulate", "--set", "j = 2", "--set", "M = 64", "--set", "dt = 0.01",
+                  "--set", "T = 0.1", "--set", "initial = phi_n"]
+
+
+@pytest.mark.parametrize(
+    "argv,key",
+    [
+        ([*SIMULATE_PHI_N, "--set", "initial_s = nan"], "initial_s"),
+        ([*SIMULATE_PHI_N, "--set", "T = 1e400"], "T"),
+        (["illposed-sweep", "--set", "j = 2", "--set", "s_list = -1.5, nan",
+          "--set", "N_list = 8, 16, 32"], "s_list"),
+        (["resonance-audit", "--set", "j_list = 2", "--set", "kmax = 5", "--set", "lam = inf"], "lam"),
+        (["estimate-search", "--set", "estimate = 3.1", "--set", "s = nan"], "s"),
+        (["estimate-search", "--set", "estimate = 2.2", "--set", "a = -inf"], "a"),
+        (["contraction", "--set", "s = nan"], "s"),
+        (["contraction", "--set", "amplitude = 1e400"], "amplitude"),
+        (["picard-check", "--set", "lam = inf"], "lam"),
+        (["picard-check", "--set", "t_list = 0.1, 1e400"], "t_list"),
+    ],
+    ids=["simulate-initial-s-nan", "simulate-T-overflow", "sweep-s-nan", "audit-lam-inf",
+         "estimate-s-nan", "estimate-a-minus-inf", "contraction-s-nan",
+         "contraction-amplitude-overflow", "picard-lam-inf", "picard-t-overflow"],
+)
+def test_non_finite_number_exits_two_naming_its_key(tmp_path, capsys, argv, key):
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err and "finite" in err
     assert not any(tmp_path.iterdir())
 
 
@@ -361,14 +408,6 @@ def test_nonzero_exit_leaves_no_run_directory_or_one_manifest(tmp_path, capsys, 
     else:
         assert len(dirs) == 1
         assert [p.name for p in dirs[0].glob("manifest*")] == ["manifest.json"]
-
-
-def test_env_seed_overrides_config(tmp_path, monkeypatch):
-    monkeypatch.setenv("HOKDV_SEED", "31337")
-    code = run(tmp_path, "estimate-search", "--set", "estimate = 2.5", "--set", "trials = 5")
-    assert code == 0
-    manifest = json.loads((only_run_dir(tmp_path) / "manifest.json").read_text())
-    assert manifest["seed"] == 31337
 
 
 def test_config_file_drives_a_run(tmp_path):

@@ -52,16 +52,6 @@ def test_linear_integration_is_exact(scheme):
     assert np.max(np.abs(frames[-1] - exact.coeffs)) < 1e-10
 
 
-def test_undealiased_frames_keep_nyquist_slot_zero():
-    grid = TorusGrid(1.0, 64)
-    model = DispersionModel(2, 1.0)
-    u0 = smooth_data(grid, scale=0.3, decay=0.3, max_mode=31)
-    times, frames = integrate(model, u0, SolverConfig(dt=1e-3, T=0.2, dealias=False, frame_stride=7))
-    assert frames.shape == (len(times), grid.modes)
-    assert np.abs(frames[1:]).max() > 0
-    assert np.all(frames[:, grid.nyquist_index] == 0)
-
-
 @pytest.mark.parametrize("j", [2, 3])
 def test_invariants_over_unit_time(j):
     grid = TorusGrid(1.0, 256)
@@ -69,6 +59,7 @@ def test_invariants_over_unit_time(j):
     u0 = smooth_data(grid)
     cfg = SolverConfig(dt=5e-4, T=1.0, frame_stride=200)
     _, frames = integrate(model, u0, cfg)
+    assert np.all(frames[:, grid.nyquist_index] == 0)
     mean0, l20 = conserved_quantities(SpectralField(grid, frames[0]))
     for row in frames:
         mean, l2 = conserved_quantities(SpectralField(grid, row))
@@ -88,6 +79,30 @@ def test_temporal_convergence_order():
     e1 = np.max(np.abs(end_state(0.002) - end_state(0.001)))
     e2 = np.max(np.abs(end_state(0.001) - end_state(0.0005)))
     assert e1 / e2 >= 2**3.8
+
+
+@pytest.mark.parametrize("j,T,dt", [(2, 0.3, 2e-4), (3, 0.1, 4e-5)])
+def test_nonlinear_solution_follows_the_picard_expansion(j, T, dt):
+    """For data eps phi_N, u(T) = eps u1 - (eps^2/2) A2 + (eps^3/4) A3 + O(eps^4):
+    a wrong sign or factor in the product term or in a closed iterate leaves a
+    remainder of order eps^2 or eps^3.  3N = 6 sits inside the 2/3 cutoff of
+    M = 32, so the solver keeps the third-order output."""
+    from hokdv.iterates import phi_n_data, third_iterate_closed
+
+    grid = TorusGrid(1.0, 32)
+    model = DispersionModel(j, 1.0)
+    phi = phi_n_data(2, 0.0, grid)
+    u1 = free_evolve(model, phi, T).coeffs
+    a2 = second_iterate_closed(model, phi, T).field.coeffs
+    a3 = third_iterate_closed(model, phi, T).field.coeffs
+    remainders = []
+    for eps in (0.4, 0.2, 0.1):
+        data = SpectralField(grid, eps * phi.coeffs)
+        u_T = integrate(model, data, SolverConfig(dt=dt, T=T, scheme="etdrk4", frame_stride=10**9))[1][-1]
+        expansion = eps * u1 - eps**2 / 2 * a2 + eps**3 / 4 * a3
+        remainders.append(np.max(np.abs(u_T - expansion)))
+    slopes = np.log2(np.array(remainders[:-1]) / np.array(remainders[1:]))
+    assert np.all(slopes >= 3.8), (remainders, slopes)
 
 
 def test_blow_up_detection():
