@@ -44,7 +44,7 @@ from .solver import (
     contraction_experiment,
     integrate,
 )
-from .torus import SpectralField, TorusGrid
+from .torus import SpectralField, TorusGrid, physical_l2_norm
 from .norms import write_frames
 from .verifier import (
     GENERATORS,
@@ -171,17 +171,42 @@ def _solver_config(cfg: dict) -> SolverConfig:
         raise ConfigError("T", str(err)) from None
 
 
+def _initial_scale_key(cfg: dict) -> str:
+    """The key that sets the size of the initial data: N^-s for phi_n, the amplitude
+    for cosine, and for smooth-random whichever of amplitude and e^{-decay m} (m up
+    to initial_modes) is further from 1."""
+    if cfg["initial"] == "phi_n":
+        return "initial_s"
+    if cfg["initial"] == "smooth-random" and (
+        abs(cfg["initial_decay"]) * cfg["initial_modes"] > abs(np.log(cfg["initial_amplitude"]))
+    ):
+        return "initial_decay"
+    return "initial_amplitude"
+
+
 def _check_simulate(cfg: dict) -> None:
     """Refuse a time step, a frame stride or initial data that the run cannot carry:
-    frames.bin stores one frame spacing, so the stride must divide the steps."""
+    frames.bin stores one frame spacing, so the stride must divide the steps, and
+    the data must have finite coefficients and a finite, nonzero L2 norm."""
     steps = _solver_config(cfg).steps
     if steps % cfg["frame_stride"]:
         raise ConfigError("frame_stride", f"{cfg['frame_stride']} does not divide the {steps} steps")
     try:
-        _initial_data(cfg, TorusGrid(cfg["lam"], cfg["M"]), np.random.default_rng(cfg["seed"]))
+        with np.errstate(all="ignore"):
+            u0 = _initial_data(cfg, TorusGrid(cfg["lam"], cfg["M"]),
+                               np.random.default_rng(cfg["seed"]))
+            l2 = physical_l2_norm(u0)
     except ValueError as err:
         key = "initial_N" if cfg["initial"] == "phi_n" else "initial_modes"
         raise ConfigError(key, str(err)) from None
+    except OverflowError:
+        raise ConfigError(_initial_scale_key(cfg), "the initial data overflow double precision") from None
+    if not np.all(np.isfinite(u0.coeffs)) or not 0.0 < l2 < np.inf:
+        raise ConfigError(
+            _initial_scale_key(cfg),
+            f"the initial data have L2 norm {l2:g} in double precision; "
+            "they must be finite and nonzero",
+        )
 
 
 def run_simulate(ctx: RunContext, jobs: int) -> bool:

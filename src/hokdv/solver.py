@@ -6,7 +6,9 @@ The linear part is diagonal in Fourier space and is always applied through
 its exact unimodular multiplier (k^{2j+1} time scales are hopeless for any
 explicit scheme on the raw equation); only the quadratic term is stepped,
 either by integrating-factor RK4 or by ETDRK4.  The quadratic product is
-the 2/3-dealiased normalized lattice convolution, `torus.lattice_product`.
+the 2/3-dealiased normalized lattice convolution, `torus.lattice_product`;
+`integrate` folds its constants into step weights built once per run, so
+each stage is one FFT pair (`_stage_product`).
 """
 
 from __future__ import annotations
@@ -83,6 +85,18 @@ def _product_term(coeffs: np.ndarray, grid: TorusGrid, mask: np.ndarray) -> np.n
     return -0.5j * grid.k_values * lattice_product(coeffs, grid, mask)
 
 
+def _stage_product(v: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """fft(ifft(v mask)^2): one stage product of integrate, before its constants."""
+    w = np.fft.ifft(v * mask)
+    return np.fft.fft(w * w)
+
+
+def _stage_factor(grid: TorusGrid, mask: np.ndarray) -> np.ndarray:
+    """g with _product_term(v) = g * _stage_product(v): lattice_product's scalings
+    (M / 2 pi lam)^2 (2 pi lam / M) 2 pi make M / lam, and its output mask."""
+    return (-0.5j * grid.modes / grid.lam) * grid.k_values * mask
+
+
 def integrate(
     model: DispersionModel, u0: SpectralField, cfg: SolverConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -100,40 +114,55 @@ def integrate(
     if abs(u0.mean_value()) > 1e-13:
         raise ValueError("initial data must be mean-zero")
     steps = cfg.steps
+    dt = cfg.dt
     lin = model.phase(grid.k_values)
     mask = dealias_mask(grid)
-    half_mult = np.exp(1j * lin * cfg.dt / 2.0)
+    half_mult = np.exp(1j * lin * dt / 2.0)
     full_mult = half_mult * half_mult
     initial_l2 = physical_l2_norm(u0)
 
+    g = _stage_factor(grid, mask)  # folded into every step weight
     if cfg.scheme == "etdrk4":
-        z = 1j * lin * cfg.dt
+        z = 1j * lin * dt
         phis = phi_functions(z, 4)
         half_phis = phi_functions(z / 2.0, 2)
-        stage_w = (cfg.dt / 2.0) * half_phis[1]
-        w1 = cfg.dt * (phis[1] - 3.0 * phis[2] + 4.0 * phis[3])
-        w2 = cfg.dt * 2.0 * (phis[2] - 2.0 * phis[3])
-        w3 = cfg.dt * (4.0 * phis[3] - phis[2])
+        stage_w = (dt / 2.0) * half_phis[1] * g
+        w1 = dt * (phis[1] - 3.0 * phis[2] + 4.0 * phis[3]) * g
+        w2 = dt * 2.0 * (phis[2] - 2.0 * phis[3]) * g
+        w3 = dt * (4.0 * phis[3] - phis[2]) * g
+    else:
+        # classical RK4 on w(t) = e^{-Lt} u, pushed forward by e^{Lt}: with
+        # h = e^{L dt/2}, f = h^2 and conj(h) h = 1 every conj(h) cancels
+        in_a = (dt / 2.0) * half_mult * g
+        in_b = (dt / 2.0) * g
+        in_c = dt * half_mult * g
+        out_1 = (dt / 6.0) * full_mult * g
+        out_23 = (dt / 3.0) * half_mult * g
+        out_4 = (dt / 6.0) * g
 
     c = u0.coeffs.copy()
     times = [0.0]
     frames = [u0.coeffs]
     for step in range(steps):
-        if cfg.nonlinear:
-            if cfg.scheme == "ifrk4":
-                c = _ifrk4_step(c, grid, cfg.dt, half_mult, full_mult, mask)
-            else:
-                n0 = _product_term(c, grid, mask)
-                a = half_mult * c + stage_w * n0
-                na = _product_term(a, grid, mask)
-                b = half_mult * c + stage_w * na
-                nb = _product_term(b, grid, mask)
-                cc = half_mult * a + stage_w * (2.0 * nb - n0)
-                nc = _product_term(cc, grid, mask)
-                c = full_mult * c + w1 * n0 + w2 * (na + nb) + w3 * nc
-        else:
+        if not cfg.nonlinear:
             c = full_mult * c
-        t_now = (step + 1) * cfg.dt
+        elif cfg.scheme == "etdrk4":
+            q0 = _stage_product(c, mask)
+            hc = half_mult * c
+            a = hc + stage_w * q0
+            qa = _stage_product(a, mask)
+            qb = _stage_product(hc + stage_w * qa, mask)
+            qc = _stage_product(half_mult * a + stage_w * (2.0 * qb - q0), mask)
+            c = full_mult * c + w1 * q0 + w2 * (qa + qb) + w3 * qc
+        else:
+            q1 = _stage_product(c, mask)
+            hc = half_mult * c
+            q2 = _stage_product(hc + in_a * q1, mask)
+            q3 = _stage_product(hc + in_b * q2, mask)
+            fc = full_mult * c
+            q4 = _stage_product(fc + in_c * q3, mask)
+            c = fc + out_1 * q1 + out_23 * (q2 + q3) + out_4 * q4
+        t_now = (step + 1) * dt
         if (step + 1) % cfg.frame_stride == 0 or step + 1 == steps:
             frame = SpectralField(grid, c)
             frames.append(frame.coeffs)
@@ -142,19 +171,6 @@ def integrate(
             if not np.isfinite(ratio) or ratio > 10.0:
                 raise BlowUpError(t_now, ratio)
     return np.array(times), np.array(frames)
-
-
-def _ifrk4_step(c, grid, dt, half_mult, full_mult, mask):
-    """Classical RK4 on the integrating-factor transform w(t) = e^{-Lt} u."""
-    f1 = _product_term(c, grid, mask)
-    w2 = half_mult * (c + 0.5 * dt * f1)
-    f2 = np.conj(half_mult) * _product_term(w2, grid, mask)
-    w3 = half_mult * c + 0.5 * dt * half_mult * f2
-    f3 = np.conj(half_mult) * _product_term(w3, grid, mask)
-    w4 = full_mult * (c + dt * f3)
-    f4 = np.conj(full_mult) * _product_term(w4, grid, mask)
-    w_new = c + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-    return full_mult * w_new
 
 
 def conserved_quantities(u: SpectralField) -> tuple[float, float]:

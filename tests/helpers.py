@@ -227,3 +227,72 @@ def reference_contraction_experiment(model, phi, s, *, max_iter, n_frames):
     if not ratios and len(trace.diff_norms) >= 1:
         trace.converged = trace.converged or trace.diff_norms[-1] <= floor
     return trace
+
+
+def reference_integrate(model, u0, cfg):
+    """`solver.integrate` as it stepped before it folded the product's constants
+    into its step weights, as a reference: every stage through `_product_term`,
+    IFRK4 with its conj(e^{iL dt/2}) factors rebuilt on every step."""
+    from hokdv.expquad import phi_functions
+    from hokdv.solver import BlowUpError, _product_term
+    from hokdv.torus import dealias_mask, physical_l2_norm
+
+    def ifrk4_step(c, grid, dt, half_mult, full_mult, mask):
+        f1 = _product_term(c, grid, mask)
+        w2 = half_mult * (c + 0.5 * dt * f1)
+        f2 = np.conj(half_mult) * _product_term(w2, grid, mask)
+        w3 = half_mult * c + 0.5 * dt * half_mult * f2
+        f3 = np.conj(half_mult) * _product_term(w3, grid, mask)
+        w4 = full_mult * (c + dt * f3)
+        f4 = np.conj(full_mult) * _product_term(w4, grid, mask)
+        w_new = c + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+        return full_mult * w_new
+
+    grid = u0.grid
+    if grid.lam != model.lam:
+        raise ValueError("grid lam does not match model lam")
+    if abs(u0.mean_value()) > 1e-13:
+        raise ValueError("initial data must be mean-zero")
+    steps = cfg.steps
+    lin = model.phase(grid.k_values)
+    mask = dealias_mask(grid)
+    half_mult = np.exp(1j * lin * cfg.dt / 2.0)
+    full_mult = half_mult * half_mult
+    initial_l2 = physical_l2_norm(u0)
+
+    if cfg.scheme == "etdrk4":
+        z = 1j * lin * cfg.dt
+        phis = phi_functions(z, 4)
+        half_phis = phi_functions(z / 2.0, 2)
+        stage_w = (cfg.dt / 2.0) * half_phis[1]
+        w1 = cfg.dt * (phis[1] - 3.0 * phis[2] + 4.0 * phis[3])
+        w2 = cfg.dt * 2.0 * (phis[2] - 2.0 * phis[3])
+        w3 = cfg.dt * (4.0 * phis[3] - phis[2])
+
+    c = u0.coeffs.copy()
+    times = [0.0]
+    frames = [u0.coeffs]
+    for step in range(steps):
+        if cfg.nonlinear:
+            if cfg.scheme == "ifrk4":
+                c = ifrk4_step(c, grid, cfg.dt, half_mult, full_mult, mask)
+            else:
+                n0 = _product_term(c, grid, mask)
+                a = half_mult * c + stage_w * n0
+                na = _product_term(a, grid, mask)
+                b = half_mult * c + stage_w * na
+                nb = _product_term(b, grid, mask)
+                cc = half_mult * a + stage_w * (2.0 * nb - n0)
+                nc = _product_term(cc, grid, mask)
+                c = full_mult * c + w1 * n0 + w2 * (na + nb) + w3 * nc
+        else:
+            c = full_mult * c
+        t_now = (step + 1) * cfg.dt
+        if (step + 1) % cfg.frame_stride == 0 or step + 1 == steps:
+            frame = SpectralField(grid, c)
+            frames.append(frame.coeffs)
+            times.append(t_now)
+            ratio = physical_l2_norm(frame) / max(initial_l2, 1e-300)
+            if not np.isfinite(ratio) or ratio > 10.0:
+                raise BlowUpError(t_now, ratio)
+    return np.array(times), np.array(frames)

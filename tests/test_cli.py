@@ -311,6 +311,10 @@ def test_picard_check_refuses_unresolved_budget(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+SIMULATE_SHORT = ["simulate", "--set", "j = 2", "--set", "M = 64", "--set", "dt = 1e-3",
+                  "--set", "T = 0.01"]
+
+
 @pytest.mark.parametrize(
     "argv,key",
     [
@@ -322,9 +326,17 @@ def test_picard_check_refuses_unresolved_budget(tmp_path, capsys):
         (["contraction", "--set", "max_iter = 1", "--set", "seed = abc"], "'seed'"),
         (["estimate-search", "--set", "estimate = 3.1", "--set", "lam = 1.5"], "'lam'"),
         (["resonance-audit", "--set", "j_list = 2, 0", "--set", "kmax = 5"], "'j_list'"),
+        # initial data past double precision: overflow, underflow to zero, an infinite L2 norm
+        ([*SIMULATE_SHORT, "--set", "initial = phi_n", "--set", "initial_s = -1000"], "'initial_s'"),
+        ([*SIMULATE_SHORT, "--set", "initial = phi_n", "--set", "initial_s = 1000"], "'initial_s'"),
+        ([*SIMULATE_SHORT, "--set", "initial_amplitude = 1e200"], "'initial_amplitude'"),
+        ([*SIMULATE_SHORT, "--set", "initial_decay = -1000"], "'initial_decay'"),
+        ([*SIMULATE_SHORT, "--set", "initial = cosine", "--set", "initial_amplitude = 1e307"],
+         "'initial_amplitude'"),
     ],
     ids=["T-not-multiple-of-dt", "frame-stride-not-dividing-steps", "non-integer-seed",
-         "non-integral-lam", "audit-j-below-one"],
+         "non-integral-lam", "audit-j-below-one", "phi-n-overflows", "phi-n-underflows",
+         "smooth-random-l2-overflows", "smooth-random-decay-overflows", "cosine-l2-overflows"],
 )
 def test_bad_input_exits_two_before_a_run_directory(tmp_path, capsys, argv, key):
     assert run(tmp_path, *argv) == 2

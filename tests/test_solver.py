@@ -18,6 +18,9 @@ from hokdv.solver import (
     ContractionTrace,
     SolverConfig,
     _cumulative_integral,
+    _product_term,
+    _stage_factor,
+    _stage_product,
     conserved_quantities,
     contraction_experiment,
     duhamel_map,
@@ -26,9 +29,14 @@ from hokdv.solver import (
     scale_time_factor,
     scale_transform,
 )
-from hokdv.torus import SpectralField, TorusGrid
+from hokdv.torus import SpectralField, TorusGrid, dealias_mask
 
-from helpers import random_band_limited, reference_contraction_experiment, reference_duhamel_map
+from helpers import (
+    random_band_limited,
+    reference_contraction_experiment,
+    reference_duhamel_map,
+    reference_integrate,
+)
 
 
 def smooth_data(grid, scale=0.05, decay=1.5, max_mode=6, seed=7):
@@ -121,6 +129,55 @@ def test_mean_zero_requirement():
     u0 = SpectralField.from_modes(grid, {0: 1.0, 1: 0.1, -1: 0.1})
     with pytest.raises(ValueError):
         integrate(model, u0, SolverConfig(dt=0.01, T=0.1))
+
+
+@pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
+@pytest.mark.parametrize("modes", [32, 64, 256])
+@pytest.mark.parametrize("lam", [1.0, 2.0])
+@pytest.mark.parametrize("j", [2, 3])
+def test_integrate_matches_the_reference_stepper(j, lam, modes, scheme):
+    """The step weights with the product's constants folded in move frames only
+    at rounding level, against the stepper that scales every stage product:
+    smooth data with a small tail on every mode (so the input mask matters),
+    the linear flow bit for bit, and a blow-up at the same step."""
+    model = DispersionModel(j, lam)
+    grid = TorusGrid(lam, modes)
+    tail = random_band_limited(grid, np.random.default_rng(modes + j), modes // 2 - 1).coeffs
+    u0 = SpectralField(grid, smooth_data(grid, scale=1.0, decay=0.5).coeffs + 1e-3 * tail)
+    scale = np.max(np.abs(u0.coeffs))
+    for stride in (1, 7):
+        for nonlinear in (True, False):
+            cfg = SolverConfig(dt=1e-3, T=0.02, scheme=scheme, nonlinear=nonlinear,
+                               frame_stride=stride)
+            times, frames = integrate(model, u0, cfg)
+            ref_times, ref_frames = reference_integrate(model, u0, cfg)
+            assert np.array_equal(times, ref_times)
+            if nonlinear:
+                assert np.max(np.abs(frames - ref_frames)) <= 1e-13 * scale
+            else:
+                assert np.array_equal(frames, ref_frames)
+    big = smooth_data(grid, scale=40.0, decay=0.3, max_mode=8)
+    cfg = SolverConfig(dt=0.05, T=2.0, scheme=scheme, frame_stride=1)
+    with pytest.raises(BlowUpError) as got:
+        integrate(model, big, cfg)
+    with pytest.raises(BlowUpError) as ref:
+        reference_integrate(model, big, cfg)
+    assert got.value.t == ref.value.t
+    assert got.value.ratio == pytest.approx(ref.value.ratio, rel=1e-12)
+
+
+@pytest.mark.parametrize("lam,modes", [(1.0, 16), (1.0, 256), (2.0, 64), (3.0, 512)])
+def test_stage_product_with_its_factor_is_the_product_term(lam, modes):
+    """g * fft(ifft(v mask)^2) is -(ik/2) lattice_product(v) on the whole lattice,
+    masked input and output, for fields with modes beyond the 2/3 cutoff."""
+    grid = TorusGrid(lam, modes)
+    mask = dealias_mask(grid)
+    rng = np.random.default_rng(modes)
+    for real in (True, False):
+        v = random_band_limited(grid, rng, modes // 2 - 1, real=real).coeffs
+        expect = _product_term(v, grid, mask)
+        got = _stage_factor(grid, mask) * _stage_product(v, mask)
+        assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
 
 
 def test_conserved_quantities_of_named_fields():
