@@ -159,6 +159,30 @@ class SpaceTimeField:
 # ---------------------------------------------------------------------------
 
 
+def segment_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """The sum of values over each segment bounds[i]:bounds[i + 1], each taken by
+    np.sum over its own slice: the bits the segment gives summed alone.
+    (np.add.reduceat associates a segment's terms in another order.)"""
+    edges = bounds.tolist()
+    return np.array([values[a:b].sum() for a, b in zip(edges[:-1], edges[1:])])
+
+
+def kept_bounds(keep: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Segment offsets bounds after dropping the cells where keep is False."""
+    return np.concatenate(([0], np.cumsum(keep)))[bounds]
+
+
+def kept_indices(keep: np.ndarray) -> np.ndarray:
+    """The indices of keep's True cells, in the narrowest unsigned type: a.take()
+    on them gives a[keep] several times faster, from less memory than keep."""
+    return np.flatnonzero(keep).astype(np.min_scalar_type(len(keep)))
+
+
+def _lone(n: int) -> np.ndarray:
+    """The offsets of n cells that form one field."""
+    return np.array([0, n])
+
+
 def xsb_mass(
     k: np.ndarray,
     sigma: np.ndarray,
@@ -168,46 +192,54 @@ def xsb_mass(
     s: float,
     b: float,
     homogeneous: bool = False,
-) -> float:
-    """Squared X_{s,b} mass of the listed cells (k = 0 cells excluded)."""
+    bounds: np.ndarray | None = None,
+) -> float | np.ndarray:
+    """Squared X_{s,b} mass of the listed cells (k = 0 cells excluded).  With
+    bounds, the cells are fields at those offsets: one mass per field, an array."""
     sel = k != 0
-    if not np.any(sel):
-        return 0.0
     kw = np.abs(k[sel]) if homogeneous else angle_bracket(k[sel])
     weight = kw ** (2.0 * s) * angle_bracket(sigma[sel]) ** (2.0 * b)
-    return float(np.sum(weight * np.abs(coeffs[sel]) ** 2) * cell_measure / lam)
+    terms = weight * np.abs(coeffs[sel]) ** 2
+    if bounds is None:
+        return float(np.sum(terms) * cell_measure / lam)
+    return segment_sums(terms, kept_bounds(sel, bounds)) * cell_measure / lam
 
 
-def _ys_columns(m: np.ndarray, k: np.ndarray, s: float) -> tuple | None:
-    """The cells-only half of the Y^s mass: (sel, order, starts, weights) such that
-    the k != 0 cells, gathered by sel and then order (None: all cells, as they
-    are), form columns of equal m at starts with <k>^{2s} weights; None if every
-    cell has k = 0."""
+def _ys_columns(m: np.ndarray, k: np.ndarray, s: float, bounds: np.ndarray) -> tuple:
+    """The cells-only half of the Y^s mass of the fields at offsets bounds:
+    (sel, order, starts, weights, columns) such that the k != 0 cells, gathered
+    by sel and then order (None: all cells, as they are), form columns of equal
+    m within a field at starts with <k>^{2s} weights; field i owns columns
+    columns[i]:columns[i + 1]."""
+    ids = np.arange(len(bounds) - 1, dtype=np.min_scalar_type(len(bounds)))
+    field = np.repeat(ids, np.diff(bounds))
     sel = k != 0
-    if not np.any(sel):
-        return None
     if sel.all():
         sel = None
     else:
-        m, k = m[sel], k[sel]
+        m, k, field = m[sel], k[sel], field[sel]
+    same_field = field[1:] == field[:-1]
     order = None
-    if (m[1:] < m[:-1]).any():  # sparse fields come sorted by m
-        order = np.argsort(m, kind="stable")
-        m, k = m[order], k[order]
-    starts = np.flatnonzero(np.concatenate(([True], m[1:] != m[:-1])))
-    return sel, order, starts, angle_bracket(k[starts]) ** (2.0 * s)
+    if ((m[1:] < m[:-1]) & same_field).any():  # sparse fields come sorted by m
+        order = np.argsort(m, kind="stable") if len(bounds) == 2 else np.lexsort((m, field))
+        m, k, field = m[order], k[order], field[order]
+        same_field = field[1:] == field[:-1]
+    opens = np.ones(len(m), dtype=bool)
+    opens[1:] = (m[1:] != m[:-1]) | ~same_field
+    starts = np.flatnonzero(opens)
+    columns = np.searchsorted(field[starts], np.arange(len(bounds)))
+    return sel, order, starts, angle_bracket(k[starts]) ** (2.0 * s), columns
 
 
-def _ys_mass(columns: tuple | None, coeffs: np.ndarray, cell_measure: float, lam: float) -> float:
-    """The coefficient half of the Y^s mass over _ys_columns' layout."""
-    if columns is None:
-        return 0.0
-    sel, order, starts, weights = columns
-    amps = np.abs(coeffs if sel is None else coeffs[sel]) * cell_measure
+def _ys_mass(columns: tuple, amps: np.ndarray, cell_measure: float, lam: float) -> np.ndarray:
+    """The coefficient half of the Y^s mass over _ys_columns' layout, one per
+    field, from the coefficients' moduli amps."""
+    sel, order, starts, weights, field_columns = columns
+    amps = (amps if sel is None else amps[sel]) * cell_measure
     if order is not None:
         amps = amps[order]
     col_l1 = np.add.reduceat(amps, starts)
-    return float(np.sum(weights * col_l1**2) / lam)
+    return segment_sums(weights * col_l1**2, field_columns) / lam
 
 
 def ys_mass(
@@ -219,21 +251,27 @@ def ys_mass(
     s: float,
 ) -> float:
     """Squared Y^s mass: l2 in k of <k>^s times the L1-in-tau column integral."""
-    return _ys_mass(_ys_columns(m, k, s), coeffs, cell_measure, lam)
+    columns = _ys_columns(m, k, s, _lone(len(m)))
+    return float(_ys_mass(columns, np.abs(coeffs), cell_measure, lam)[0])
 
 
 @dataclass(frozen=True)
 class ZsNorm:
-    """The Z^s value together with its four constituents."""
+    """The Z^s value together with its four constituents: floats, or for a stack
+    of fields one array entry per field."""
 
-    x_d1d5: float
-    x_d2: float
-    x_d3d4: float
-    ys: float
+    x_d1d5: float | np.ndarray
+    x_d2: float | np.ndarray
+    x_d3d4: float | np.ndarray
+    ys: float | np.ndarray
 
     @property
-    def total(self) -> float:
+    def total(self) -> float | np.ndarray:
         return self.x_d1d5 + self.x_d2 + self.x_d3d4 + self.ys
+
+    def field(self, i: int) -> "ZsNorm":
+        """Field i's norm, as floats, out of per-field arrays."""
+        return ZsNorm(*(float(v[i]) for v in (self.x_d1d5, self.x_d2, self.x_d3d4, self.ys)))
 
 
 def zs_region_exponents(model: DispersionModel, s: float) -> dict[str, tuple[float, float]]:
@@ -250,52 +288,57 @@ def zs_region_exponents(model: DispersionModel, s: float) -> dict[str, tuple[flo
 class ZsWeights:
     """The cells-only half of the Z^s norm of one cell set at one s.
 
-    blocks holds, for the D1 u D5, D2 and D3 u D4 blocks, None if the block
-    is empty, or (mask, weights): the block's cell mask and its cells'
-    <k>^{2s_r} <sigma>^{2b_r} weights.  ys is the Y^s column layout of
-    _ys_columns.
+    blocks holds, for the D1 u D5, D2 and D3 u D4 blocks, (cells, weights,
+    bounds): the block's cell indices (kept_indices), its cells' <k>^{2s_r}
+    <sigma>^{2b_r} weights, and the fields' offsets among them.  ys is the Y^s
+    column layout of _ys_columns.
     """
 
     blocks: tuple
-    ys: tuple | None
+    ys: tuple
     lam: float
 
     def norm(self, coeffs: np.ndarray, cell_measure: float) -> ZsNorm:
-        """The coefficient half: Z^s of coeffs on these cells, each block summed
-        in the cells' order."""
-        mass = np.abs(coeffs) ** 2
-        x = []
-        for block in self.blocks:
-            if block is None:
-                x.append(0.0)
-                continue
-            mask, weights = block
-            x.append(np.sqrt(float(np.sum(weights * mass[mask]) * cell_measure / self.lam)))
-        ys = np.sqrt(_ys_mass(self.ys, coeffs, cell_measure, self.lam))
-        return ZsNorm(float(x[0]), float(x[1]), float(x[2]), float(ys))
+        """The coefficient half: Z^s of coeffs on these cells, one array entry
+        per field, each block summed over the field's cells in their order."""
+        amps, lam = np.abs(coeffs), self.lam
+        mass = amps**2
+        x = [
+            np.sqrt(segment_sums(weights * mass.take(cells), bounds) * cell_measure / lam)
+            for cells, weights, bounds in self.blocks
+        ]
+        return ZsNorm(*x, np.sqrt(_ys_mass(self.ys, amps, cell_measure, lam)))
 
 
 def zs_weights(
-    m: np.ndarray, k: np.ndarray, sigma: np.ndarray, model: DispersionModel, s: float
+    m: np.ndarray,
+    k: np.ndarray,
+    sigma: np.ndarray,
+    model: DispersionModel,
+    s: float,
+    bounds: np.ndarray | None = None,
 ) -> ZsWeights:
-    """The Z^s weights of the cells (m, k, sigma): region masks, bracket powers
-    and Y^s columns, everything of the norm that does not read a coefficient."""
+    """The Z^s weights of the cells (m, k, sigma), fields at offsets bounds (None:
+    one field): region masks, bracket powers and Y^s columns, everything of the
+    norm that does not read a coefficient."""
+    if bounds is None:
+        bounds = _lone(len(m))
     masks = region_masks(model, k, sigma)
     exps = zs_region_exponents(model, s)
     # brackets formed once for the three blocks; the region masks exclude k = 0
     k_bracket, sigma_bracket = angle_bracket(k), angle_bracket(sigma)
 
     def block(mask: np.ndarray, se: float, be: float):
-        if not np.any(mask):
-            return None
-        return mask, k_bracket[mask] ** (2.0 * se) * sigma_bracket[mask] ** (2.0 * be)
+        cells = kept_indices(mask)
+        weights = k_bracket.take(cells) ** (2.0 * se) * sigma_bracket.take(cells) ** (2.0 * be)
+        return cells, weights, np.searchsorted(cells, bounds)
 
     blocks = (
         block(masks[Region.D1] | masks[Region.D5], *exps["d1d5"]),
         block(masks[Region.D2], *exps["d2"]),
         block(masks[Region.D3] | masks[Region.D4], *exps["d3d4"]),
     )
-    return ZsWeights(blocks, _ys_columns(m, k, s), model.lam)
+    return ZsWeights(blocks, _ys_columns(m, k, s, bounds), model.lam)
 
 
 def zs_norm_cells(
@@ -308,10 +351,13 @@ def zs_norm_cells(
     s: float,
     warn_range: bool = True,
     weights: dict | None = None,
+    bounds: np.ndarray | None = None,
 ) -> ZsNorm:
     """Z^s of the listed cells: the weight pass zs_weights, then its coefficient
     pass.  weights, if given, is a cache of weight passes by s for these very
-    cells: one found there is used, one formed here is stored there."""
+    cells: one found there is used, one formed here is stored there.  With
+    bounds, the cells are fields at those offsets, and the norm holds one array
+    entry per field; without, floats."""
     if warn_range and not (-model.j + 0.5 <= s <= -model.j / 2.0):
         warnings.warn(
             f"s = {s} outside the window [{-model.j + 0.5}, {-model.j / 2.0}] the "
@@ -321,10 +367,11 @@ def zs_norm_cells(
         )
     zw = None if weights is None else weights.get(s)
     if zw is None:
-        zw = zs_weights(m, k, sigma, model, s)
+        zw = zs_weights(m, k, sigma, model, s, bounds)
         if weights is not None:
             weights[s] = zw
-    return zw.norm(coeffs, cell_measure)
+    z = zw.norm(coeffs, cell_measure)
+    return z if bounds is not None else z.field(0)
 
 
 # ---------------------------------------------------------------------------

@@ -32,15 +32,19 @@ from .torus import SpectralField, TorusGrid, dealias_mask, lattice_product, phys
 
 
 class BlowUpError(RuntimeError):
-    """L2 norm exceeded ten times its initial value during integration."""
+    """L2 norm exceeded ten times its initial value during integration, or left
+    double precision somewhere in (since, t], the steps after the last frame."""
 
-    def __init__(self, t: float, ratio: float):
-        super().__init__(
-            f"L2 norm grew to {ratio:.3g} times its initial value by t = {t:.6g}; "
-            "the run is unstable (reduce dt or the data amplitude)"
-        )
+    def __init__(self, t: float, ratio: float, since: float):
+        if np.isfinite(ratio):
+            what = f"L2 norm grew to {ratio:.3g} times its initial value by t = {t:.6g}"
+        else:
+            what = (f"L2 norm is {ratio} (not finite) at t = {t:.6g}: the state left "
+                    f"double precision in ({since:.6g}, {t:.6g}]")
+        super().__init__(f"{what}; the run is unstable (reduce dt or the data amplitude)")
         self.t = t
         self.ratio = ratio
+        self.since = since
 
 
 @dataclass(frozen=True)
@@ -143,33 +147,35 @@ def integrate(
     c = u0.coeffs.copy()
     times = [0.0]
     frames = [u0.coeffs]
-    for step in range(steps):
-        if not cfg.nonlinear:
-            c = full_mult * c
-        elif cfg.scheme == "etdrk4":
-            q0 = _stage_product(c, mask)
-            hc = half_mult * c
-            a = hc + stage_w * q0
-            qa = _stage_product(a, mask)
-            qb = _stage_product(hc + stage_w * qa, mask)
-            qc = _stage_product(half_mult * a + stage_w * (2.0 * qb - q0), mask)
-            c = full_mult * c + w1 * q0 + w2 * (qa + qb) + w3 * qc
-        else:
-            q1 = _stage_product(c, mask)
-            hc = half_mult * c
-            q2 = _stage_product(hc + in_a * q1, mask)
-            q3 = _stage_product(hc + in_b * q2, mask)
-            fc = full_mult * c
-            q4 = _stage_product(fc + in_c * q3, mask)
-            c = fc + out_1 * q1 + out_23 * (q2 + q3) + out_4 * q4
-        t_now = (step + 1) * dt
-        if (step + 1) % cfg.frame_stride == 0 or step + 1 == steps:
-            frame = SpectralField(grid, c)
-            frames.append(frame.coeffs)
-            times.append(t_now)
-            ratio = physical_l2_norm(frame) / max(initial_l2, 1e-300)
-            if not np.isfinite(ratio) or ratio > 10.0:
-                raise BlowUpError(t_now, ratio)
+    # a state that overflows between frames turns inf and nan quietly; the frame check names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps):
+            if not cfg.nonlinear:
+                c = full_mult * c
+            elif cfg.scheme == "etdrk4":
+                q0 = _stage_product(c, mask)
+                hc = half_mult * c
+                a = hc + stage_w * q0
+                qa = _stage_product(a, mask)
+                qb = _stage_product(hc + stage_w * qa, mask)
+                qc = _stage_product(half_mult * a + stage_w * (2.0 * qb - q0), mask)
+                c = full_mult * c + w1 * q0 + w2 * (qa + qb) + w3 * qc
+            else:
+                q1 = _stage_product(c, mask)
+                hc = half_mult * c
+                q2 = _stage_product(hc + in_a * q1, mask)
+                q3 = _stage_product(hc + in_b * q2, mask)
+                fc = full_mult * c
+                q4 = _stage_product(fc + in_c * q3, mask)
+                c = fc + out_1 * q1 + out_23 * (q2 + q3) + out_4 * q4
+            t_now = (step + 1) * dt
+            if (step + 1) % cfg.frame_stride == 0 or step + 1 == steps:
+                frame = SpectralField(grid, c)
+                frames.append(frame.coeffs)
+                times.append(t_now)
+                ratio = physical_l2_norm(frame) / max(initial_l2, 1e-300)
+                if not np.isfinite(ratio) or ratio > 10.0:
+                    raise BlowUpError(t_now, ratio, times[-2])
     return np.array(times), np.array(frames)
 
 

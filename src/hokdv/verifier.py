@@ -20,13 +20,17 @@ evaluated in exact integer arithmetic on the scaled-sigma lattice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from .dispersion import DispersionModel, Region, region_masks, resonance_q0
-from .norms import DyadicShell, ZsNorm, angle_bracket, xsb_mass, zs_norm_cells
+from .norms import (
+    DyadicShell, ZsNorm, angle_bracket, kept_bounds, kept_indices, segment_sums, xsb_mass,
+    zs_norm_cells,
+)
 
 
 @dataclass(frozen=True)
@@ -59,51 +63,61 @@ class RatioReport:
 
 
 class _CellPlan:
-    """How a list of cells reaches canonical form, and what its canonical cells
-    alone determine.
+    """How a list of cells, fields at offsets bounds, reaches canonical form, and
+    what its canonical cells alone determine.
 
-    Cells are sorted by (m, sig_scaled): vals[order] summed over the segments
-    at starts (both None if the cells are canonical already), then the m = 0
-    cells dropped by keep (None if there are none).  m and sig_scaled are the
-    canonical cells.  The arrays that depend on those cells and the model
-    alone (k, sigma, the smoothed-derivative multiplier, the Z^s weights per
-    s) are formed on first use and kept, read-only, as they may serve many
-    fields.  A plan never sees coefficients, so it is built for cells whose
-    coefficients are all nonzero.
+    Each field's cells are sorted by (m, sig_scaled) within the field's own
+    slice: vals[order] summed over the segments at starts (both None if the
+    cells are canonical already), then the cells with m != 0 taken at the
+    indices keep (None if no cell has m = 0).  m, sig_scaled and bounds are the canonical
+    cells and the fields' offsets among them.  The arrays that depend on those
+    cells and the model alone (k, sigma, the smoothed-derivative multiplier,
+    the Z^s weights per s) are formed on first use and kept, read-only, as
+    they may serve many fields.  A plan never sees coefficients, so it is
+    built for cells whose coefficients are all nonzero.  pairs is set on a
+    product's plan in a memo when it is used again: the index pairs of its
+    factors' cells (see _pairs) gathered by order, in the narrowest unsigned
+    types.
     """
 
-    def __init__(self, model: DispersionModel, m: np.ndarray, sig: np.ndarray):
+    def __init__(self, model: DispersionModel, m: np.ndarray, sig: np.ndarray, bounds: np.ndarray):
         self.model = model
-        self.order = self.starts = self.keep = None
-        if not _is_canonical(m, sig):
-            # lexsort((sig, m)) as two stable passes; the m pass sorts offsets
-            # from min(m) in the narrowest unsigned type (numpy radix-sorts up
-            # to 16 bits), and the uint64 view keeps offsets past 2^63 exact
+        self.order = self.starts = self.keep = self.pairs = None
+        if not _is_canonical(m, sig, bounds):
+            # a stable sort by (field, m, sig) in three stable passes; the m pass
+            # sorts offsets from min(m) in the narrowest unsigned type (numpy
+            # radix-sorts up to 16 bits), and the uint64 view keeps offsets past
+            # 2^63 exact.  Fields stay in their own slices, in their own order.
             order = np.argsort(sig, kind="stable")
             offset = (m[order] - m.min()).view(np.uint64)
             offset = offset.astype(np.min_scalar_type(offset.max()))
             order = order[np.argsort(offset, kind="stable")]
+            if len(bounds) > 2:
+                ids = np.arange(len(bounds) - 1, dtype=np.min_scalar_type(len(bounds)))
+                order = order[np.argsort(np.repeat(ids, np.diff(bounds))[order], kind="stable")]
             m, sig = m[order], sig[order]
             new_cell = (m[1:] != m[:-1]) | (sig[1:] != sig[:-1])
+            new_cell[_field_breaks(bounds, len(m))] = True
             starts = np.flatnonzero(np.concatenate(([True], new_cell)))
             self.order, self.starts = order, starts
-            m, sig = m[starts], sig[starts]
+            m, sig, bounds = m[starts], sig[starts], np.searchsorted(starts, bounds)
         # m = 0 cells merge only with each other: dropping them after the sort
         # leaves the other cells as dropping them before would, on fewer cells
         keep = m != 0
         if not keep.all():
-            self.keep = keep
-            m, sig = m[keep], sig[keep]
-        self.m, self.sig_scaled = m, sig
+            self.keep = kept_indices(keep)
+            m, sig, bounds = m[keep], sig[keep], kept_bounds(keep, bounds)
+        self.m, self.sig_scaled, self.bounds = m, sig, bounds
         self.zs_weights: dict = {}  # zs_norm_cells' cache of weight passes by s
 
-    def apply(self, vals: np.ndarray) -> np.ndarray:
-        """The canonical coefficients of the planned cells with values vals:
-        duplicates summed in canonical order, m = 0 cells dropped."""
+    def apply(self, vals: np.ndarray, ordered: bool = False) -> np.ndarray:
+        """The canonical coefficients of the planned cells with values vals (with
+        ordered, values already gathered by order): duplicates summed in
+        canonical order, m = 0 cells dropped."""
         if self.order is not None:
-            vals = np.add.reduceat(vals[self.order], self.starts)
+            vals = np.add.reduceat(vals if ordered else vals.take(self.order), self.starts)
         if self.keep is not None:
-            vals = vals[self.keep]
+            vals = vals.take(self.keep)
         return vals
 
     @cached_property
@@ -120,8 +134,31 @@ class _CellPlan:
         return _read_only(1j * self.k / angle_bracket(self.sigma))
 
 
+class PlanMemo:
+    """One search's cell plans, by the key of their cells.  A plan is kept for
+    the search once its key comes up a second time; until then only the newest
+    plan is kept, so the memo holds the plans of the cells that repeat and one
+    more.  A kept plan serves many fields, so its cells are made read-only."""
+
+    def __init__(self) -> None:
+        self.plans: dict = {}
+        self.newest = None
+
+    def recall(self, key) -> _CellPlan | None:
+        if key == self.newest:
+            self.newest = None  # its second sight: kept for the search
+        return self.plans.get(key)
+
+    def keep(self, key, plan: _CellPlan) -> None:
+        if self.newest is not None:
+            del self.plans[self.newest]
+        self.plans[key], self.newest = plan, key
+        _read_only(plan.m)
+        _read_only(plan.sig_scaled)
+
+
 class ModulationField:
-    """Sparse space-time field on the curved (m, sigma) lattice.
+    """Sparse space-time fields on the curved (m, sigma) lattice.
 
     sigma values are stored as integers scaled by lam**(2j+1), the exact
     resolution at which resonance shifts act; the physical cell measure
@@ -130,29 +167,49 @@ class ModulationField:
     Cells with m = 0 or a zero coefficient are dropped; the rest are sorted
     by (m, sig_scaled) and unique, duplicates summed in that order.  Cells
     already in that canonical form are kept as given, without a sort.
+
+    Built with bounds, the object is a stack of fields: field i is the cells
+    bounds[i]:bounds[i + 1] of the given arrays, put in canonical form on its
+    own, and self.bounds gives their offsets among the kept cells.  The norms
+    of a stack are arrays, one entry per field, each with the bits the field
+    gives alone; a field built without bounds (bounds None) gives floats.
+    memo, if given, is a search's PlanMemo: a plan for the same cells is taken
+    from there, and a new plan is kept there.
     """
 
-    __slots__ = ("model", "m", "sig_scaled", "coeffs", "sig_scale", "_plan")
+    __slots__ = ("model", "m", "sig_scaled", "coeffs", "bounds", "sig_scale", "_plan")
 
-    def __init__(self, model: DispersionModel, m, sig_scaled, coeffs):
+    def __init__(
+        self, model: DispersionModel, m, sig_scaled, coeffs, bounds=None,
+        memo: PlanMemo | None = None,
+    ):
         m = np.asarray(m, dtype=np.int64)
         sig = np.asarray(sig_scaled, dtype=np.int64)
         vals = np.asarray(coeffs, dtype=np.complex128)
+        offsets = np.array([0, len(m)]) if bounds is None else np.asarray(bounds, dtype=np.int64)
         keep = vals != 0
-        if not keep.all():
+        if keep.all():
+            key = None if memo is None else (model, m.tobytes(), sig.tobytes(), offsets.tobytes())
+            plan = None if memo is None else memo.recall(key)
+            if plan is None:
+                plan = _CellPlan(model, m, sig, offsets)
+                if memo is not None:
+                    memo.keep(key, plan)
+        else:
             m, sig, vals = m[keep], sig[keep], vals[keep]
-        plan = _CellPlan(model, m, sig)
-        self._set(plan, plan.apply(vals))
+            plan = _CellPlan(model, m, sig, kept_bounds(keep, offsets))
+        self._set(plan, plan.apply(vals), bounds is not None)
 
-    def _set(self, plan: _CellPlan, coeffs: np.ndarray) -> None:
+    def _set(self, plan: _CellPlan, coeffs: np.ndarray, stacked: bool) -> None:
         self.model, self.sig_scale, self._plan = plan.model, _scale(plan.model), plan
         self.m, self.sig_scaled, self.coeffs = plan.m, plan.sig_scaled, coeffs
+        self.bounds = plan.bounds if stacked else None
 
     @classmethod
-    def _planned(cls, plan: _CellPlan, coeffs: np.ndarray) -> "ModulationField":
-        """The field on a plan's canonical cells with nonzero coefficients coeffs."""
+    def _planned(cls, plan: _CellPlan, coeffs: np.ndarray, stacked: bool) -> "ModulationField":
+        """The field(s) on a plan's canonical cells with nonzero coefficients coeffs."""
         field = cls.__new__(cls)
-        field._set(plan, coeffs)
+        field._set(plan, coeffs, stacked)
         return field
 
     # -- geometry -----------------------------------------------------------
@@ -169,12 +226,14 @@ class ModulationField:
         return 1.0
 
     def is_empty(self) -> bool:
+        """True if no field holds a cell."""
         return len(self.m) == 0
 
     def where(self, keep: np.ndarray) -> "ModulationField":
         """The cells selected by a boolean mask."""
+        bounds = None if self.bounds is None else kept_bounds(keep, self.bounds)
         return ModulationField(
-            self.model, self.m[keep], self.sig_scaled[keep], self.coeffs[keep]
+            self.model, self.m[keep], self.sig_scaled[keep], self.coeffs[keep], bounds
         )
 
     def region_restricted(self, regions: tuple[Region, ...]) -> "ModulationField":
@@ -184,38 +243,38 @@ class ModulationField:
             keep |= masks[r]
         return self.where(keep)
 
-    def describe(self) -> dict:
+    def describe(self, i: int = 0) -> dict:
+        """The cells of field i."""
+        a, b = self._plan.bounds[i : i + 2]
+        cells = zip(*(x[a:b].tolist() for x in (self.m, self.sig_scaled, self.coeffs)))
         return {
             "cells": [
-                {
-                    "m": int(mm),
-                    "sigma_scaled": int(ss),
-                    "re": float(vv.real),
-                    "im": float(vv.imag),
-                }
-                for mm, ss, vv in zip(self.m, self.sig_scaled, self.coeffs)
+                {"m": mm, "sigma_scaled": ss, "re": v.real, "im": v.imag} for mm, ss, v in cells
             ],
             "sig_scale": self.sig_scale,
         }
 
-    # -- norms ---------------------------------------------------------------
-    def l2_norm(self) -> float:
-        return float(
-            np.sqrt(np.sum(np.abs(self.coeffs) ** 2) * self.dtau / self.model.lam)
-        )
+    # -- norms (one per field) -----------------------------------------------
+    def _per_field(self, values: np.ndarray):
+        return values if self.bounds is not None else float(values[0])
 
-    def xsb(self, s: float, b: float) -> float:
-        return float(
-            np.sqrt(
-                xsb_mass(self.k, self.sigma, self.coeffs, self.dtau, self.model.lam, s, b)
-            )
+    def l2_norm(self):
+        mass = segment_sums(np.abs(self.coeffs) ** 2, self._plan.bounds)
+        return self._per_field(np.sqrt(mass * self.dtau / self.model.lam))
+
+    def xsb(self, s: float, b: float):
+        mass = xsb_mass(
+            self.k, self.sigma, self.coeffs, self.dtau, self.model.lam, s, b,
+            bounds=self._plan.bounds,
         )
+        return self._per_field(np.sqrt(mass))
 
     def zs(self, s: float) -> ZsNorm:
-        return zs_norm_cells(
+        z = zs_norm_cells(
             self.m, self.k, self.sigma, self.coeffs, self.dtau, self.model, s,
-            warn_range=False, weights=self._plan.zs_weights,
+            warn_range=False, weights=self._plan.zs_weights, bounds=self._plan.bounds,
         )
+        return z if self.bounds is not None else z.field(0)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -223,13 +282,18 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _is_canonical(m: np.ndarray, sig: np.ndarray) -> bool:
-    """True if the cells are sorted by (m, sig) and unique: m never decreases
-    and sig strictly increases where m repeats."""
-    if (m[1:] < m[:-1]).any():
-        return False
-    same_m = m[1:] == m[:-1]
-    return not (sig[1:][same_m] <= sig[:-1][same_m]).any()
+def _field_breaks(bounds: np.ndarray, n: int) -> np.ndarray:
+    """The neighbour pairs (i, i + 1) of n cells that straddle two fields, by i."""
+    inner = bounds[1:-1]
+    return inner[(inner > 0) & (inner < n)] - 1
+
+
+def _is_canonical(m: np.ndarray, sig: np.ndarray, bounds: np.ndarray) -> bool:
+    """True if each field's cells are sorted by (m, sig) and unique: m never
+    decreases and sig strictly increases where m repeats."""
+    ascending = (m[1:] > m[:-1]) | ((m[1:] == m[:-1]) & (sig[1:] > sig[:-1]))
+    ascending[_field_breaks(bounds, len(m))] = True
+    return bool(ascending.all())
 
 
 def check_int64_lattice(order: int, m_bound: int, sig_bound: int) -> None:
@@ -239,63 +303,111 @@ def check_int64_lattice(order: int, m_bound: int, sig_bound: int) -> None:
         raise ValueError("mode or modulation range too large for the exact int64 sigma lattice")
 
 
+def _field_maxima(a: np.ndarray, bounds: np.ndarray) -> list[int]:
+    """max |a| over each field's cells, 0 for an empty field; the uint64 view
+    keeps |int64 min| = 2^63 exact."""
+    out = np.zeros(len(bounds) - 1, dtype=np.uint64)
+    filled = np.diff(bounds) > 0
+    if filled.any():
+        out[filled] = np.maximum.reduceat(np.abs(a).view(np.uint64), bounds[:-1][filled])
+    return out.tolist()
+
+
+def _pairs(fb: np.ndarray, gb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, bounds) of the product of two stacks with field offsets fb and
+    gb: the cells f[rows] and g[cols] whose products form it, field by field and
+    row-major over (f, g) within a field, and its fields' offsets."""
+    nf, ng = np.diff(fb), np.diff(gb)
+    reps = np.repeat(ng, nf)  # each f cell meets every g cell of its field
+    rows = np.repeat(np.arange(fb[-1]), reps)
+    block_start = np.cumsum(reps) - reps - np.repeat(gb[:-1], nf)
+    cols = np.arange(len(rows)) - np.repeat(block_start, reps)
+    return rows, cols, np.concatenate(([0], np.cumsum(nf * ng)))
+
+
 def convolve_modulation(
-    f: ModulationField, g: ModulationField, memo: dict | None = None
+    f: ModulationField, g: ModulationField, memo: PlanMemo | None = None
 ) -> ModulationField:
     """Bilinear (k, tau) convolution with the normalized measure.
 
     Output cells are (m1 + m2, sig1 + sig2 + resonance shift); the shift is
     the exact integer gap p(k1) + p(k2) - p(k1+k2) on the scaled lattice.
+    For two stacks of as many fields, field i of the product is f_i * g_i.
 
-    memo, if given, holds the cell plans of one search's products by their
-    input cells: a plan is stored the second time its cells come up and
-    applied on every later product of the same cells.  A product with a zero
-    outer value is canonicalized from its values, as any field is.
+    memo, if given, is a search's PlanMemo, which holds the cell plans of
+    products by their input cells: a plan found there is applied to the new
+    product's values.  A product with a zero outer value is canonicalized from
+    its values, as any field is.
     """
     model = f.model
     if g.model != model:
         raise ValueError("fields live on different dispersion models")
-    if f.is_empty() or g.is_empty():
-        return ModulationField(model, [], [], [])
-    n = model.order
-    # largest |value| per array; the uint64 view keeps |int64 min| = 2^63 exact
-    arrays = (f.m, g.m, f.sig_scaled, g.sig_scaled)
-    mf, mg, sf, sg = (int(np.abs(a).view(np.uint64).max()) for a in arrays)
-    check_int64_lattice(n, mf + mg, sf + sg)
-    vals = (np.outer(f.coeffs, g.coeffs) * (f.dtau / model.lam)).ravel()
+    fb, gb = f._plan.bounds, g._plan.bounds
+    if len(fb) != len(gb):
+        raise ValueError("stacks of different numbers of fields")
+    # every pair of nonempty fields must multiply exactly in int64
+    sides = ((f.m, fb), (g.m, gb), (f.sig_scaled, fb), (g.sig_scaled, gb))
+    mf, mg, sf, sg = (_field_maxima(a, b) for a, b in sides)
+    for i in np.flatnonzero((np.diff(fb) > 0) & (np.diff(gb) > 0)).tolist():
+        check_int64_lattice(model.order, mf[i] + mg[i], sf[i] + sg[i])
+    scale, stacked = f.dtau / model.lam, f.bounds is not None
+    key = plan = None
+    if memo is not None:
+        cells = (f.m, f.sig_scaled, fb, g.m, g.sig_scaled, gb)
+        key = (model, *(a.tobytes() for a in cells))
+        plan = memo.recall(key)
+    if plan is not None:  # its pairs in its order: the values need no gather
+        if plan.pairs is None:  # its second use: its pairs, in the narrowest types
+            rows, cols, _ = _pairs(fb, gb)
+            if plan.order is not None:
+                rows, cols = rows[plan.order], cols[plan.order]
+            narrow = np.min_scalar_type
+            plan.pairs = rows.astype(narrow(fb[-1])), cols.astype(narrow(gb[-1]))
+        vals = _pair_products(f, g, *plan.pairs, scale)
+        if vals.all():
+            return ModulationField._planned(plan, plan.apply(vals, ordered=True), stacked)
+    m, sig, vals, bounds = _raw_product(f, g, scale)
     if not vals.all():
-        return ModulationField(model, *_product_cells(f, g), vals)
-    key = (model, f.m.tobytes(), f.sig_scaled.tobytes(), g.m.tobytes(), g.sig_scaled.tobytes())
-    plan = None if memo is None else memo.get(key)
-    if plan is None:
-        plan = _CellPlan(model, *_product_cells(f, g))
-        for shared in (plan.m, plan.sig_scaled):  # every product of these cells holds them
-            _read_only(shared)
-        if memo is not None:
-            memo[key] = plan if key in memo else None  # the first sight records the key
-    return ModulationField._planned(plan, plan.apply(vals))
+        return ModulationField(model, m, sig, vals, bounds if stacked else None)
+    plan = _CellPlan(model, m, sig, bounds)
+    if memo is not None:
+        memo.keep(key, plan)
+    return ModulationField._planned(plan, plan.apply(vals), stacked)
 
 
-def _product_cells(f: ModulationField, g: ModulationField) -> tuple[np.ndarray, np.ndarray]:
-    """The raw (m, sig_scaled) output cells of f * g, row-major over (f, g)."""
-    m1 = f.m[:, None]
-    m2 = g.m[None, :]
+def _pair_products(f: ModulationField, g: ModulationField, rows, cols, scale: float) -> np.ndarray:
+    """f.coeffs[rows] * g.coeffs[cols] * scale, formed in place."""
+    vals = f.coeffs.take(rows)
+    vals *= g.coeffs.take(cols)
+    vals *= scale
+    return vals
+
+
+def _raw_product(f: ModulationField, g: ModulationField, scale: float) -> tuple:
+    """(m, sig_scaled, vals, bounds): the raw output cells of f * g with their
+    values (see _pairs for the order) and the product's field offsets."""
+    rows, cols, bounds = _pairs(f._plan.bounds, g._plan.bounds)
+    vals = _pair_products(f, g, rows, cols, scale)
+    m, m2 = f.m[rows], g.m[cols]
     # exact integer resonance shift on the scaled-sigma lattice
-    shift = f.model.sign * resonance_q0(f.model.order, m1, m2)
-    sig_out = f.sig_scaled[:, None] + g.sig_scaled[None, :] + shift
-    return (m1 + m2).ravel(), sig_out.ravel()
+    sig = resonance_q0(f.model.order, m, m2)
+    sig *= f.model.sign
+    sig += f.sig_scaled[rows]
+    sig += g.sig_scaled[cols]
+    m += m2
+    return m, sig, vals, bounds
 
 
 def smoothed_derivative(w: ModulationField) -> ModulationField:
     """Apply i k <sigma>^{-1}: the derivative smoothed by one modulation power."""
     vals = w.coeffs * w._plan.multiplier
     if vals.all():  # same cells: keep their plan and what it holds
-        return ModulationField._planned(w._plan, vals)
-    return ModulationField(w.model, w.m, w.sig_scaled, vals)
+        return ModulationField._planned(w._plan, vals, w.bounds is not None)
+    return ModulationField(w.model, w.m, w.sig_scaled, vals, w.bounds)
 
 
 # ---------------------------------------------------------------------------
-# field generators
+# field generators: the raw cells (m, sig_scaled, coeffs) of one field
 # ---------------------------------------------------------------------------
 
 
@@ -303,18 +415,16 @@ def _complex_normal(rng, size):
     return rng.normal(size=size) + 1j * rng.normal(size=size)
 
 
-def gaussian_random_field(
-    model: DispersionModel, cfg: RatioSearchConfig, rng
-) -> ModulationField:
+def _gaussian_cells(model: DispersionModel, cfg: RatioSearchConfig, rng) -> tuple:
     p = cfg.support
     m = rng.integers(1, cfg.k_max + 1, size=p) * rng.choice([-1, 1], size=p)
     sig = rng.integers(-cfg.t_modes, cfg.t_modes + 1, size=p) * _scale(model)
-    return ModulationField(model, m, sig, _complex_normal(rng, p))
+    return m, sig, _complex_normal(rng, p)
 
 
-def dyadic_concentrated_field(
+def _dyadic_cells(
     model: DispersionModel, cfg: RatioSearchConfig, rng, l: int | None = None
-) -> ModulationField:
+) -> tuple:
     if l is None:
         l = int(rng.integers(0, 7))
     p = max(4, cfg.support // 4)
@@ -322,21 +432,17 @@ def dyadic_concentrated_field(
     lo, hi = (0, 2) if l == 0 else (2**l, 2 ** (l + 1))
     mag = rng.integers(lo, max(lo + 1, hi), size=p)
     sig = mag * rng.choice([-1, 1], size=p) * _scale(model)
-    return ModulationField(model, m, sig, _complex_normal(rng, p))
+    return m, sig, _complex_normal(rng, p)
 
 
-def free_solution_field(
-    model: DispersionModel, cfg: RatioSearchConfig, rng
-) -> ModulationField:
+def _free_solution_cells(model: DispersionModel, cfg: RatioSearchConfig, rng) -> tuple:
     m = np.arange(1, cfg.k_max + 1)
     m = np.concatenate([m, -m])
     amps = _complex_normal(rng, len(m)) * angle_bracket(m / model.lam) ** (-1.0)
-    return ModulationField(model, m, np.zeros(len(m), dtype=np.int64), amps)
+    return m, np.zeros(len(m), dtype=np.int64), amps
 
 
-def fixed_tau_field(
-    model: DispersionModel, cfg: RatioSearchConfig, rng
-) -> ModulationField:
+def _fixed_tau_cells(model: DispersionModel, cfg: RatioSearchConfig, rng) -> tuple:
     """All mass on the single time-frequency plane tau = 0 (sigma = -p(k)).
 
     The negative control: unweighted products of such fields add coherently
@@ -346,7 +452,31 @@ def fixed_tau_field(
     m = np.concatenate([m, -m])
     n = model.order
     sig = np.array([-model.sign * int(mm) ** n for mm in m], dtype=np.int64)
-    return ModulationField(model, m, sig, np.ones(len(m), dtype=complex))
+    return m, sig, np.ones(len(m), dtype=complex)
+
+
+def _resonant_cells(
+    model: DispersionModel, cfg: RatioSearchConfig, rng, s: float, N: int | None = None
+) -> tuple[tuple, tuple]:
+    """The raw cells of resonant_pair's two fields."""
+    if N is None:
+        N = rng.integers(2, max(3, cfg.k_max // 2) + 1)
+    N, n = int(N), model.order
+    q0 = resonance_q0(n, N, N)
+    try:  # every product of the pair's cells; u2 with itself has the largest sums
+        check_int64_lattice(n, 4 * N, 2 * abs(q0))
+    except ValueError as err:
+        raise ValueError(f"resonant pair at N = {N}: {err}") from None
+    amp = float(N) ** (-s)
+    u1 = np.array([N, -N], dtype=np.int64), np.zeros(2, dtype=np.int64), np.array([amp, amp])
+    a2_amp = 2.0 * N * amp**2 / abs(q0)
+    shift = model.sign * q0
+    u2 = (
+        np.array([2 * N, 2 * N, -2 * N, -2 * N], dtype=np.int64),
+        np.array([shift, 0, -shift, 0], dtype=np.int64),
+        np.array([a2_amp, -a2_amp, a2_amp, -a2_amp]),
+    )
+    return u1, u2
 
 
 def resonant_pair(
@@ -359,25 +489,8 @@ def resonant_pair(
     q1 at the triple (-N, N, N): the same secular mechanism the growth
     sweep measures, expressed at the level of a single bilinear estimate.
     """
-    if N is None:
-        N = rng.integers(2, max(3, cfg.k_max // 2) + 1)
-    N, n = int(N), model.order
-    q0 = resonance_q0(n, N, N)
-    try:  # every product of the pair's cells; u2 with itself has the largest sums
-        check_int64_lattice(n, 4 * N, 2 * abs(q0))
-    except ValueError as err:
-        raise ValueError(f"resonant pair at N = {N}: {err}") from None
-    amp = float(N) ** (-s)
-    u1 = ModulationField(model, [N, -N], [0, 0], [amp, amp])
-    a2_amp = 2.0 * N * amp**2 / abs(q0)
-    shift = model.sign * q0
-    u2 = ModulationField(
-        model,
-        [2 * N, 2 * N, -2 * N, -2 * N],
-        [shift, 0, -shift, 0],
-        [a2_amp, -a2_amp, a2_amp, -a2_amp],
-    )
-    return u1, u2
+    u1, u2 = _resonant_cells(model, cfg, rng, s, N)
+    return ModulationField(model, *u1), ModulationField(model, *u2)
 
 
 _MIXED = ("gaussian-random", "dyadic-concentrated", "free-solution-like", "phi_N-family")
@@ -402,19 +515,21 @@ def _scale(model: DispersionModel) -> int:
     return int(model.lam) ** model.order
 
 
-def generate_field(
+def field_cells(
     name: str, model: DispersionModel, cfg: RatioSearchConfig, rng, s: float = -1.5
-) -> ModulationField:
+) -> tuple:
+    """The raw cells (m, sig_scaled, coeffs) of one field drawn by the named
+    generator; ModulationField(model, *cells) is the field."""
     if name == "gaussian-random":
-        return gaussian_random_field(model, cfg, rng)
+        return _gaussian_cells(model, cfg, rng)
     if name == "dyadic-concentrated":
-        return dyadic_concentrated_field(model, cfg, rng)
+        return _dyadic_cells(model, cfg, rng)
     if name == "free-solution-like":
-        return free_solution_field(model, cfg, rng)
+        return _free_solution_cells(model, cfg, rng)
     if name == "phi_N-family":
-        return resonant_pair(model, cfg, rng, s)[1]
+        return _resonant_cells(model, cfg, rng, s)[1]
     if name == "fixed-tau":
-        return fixed_tau_field(model, cfg, rng)
+        return _fixed_tau_cells(model, cfg, rng)
     raise ValueError(f"unknown generator {name!r}")
 
 
@@ -422,36 +537,93 @@ def generate_field(
 # ratio searches
 # ---------------------------------------------------------------------------
 
+# Product cells one batch of trials may form: one free-solution-like product at
+# k_max 128, the largest single product of the searches, so a batch holds no
+# more than one trial measured alone did.
+_BATCH_CELLS = 65_536
 
-def _run_trials(report: RatioReport, cfg: RatioSearchConfig, draw, measure) -> RatioReport:
+
+def _batches(sizes: list[int]):
+    """Trial indices in batches of at most _BATCH_CELLS cells (a larger trial
+    alone), formed in order of size so that large trials do not split small ones."""
+    batch, total = [], 0
+    for trial in sorted(range(len(sizes)), key=sizes.__getitem__):
+        if batch and total + sizes[trial] > _BATCH_CELLS:
+            yield batch
+            batch, total = [], 0
+        batch.append(trial)
+        total += sizes[trial]
+    if batch:
+        yield batch
+
+
+def _stack(model: DispersionModel, cells: list[tuple], memo: PlanMemo) -> ModulationField:
+    """The stack of the fields with these raw cells, through the search's memo."""
+    m, sig, vals = (np.concatenate(parts) for parts in zip(*cells))
+    bounds = np.concatenate(([0], np.cumsum([len(c[0]) for c in cells])))
+    return ModulationField(model, m, sig, vals, bounds, memo)
+
+
+def _run_trials(
+    report: RatioReport, model: DispersionModel, cfg: RatioSearchConfig, draw, measure,
+    restrict=None,
+) -> RatioReport:
     """Fill report with cfg.trials trials of one search.
 
-    Trial t draws its fields as draw(generator, rng), from its own stream
-    seeded by (cfg.seed, t), with the configured generator (mixed cycles
-    through _MIXED).  A draw with an empty field is counted as skipped;
-    otherwise measure(memo, *fields) gives the row values and the ratio, and
-    the first trial with the largest ratio sets max_ratio, argmax_trial and
-    the witness (its fields).  memo is the search's own convolve_modulation
-    memo: it starts empty and ends with the search.
+    Trial t draws the raw cells of its fields as draw(generator, rng), from its
+    own stream seeded by (cfg.seed, t), with the configured generator (mixed
+    cycles through _MIXED).  Trials are measured in batches (_batches, by the
+    product of their fields' raw cell counts): each field of a batch's trials
+    is one stack, restrict(*stacks) (if given) gives the stacks measured, and
+    measure(memo, *stacks) gives per-trial arrays of the row values and the
+    ratio.  A trial with an empty field is counted as skipped.  Rows then go in
+    trial order, and the first trial with the largest ratio sets max_ratio,
+    argmax_trial and the witness (its fields, described once at the end).
+    memo is the search's own PlanMemo: it starts empty and ends with the search.
     """
-    memo: dict = {}
+    memo = PlanMemo()
+    gens, draws = [], []
     for trial in range(cfg.trials):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, trial)))
-        gen = _MIXED[trial % len(_MIXED)] if cfg.generator == "mixed" else cfg.generator
-        fields = draw(gen, rng)
-        if any(f.is_empty() for f in fields):
+        gens.append(_MIXED[trial % len(_MIXED)] if cfg.generator == "mixed" else cfg.generator)
+        draws.append(draw(gens[-1], rng))
+    measured = {}
+    best = None  # (ratio, -trial, stacks, index): the largest ratio so far, its first trial
+    for batch in _batches([math.prod(len(cells[0]) for cells in d) for d in draws]):
+        sides = zip(*(draws[t] for t in batch))
+        stacks = tuple(_stack(model, list(cells), memo) for cells in sides)
+        if restrict is not None:
+            stacks = restrict(*stacks)
+        values, ratios = measure(memo, *stacks)
+        columns = {key: v.tolist() for key, v in values.items()}
+        filled = np.logical_and.reduce([np.diff(f.bounds) > 0 for f in stacks]).tolist()
+        for i, (trial, ratio) in enumerate(zip(batch, ratios.tolist())):
+            if not filled[i]:
+                continue
+            measured[trial] = {key: col[i] for key, col in columns.items()}, ratio
+            if ratio > 0.0 and (best is None or (ratio, -trial) > best[:2]):
+                best = ratio, -trial, stacks, i
+    for trial, gen in enumerate(gens):
+        if trial not in measured:
             report.skipped += 1
             continue
-        values, ratio = measure(memo, *fields)
+        values, ratio = measured[trial]
         report.rows.append({"trial": trial, "generator": gen, **values})
         if ratio > report.max_ratio:
             report.max_ratio, report.argmax_trial = ratio, trial
-            report.witness = {"fields": [f.describe() for f in fields]}
+    if best is not None:  # the argmax trial's fields
+        _, _, stacks, i = best
+        report.witness = {"fields": [f.describe(i) for f in stacks]}
     return report
 
 
-def _lhs_rhs(lhs: float, rhs: float) -> tuple[dict, float]:
-    ratio = lhs / rhs if rhs > 0 else 0.0
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den per trial, 0 where den is not positive."""
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+
+def _lhs_rhs(lhs: np.ndarray, rhs: np.ndarray) -> tuple[dict, np.ndarray]:
+    ratio = _ratio(lhs, rhs)
     return {"lhs": lhs, "rhs": rhs, "ratio": ratio}, ratio
 
 
@@ -464,8 +636,9 @@ def dyadic_bilinear_ratio(
     prefactor = lo**0.5 * hi ** (1.0 / (2.0 * (2.0 * model.j + 1.0)))
 
     def draw(gen, rng):
-        u1 = dyadic_concentrated_field(model, cfg, rng, l=l1)
-        u2 = dyadic_concentrated_field(model, cfg, rng, l=l2)
+        return _dyadic_cells(model, cfg, rng, l=l1), _dyadic_cells(model, cfg, rng, l=l2)
+
+    def restrict(u1, u2):
         return u1.where(DyadicShell(l1).mask(u1.sigma)), u2.where(DyadicShell(l2).mask(u2.sigma))
 
     def measure(memo, u1, u2):
@@ -474,7 +647,8 @@ def dyadic_bilinear_ratio(
 
     report = RatioReport(params={"j": model.j, "lam": model.lam, "l1": l1, "l2": l2, **vars(cfg)})
     # every trial draws dyadic-concentrated fields, and its rows say so
-    return _run_trials(report, replace(cfg, generator="dyadic-concentrated"), draw, measure)
+    cfg = replace(cfg, generator="dyadic-concentrated")
+    return _run_trials(report, model, cfg, draw, measure, restrict)
 
 
 def product_l2_ratio(
@@ -491,7 +665,7 @@ def product_l2_ratio(
     )
 
     def draw(gen, rng):
-        return generate_field(gen, model, cfg, rng), generate_field(gen, model, cfg, rng)
+        return field_cells(gen, model, cfg, rng), field_cells(gen, model, cfg, rng)
 
     def measure(memo, u, v):
         return _lhs_rhs(convolve_modulation(u, v, memo).l2_norm(), u.xsb(0.0, a) * v.xsb(0.0, b))
@@ -500,7 +674,7 @@ def product_l2_ratio(
         params={"j": j, "lam": model.lam, "a": a, "b": b, **vars(cfg)},
         flags=[] if admissible else ["inadmissible-exponents"],
     )
-    return _run_trials(report, cfg, draw, measure)
+    return _run_trials(report, model, cfg, draw, measure)
 
 
 def embedding_ratio(
@@ -515,7 +689,7 @@ def embedding_ratio(
     directions = ("low_vs_zs", "zs_vs_high", "half_d12_vs_zs")
 
     def draw(gen, rng):
-        return (generate_field(gen, model, cfg, rng, s=s),)
+        return (field_cells(gen, model, cfg, rng, s=s),)
 
     def measure(memo, u):
         zs = u.zs(s).total
@@ -524,15 +698,11 @@ def embedding_ratio(
         u12 = u.region_restricted((Region.D1, Region.D2))
         zs12 = u12.zs(s).total
         half12 = u12.xsb(s, 0.5)
-        ratios = (
-            low / zs if zs > 0 else 0.0,
-            zs / high if high > 0 else 0.0,
-            half12 / zs12 if zs12 > 0 else 0.0,
-        )
-        return dict(zip(directions, ratios)), max(ratios)
+        ratios = (_ratio(low, zs), _ratio(zs, high), _ratio(half12, zs12))
+        return dict(zip(directions, ratios)), np.max(ratios, axis=0)
 
     report = RatioReport(params={"j": j, "lam": model.lam, "s": s, **vars(cfg)})
-    _run_trials(report, cfg, draw, measure)
+    _run_trials(report, model, cfg, draw, measure)
     report.params["max_by_direction"] = {
         key: max([0.0, *(row[key] for row in report.rows)]) for key in directions
     }
@@ -551,12 +721,12 @@ def bilinear_zs_ratio(
 
     def draw(gen, rng):
         if gen == "phi_N-family":
-            return resonant_pair(model, cfg, rng, s)
-        return generate_field(gen, model, cfg, rng, s=s), generate_field(gen, model, cfg, rng, s=s)
+            return _resonant_cells(model, cfg, rng, s)
+        return field_cells(gen, model, cfg, rng, s=s), field_cells(gen, model, cfg, rng, s=s)
 
     def measure(memo, u1, u2):
         w = smoothed_derivative(convolve_modulation(u1, u2, memo))
         return _lhs_rhs(w.zs(s).total, u1.zs(s).total * u2.zs(s).total)
 
     report = RatioReport(params={"j": model.j, "lam": model.lam, "s": s, **vars(cfg)})
-    return _run_trials(report, cfg, draw, measure)
+    return _run_trials(report, model, cfg, draw, measure)

@@ -93,9 +93,10 @@ def reference_modulation_cells(m, sig_scaled, coeffs):
 def reference_zs_norm_cells(m, k, sigma, coeffs, cell_measure, model, s):
     """The Z^s norm as `norms.zs_norm_cells` formed it before it shared its
     weights across the region blocks, as a reference: one masked X_{s,b} mass
-    per block, each recomputing `k != 0` and both bracket weights."""
+    per block, each recomputing `k != 0` and both bracket weights, and the Y^s
+    mass by np.sum over the whole field."""
     from hokdv.dispersion import Region, region_masks
-    from hokdv.norms import ZsNorm, angle_bracket, ys_mass, zs_region_exponents
+    from hokdv.norms import ZsNorm, angle_bracket, zs_region_exponents
 
     def xsb_mass(se, be, where):
         sel = (k != 0) & where
@@ -113,7 +114,16 @@ def reference_zs_norm_cells(m, k, sigma, coeffs, cell_measure, model, s):
     x_d1d5 = block(masks[Region.D1] | masks[Region.D5], *exps["d1d5"])
     x_d2 = block(masks[Region.D2], *exps["d2"])
     x_d3d4 = block(masks[Region.D3] | masks[Region.D4], *exps["d3d4"])
-    ys = np.sqrt(ys_mass(m, k, coeffs, cell_measure, model.lam, s))
+    # Y^s: the k != 0 cells in stable m order, L1 in tau per m column
+    sel = k != 0
+    order = np.argsort(m[sel], kind="stable")
+    mm, kk, amps = m[sel][order], k[sel][order], (np.abs(coeffs[sel]) * cell_measure)[order]
+    ys_mass = 0.0
+    if len(mm):
+        starts = np.flatnonzero(np.concatenate(([True], mm[1:] != mm[:-1])))
+        col_l1 = np.add.reduceat(amps, starts)
+        ys_mass = float(np.sum(angle_bracket(kk[starts]) ** (2.0 * s) * col_l1**2) / model.lam)
+    ys = np.sqrt(ys_mass)
     return ZsNorm(float(x_d1d5), float(x_d2), float(x_d3d4), float(ys))
 
 
@@ -294,5 +304,124 @@ def reference_integrate(model, u0, cfg):
             times.append(t_now)
             ratio = physical_l2_norm(frame) / max(initial_l2, 1e-300)
             if not np.isfinite(ratio) or ratio > 10.0:
-                raise BlowUpError(t_now, ratio)
+                raise BlowUpError(t_now, ratio, times[-2])
     return np.array(times), np.array(frames)
+
+
+def reference_run_trials(search, model, cfg, **params) -> dict:
+    """The ratio searches of `verifier` as they ran before they measured trials
+    in batches, as a reference: each trial's fields drawn from its own
+    (cfg.seed, trial) stream and measured alone, products by the lexsort
+    consolidation of the raw outer cells, every norm by np.sum over one whole
+    field, the witness described whenever the maximum rises.
+
+    search is "2.1" (params l1, l2), "2.2" (a, b), "2.5" (s) or "3.1" (s).
+    Returns the report's rows, max_ratio, argmax_trial, skipped and witness,
+    and for 2.5 params["max_by_direction"].
+    """
+    from hokdv import verifier
+    from hokdv.dispersion import Region, region_masks, resonance_q0
+    from hokdv.norms import DyadicShell, angle_bracket
+
+    lam, n, j = model.lam, model.order, model.j
+    scale = int(lam) ** n
+    s = params.get("s")
+
+    def restrict(u, keep):
+        return reference_modulation_cells(u[0][keep], u[1][keep], u[2][keep])
+
+    def k_sigma(u):
+        return u[0] / lam, u[1] / float(scale)
+
+    def product(u, v):
+        mf, mg, sf, sg = (max(abs(int(x)) for x in a) for a in (u[0], v[0], u[1], v[1]))
+        verifier.check_int64_lattice(n, mf + mg, sf + sg)
+        m1, m2 = u[0][:, None], v[0][None, :]
+        sig = u[1][:, None] + v[1][None, :] + model.sign * resonance_q0(n, m1, m2)
+        vals = np.outer(u[2], v[2]) * (1.0 / lam)
+        return reference_modulation_cells((m1 + m2).ravel(), sig.ravel(), vals.ravel())
+
+    def smoothed(w):
+        k, sigma = k_sigma(w)
+        return reference_modulation_cells(w[0], w[1], w[2] * (1j * k / angle_bracket(sigma)))
+
+    def l2(u):
+        return float(np.sqrt(np.sum(np.abs(u[2]) ** 2) * 1.0 / lam))
+
+    def xsb(u, se, be):
+        k, sigma = k_sigma(u)
+        weight = angle_bracket(k) ** (2.0 * se) * angle_bracket(sigma) ** (2.0 * be)
+        return float(np.sqrt(np.sum(weight * np.abs(u[2]) ** 2) * 1.0 / lam))
+
+    def zs(u):
+        return reference_zs_norm_cells(u[0], *k_sigma(u), u[2], 1.0, model, s).total
+
+    def ratio(num, den):
+        return num / den if den > 0 else 0.0
+
+    def draw(gen, rng):
+        if search == "2.1":
+            fields = [reference_modulation_cells(*verifier._dyadic_cells(model, cfg, rng, l))
+                      for l in (params["l1"], params["l2"])]
+            return [restrict(u, DyadicShell(l).mask(k_sigma(u)[1]))
+                    for u, l in zip(fields, (params["l1"], params["l2"]))]
+        if search == "3.1" and gen == "phi_N-family":
+            cells = verifier._resonant_cells(model, cfg, rng, s)
+        else:
+            kw = {} if s is None else {"s": s}
+            cells = [verifier.field_cells(gen, model, cfg, rng, **kw)
+                     for _ in range(1 if search == "2.5" else 2)]
+        return [reference_modulation_cells(*c) for c in cells]
+
+    def measure(*fields):
+        if search == "3.1":
+            u1, u2 = fields
+            lhs, rhs = zs(smoothed(product(u1, u2))), zs(u1) * zs(u2)
+        elif search == "2.1":
+            u1, u2 = fields
+            lo, hi = sorted((2.0 ** params["l1"], 2.0 ** params["l2"]))
+            prefactor = lo**0.5 * hi ** (1.0 / (2.0 * (2.0 * j + 1.0)))
+            lhs, rhs = l2(product(u1, u2)), prefactor * l2(u1) * l2(u2)
+        elif search == "2.2":
+            u, v = fields
+            lhs, rhs = l2(product(u, v)), xsb(u, 0.0, params["a"]) * xsb(v, 0.0, params["b"])
+        else:
+            (u,) = fields
+            total = zs(u)
+            k, sigma = k_sigma(u)
+            masks = region_masks(model, k, sigma)
+            u12 = restrict(u, masks[Region.D1] | masks[Region.D2])
+            ratios = (
+                ratio(xsb(u, s, 1.0 / (2.0 * j)), total),
+                ratio(total, xsb(u, s, (2.0 * j - 1.0) / (2.0 * j))),
+                ratio(xsb(u12, s, 0.5), zs(u12)),
+            )
+            return dict(zip(("low_vs_zs", "zs_vs_high", "half_d12_vs_zs"), ratios)), max(ratios)
+        return {"lhs": lhs, "rhs": rhs, "ratio": ratio(lhs, rhs)}, ratio(lhs, rhs)
+
+    def describe(u):
+        cells = [{"m": int(mm), "sigma_scaled": int(ss), "re": float(vv.real), "im": float(vv.imag)}
+                 for mm, ss, vv in zip(*u)]
+        return {"cells": cells, "sig_scale": scale}
+
+    out = {"rows": [], "max_ratio": 0.0, "argmax_trial": -1, "skipped": 0, "witness": None}
+    for trial in range(cfg.trials):
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, trial)))
+        gen = verifier._MIXED[trial % 4] if cfg.generator == "mixed" else cfg.generator
+        if search == "2.1":
+            gen = "dyadic-concentrated"
+        fields = draw(gen, rng)
+        if any(len(u[0]) == 0 for u in fields):
+            out["skipped"] += 1
+            continue
+        values, r = measure(*fields)
+        out["rows"].append({"trial": trial, "generator": gen, **values})
+        if r > out["max_ratio"]:
+            out["max_ratio"], out["argmax_trial"] = r, trial
+            out["witness"] = {"fields": [describe(u) for u in fields]}
+    if search == "2.5":
+        out["max_by_direction"] = {
+            key: max([0.0, *(row[key] for row in out["rows"])])
+            for key in ("low_vs_zs", "zs_vs_high", "half_d12_vs_zs")
+        }
+    return out

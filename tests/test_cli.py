@@ -4,6 +4,7 @@ emitted reports, and manifests."""
 import hashlib
 import json
 import shlex
+import warnings
 from pathlib import Path
 
 import pytest
@@ -247,6 +248,23 @@ def test_simulate_blow_up_exits_one(tmp_path, capsys):
     out = capsys.readouterr()
     assert "unstable" in out.err
     assert out.out.startswith("run directory: ")
+
+
+def test_simulate_overflow_between_frames_names_the_interval(tmp_path, capsys):
+    """A state that overflows between two frames raises no RuntimeWarning, and the
+    error says that the norm is not finite and where the state left double
+    precision: after the last frame (t = 0), by the frame at t = 0.01."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(
+            tmp_path, "simulate", "--set", "j = 2", "--set", "M = 64", "--set", "dt = 1e-3",
+            "--set", "T = 0.01", "--set", "initial_amplitude = 1e20",
+        )
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: L2 norm is nan (not finite) at t = 0.01: the state left double precision "
+        "in (0, 0.01]; the run is unstable (reduce dt or the data amplitude)\n"
+    )
 
 
 def test_contraction_default_run_contracts(tmp_path):

@@ -6,25 +6,27 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hokdv import norms, verifier
 from hokdv.dispersion import DispersionModel, Region, resonance_q0
-from hokdv.norms import angle_bracket, xsb_mass
+from hokdv.norms import angle_bracket
 from hokdv.verifier import (
-    _MIXED,
+    GENERATORS,
     ModulationField,
+    PlanMemo,
     RatioSearchConfig,
     bilinear_zs_ratio,
+    check_int64_lattice,
     check_search_lattice,
     convolve_modulation,
     dyadic_bilinear_ratio,
     embedding_ratio,
-    fixed_tau_field,
-    generate_field,
+    field_cells,
     product_l2_ratio,
     resonant_pair,
     smoothed_derivative,
 )
 
-from helpers import reference_modulation_cells, reference_zs_norm_cells
+from helpers import reference_modulation_cells, reference_run_trials, reference_zs_norm_cells
 
 
 @pytest.fixture
@@ -275,16 +277,16 @@ def test_cell_plans_match_a_fresh_product_and_the_reference(cells, data):
         coeffs = data.draw(st.lists(_PLAN_COEFF, min_size=len(cells), max_size=len(cells)))
         return ModulationField(model, [c[0] for c in cells], [c[1] for c in cells], coeffs)
 
-    memo, sightings = {}, 0
+    memo, plans = PlanMemo(), []
     products = [(field(f_cells), field(g_cells)) for _ in range(3)]
     products.append((field(f_cells), field(h_cells)))
     for i, (f, g) in enumerate(products):
         out = convolve_modulation(f, g, memo)
-        if i < 3 and not (f.is_empty() or g.is_empty()) and _raw_product(f, g)[2].all():
-            # the first sight of (f, g) records its key, the second stores its plan
-            sightings += 1
-            stored = [plan for plan in memo.values() if plan is not None]
-            assert stored == ([] if sightings == 1 else [out._plan])
+        if i < 3 and _raw_product(f, g)[2].all():
+            # every product of (f, g) cells with nonzero values takes the first one's plan
+            plans.append(out._plan)
+            assert all(plan is plans[0] for plan in plans)
+            assert list(memo.plans.values()) == [plans[0]]
         fresh = convolve_modulation(f, g)
         ref = _reference_product(f, g)
         for got in (out, fresh):
@@ -400,7 +402,7 @@ def test_fixed_tau_control_grows_like_sqrt_k(model):
     cfg32 = RatioSearchConfig(trials=1, k_max=32, generator="fixed-tau", seed=1)
     cfg128 = RatioSearchConfig(trials=1, k_max=128, generator="fixed-tau", seed=1)
     def unweighted_ratio(cfg):
-        u = fixed_tau_field(model, cfg, rng)
+        u = ModulationField(model, *field_cells("fixed-tau", model, cfg, rng))
         return convolve_modulation(u, u).l2_norm() / u.l2_norm() ** 2
     r32, r128 = unweighted_ratio(cfg32), unweighted_ratio(cfg128)
     assert r128 / r32 == pytest.approx(2.0, rel=0.25)  # sqrt(128/32) = 2
@@ -543,46 +545,6 @@ def test_witness_serialization_replays(model, search, replay, cfg):
     assert replayed == pytest.approx(report.max_ratio, rel=1e-12)
 
 
-def _replay_rows(search: str, model, cfg):
-    """A search's rows recomputed trial by trial through the reference helpers:
-    products by the lexsort consolidation of the raw outer cells, Z^s by
-    reference_zs_norm_cells, X_{0,b} by xsb_mass on the cells."""
-    s, a = -1.5, 0.3
-    rows = []
-    for trial in range(cfg.trials):
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, trial)))
-        gen = _MIXED[trial % len(_MIXED)]
-        if search == "3.1" and gen == "phi_N-family":
-            u, v = resonant_pair(model, cfg, rng, s)
-        else:
-            kw = {"s": s} if search == "3.1" else {}
-            u = generate_field(gen, model, cfg, rng, **kw)
-            v = generate_field(gen, model, cfg, rng, **kw)
-        m, sig, vals = _reference_product(u, v)
-        scale = float(int(model.lam) ** model.order)
-        if search == "3.1":
-            m, sig, vals = _reference_smoothed(model, m, sig, vals)
-
-            def zs(m, sig, vals):
-                k, sigma = m / model.lam, sig / scale
-                return reference_zs_norm_cells(m, k, sigma, vals, 1.0, model, s).total
-
-            lhs = zs(m, sig, vals)
-            rhs = zs(u.m, u.sig_scaled, u.coeffs) * zs(v.m, v.sig_scaled, v.coeffs)
-        else:
-            lhs = float(np.sqrt(np.sum(np.abs(vals) ** 2) * 1.0 / model.lam))
-
-            def xsb(f):
-                return float(np.sqrt(xsb_mass(
-                    f.m / model.lam, f.sig_scaled / scale, f.coeffs, 1.0, model.lam, 0.0, a
-                )))
-
-            rhs = xsb(u) * xsb(v)
-        rows.append({"trial": trial, "generator": gen, "lhs": lhs, "rhs": rhs,
-                     "ratio": lhs / rhs if rhs > 0 else 0.0})
-    return rows
-
-
 @pytest.mark.parametrize("j,lam", [(2, 1.0), (3, 2.0)])
 def test_search_rows_replay_through_the_reference_helpers(j, lam):
     """Plans reused across a search's trials change no row: 3.1 and 2.2 mixed rows
@@ -592,8 +554,140 @@ def test_search_rows_replay_through_the_reference_helpers(j, lam):
     model = DispersionModel(j, lam)
     cfg = RatioSearchConfig(trials=40, k_max=64, seed=11)
     first = bilinear_zs_ratio(model, -1.5, cfg)
-    assert first.rows == _replay_rows("3.1", model, cfg)
+    assert first.rows == reference_run_trials("3.1", model, cfg, s=-1.5)["rows"]
     other = product_l2_ratio(model, 0.3, 0.3, cfg)
-    assert other.rows == _replay_rows("2.2", model, cfg)
+    assert other.rows == reference_run_trials("2.2", model, cfg, a=0.3, b=0.3)["rows"]
     again = bilinear_zs_ratio(model, -1.5, cfg)
     assert vars(again) == vars(first)
+
+
+_SEARCHES = {
+    "2.1": (lambda model, cfg, p: dyadic_bilinear_ratio(model, p["l1"], p["l2"], cfg), ("mixed",)),
+    "2.2": (lambda model, cfg, p: product_l2_ratio(model, p["a"], p["b"], cfg), ("mixed", *GENERATORS)),
+    "2.5": (lambda model, cfg, p: embedding_ratio(model, p["s"], cfg), ("mixed", *GENERATORS)),
+    "3.1": (lambda model, cfg, p: bilinear_zs_ratio(model, p["s"], cfg), ("mixed", *GENERATORS)),
+}
+
+
+def _reference_cases():
+    """Every search with every generator (2.1 draws only its own, at l2 = 3 and
+    8), cycling through j in {2, 3}, lam in {1, 2}, k_max in {32, 128} and
+    1, 5 or 33 trials, so that batches split unevenly; each drawn as it is and
+    through _perturbed."""
+    cases = []
+    for search, (_, gens) in _SEARCHES.items():
+        for gen in gens:
+            for l2 in (3, 8) if search == "2.1" else (None,):
+                cases.append((search, gen, l2))
+    out = []
+    for i, (search, gen, l2) in enumerate(cases):
+        j, lam = (2, 3)[i % 2], (1.0, 2.0)[(i // 2) % 2]
+        k_max, trials = (32, 128)[(i // 4) % 2], (1, 5, 33)[i % 3]
+        for perturb in (False, True):
+            out.append(pytest.param(
+                search, gen, l2, j, lam, k_max, trials, perturb,
+                id=f"{search}-{gen}-l2{l2}-j{j}-lam{int(lam)}-k{k_max}-t{trials}"
+                + ("-perturbed" if perturb else ""),
+            ))
+    return out
+
+
+def _perturbed(draw):
+    """draw with some fields' coefficients zeroed, wholly (an empty field: a
+    skipped trial) or in half, or shrunk so far that products underflow to 0."""
+
+    def wrapped(*args, **kwargs):
+        m, sig, c = draw(*args, **kwargs)
+        c = np.array(c, dtype=complex)
+        lead = c[0].real
+        if lead < -0.8:
+            c[:] = 0.0
+        elif lead > 1.2:
+            c[: len(c) // 2] = 0.0
+        elif lead > 0.6:
+            c[:2] *= 1e-170
+        return m, sig, c
+
+    return wrapped
+
+
+@pytest.mark.parametrize("search,gen,l2,j,lam,k_max,trials,perturb", _reference_cases())
+def test_batched_searches_match_the_per_trial_reference(
+    monkeypatch, search, gen, l2, j, lam, k_max, trials, perturb
+):
+    """Trials measured in batches give every row, the maximum, its trial, the
+    skip count and the witness with the bits of trials measured one at a time."""
+    if perturb:
+        for name in ("field_cells", "_dyadic_cells"):
+            monkeypatch.setattr(verifier, name, _perturbed(getattr(verifier, name)))
+    model = DispersionModel(j, lam)
+    params = {"s": -j + 0.5, "a": 0.3, "b": 0.3, "l1": 0, "l2": l2}
+    cfg = RatioSearchConfig(trials=trials, k_max=k_max, t_modes=16, support=24, generator=gen,
+                            seed=100 + trials)
+    report = _SEARCHES[search][0](model, cfg, params)
+    ref_params = {key: params[key] for key in {"2.1": ("l1", "l2"), "2.2": ("a", "b")}.get(search, ("s",))}
+    want = reference_run_trials(search, model, cfg, **ref_params)
+    assert report.rows == want.pop("rows")
+    if search == "2.5":
+        assert report.params["max_by_direction"] == want.pop("max_by_direction")
+    assert {key: getattr(report, key) for key in want} == want
+    assert report.skipped + len(report.rows) == trials
+
+
+def test_stacked_products_check_int64_per_field():
+    """The int64 guard takes each pair of fields on its own: field 0 (large m)
+    and field 1 (large sigma) each multiply exactly although their maxima
+    together would not, and equal the products of the fields alone; one pair
+    past int64 is refused as a lone product is."""
+    model = DispersionModel(2, 1.0)
+    big_m, big_sig = 2286, 2**61
+    check_int64_lattice(5, 2 * big_m, 0)
+    with pytest.raises(ValueError, match="int64"):
+        check_int64_lattice(5, 2 * big_m, 2 * big_sig)
+    m, sig, vals = [big_m, -3, 1, 2], [0, 5, big_sig, 0], [1.0, 2j, -1.0, 0.5]
+    f = ModulationField(model, m, sig, vals, bounds=[0, 2, 4])
+    out = convolve_modulation(f, f)
+    for i, cells in enumerate((slice(0, 2), slice(2, 4))):
+        u = ModulationField(model, m[cells], sig[cells], vals[cells])
+        alone = convolve_modulation(u, u)
+        got = slice(*out.bounds[i : i + 2])
+        assert np.array_equal(out.m[got], alone.m) and np.array_equal(out.sig_scaled[got], alone.sig_scaled)
+        assert np.array_equal(out.coeffs[got], alone.coeffs)
+    past = ModulationField(model, m + [1], sig + [2**62], vals + [1.0], bounds=[0, 2, 5])
+    with pytest.raises(ValueError, match="int64") as batched:
+        convolve_modulation(past, past)
+    lone = ModulationField(model, [1, 2, 1], [big_sig, 0, 2**62], [-1.0, 0.5, 1.0])
+    with pytest.raises(ValueError, match="int64") as alone:
+        convolve_modulation(lone, lone)
+    assert str(batched.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("search", ["2.2", "3.1"])
+def test_searches_past_int64_are_refused_as_before(search):
+    """A lattice past int64 (j = 3, lam = 256, |sigma| up to 100 * 2^56: sigma
+    sums pass 2^63) is refused with the ValueError of the per-trial searches."""
+    model = DispersionModel(3, 256.0)
+    cfg = RatioSearchConfig(trials=6, k_max=8, t_modes=100, support=8, generator="gaussian-random")
+    params = {"s": -2.5, "a": 0.3, "b": 0.3}
+    ref_params = {key: params[key] for key in (("a", "b") if search == "2.2" else ("s",))}
+    with pytest.raises(ValueError, match="int64") as want:
+        reference_run_trials(search, model, cfg, **ref_params)
+    with pytest.raises(ValueError, match="int64") as got:
+        _SEARCHES[search][0](model, cfg, params)
+    assert str(got.value) == str(want.value)
+
+
+def test_repeated_cells_share_their_plans_across_a_search(monkeypatch):
+    """Free-solution-like fields have the same cells in every trial, and at k_max
+    128 each trial is a batch of its own: both input stacks share one plan per
+    search and the products another, so the search forms two Z^s weight passes
+    however many trials it runs."""
+    passes = []
+    weights = norms.zs_weights
+    monkeypatch.setattr(norms, "zs_weights", lambda *a, **kw: passes.append(1) or weights(*a, **kw))
+    model = DispersionModel(2, 1.0)
+    for trials in (3, 9):
+        passes.clear()
+        cfg = RatioSearchConfig(trials=trials, k_max=128, generator="free-solution-like", seed=4)
+        report = bilinear_zs_ratio(model, -1.5, cfg)
+        assert len(report.rows) == trials and len(passes) == 2
