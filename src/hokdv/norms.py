@@ -193,15 +193,14 @@ def xsb_mass(
     b: float,
     homogeneous: bool = False,
     bounds: np.ndarray | None = None,
-) -> float | np.ndarray:
-    """Squared X_{s,b} mass of the listed cells (k = 0 cells excluded).  With
-    bounds, the cells are fields at those offsets: one mass per field, an array."""
+) -> np.ndarray:
+    """Squared X_{s,b} mass of the listed cells (k = 0 cells excluded), fields at
+    offsets bounds (None: one field): one entry per field."""
+    bounds = _lone(len(k)) if bounds is None else bounds
     sel = k != 0
     kw = np.abs(k[sel]) if homogeneous else angle_bracket(k[sel])
     weight = kw ** (2.0 * s) * angle_bracket(sigma[sel]) ** (2.0 * b)
     terms = weight * np.abs(coeffs[sel]) ** 2
-    if bounds is None:
-        return float(np.sum(terms) * cell_measure / lam)
     return segment_sums(terms, kept_bounds(sel, bounds)) * cell_measure / lam
 
 
@@ -221,7 +220,7 @@ def _ys_columns(m: np.ndarray, k: np.ndarray, s: float, bounds: np.ndarray) -> t
     same_field = field[1:] == field[:-1]
     order = None
     if ((m[1:] < m[:-1]) & same_field).any():  # sparse fields come sorted by m
-        order = np.argsort(m, kind="stable") if len(bounds) == 2 else np.lexsort((m, field))
+        order = np.lexsort((m, field))
         m, k, field = m[order], k[order], field[order]
         same_field = field[1:] == field[:-1]
     opens = np.ones(len(m), dtype=bool)
@@ -249,16 +248,16 @@ def ys_mass(
     cell_measure: float,
     lam: float,
     s: float,
-) -> float:
-    """Squared Y^s mass: l2 in k of <k>^s times the L1-in-tau column integral."""
-    columns = _ys_columns(m, k, s, _lone(len(m)))
-    return float(_ys_mass(columns, np.abs(coeffs), cell_measure, lam)[0])
+) -> np.ndarray:
+    """Squared Y^s mass of the cells as one field, l2 in k of <k>^s times the
+    L1-in-tau column integral: one entry per field, an array of length 1."""
+    return _ys_mass(_ys_columns(m, k, s, _lone(len(m))), np.abs(coeffs), cell_measure, lam)
 
 
 @dataclass(frozen=True)
 class ZsNorm:
-    """The Z^s value together with its four constituents: floats, or for a stack
-    of fields one array entry per field."""
+    """The Z^s value together with its four constituents, one array entry per
+    field of a stack.  field(i) takes out field i's values as Python floats."""
 
     x_d1d5: float | np.ndarray
     x_d2: float | np.ndarray
@@ -320,9 +319,8 @@ def zs_weights(
 ) -> ZsWeights:
     """The Z^s weights of the cells (m, k, sigma), fields at offsets bounds (None:
     one field): region masks, bracket powers and Y^s columns, everything of the
-    norm that does not read a coefficient."""
-    if bounds is None:
-        bounds = _lone(len(m))
+    norm that does not read a coefficient, laid out for one entry per field."""
+    bounds = _lone(len(m)) if bounds is None else bounds
     masks = region_masks(model, k, sigma)
     exps = zs_region_exponents(model, s)
     # brackets formed once for the three blocks; the region masks exclude k = 0
@@ -355,9 +353,9 @@ def zs_norm_cells(
 ) -> ZsNorm:
     """Z^s of the listed cells: the weight pass zs_weights, then its coefficient
     pass.  weights, if given, is a cache of weight passes by s for these very
-    cells: one found there is used, one formed here is stored there.  With
-    bounds, the cells are fields at those offsets, and the norm holds one array
-    entry per field; without, floats."""
+    cells: one found there is used, one formed here is stored there.  The cells
+    are fields at offsets bounds (None: one field), and the norm holds one array
+    entry per field."""
     if warn_range and not (-model.j + 0.5 <= s <= -model.j / 2.0):
         warnings.warn(
             f"s = {s} outside the window [{-model.j + 0.5}, {-model.j / 2.0}] the "
@@ -370,8 +368,7 @@ def zs_norm_cells(
         zw = zs_weights(m, k, sigma, model, s, bounds)
         if weights is not None:
             weights[s] = zw
-    z = zw.norm(coeffs, cell_measure)
-    return z if bounds is not None else z.field(0)
+    return zw.norm(coeffs, cell_measure)
 
 
 # ---------------------------------------------------------------------------
@@ -384,18 +381,15 @@ def xsb_norm(u: SpaceTimeField, spec: NormSpec, model: DispersionModel) -> float
     if u.grid.lam != model.lam:
         raise ValueError("field and model lam differ")
     _, k, sigma, vals = u.cell_arrays(model)
-    return float(
-        np.sqrt(
-            xsb_mass(k, sigma, vals, u.dtau, u.grid.lam, spec.s, spec.b, spec.homogeneous)
-        )
-    )
+    mass = xsb_mass(k, sigma, vals, u.dtau, u.grid.lam, spec.s, spec.b, spec.homogeneous)
+    return float(np.sqrt(mass)[0])
 
 
 def ys_norm(u: SpaceTimeField, s: float) -> float:
     """Y^s norm, l2 in k of the tau L1 integral; needs no dispersion model."""
     m = np.repeat(u.grid.m_ints, u.t_modes)
     k = np.repeat(u.grid.k_values, u.t_modes)
-    return float(np.sqrt(ys_mass(m, k, u.coeffs.reshape(-1), u.dtau, u.grid.lam, s)))
+    return float(np.sqrt(ys_mass(m, k, u.coeffs.reshape(-1), u.dtau, u.grid.lam, s))[0])
 
 
 def zs_norm(u: SpaceTimeField, s: float, model: DispersionModel) -> ZsNorm:
@@ -403,7 +397,7 @@ def zs_norm(u: SpaceTimeField, s: float, model: DispersionModel) -> ZsNorm:
     if u.grid.lam != model.lam:
         raise ValueError("field and model lam differ")
     m, k, sigma, vals = u.cell_arrays(model)
-    return zs_norm_cells(m, k, sigma, vals, u.dtau, model, s)
+    return zs_norm_cells(m, k, sigma, vals, u.dtau, model, s).field(0)
 
 
 def dyadic_localize(

@@ -217,7 +217,7 @@ class FrameGrid:
         if not self.cells:
             self.cells.extend(stf.cell_arrays(self.model)[:3])
         return zs_norm_cells(*self.cells, stf.coeffs.reshape(-1), stf.dtau, self.model, s,
-                             weights=self.zs_weights)
+                             weights=self.zs_weights).field(0)
 
 
 def frame_grid(model: DispersionModel, grid: TorusGrid, times: np.ndarray) -> FrameGrid:

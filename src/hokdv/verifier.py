@@ -168,11 +168,11 @@ class ModulationField:
     by (m, sig_scaled) and unique, duplicates summed in that order.  Cells
     already in that canonical form are kept as given, without a sort.
 
-    Built with bounds, the object is a stack of fields: field i is the cells
-    bounds[i]:bounds[i + 1] of the given arrays, put in canonical form on its
-    own, and self.bounds gives their offsets among the kept cells.  The norms
-    of a stack are arrays, one entry per field, each with the bits the field
-    gives alone; a field built without bounds (bounds None) gives floats.
+    The object is a stack of fields: field i is the cells bounds[i]:bounds[i + 1]
+    of the given arrays (bounds None: [0, len(m)], one field), put in canonical
+    form on its own, and self.bounds gives their offsets among the kept cells.
+    The norms are arrays with one entry per field, each with the bits the field
+    gives alone.
     memo, if given, is a search's PlanMemo: a plan for the same cells is taken
     from there, and a new plan is kept there.
     """
@@ -198,18 +198,18 @@ class ModulationField:
         else:
             m, sig, vals = m[keep], sig[keep], vals[keep]
             plan = _CellPlan(model, m, sig, kept_bounds(keep, offsets))
-        self._set(plan, plan.apply(vals), bounds is not None)
+        self._set(plan, plan.apply(vals))
 
-    def _set(self, plan: _CellPlan, coeffs: np.ndarray, stacked: bool) -> None:
+    def _set(self, plan: _CellPlan, coeffs: np.ndarray) -> None:
         self.model, self.sig_scale, self._plan = plan.model, _scale(plan.model), plan
         self.m, self.sig_scaled, self.coeffs = plan.m, plan.sig_scaled, coeffs
-        self.bounds = plan.bounds if stacked else None
+        self.bounds = plan.bounds
 
     @classmethod
-    def _planned(cls, plan: _CellPlan, coeffs: np.ndarray, stacked: bool) -> "ModulationField":
-        """The field(s) on a plan's canonical cells with nonzero coefficients coeffs."""
+    def _planned(cls, plan: _CellPlan, coeffs: np.ndarray) -> "ModulationField":
+        """The fields on a plan's canonical cells with nonzero coefficients coeffs."""
         field = cls.__new__(cls)
-        field._set(plan, coeffs, stacked)
+        field._set(plan, coeffs)
         return field
 
     # -- geometry -----------------------------------------------------------
@@ -231,9 +231,9 @@ class ModulationField:
 
     def where(self, keep: np.ndarray) -> "ModulationField":
         """The cells selected by a boolean mask."""
-        bounds = None if self.bounds is None else kept_bounds(keep, self.bounds)
         return ModulationField(
-            self.model, self.m[keep], self.sig_scaled[keep], self.coeffs[keep], bounds
+            self.model, self.m[keep], self.sig_scaled[keep], self.coeffs[keep],
+            kept_bounds(keep, self.bounds),
         )
 
     def region_restricted(self, regions: tuple[Region, ...]) -> "ModulationField":
@@ -245,7 +245,7 @@ class ModulationField:
 
     def describe(self, i: int = 0) -> dict:
         """The cells of field i."""
-        a, b = self._plan.bounds[i : i + 2]
+        a, b = self.bounds[i : i + 2]
         cells = zip(*(x[a:b].tolist() for x in (self.m, self.sig_scaled, self.coeffs)))
         return {
             "cells": [
@@ -254,27 +254,22 @@ class ModulationField:
             "sig_scale": self.sig_scale,
         }
 
-    # -- norms (one per field) -----------------------------------------------
-    def _per_field(self, values: np.ndarray):
-        return values if self.bounds is not None else float(values[0])
+    # -- norms (one entry per field) -----------------------------------------
+    def l2_norm(self) -> np.ndarray:
+        mass = segment_sums(np.abs(self.coeffs) ** 2, self.bounds)
+        return np.sqrt(mass * self.dtau / self.model.lam)
 
-    def l2_norm(self):
-        mass = segment_sums(np.abs(self.coeffs) ** 2, self._plan.bounds)
-        return self._per_field(np.sqrt(mass * self.dtau / self.model.lam))
-
-    def xsb(self, s: float, b: float):
+    def xsb(self, s: float, b: float) -> np.ndarray:
         mass = xsb_mass(
-            self.k, self.sigma, self.coeffs, self.dtau, self.model.lam, s, b,
-            bounds=self._plan.bounds,
+            self.k, self.sigma, self.coeffs, self.dtau, self.model.lam, s, b, bounds=self.bounds
         )
-        return self._per_field(np.sqrt(mass))
+        return np.sqrt(mass)
 
     def zs(self, s: float) -> ZsNorm:
-        z = zs_norm_cells(
+        return zs_norm_cells(
             self.m, self.k, self.sigma, self.coeffs, self.dtau, self.model, s,
-            warn_range=False, weights=self._plan.zs_weights, bounds=self._plan.bounds,
+            warn_range=False, weights=self._plan.zs_weights, bounds=self.bounds,
         )
-        return z if self.bounds is not None else z.field(0)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -342,7 +337,7 @@ def convolve_modulation(
     model = f.model
     if g.model != model:
         raise ValueError("fields live on different dispersion models")
-    fb, gb = f._plan.bounds, g._plan.bounds
+    fb, gb = f.bounds, g.bounds
     if len(fb) != len(gb):
         raise ValueError("stacks of different numbers of fields")
     # every pair of nonempty fields must multiply exactly in int64
@@ -350,7 +345,7 @@ def convolve_modulation(
     mf, mg, sf, sg = (_field_maxima(a, b) for a, b in sides)
     for i in np.flatnonzero((np.diff(fb) > 0) & (np.diff(gb) > 0)).tolist():
         check_int64_lattice(model.order, mf[i] + mg[i], sf[i] + sg[i])
-    scale, stacked = f.dtau / model.lam, f.bounds is not None
+    scale = f.dtau / model.lam
     key = plan = None
     if memo is not None:
         cells = (f.m, f.sig_scaled, fb, g.m, g.sig_scaled, gb)
@@ -365,14 +360,14 @@ def convolve_modulation(
             plan.pairs = rows.astype(narrow(fb[-1])), cols.astype(narrow(gb[-1]))
         vals = _pair_products(f, g, *plan.pairs, scale)
         if vals.all():
-            return ModulationField._planned(plan, plan.apply(vals, ordered=True), stacked)
+            return ModulationField._planned(plan, plan.apply(vals, ordered=True))
     m, sig, vals, bounds = _raw_product(f, g, scale)
     if not vals.all():
-        return ModulationField(model, m, sig, vals, bounds if stacked else None)
+        return ModulationField(model, m, sig, vals, bounds)
     plan = _CellPlan(model, m, sig, bounds)
     if memo is not None:
         memo.keep(key, plan)
-    return ModulationField._planned(plan, plan.apply(vals), stacked)
+    return ModulationField._planned(plan, plan.apply(vals))
 
 
 def _pair_products(f: ModulationField, g: ModulationField, rows, cols, scale: float) -> np.ndarray:
@@ -386,7 +381,7 @@ def _pair_products(f: ModulationField, g: ModulationField, rows, cols, scale: fl
 def _raw_product(f: ModulationField, g: ModulationField, scale: float) -> tuple:
     """(m, sig_scaled, vals, bounds): the raw output cells of f * g with their
     values (see _pairs for the order) and the product's field offsets."""
-    rows, cols, bounds = _pairs(f._plan.bounds, g._plan.bounds)
+    rows, cols, bounds = _pairs(f.bounds, g.bounds)
     vals = _pair_products(f, g, rows, cols, scale)
     m, m2 = f.m[rows], g.m[cols]
     # exact integer resonance shift on the scaled-sigma lattice
@@ -402,7 +397,7 @@ def smoothed_derivative(w: ModulationField) -> ModulationField:
     """Apply i k <sigma>^{-1}: the derivative smoothed by one modulation power."""
     vals = w.coeffs * w._plan.multiplier
     if vals.all():  # same cells: keep their plan and what it holds
-        return ModulationField._planned(w._plan, vals, w.bounds is not None)
+        return ModulationField._planned(w._plan, vals)
     return ModulationField(w.model, w.m, w.sig_scaled, vals, w.bounds)
 
 
@@ -631,7 +626,11 @@ def dyadic_bilinear_ratio(
     model: DispersionModel, l1: int, l2: int, cfg: RatioSearchConfig
 ) -> RatioReport:
     """Shell-localized product bound: L2 of the convolution against
-    (2^{l1} ^ 2^{l2})^{1/2} (2^{l1} v 2^{l2})^{1/(2(2j+1))} times the input masses."""
+    (2^{l1} ^ 2^{l2})^{1/2} (2^{l1} v 2^{l2})^{1/(2(2j+1))} times the input masses.
+
+    Fields are drawn in their shells, yet each is restricted to DyadicShell(l)
+    again: from l = 53 on, a drawn |sigma| near 2^{l+1} rounds to 2^{l+1} in
+    float64 and leaves the shell, and a trial left with an empty field is skipped."""
     lo, hi = sorted((2.0**l1, 2.0**l2))
     prefactor = lo**0.5 * hi ** (1.0 / (2.0 * (2.0 * model.j + 1.0)))
 

@@ -1,6 +1,8 @@
 """Ratio searches: determinism, homogeneity, closed-form single-cell values,
 boundedness trends, the resonant family, and the negative control."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +10,11 @@ from hypothesis import strategies as st
 
 from hokdv import norms, verifier
 from hokdv.dispersion import DispersionModel, Region, resonance_q0
-from hokdv.norms import angle_bracket
+from hokdv.norms import (
+    DyadicShell, NormSpec, SpaceTimeField, angle_bracket, xsb_norm, ys_norm, zs_norm,
+)
+from hokdv.solver import frame_grid
+from hokdv.torus import TorusGrid
 from hokdv.verifier import (
     GENERATORS,
     ModulationField,
@@ -26,7 +32,10 @@ from hokdv.verifier import (
     smoothed_derivative,
 )
 
-from helpers import reference_modulation_cells, reference_run_trials, reference_zs_norm_cells
+from helpers import (
+    random_spacetime_coeffs, reference_modulation_cells, reference_run_trials,
+    reference_zs_norm_cells,
+)
 
 
 @pytest.fixture
@@ -415,10 +424,26 @@ def test_dyadic_shell_ratio_trend_in_upper_shell(model):
     assert max(maxima) <= maxima[0] * 1.5  # no growth beyond the prefactor
 
 
-def test_dyadic_shell_skips_are_counted(model):
+def test_dyadic_shell_skips_are_counted(model, monkeypatch):
+    """At l >= 53 a drawn |sigma| = 2^{l+1} - 1 rounds to 2^{l+1} in float64 and
+    leaves DyadicShell(l): a trial whose l2 field is only that cell is skipped."""
+    l2, edge = 53, 2**54 - 1
+    assert not DyadicShell(l2).mask(np.array([edge]) / 1.0)[0]
+    draw, l2_draws = verifier._dyadic_cells, []
+
+    def dyadic_cells(model, cfg, rng, l=None):
+        m, sig, vals = draw(model, cfg, rng, l)
+        if l == l2:
+            l2_draws.append(l)
+            if len(l2_draws) == 3:  # trial 2's l2 field: the edge cell alone
+                return m[:1], np.array([edge]), vals[:1]
+        return m, sig, vals
+
+    monkeypatch.setattr(verifier, "_dyadic_cells", dyadic_cells)
     cfg = RatioSearchConfig(trials=5, k_max=4, support=1, seed=8)
-    report = dyadic_bilinear_ratio(model, 0, 2, cfg)
-    assert report.skipped + len(report.rows) == cfg.trials
+    report = dyadic_bilinear_ratio(model, 0, l2, cfg)
+    assert report.skipped == 1 and [row["trial"] for row in report.rows] == [0, 1, 3, 4]
+    assert len(report.rows) + report.skipped == cfg.trials
 
 
 def test_embedding_low_direction_never_exceeds_one_on_d1_fields(model):
@@ -632,6 +657,32 @@ def test_batched_searches_match_the_per_trial_reference(
         assert report.params["max_by_direction"] == want.pop("max_by_direction")
     assert {key: getattr(report, key) for key in want} == want
     assert report.skipped + len(report.rows) == trials
+
+
+def test_a_lone_field_is_a_stack_of_one(model):
+    """A field built without bounds is a stack of one field: its norms are arrays
+    of length 1 with the bits of the same field in the middle of a stack of three.
+    The dense front ends give Python floats."""
+    cfg, rng, s = RatioSearchConfig(k_max=16, support=24), np.random.default_rng(5), -1.5
+    gens = ("free-solution-like", "gaussian-random", "dyadic-concentrated")
+    draws = [field_cells(gen, model, cfg, rng) for gen in gens]
+    draws[1] = tuple(np.append(a, x) for a, x in zip(draws[1], (0, 0, 1.0)))  # an m = 0 cell
+    m, sig, vals = (np.concatenate(parts) for parts in zip(*draws))
+    bounds = np.cumsum([0] + [len(d[0]) for d in draws])
+    stack = ModulationField(model, m, sig, vals, bounds)
+    alone = ModulationField(model, *draws[1])
+    pairs = [(alone.l2_norm(), stack.l2_norm()), (alone.xsb(s, 0.3), stack.xsb(s, 0.3))]
+    pairs += zip(astuple(alone.zs(s)), astuple(stack.zs(s)))
+    for got, of_stack in pairs:
+        assert isinstance(got, np.ndarray) and got.shape == (1,)
+        assert got[0] == of_stack[1] and got[0] > 0.0
+    grid = TorusGrid(1.0, 16)
+    u = SpaceTimeField(grid, 0.5, random_spacetime_coeffs(rng, grid.modes, 8))
+    times = 0.1 * np.arange(-8, 9)
+    frames = random_spacetime_coeffs(rng, len(times), grid.modes)
+    dense = [xsb_norm(u, NormSpec(s, 0.3), model), ys_norm(u, s), *astuple(zs_norm(u, s, model))]
+    dense += astuple(frame_grid(model, grid, times).zs_norm(frames, s))
+    assert [type(v) for v in dense] == [float] * 10
 
 
 def test_stacked_products_check_int64_per_field():
