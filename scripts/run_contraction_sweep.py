@@ -2,8 +2,10 @@
 """Contraction factor of the cutoff Duhamel map across data amplitudes.
 
 In the small-data regime the factor scales linearly with the amplitude;
-the run prints the measured factors and the largest amplitude that still
-contracts below 1/2.
+the run prints the measured factors, the largest amplitude that still
+contracts below 1/2, and the log-log fit factor = C * amplitude^slope over
+all amplitudes.  It exits 1 when the slope is more than 0.05 from 1, the
+slope of a quadratic nonlinearity at small data.
 """
 
 import sys
@@ -28,9 +30,9 @@ def run() -> int:
         print(f"{amp:>10.4f} {trace.factor:>12.6f} {str(trace.converged):>10}")
     contracting = [a for a, f in zip(amplitudes, factors) if f < 0.5]
     print(f"largest contracting amplitude tested: {max(contracting)}")
-    slope = np.polyfit(amplitudes[:4], factors[:4], 1)[0]
-    print(f"small-data slope d(factor)/d(amplitude) = {slope:.4f}")
-    return 0
+    slope, log_c = np.polyfit(np.log(amplitudes), np.log(factors), 1)
+    print(f"log-log fit: factor = {np.exp(log_c):.4f} * amplitude^{slope:.7f}")
+    return 0 if abs(slope - 1.0) <= 0.05 else 1
 
 
 if __name__ == "__main__":

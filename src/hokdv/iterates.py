@@ -39,12 +39,10 @@ class ResonanceConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class IterateResult:
-    """A closed-form iterate with resonance bookkeeping."""
+    """A closed-form iterate and its count of resonant terms."""
 
     field: SpectralField
-    t: float
     resonant_terms: int
-    max_denominator: int
 
 
 def phi_n_data(N: int, s: float, grid: TorusGrid) -> SpectralField:
@@ -109,7 +107,6 @@ def second_iterate_closed(
     n = model.order
     lam_pow = float(model.lam) ** n
     out = np.zeros(grid.modes, dtype=np.complex128)
-    max_den = 0
     for m1, c1 in support:
         for m2, c2 in support:
             m = m1 + m2
@@ -124,14 +121,13 @@ def second_iterate_closed(
                 raise ResonanceConsistencyError(
                     f"q0 = 0 at nonzero output mode ({m1}, {m2})"
                 )
-            max_den = max(max_den, abs(q0))
             omega = model.sign * float(q0) / lam_pow
             k = m / model.lam
             out[grid.index_of(m)] += (
                 1j * k * c1 * c2 / model.lam * _oscillatory_factor(t, omega)
             )
     phases = np.exp(1j * t * model.phase(grid.k_values))
-    return IterateResult(SpectralField(grid, out * phases), t, 0, max_den)
+    return IterateResult(SpectralField(grid, out * phases), 0)
 
 
 def third_iterate_closed(
@@ -159,7 +155,6 @@ def third_iterate_closed(
     sign = model.sign
     out = np.zeros(grid.modes, dtype=np.complex128)
     resonant = 0
-    max_den = 0
     for m1, c1 in support:
         for m2, c2 in support:
             for m3, c3 in support:
@@ -182,7 +177,6 @@ def third_iterate_closed(
                 q1 = q0_23 + q2
                 if q1 == 0:
                     resonant += 1
-                max_den = max(max_den, abs(q0_23), abs(q1), abs(q2))
                 w23 = sign * float(q0_23) / lam_pow
                 w_b = sign * float(q1) / lam_pow
                 w_a = sign * float(q2) / lam_pow
@@ -193,7 +187,7 @@ def third_iterate_closed(
                     2j * k * (k23 / w23) * factor * c1 * c2 * c3 / model.lam**2
                 )
     phases = np.exp(1j * t * model.phase(grid.k_values))
-    return IterateResult(SpectralField(grid, out * phases), t, resonant, max_den)
+    return IterateResult(SpectralField(grid, out * phases), resonant)
 
 
 # ---------------------------------------------------------------------------

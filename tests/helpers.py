@@ -215,8 +215,7 @@ def reference_contraction_experiment(model, phi, s, *, max_iter, n_frames):
     eta_t = np.asarray(smooth_bump_window()(times), dtype=np.float64)[:, None]
     current = eta_t * np.array([free_evolve(model, phi, t).coeffs for t in times])
     trace = ContractionTrace()
-    trace.iterate_norms.append(z_of(current))
-    scale = max(trace.iterate_norms[0], 1e-300)
+    scale = max(z_of(current), 1e-300)
     floor = 1e-13 * scale
     for _ in range(max_iter):
         nxt = reference_duhamel_map(model, phi, current, times)
@@ -224,7 +223,6 @@ def reference_contraction_experiment(model, phi, s, *, max_iter, n_frames):
         d = z_of(diffs)
         trace.diff_norms.append(d)
         trace.hs_sup_diffs.append(hs_sup(diffs))
-        trace.iterate_norms.append(z_of(nxt))
         current = nxt
         if d <= floor:
             trace.converged = True
