@@ -7,16 +7,18 @@ With u1(t) = S(t) u0, the second and third expansion kernels are
     A3(u0)(t) = 2 int_0^t S(t-s) d_x(u1(s) A2(u0)(s)) ds,
 
 where the quadratic product is the normalized lattice convolution.  Both
-integrals are elementary in Fourier variables: each interacting frequency
-tuple contributes an oscillatory weight E(t, w) = (e^{itw} - 1)/(iw) whose
-frequency w is a signed resonance function, evaluated here in exact integer
+are one Duhamel kernel, int_0^t S(t-s) d_x(L R)(s) ds for L and R given as
+sums of waves c e^{i s w}: A2 applies it to u1's free waves on both sides,
+and A3 to u1's waves and A2's, since A2(s) is itself a sum of waves.  Each
+pair of waves contributes an oscillatory weight E(t, w) = (e^{itw} - 1)/(iw)
+whose frequency w is a signed resonance function, evaluated in exact integer
 arithmetic so that the resonant limit E(t, 0) = t is taken exactly, never
 by a floating-point threshold.
 
-A quadrature oracle evaluates the same Duhamel integral by a fourth-order
+A quadrature oracle evaluates the A2 integral by a fourth-order
 exponential rule that never forms resonance functions, providing an
-independent check on every sign and combinatorial factor in the closed
-forms.
+independent check on every sign and combinatorial factor of the kernel
+that both closed forms run.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import DispersionModel, resonance_q0
+from .dispersion import DispersionModel
 from .expquad import exponential_weights, lagrange_monomial_basis
 from .reporting import ExperimentReport
 from .torus import SpectralField, TorusGrid, lattice_product
@@ -73,121 +75,105 @@ def _oscillatory_factor(t: float, omega: float) -> complex:
     return complex(2.0 * np.sin(half) / omega * np.exp(1j * half))
 
 
-def _support(u0: SpectralField) -> list[tuple[int, complex]]:
-    grid = u0.grid
-    out = []
-    for idx in np.flatnonzero(np.abs(u0.coeffs) != 0.0):
-        m = int(grid.m_ints[idx])
-        if m != 0:
-            out.append((m, complex(u0.coeffs[idx])))
-    return out
+_Wave = tuple[int, complex, int]  # (m, c, q): c e^{i s sign q / lam^n} at lattice mode m
 
 
-def second_iterate_closed(
-    model: DispersionModel, u0: SpectralField, t: float
-) -> IterateResult:
-    """Evaluate A2(u0)(t) from the closed double sum.
-
-    Output mode k picks up, for every splitting k = k1 + k2 of nonzero
-    lattice modes,
-
-        i k e^{i t p(k)} (1/lam) c(k1) c(k2) E(t, w0),
-
-    with w0 = p(k1) + p(k2) - p(k).  Terms with k = 0 vanish through the
-    prefactor; w0 = 0 with k != 0 would contradict the integer gap bound
-    and raises.
-    """
+def _free_waves(model: DispersionModel, u0: SpectralField) -> list[_Wave]:
+    """The free flow u1(s) = S(s) u0 as waves (m, c, m^n), one per nonzero mode."""
     grid = u0.grid
     if grid.lam != model.lam:
         raise ValueError("grid lam does not match model lam")
     if abs(u0.coeffs[0]) != 0.0:
         raise ValueError("data must be mean-zero")
-    support = _support(u0)
-    half = grid.modes // 2
     n = model.order
-    lam_pow = float(model.lam) ** n
-    out = np.zeros(grid.modes, dtype=np.complex128)
-    for m1, c1 in support:
-        for m2, c2 in support:
+    idx = np.flatnonzero(u0.coeffs)  # mode 0 is excluded by the mean-zero check
+    return [(m, complex(c), m**n) for m, c in zip(grid.m_ints[idx].tolist(), u0.coeffs[idx])]
+
+
+def _duhamel_kernel(
+    model: DispersionModel, grid: TorusGrid, t: float, left: list[_Wave], right: list[_Wave]
+) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """int_0^t S(t-s) d_x(L R)(s) ds for L, R given as waves (m, c, q).
+
+    q is an exact integer, m^n for a free wave.  Every pair with output mode
+    m = m_L + m_R != 0 adds, in support order,
+
+        i k e^{itp(k)} (1/lam) c_L c_R E(t, sign (q_L + q_R - m^n) / lam^n),
+
+    so its exact integer gap q_L + q_R - m^n takes the resonant limit
+    E(t, 0) = t exactly.  Returns the raw coefficient array and the (m_L,
+    m_R) of every pair whose gap is zero.
+    """
+    modes = grid.modes
+    half = modes // 2
+    n = model.order
+    lam = model.lam
+    lam_pow = float(lam) ** n
+    out = np.zeros(modes, dtype=np.complex128)
+    resonant = []
+    for m1, c1, q1 in left:
+        for m2, c2, q2 in right:
             m = m1 + m2
             if m == 0:
                 continue
             if not -half < m < half:
-                raise ValueError(
-                    f"iterate mode {m} leaves the lattice; enlarge the grid"
-                )
-            q0 = resonance_q0(n, m1, m2)
-            if q0 == 0:
-                raise ResonanceConsistencyError(
-                    f"q0 = 0 at nonzero output mode ({m1}, {m2})"
-                )
-            omega = model.sign * float(q0) / lam_pow
-            k = m / model.lam
-            out[grid.index_of(m)] += (
-                1j * k * c1 * c2 / model.lam * _oscillatory_factor(t, omega)
-            )
-    phases = np.exp(1j * t * model.phase(grid.k_values))
-    return IterateResult(SpectralField(grid, out * phases), 0)
+                raise ValueError(f"iterate mode {m} leaves the lattice; enlarge the grid")
+            gap = q1 + q2 - m**n
+            if gap == 0:
+                resonant.append((m1, m2))
+            omega = model.sign * float(gap) / lam_pow
+            k = m / lam
+            out[m % modes] += 1j * k * c1 * c2 / lam * _oscillatory_factor(t, omega)
+    return out * np.exp(1j * t * model.phase(grid.k_values)), resonant
 
 
-def third_iterate_closed(
-    model: DispersionModel, u0: SpectralField, t: float
-) -> IterateResult:
-    """Evaluate A3(u0)(t) from the closed triple sum.
+def second_iterate_closed(model: DispersionModel, u0: SpectralField, t: float) -> IterateResult:
+    """Evaluate A2(u0)(t), the Duhamel kernel on the free waves of u0 twice.
 
-    Each admissible triple k = k1 + k2 + k3 contributes
-
-        2 i k e^{itp(k)} (1/lam^2) c1 c2 c3 ((k2+k3)/w23) (E(t, w1) - E(t, w2)),
-
-    where w23, w1, w2 are the signed mismatches built from q0(k2, k3), q1,
-    and q2.  Triples with k2 + k3 = 0 or k = 0 drop (vanishing prefactors);
-    q1 = 0 or q2 = 0 is handled by the exact E(t, 0) = t limit.
+    Output mode k picks up, for every splitting k = k1 + k2 of nonzero
+    lattice modes, i k e^{i t p(k)} (1/lam) c(k1) c(k2) E(t, w0) with
+    w0 = p(k1) + p(k2) - p(k).  w0 = 0 with k != 0 would contradict the
+    integer gap bound and raises.
     """
-    grid = u0.grid
-    if grid.lam != model.lam:
-        raise ValueError("grid lam does not match model lam")
-    if abs(u0.coeffs[0]) != 0.0:
-        raise ValueError("data must be mean-zero")
-    support = _support(u0)
-    half = grid.modes // 2
+    u1 = _free_waves(model, u0)
+    out, resonant = _duhamel_kernel(model, u0.grid, t, u1, u1)
+    if resonant:
+        m1, m2 = resonant[0]
+        raise ResonanceConsistencyError(f"q0 = 0 at nonzero output mode ({m1}, {m2})")
+    return IterateResult(SpectralField(u0.grid, out), 0)
+
+
+def third_iterate_closed(model: DispersionModel, u0: SpectralField, t: float) -> IterateResult:
+    """Evaluate A3(u0)(t) = 2 int_0^t S(t-s) d_x(u1 A2)(s) ds.
+
+    A2(s) is a sum of waves: each pair k23 = k2 + k3 != 0 of u1's modes
+    gives +k23 c2 c3/(lam w23) at q = m2^n + m3^n and -k23 c2 c3/(lam w23)
+    at q = m23^n, with w23 = sign q0(k2, k3)/lam^n; q0(k2, k3) = 0 would
+    contradict the integer gap bound and raises.  The Duhamel kernel on u1
+    and these waves then meets, per triple k = k1 + k23 != 0, the gaps
+    q1 = m1^n + m2^n + m3^n - m^n and q2 = q0(k1, k23).  q2 is never zero,
+    since k1, k23 and k are all nonzero, so `resonant_terms` counts the
+    triples with q1 = 0.
+    """
+    u1 = _free_waves(model, u0)
     n = model.order
-    lam_pow = float(model.lam) ** n
-    sign = model.sign
-    out = np.zeros(grid.modes, dtype=np.complex128)
-    resonant = 0
-    for m1, c1 in support:
-        for m2, c2 in support:
-            for m3, c3 in support:
-                m23 = m2 + m3
-                if m23 == 0:
-                    continue
-                m = m1 + m23
-                if m == 0:
-                    continue
-                if not -half < m < half:
-                    raise ValueError(
-                        f"iterate mode {m} leaves the lattice; enlarge the grid"
-                    )
-                q0_23 = resonance_q0(n, m2, m3)
-                if q0_23 == 0:
-                    raise ResonanceConsistencyError(
-                        f"q0(k2, k3) = 0 with nonzero prefactor at ({m1}, {m2}, {m3})"
-                    )
-                q2 = resonance_q0(n, m1, m23)
-                q1 = q0_23 + q2
-                if q1 == 0:
-                    resonant += 1
-                w23 = sign * float(q0_23) / lam_pow
-                w_b = sign * float(q1) / lam_pow
-                w_a = sign * float(q2) / lam_pow
-                factor = _oscillatory_factor(t, w_b) - _oscillatory_factor(t, w_a)
-                k = m / model.lam
-                k23 = m23 / model.lam
-                out[grid.index_of(m)] += (
-                    2j * k * (k23 / w23) * factor * c1 * c2 * c3 / model.lam**2
-                )
-    phases = np.exp(1j * t * model.phase(grid.k_values))
-    return IterateResult(SpectralField(grid, out * phases), resonant)
+    lam = model.lam
+    lam_pow = float(lam) ** n
+    a2 = []
+    for m2, c2, q2 in u1:
+        for m3, c3, q3 in u1:
+            m23 = m2 + m3
+            if m23 == 0:
+                continue
+            q23 = m23**n
+            q0 = q2 + q3 - q23
+            if q0 == 0:
+                raise ResonanceConsistencyError(f"q0(k2, k3) = 0 at nonzero k2 + k3 ({m2}, {m3})")
+            w23 = model.sign * float(q0) / lam_pow
+            amp = (m23 / lam) * c2 * c3 / (lam * w23)
+            a2 += [(m23, amp, q2 + q3), (m23, -amp, q23)]
+    out, resonant = _duhamel_kernel(model, u0.grid, t, u1, a2)
+    return IterateResult(SpectralField(u0.grid, 2.0 * out), len(resonant))
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,6 @@ def format_value(value: Any) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".17g")
-    if isinstance(value, complex):
-        return f"{format(value.real, '.17g')}{'+' if value.imag >= 0 else '-'}{format(abs(value.imag), '.17g')}j"
     return str(value)
 
 
@@ -65,18 +63,9 @@ def rows_to_csv(rows: Sequence[Mapping[str, Any]], fields: Sequence[str]) -> str
     return "\n".join(lines) + "\n"
 
 
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if hasattr(value, "tolist"):
-        return _jsonable(value.tolist())
-    return value
-
-
 def dump_json(payload: Any) -> str:
-    return json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=True) + "\n"
-
+    """Sorted, indented JSON; numpy scalars and arrays go through `tolist`."""
+    return (
+        json.dumps(payload, indent=2, sort_keys=True, allow_nan=True, default=lambda v: v.tolist())
+        + "\n"
+    )

@@ -166,6 +166,101 @@ def reference_second_iterate_quadrature(model, u0, t, steps):
     return SpectralField(grid, acc)
 
 
+def _reference_support(u0):
+    grid = u0.grid
+    out = []
+    for idx in np.flatnonzero(np.abs(u0.coeffs) != 0.0):
+        m = int(grid.m_ints[idx])
+        if m != 0:
+            out.append((m, complex(u0.coeffs[idx])))
+    return out
+
+
+def reference_second_iterate_closed(model, u0, t):
+    """A2 by the hand-derived double sum `second_iterate_closed` used before
+    it ran the shared Duhamel kernel, as a reference, checks included.
+    Returns (coeffs, resonant_terms)."""
+    from hokdv.dispersion import resonance_q0
+    from hokdv.iterates import ResonanceConsistencyError, _oscillatory_factor
+
+    grid = u0.grid
+    if grid.lam != model.lam:
+        raise ValueError("grid lam does not match model lam")
+    if abs(u0.coeffs[0]) != 0.0:
+        raise ValueError("data must be mean-zero")
+    support = _reference_support(u0)
+    half = grid.modes // 2
+    n = model.order
+    lam_pow = float(model.lam) ** n
+    out = np.zeros(grid.modes, dtype=np.complex128)
+    for m1, c1 in support:
+        for m2, c2 in support:
+            m = m1 + m2
+            if m == 0:
+                continue
+            if not -half < m < half:
+                raise ValueError(f"iterate mode {m} leaves the lattice; enlarge the grid")
+            q0 = resonance_q0(n, m1, m2)
+            if q0 == 0:
+                raise ResonanceConsistencyError(f"q0 = 0 at nonzero output mode ({m1}, {m2})")
+            omega = model.sign * float(q0) / lam_pow
+            k = m / model.lam
+            out[grid.index_of(m)] += 1j * k * c1 * c2 / model.lam * _oscillatory_factor(t, omega)
+    phases = np.exp(1j * t * model.phase(grid.k_values))
+    return SpectralField(grid, out * phases).coeffs, 0
+
+
+def reference_third_iterate_closed(model, u0, t):
+    """A3 by the hand-derived triple sum `third_iterate_closed` used before
+    it ran the shared Duhamel kernel on u1 and A2's waves: per triple,
+    2 i k e^{itp(k)} (1/lam^2) c1 c2 c3 (k23/w23) (E(t, w1) - E(t, w2)).
+    Returns (coeffs, resonant_terms)."""
+    from hokdv.dispersion import resonance_q0
+    from hokdv.iterates import ResonanceConsistencyError, _oscillatory_factor
+
+    grid = u0.grid
+    if grid.lam != model.lam:
+        raise ValueError("grid lam does not match model lam")
+    if abs(u0.coeffs[0]) != 0.0:
+        raise ValueError("data must be mean-zero")
+    support = _reference_support(u0)
+    half = grid.modes // 2
+    n = model.order
+    lam_pow = float(model.lam) ** n
+    sign = model.sign
+    out = np.zeros(grid.modes, dtype=np.complex128)
+    resonant = 0
+    for m1, c1 in support:
+        for m2, c2 in support:
+            for m3, c3 in support:
+                m23 = m2 + m3
+                if m23 == 0:
+                    continue
+                m = m1 + m23
+                if m == 0:
+                    continue
+                if not -half < m < half:
+                    raise ValueError(f"iterate mode {m} leaves the lattice; enlarge the grid")
+                q0_23 = resonance_q0(n, m2, m3)
+                if q0_23 == 0:
+                    raise ResonanceConsistencyError(
+                        f"q0(k2, k3) = 0 with nonzero prefactor at ({m1}, {m2}, {m3})"
+                    )
+                q2 = resonance_q0(n, m1, m23)
+                q1 = q0_23 + q2
+                if q1 == 0:
+                    resonant += 1
+                w23 = sign * float(q0_23) / lam_pow
+                w_b = sign * float(q1) / lam_pow
+                w_a = sign * float(q2) / lam_pow
+                factor = _oscillatory_factor(t, w_b) - _oscillatory_factor(t, w_a)
+                k = m / model.lam
+                k23 = m23 / model.lam
+                out[grid.index_of(m)] += 2j * k * (k23 / w23) * factor * c1 * c2 * c3 / model.lam**2
+    phases = np.exp(1j * t * model.phase(grid.k_values))
+    return SpectralField(grid, out * phases).coeffs, resonant
+
+
 def reference_duhamel_map(model, phi, u_frames, times):
     """The cutoff Duhamel map as `solver.duhamel_map` formed it before it took
     held frame-grid arrays, as a reference: window, propagators and dealias

@@ -88,7 +88,7 @@ def test_free_evolve_lambda_mismatch():
 
 
 def triple_q1_q2(n, m1, m2, m3):
-    """(q1, q2) of the triple through resonance_q0, as third_iterate_closed forms them."""
+    """(q1, q2) of the triple through resonance_q0: q2 = q0(m1, m2 + m3), q1 = q0(m2, m3) + q2."""
     q2 = resonance_q0(n, m1, m2 + m3)
     return resonance_q0(n, m2, m3) + q2, q2
 

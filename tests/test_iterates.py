@@ -12,6 +12,7 @@ from hokdv.iterates import (
     IterateResult,
     ResonanceConsistencyError,
     _oscillatory_factor,
+    grid_size_for_mode,
     growth_sweep,
     phi_n_data,
     quadrature_steps_needed,
@@ -22,7 +23,12 @@ from hokdv.iterates import (
 from hokdv.norms import NormSpec, sobolev_norm
 from hokdv.torus import SpectralField, TorusGrid, inverse_transform
 
-from helpers import random_band_limited, reference_second_iterate_quadrature
+from helpers import (
+    random_band_limited,
+    reference_second_iterate_closed,
+    reference_second_iterate_quadrature,
+    reference_third_iterate_closed,
+)
 
 
 def osc_integral(t, omega):
@@ -360,6 +366,67 @@ def test_resonant_mode_grows_linearly_with_hand_slope():
                 / ((2 ** (2 * j + 1) - 2) * float(N) ** (2 * j + 1))
             )
             assert slope == pytest.approx(hand, rel=0.02)
+
+
+def random_support(grid, rng, count, real):
+    """`count` random nonzero modes with |m| <= 12 and random coefficients;
+    `real` draws count/2 modes and mirrors them with conjugate coefficients."""
+    if real:
+        half = rng.choice(np.arange(1, 13), size=count // 2, replace=False)
+        amps = {}
+        for m in half:
+            a = complex(rng.normal(), rng.normal())
+            amps[int(m)], amps[-int(m)] = a, a.conjugate()
+        return SpectralField.from_modes(grid, amps)
+    pool = np.concatenate([np.arange(-12, 0), np.arange(1, 13)])
+    modes = rng.choice(pool, size=count, replace=False)
+    return SpectralField.from_modes(
+        grid, {int(m): complex(rng.normal(), rng.normal()) for m in modes}
+    )
+
+
+@pytest.mark.filterwarnings("ignore:j = 1 is the classical KdV")
+@pytest.mark.parametrize("lam", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_second_iterate_keeps_the_bits_of_the_hand_derived_sum(j, lam):
+    """A2 through the shared Duhamel kernel equals the hand-derived double sum."""
+    model = DispersionModel(j, lam)
+    grid = TorusGrid(lam, 64)
+    rng = np.random.default_rng(100 * j + int(lam))
+    for u in [phi_n_data(N, -1.0, grid) for N in (1, 2, 4, 8)] + [
+        random_support(grid, rng, 11, real=False)
+    ]:
+        result = second_iterate_closed(model, u, 0.3)
+        coeffs, resonant = reference_second_iterate_closed(model, u, 0.3)
+        assert np.array_equal(result.field.coeffs, coeffs)
+        assert result.resonant_terms == resonant == 0
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0])
+@pytest.mark.parametrize("j", [2, 3])
+def test_third_iterate_matches_the_hand_derived_sum(j, lam):
+    """A3, the shared Duhamel kernel on u1 and A2's waves, stays within 1e-13
+    of the hand-derived triple sum, with the same resonance count."""
+    model = DispersionModel(j, lam)
+    cases = []
+    if lam == 1.0:
+        for N in (2, 4, 8, 16, 32, 64, 128):
+            grid = TorusGrid(lam, grid_size_for_mode(3 * N))
+            cases += [(phi_n_data(N, s, grid), t) for s in (-1.5, -2.0, 0.0) for t in (0.1, 1.0)]
+    grid = TorusGrid(lam, 128)
+    rng = np.random.default_rng(10 * j + int(lam))
+    for real in (True, False):
+        cases += [(random_support(grid, rng, 8, real=real), 0.4) for _ in range(3)]
+    resonant_seen = 0
+    for u, t in cases:
+        result = third_iterate_closed(model, u, t)
+        coeffs, resonant = reference_third_iterate_closed(model, u, t)
+        scale = np.max(np.abs(coeffs))
+        assert scale > 0
+        assert np.max(np.abs(result.field.coeffs - coeffs)) <= 1e-13 * scale
+        assert result.resonant_terms == resonant
+        resonant_seen += resonant
+    assert resonant_seen > 0
 
 
 def test_oscillatory_factor_limit_consistency():

@@ -2,6 +2,8 @@
 
 import json
 
+import numpy as np
+
 from hokdv.reporting import atomic_write_text, dump_json, format_value, rows_to_csv
 
 
@@ -9,7 +11,8 @@ def test_scalar_formatting_full_precision():
     assert format_value(1.0 / 3.0) == "0.33333333333333331"
     assert format_value(True) == "true"
     assert format_value(3) == "3"
-    assert format_value(1.5 - 2.25j) == "1.5-2.25j"
+    assert format_value(np.float64(1.0 / 3.0)) == "0.33333333333333331"
+    assert format_value(np.int64(-7)) == "-7"
 
 
 def test_rows_to_csv_fills_missing_fields():
@@ -18,11 +21,30 @@ def test_rows_to_csv_fills_missing_fields():
 
 
 def test_dump_json_is_sorted_and_parseable():
-    payload = {"b": 2, "a": {"z": 1.25, "m": [1, 2]}, "c": complex(1, -2)}
+    payload = {"b": 2, "a": {"z": 1.25, "m": [1, 2]}, "c": (3, 4.5)}
     text = dump_json(payload)
     assert text.index('"a"') < text.index('"b"') < text.index('"c"')
     parsed = json.loads(text)
-    assert parsed["c"] == {"im": -2.0, "re": 1.0}
+    assert parsed["c"] == [3, 4.5]
+
+
+def test_dump_json_writes_numpy_values_as_python_values():
+    values = {
+        "f": np.float64(1.0 / 3.0),
+        "i": np.int64(7),
+        "b": np.bool_(True),
+        "a": np.array([[1.5, float("nan")], [2.0, 0.1]]),
+        "n": [np.int32(3), np.float32(0.5)],
+    }
+    plain = {
+        "f": 1.0 / 3.0,
+        "i": 7,
+        "b": True,
+        "a": [[1.5, float("nan")], [2.0, 0.1]],
+        "n": [3, 0.5],
+    }
+    assert dump_json(values) == dump_json(plain)
+    assert '"f": 0.3333333333333333' in dump_json(values)
 
 
 def test_atomic_write_replaces_contents(tmp_path):
