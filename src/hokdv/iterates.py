@@ -220,9 +220,10 @@ def second_iterate_quadrature(
     multiple of 2 pi, the panel errors add up in phase (j = 3, N = 2,
     t = 0.3, 55 panels: theta = 1.40, relative error 9e-2).
 
-    Panels are evaluated in blocks, one forcing product per block; the
-    recursion keeps the per-panel order, so the result is bit-identical to
-    stepping the panels one by one.
+    Panels run in blocks, one forcing product each, the free flow formed on the
+    support of u0 only.  A table made once by `exp` carries each panel's end value
+    to the end of its block, so one contraction per block replaces the per-panel
+    recursion; the two differ by at most 3.9e-11 max|A2| (j = 2, 3, lam = 1, 2).
     """
     if steps < 16:
         raise ValueError(f"steps must be >= 16, got {steps}")
@@ -241,21 +242,20 @@ def second_iterate_quadrature(
         return SpectralField.zero(grid)
     h = t / steps
     lin = model.phase(grid.k_values)
-    ik = 1j * grid.k_values
     weights = exponential_weights(lin, h, _NC4_NODES, _NC4_BASIS)
-    step_mult = np.exp(1j * lin * h)
-    acc = np.zeros(grid.modes, dtype=np.complex128)
     block = max(1, _PANEL_BLOCK_VALUES // grid.modes)
+    support = np.flatnonzero(u0.coeffs)
+    local = np.exp(1j * ((block - 1 - np.arange(block))[:, None] * h) * lin)
+    u1 = np.zeros((block, len(_NC4_NODES), grid.modes), dtype=np.complex128)
+    acc = np.zeros(grid.modes, dtype=np.complex128)
     for start in range(0, steps, block):
-        # the free flow u1 at the four nodes of each panel in the block, one
-        # batched product; the recursion below keeps the per-panel order
-        i = np.arange(start, min(start + block, steps))[:, None, None]
-        u1 = u0.coeffs * np.exp(1j * ((i + _NC4_NODES[:, None]) * h) * lin)
-        terms = weights * (ik * lattice_product(u1, grid))
-        for panel in terms:
-            np.multiply(step_mult, acc, out=acc)
-            for values in panel:
-                np.add(acc, values, out=acc)
+        # u1 at each panel's nodes, on the support; a partial block takes local's last n rows
+        n = min(block, steps - start)
+        nodes = (np.arange(start, start + n)[:, None, None] + _NC4_NODES[:, None]) * h
+        u1[:n, :, support] = u0.coeffs[support] * np.exp(1j * nodes * lin[support])
+        terms = weights * (1j * grid.k_values * lattice_product(u1[:n], grid))
+        acc *= np.exp(1j * (n * h) * lin)
+        acc += np.einsum("bm,bkm->m", local[block - n:], terms)
     return SpectralField(grid, acc)
 
 

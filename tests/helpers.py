@@ -129,9 +129,11 @@ def reference_zs_norm_cells(m, k, sigma, coeffs, cell_measure, model, s):
 
 def reference_second_iterate_quadrature(model, u0, t, steps):
     """The per-panel loop `second_iterate_quadrature` used before it evaluated
-    its panels in blocks, as a reference, checks included: one (4, M) forcing
-    product per panel, then acc = step_mult * acc and the four node terms
-    added one at a time."""
+    its panels in blocks, checks included: one (4, M) forcing product per
+    panel, then acc = step_mult * acc and the four node terms added one at a
+    time.  A tolerance reference: the blocked oracle contracts each block
+    with a propagator table instead of compounding step_mult, so the two
+    agree to rounding (within 1e-10 of max|A2|), not bit for bit."""
     from hokdv.expquad import exponential_weights
     from hokdv.iterates import _NC4_BASIS, _NC4_NODES, quadrature_steps_needed
     from hokdv.torus import lattice_product

@@ -258,6 +258,18 @@ def test_duhamel_quadrature_rejects_tiny_budget():
     assert np.all(second_iterate_quadrature(model, u, 0.0, 64).coeffs == 0)
 
 
+def _assert_near_per_panel_reference(model, u, t, steps):
+    """The blocked oracle replaces the per-panel recursion by one propagator
+    contraction per block, so it agrees with that recursion to rounding:
+    within 1e-10 of max|reference| (5.9e-12 measured on the grid below)."""
+    blocked = second_iterate_quadrature(model, u, t, steps).coeffs
+    reference = reference_second_iterate_quadrature(model, u, t, steps).coeffs
+    scale = np.max(np.abs(reference))
+    assert scale > 0
+    assert np.max(np.abs(blocked - reference)) <= 1e-10 * scale, (t, steps)
+    return blocked, reference
+
+
 @pytest.mark.parametrize("modes", [16, 32, 64, 128])
 @pytest.mark.parametrize("lam", [1.0, 2.0])
 @pytest.mark.parametrize("j", [2, 3])
@@ -269,20 +281,45 @@ def test_blocked_quadrature_matches_the_per_panel_reference(j, lam, modes):
     for N, t in ((1, 0.05), (2, 0.3), (min(4, (modes // 2 - 1) // 3), 0.2 * lam)):
         u = phi_n_data(N, 0.0, grid)
         needed = quadrature_steps_needed(model, u, t)
+        closed = second_iterate_closed(model, u, t).field.coeffs
         # 16 panels, the smallest accepted budget, part of one block, whole
         # blocks, and whole blocks plus a partial one
         budgets = {16, needed, max(needed, block // 2 + 1), 3 * block, 2 * block + 7}
         for steps in sorted(b for b in budgets if b >= needed):
-            blocked = second_iterate_quadrature(model, u, t, steps).coeffs
-            reference = reference_second_iterate_quadrature(model, u, t, steps).coeffs
-            assert np.array_equal(blocked, reference), (N, t, steps)
-            assert np.any(blocked != 0)
+            blocked, reference = _assert_near_per_panel_reference(model, u, t, steps)
+            # no less accurate than the recursion, up to rounding (2.1e-12
+            # of max|A2| measured)
+            own = np.max(np.abs(reference - closed))
+            err = np.max(np.abs(blocked - closed))
+            assert err <= own + 1e-11 * np.max(np.abs(closed)), (N, t, steps)
             covered.add("one" if steps <= block else "whole" if steps % block == 0 else "partial")
             if steps == 16:
                 covered.add("16")
             if steps == needed:
                 covered.add("needed")
     assert {"one", "whole", "partial", "16", "needed"} <= covered
+
+
+@pytest.mark.parametrize("j", [2, 3])
+def test_blocked_quadrature_forms_the_free_flow_on_any_support(j):
+    # the free flow is formed on the nonzero modes of u0 only: a random real
+    # field and a one-sided complex one, whose mirror modes stay zero
+    grid = TorusGrid(1.0, 64)
+    model = DispersionModel(j, 1.0)
+    rng = np.random.default_rng(19 + j)
+    modes = rng.choice(np.arange(1, 7), size=5, replace=False)
+    amps = rng.normal(size=5) + 1j * rng.normal(size=5)
+    real = SpectralField.from_modes(
+        grid, {**dict(zip(modes, amps)), **dict(zip(-modes, np.conj(amps)))}
+    )
+    one_sided = SpectralField.from_modes(grid, {2: amps[0], -5: amps[1], 4: amps[2]})
+    assert one_sided.coeffs[grid.index_of(-2)] == 0
+    t = 0.05 if j == 2 else 0.002
+    block = _PANEL_BLOCK_VALUES // grid.modes
+    for u in (real, one_sided):
+        needed = quadrature_steps_needed(model, u, t)
+        for steps in sorted({needed, max(needed, 4 * block + 5)}):
+            _assert_near_per_panel_reference(model, u, t, steps)
 
 
 def test_blocked_quadrature_keeps_zero_time_and_refusals():
