@@ -122,6 +122,12 @@ def _from_config(cls, cfg: dict):
     return cls(**{f.name: cfg[f.name] for f in fields(cls)})
 
 
+def _check_phi_n(key: str, what: str, log2_n: float, power: float) -> None:
+    """Refuse a config whose phi_N `what`, about N^power, leaves 2^-1022 .. 2^1022."""
+    if not abs(power * log2_n) < 1022.0:
+        raise ConfigError(key, f"{what} reaches 2^{power * log2_n:.6g}, outside double precision")
+
+
 def _initial_data(config: dict, grid: TorusGrid, rng: np.random.Generator) -> SpectralField:
     family = config["initial"]
     if family == "phi_n":
@@ -251,6 +257,14 @@ ILLPOSED_SCHEMA = {
 }
 
 
+def _check_illposed(cfg: dict) -> None:
+    """Refuse an s whose A3, ~ N^(-3s - g) with g = 2j - 1, or its squared H-dot^s norm,
+    ~ N^(-4s - 2g), leaves double precision at the largest N (early for s > 0)."""
+    g, log2_n = 2 * cfg["j"] - 1, np.log2(max(cfg["N_list"]))
+    for s in cfg["s_list"]:
+        _check_phi_n("s_list", f"A3 at s = {s:g}", log2_n, max(-3 * s - g, -4 * s - 2 * g, key=abs))
+
+
 def _sweep_one(task):
     j, lam, s, n_list, t = task
     return growth_sweep(DispersionModel(j, lam), s, n_list, t)
@@ -353,8 +367,8 @@ ESTIMATE_SCHEMA = {
 
 
 def _check_estimate(cfg: dict) -> None:
-    """Refuse a lattice whose generated cells int64 cannot multiply exactly, and a
-    generator for 2.1, which always draws dyadic-concentrated fields."""
+    """Refuse cells int64 cannot multiply exactly, a generator for 2.1 (always dyadic), and for
+    2.5 and 3.1 an s whose A2-like phi_N profile, ~ N^-2s, leaves double precision at top N."""
     if cfg["estimate"] == "2.1" and cfg["generator"] != "mixed":
         raise ConfigError("generator", "estimate 2.1 draws only dyadic-concentrated fields")
     l_max = max(cfg["l1"], cfg["l2"]) if cfg["estimate"] == "2.1" else 6
@@ -363,6 +377,8 @@ def _check_estimate(cfg: dict) -> None:
         check_search_lattice(2 * cfg["j"] + 1, int(cfg["lam"]), search, l_max)
     except ValueError as err:
         raise ConfigError("k_max", str(err)) from None
+    if cfg["estimate"] in ("2.5", "3.1") and cfg["generator"] in ("mixed", "phi_N-family"):
+        _check_phi_n("s", "the A2-like profile", np.log2(max(3, cfg["k_max"] // 2)), -2 * cfg["s"])
 
 
 def run_estimate_search(ctx: RunContext, jobs: int) -> bool:
@@ -454,8 +470,10 @@ def _picard_cells(cfg: dict):
                 yield j, N, t, model, u0
 
 
-def _check_picard_budget(cfg: dict) -> None:
-    """Refuse a panel budget the quadrature oracle cannot resolve on some cell."""
+def _check_picard(cfg: dict) -> None:
+    """Refuse an s whose A2(phi_N), ~ N^-2s, leaves double precision at the largest N, and
+    a panel budget the quadrature oracle cannot resolve on some cell."""
+    _check_phi_n("s", "A2(phi_N)", np.log2(max(cfg["N_list"])), -2 * cfg["s"])
     for j, N, t, model, u0 in _picard_cells(cfg):
         needed = quadrature_steps_needed(model, u0, t)
         if cfg["steps"] < needed:
@@ -511,14 +529,14 @@ COMMANDS = {
     "simulate": Command("integrate the nonlinear equation and track invariants",
                         SIMULATE_SCHEMA, run_simulate, _check_simulate),
     "illposed-sweep": Command("third-iterate growth exponents across s",
-                              ILLPOSED_SCHEMA, run_illposed_sweep),
+                              ILLPOSED_SCHEMA, run_illposed_sweep, _check_illposed),
     "resonance-audit": Command("exact integer lower-bound audit", AUDIT_SCHEMA, run_resonance_audit),
     "estimate-search": Command("empirical ratio search for one estimate",
                                ESTIMATE_SCHEMA, run_estimate_search, _check_estimate),
     "contraction": Command("cutoff Duhamel map contraction measurement",
                            CONTRACTION_SCHEMA, run_contraction),
     "picard-check": Command("closed-form vs quadrature oracle agreement",
-                            PICARD_SCHEMA, run_picard_check, _check_picard_budget),
+                            PICARD_SCHEMA, run_picard_check, _check_picard),
 }
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from .dispersion import DispersionModel
 from .expquad import exponential_weights, lagrange_monomial_basis
 from .reporting import ExperimentReport
-from .torus import SpectralField, TorusGrid, lattice_product
+from .torus import SpectralField, TorusGrid, lattice_square, product_scale
 from .norms import NormSpec, sobolev_norm
 
 
@@ -220,10 +220,10 @@ def second_iterate_quadrature(
     multiple of 2 pi, the panel errors add up in phase (j = 3, N = 2,
     t = 0.3, 55 panels: theta = 1.40, relative error 9e-2).
 
-    Panels run in blocks, one forcing product each, the free flow formed on the
-    support of u0 only.  A table made once by `exp` carries each panel's end value
-    to the end of its block, so one contraction per block replaces the per-panel
-    recursion; the two differ by at most 3.9e-11 max|A2| (j = 2, 3, lam = 1, 2).
+    Panels run in blocks, one forcing `lattice_square` each, the free flow formed
+    on the support of u0 only.  A table made once by `exp` carries each panel's end
+    value to the end of its block, so one contraction per block replaces the
+    per-panel recursion; the two differ by at most 3.9e-11 max|A2| (j = 2, 3, lam = 1, 2).
     """
     if steps < 16:
         raise ValueError(f"steps must be >= 16, got {steps}")
@@ -242,7 +242,8 @@ def second_iterate_quadrature(
         return SpectralField.zero(grid)
     h = t / steps
     lin = model.phase(grid.k_values)
-    weights = exponential_weights(lin, h, _NC4_NODES, _NC4_BASIS)
+    d_x = 1j * grid.k_values * product_scale(grid)  # d_x and the scale of lattice_square
+    weights = exponential_weights(lin, h, _NC4_NODES, _NC4_BASIS) * d_x
     block = max(1, _PANEL_BLOCK_VALUES // grid.modes)
     support = np.flatnonzero(u0.coeffs)
     local = np.exp(1j * ((block - 1 - np.arange(block))[:, None] * h) * lin)
@@ -253,7 +254,7 @@ def second_iterate_quadrature(
         n = min(block, steps - start)
         nodes = (np.arange(start, start + n)[:, None, None] + _NC4_NODES[:, None]) * h
         u1[:n, :, support] = u0.coeffs[support] * np.exp(1j * nodes * lin[support])
-        terms = weights * (1j * grid.k_values * lattice_product(u1[:n], grid))
+        terms = weights * lattice_square(u1[:n])
         acc *= np.exp(1j * (n * h) * lin)
         acc += np.einsum("bm,bkm->m", local[block - n:], terms)
     return SpectralField(grid, acc)

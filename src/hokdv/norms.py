@@ -55,8 +55,12 @@ class DyadicShell:
             raise ValueError("shell index must be nonnegative")
 
     def mask(self, sigma: np.ndarray) -> np.ndarray:
-        bracket = angle_bracket(sigma)
-        return (bracket >= 2.0**self.l) & (bracket < 2.0 ** (self.l + 1))
+        return self.index(sigma) == self.l
+
+    @staticmethod
+    def index(sigma) -> np.ndarray:
+        """The l of each <sigma>, read exactly from its binary exponent (not log2)."""
+        return np.frexp(angle_bracket(sigma))[1] - 1
 
 
 def angle_bracket(x) -> np.ndarray:
@@ -411,14 +415,10 @@ def dyadic_localize(
 def shell_masses(
     u: SpaceTimeField, model: DispersionModel, max_shell: int = 48
 ) -> np.ndarray:
-    """Squared L2 mass per dyadic shell, l = 0 .. max_shell."""
+    """Squared L2 mass per DyadicShell l = 0 .. max_shell, the last holding every higher one."""
     _, _, sigma, vals = u.cell_arrays(model)
-    bracket = angle_bracket(sigma)
-    levels = np.floor(np.log2(bracket)).astype(int)
-    masses = np.zeros(max_shell + 1)
-    weights = np.abs(vals) ** 2 * u.dtau / u.grid.lam
-    np.add.at(masses, np.clip(levels, 0, max_shell), weights)
-    return masses
+    levels = np.minimum(DyadicShell.index(sigma), max_shell)
+    return np.bincount(levels, np.abs(vals) ** 2 * u.dtau / u.grid.lam, minlength=max_shell + 1)
 
 
 def smooth_bump_window() -> Callable:

@@ -5,10 +5,10 @@ transform between tori.
 The linear part is diagonal in Fourier space and is always applied through
 its exact unimodular multiplier (k^{2j+1} time scales are hopeless for any
 explicit scheme on the raw equation); only the quadratic term is stepped,
-either by integrating-factor RK4 or by ETDRK4.  The quadratic product is
-the 2/3-dealiased normalized lattice convolution, `torus.lattice_product`;
-`integrate` folds its constants into step weights built once per run, so
-each stage is one FFT pair (`_stage_product`).
+either by integrating-factor RK4 or by ETDRK4.  The quadratic product is the
+2/3-dealiased normalized lattice convolution; `integrate` folds its constants
+into step weights built once per run, so each stage is one FFT pair
+(`torus.lattice_square`), and `duhamel_map` runs `torus.lattice_product`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from .norms import (
     uniform_step,
     zs_norm_cells,
 )
-from .torus import SpectralField, TorusGrid, dealias_mask, lattice_product, physical_l2_norm
+from .torus import (SpectralField, TorusGrid, dealias_mask, lattice_product, lattice_square,
+                    physical_l2_norm, product_scale)
 
 
 class BlowUpError(RuntimeError):
@@ -83,21 +84,9 @@ class ContractionTrace:
     diverged: bool = False
 
 
-def _product_term(coeffs: np.ndarray, grid: TorusGrid, mask: np.ndarray) -> np.ndarray:
-    """-(i k / 2) * (u (*) u) where (*) is the normalized lattice convolution."""
-    return -0.5j * grid.k_values * lattice_product(coeffs, grid, mask)
-
-
-def _stage_product(v: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """fft(ifft(v mask)^2): one stage product of integrate, before its constants."""
-    w = np.fft.ifft(v * mask)
-    return np.fft.fft(w * w)
-
-
 def _stage_factor(grid: TorusGrid, mask: np.ndarray) -> np.ndarray:
-    """g with _product_term(v) = g * _stage_product(v): lattice_product's scalings
-    (M / 2 pi lam)^2 (2 pi lam / M) 2 pi make M / lam, and its output mask."""
-    return (-0.5j * grid.modes / grid.lam) * grid.k_values * mask
+    """g with -(i k / 2) (u (*) u) = g * lattice_square(u mask) on the dealiased lattice."""
+    return (-0.5j * product_scale(grid)) * grid.k_values * mask
 
 
 def integrate(
@@ -152,20 +141,20 @@ def integrate(
             if not cfg.nonlinear:
                 c = full_mult * c
             elif cfg.scheme == "etdrk4":
-                q0 = _stage_product(c, mask)
+                q0 = lattice_square(c * mask)
                 hc = half_mult * c
                 a = hc + stage_w * q0
-                qa = _stage_product(a, mask)
-                qb = _stage_product(hc + stage_w * qa, mask)
-                qc = _stage_product(half_mult * a + stage_w * (2.0 * qb - q0), mask)
+                qa = lattice_square(a * mask)
+                qb = lattice_square((hc + stage_w * qa) * mask)
+                qc = lattice_square((half_mult * a + stage_w * (2.0 * qb - q0)) * mask)
                 c = full_mult * c + w1 * q0 + w2 * (qa + qb) + w3 * qc
             else:
-                q1 = _stage_product(c, mask)
+                q1 = lattice_square(c * mask)
                 hc = half_mult * c
-                q2 = _stage_product(hc + in_a * q1, mask)
-                q3 = _stage_product(hc + in_b * q2, mask)
+                q2 = lattice_square((hc + in_a * q1) * mask)
+                q3 = lattice_square((hc + in_b * q2) * mask)
                 fc = full_mult * c
-                q4 = _stage_product(fc + in_c * q3, mask)
+                q4 = lattice_square((fc + in_c * q3) * mask)
                 c = fc + out_1 * q1 + out_23 * (q2 + q3) + out_4 * q4
             t_now = (step + 1) * dt
             if (step + 1) % cfg.frame_stride == 0 or step + 1 == steps:
@@ -270,8 +259,8 @@ def duhamel_map(
         raise ValueError(
             f"frames have shape {u_frames.shape}, expected ({len(held.times)}, {grid.modes})"
         )
-    # d_x(u^2) = -2 * product term
-    q = _product_term(u_frames, grid, held.mask) * (-2.0)
+    # d_x(u^2) = -2 * (-(i k / 2) (u (*) u))
+    q = -0.5j * grid.k_values * lattice_product(u_frames, grid, held.mask) * (-2.0)
     integrand = held.backward * (held.eta_t * q)
     cumulative = _cumulative_integral(integrand, held.dt, held.anchor)
     out = held.eta_t * (held.forward * (phi.coeffs - 0.5 * cumulative))

@@ -144,7 +144,7 @@ def convolve(f: SpectralField, g: SpectralField) -> SpectralField:
     Under the integral-coefficient convention this equals 2*pi times the
     transform of the pointwise product whenever supports are small enough
     that no wrapped mode survives truncation.  The O(M^2) reference for
-    `lattice_product`.
+    `lattice_square` and `lattice_product`.
     """
     _require_same_grid(f, g)
     grid = f.grid
@@ -157,21 +157,23 @@ def convolve(f: SpectralField, g: SpectralField) -> SpectralField:
     return SpectralField(grid, out / grid.lam)
 
 
-def lattice_product(coeffs: np.ndarray, grid: TorusGrid,
-                    mask: np.ndarray | None = None) -> np.ndarray:
-    """u (*) u, the normalized lattice convolution of coeffs with itself,
-    along the last axis (leading axes are batched).
+def lattice_square(c: np.ndarray) -> np.ndarray:
+    """fft(ifft(c)^2) along the last axis, leading axes batched: u (*) u is product_scale
+    times it on the kept modes while every populated pair has |m1 + m2| <= M/2."""
+    w = np.fft.ifft(c)
+    return np.fft.fft(w * w)
 
-    Computed in physical space; the 2*pi factor converts the pointwise
-    product transform to the (dk)_lam convolution convention.  With a mask
-    (`dealias_mask`), input and output are restricted to it.  Without one
-    the result equals `convolve` on the kept modes while every populated
-    pair has |m1 + m2| <= M/2 (the sum M/2 wraps only into the Nyquist slot).
-    """
-    c = coeffs if mask is None else coeffs * mask
-    w = np.fft.ifft(c) * (grid.modes / grid.period)
-    prod = np.fft.fft(w * w) * (grid.period / grid.modes) * TWO_PI
-    return prod if mask is None else prod * mask
+
+def product_scale(grid: TorusGrid) -> float:
+    """M / lam: the (M / 2 pi lam)^2 (2 pi lam / M) of the transforms times 2 pi."""
+    return grid.modes / grid.lam
+
+
+def lattice_product(coeffs: np.ndarray, grid: TorusGrid, mask: np.ndarray) -> np.ndarray:
+    """u (*) u on the mask, a scale in each transform: the arithmetic `duhamel_map` runs,
+    whose contraction factor perfbench/check.py pins until its reference is re-recorded."""
+    w = np.fft.ifft(coeffs * mask) * (grid.modes / grid.period)
+    return np.fft.fft(w * w) * (grid.period / grid.modes) * TWO_PI * mask
 
 
 def inner_product(f: SpectralField, g: SpectralField) -> complex:

@@ -133,10 +133,11 @@ def reference_second_iterate_quadrature(model, u0, t, steps):
     panel, then acc = step_mult * acc and the four node terms added one at a
     time.  A tolerance reference: the blocked oracle contracts each block
     with a propagator table instead of compounding step_mult, so the two
-    agree to rounding (within 1e-10 of max|A2|), not bit for bit."""
+    agree to rounding (within 1e-10 of max|A2|), not bit for bit.  The
+    forcing product is the unmasked scaled FFT pair, each transform with its
+    own scale, rather than the oracle's folded `lattice_square`."""
     from hokdv.expquad import exponential_weights
     from hokdv.iterates import _NC4_BASIS, _NC4_NODES, quadrature_steps_needed
-    from hokdv.torus import lattice_product
 
     if steps < 16:
         raise ValueError(f"steps must be >= 16, got {steps}")
@@ -161,7 +162,8 @@ def reference_second_iterate_quadrature(model, u0, t, steps):
     acc = np.zeros(grid.modes, dtype=np.complex128)
     for i in range(steps):
         u1 = u0.coeffs * np.exp(1j * ((i + _NC4_NODES[:, None]) * h) * lin)
-        panel = ik * lattice_product(u1, grid)
+        w = np.fft.ifft(u1) * (grid.modes / grid.period)
+        panel = ik * (np.fft.fft(w * w) * (grid.period / grid.modes) * (2.0 * np.pi))
         acc = step_mult * acc
         for mth, values in enumerate(panel):
             acc = acc + weights[mth] * values
@@ -268,8 +270,8 @@ def reference_duhamel_map(model, phi, u_frames, times):
     held frame-grid arrays, as a reference: window, propagators and dealias
     mask built afresh on every call."""
     from hokdv.norms import smooth_bump_window
-    from hokdv.solver import _cumulative_integral, _product_term
-    from hokdv.torus import dealias_mask
+    from hokdv.solver import _cumulative_integral
+    from hokdv.torus import dealias_mask, lattice_product
 
     times = np.asarray(times, dtype=np.float64)
     grid = phi.grid
@@ -278,7 +280,7 @@ def reference_duhamel_map(model, phi, u_frames, times):
     lin = model.phase(grid.k_values)
     eta_t = np.asarray(smooth_bump_window()(times), dtype=np.float64)[:, None]
     t_col = times[:, None]
-    q = _product_term(u_frames, grid, dealias_mask(grid)) * (-2.0)
+    q = -0.5j * grid.k_values * lattice_product(u_frames, grid, dealias_mask(grid)) * (-2.0)
     integrand = np.exp(-1j * t_col * lin) * (eta_t * q)
     cumulative = _cumulative_integral(integrand, dt, anchor)
     out = eta_t * (np.exp(1j * t_col * lin) * (phi.coeffs - 0.5 * cumulative))
@@ -336,20 +338,24 @@ def reference_contraction_experiment(model, phi, s, *, max_iter, n_frames):
 
 def reference_integrate(model, u0, cfg):
     """`solver.integrate` as it stepped before it folded the product's constants
-    into its step weights, as a reference: every stage through `_product_term`,
-    IFRK4 with its conj(e^{iL dt/2}) factors rebuilt on every step."""
+    into its step weights, as a reference: every stage through the scaled
+    product -(ik/2) lattice_product, IFRK4 with its conj(e^{iL dt/2}) factors
+    rebuilt on every step."""
     from hokdv.expquad import phi_functions
-    from hokdv.solver import BlowUpError, _product_term
-    from hokdv.torus import dealias_mask, physical_l2_norm
+    from hokdv.solver import BlowUpError
+    from hokdv.torus import dealias_mask, lattice_product, physical_l2_norm
+
+    def product_term(coeffs, grid, mask):
+        return -0.5j * grid.k_values * lattice_product(coeffs, grid, mask)
 
     def ifrk4_step(c, grid, dt, half_mult, full_mult, mask):
-        f1 = _product_term(c, grid, mask)
+        f1 = product_term(c, grid, mask)
         w2 = half_mult * (c + 0.5 * dt * f1)
-        f2 = np.conj(half_mult) * _product_term(w2, grid, mask)
+        f2 = np.conj(half_mult) * product_term(w2, grid, mask)
         w3 = half_mult * c + 0.5 * dt * half_mult * f2
-        f3 = np.conj(half_mult) * _product_term(w3, grid, mask)
+        f3 = np.conj(half_mult) * product_term(w3, grid, mask)
         w4 = full_mult * (c + dt * f3)
-        f4 = np.conj(full_mult) * _product_term(w4, grid, mask)
+        f4 = np.conj(full_mult) * product_term(w4, grid, mask)
         w_new = c + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
         return full_mult * w_new
 
@@ -382,13 +388,13 @@ def reference_integrate(model, u0, cfg):
             if cfg.scheme == "ifrk4":
                 c = ifrk4_step(c, grid, cfg.dt, half_mult, full_mult, mask)
             else:
-                n0 = _product_term(c, grid, mask)
+                n0 = product_term(c, grid, mask)
                 a = half_mult * c + stage_w * n0
-                na = _product_term(a, grid, mask)
+                na = product_term(a, grid, mask)
                 b = half_mult * c + stage_w * na
-                nb = _product_term(b, grid, mask)
+                nb = product_term(b, grid, mask)
                 cc = half_mult * a + stage_w * (2.0 * nb - n0)
-                nc = _product_term(cc, grid, mask)
+                nc = product_term(cc, grid, mask)
                 c = full_mult * c + w1 * n0 + w2 * (na + nb) + w3 * nc
         else:
             c = full_mult * c

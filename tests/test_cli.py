@@ -362,6 +362,32 @@ def test_bad_input_exits_two_before_a_run_directory(tmp_path, capsys, argv, key)
     assert not any(tmp_path.iterdir())
 
 
+SWEEP_J2 = ["illposed-sweep", "--set", "j = 2", "--set", "N_list = 8, 16, 32"]
+
+
+@pytest.mark.parametrize(
+    "argv,key",
+    [
+        ([*SWEEP_J2, "--set", "s_list = -300"], "'s_list'"),
+        ([*SWEEP_J2, "--set", "s_list = -100"], "'s_list'"),
+        ([*SWEEP_J2, "--set", "s_list = 300"], "'s_list'"),
+        (["picard-check", "--set", "s = -2000"], "'s'"),
+        (["picard-check", "--set", "s = -300"], "'s'"),
+        (["estimate-search", "--set", "estimate = 3.1", "--set", "s = -2000",
+          "--set", "trials = 4"], "'s'"),
+    ],
+    ids=["sweep-s-minus-300", "sweep-s-minus-100", "sweep-s-300", "picard-s-minus-2000",
+         "picard-s-minus-300", "estimate-3.1-s-minus-2000"],
+)
+def test_phi_n_data_past_double_precision_exits_two(tmp_path, capsys, argv, key):
+    """A regularity whose phi_N data or iterates overflow, or drop out of the normal
+    doubles, at the largest N is refused before any iterate is evaluated."""
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert key in err and "double precision" in err
+    assert not any(tmp_path.iterdir())
+
+
 SIMULATE_PHI_N = ["simulate", "--set", "j = 2", "--set", "M = 64", "--set", "dt = 0.01",
                   "--set", "T = 0.1", "--set", "initial = phi_n"]
 

@@ -290,6 +290,21 @@ def test_shell_masses_sum_to_total(model, grid):
     assert shell_masses(u, model).sum() == pytest.approx(u.total_mass_squared())
 
 
+def test_shell_masses_and_shell_mask_agree_just_below_a_power_of_two(model, grid):
+    """sigma = sqrt(63) has <sigma> = 8 - 2^-50 in double precision, where
+    floor(log2(<sigma>)) rounds up to 3: the cell belongs to shell 2 in both."""
+    sigma = 7.937253933193771
+    coeffs = np.zeros((grid.modes, 4), dtype=np.complex128)
+    coeffs[grid.index_of(1), 3] = 1.0  # tau = dtau, sigma = dtau - p(1) with p(1) = -1
+    u = SpaceTimeField(grid, sigma + model.phase(1.0), coeffs)
+    cell_sigma = u.cell_arrays(model)[2][np.flatnonzero(u.coeffs.reshape(-1))]
+    assert cell_sigma.tolist() == [sigma]
+    assert DyadicShell(2).mask(cell_sigma).tolist() == [True]
+    masses = shell_masses(u, model)
+    assert masses[2] == u.total_mass_squared()
+    assert np.count_nonzero(masses) == 1
+
+
 # -- space-time construction --------------------------------------------------
 
 

@@ -20,9 +20,7 @@ from hokdv.solver import (
     ContractionTrace,
     SolverConfig,
     _cumulative_integral,
-    _product_term,
     _stage_factor,
-    _stage_product,
     conserved_quantities,
     contraction_experiment,
     duhamel_map,
@@ -31,7 +29,7 @@ from hokdv.solver import (
     scale_time_factor,
     scale_transform,
 )
-from hokdv.torus import SpectralField, TorusGrid, dealias_mask
+from hokdv.torus import SpectralField, TorusGrid, dealias_mask, lattice_product, lattice_square
 
 from helpers import (
     random_band_limited,
@@ -169,16 +167,16 @@ def test_integrate_matches_the_reference_stepper(j, lam, modes, scheme):
 
 
 @pytest.mark.parametrize("lam,modes", [(1.0, 16), (1.0, 256), (2.0, 64), (3.0, 512)])
-def test_stage_product_with_its_factor_is_the_product_term(lam, modes):
-    """g * fft(ifft(v mask)^2) is -(ik/2) lattice_product(v) on the whole lattice,
+def test_stage_factor_times_lattice_square_is_the_product_term(lam, modes):
+    """g * lattice_square(v mask) is -(ik/2) lattice_product(v) on the whole lattice,
     masked input and output, for fields with modes beyond the 2/3 cutoff."""
     grid = TorusGrid(lam, modes)
     mask = dealias_mask(grid)
     rng = np.random.default_rng(modes)
     for real in (True, False):
         v = random_band_limited(grid, rng, modes // 2 - 1, real=real).coeffs
-        expect = _product_term(v, grid, mask)
-        got = _stage_factor(grid, mask) * _stage_product(v, mask)
+        expect = -0.5j * grid.k_values * lattice_product(v, grid, mask)
+        got = _stage_factor(grid, mask) * lattice_square(v * mask)
         assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
 
 

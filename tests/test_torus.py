@@ -16,6 +16,8 @@ from hokdv.torus import (
     inverse_transform,
     l2_norm,
     lattice_product,
+    lattice_square,
+    product_scale,
 )
 
 from helpers import random_band_limited
@@ -109,7 +111,7 @@ def test_convolution_matches_pointwise_product(lam):
 
 
 @pytest.mark.parametrize("lam,modes", [(1.0, 32), (2.0, 64), (1.0, 96)])
-def test_lattice_product_matches_direct_convolution(lam, modes):
+def test_lattice_square_matches_direct_convolution(lam, modes):
     # support <= M/4: no m1 + m2 wraps onto a kept mode; m1 + m2 = +-M/2 lands
     # in the Nyquist slot, which every SpectralField holds at zero
     grid = TorusGrid(lam, modes)
@@ -117,7 +119,7 @@ def test_lattice_product_matches_direct_convolution(lam, modes):
     for real in (True, False):
         f = random_band_limited(grid, rng, modes // 4, real=real)
         direct = convolve(f, f).coeffs
-        fast = SpectralField(grid, lattice_product(f.coeffs, grid)).coeffs
+        fast = SpectralField(grid, product_scale(grid) * lattice_square(f.coeffs)).coeffs
         assert np.max(np.abs(fast - direct)) < 1e-12 * max(1.0, np.max(np.abs(direct)))
 
 
