@@ -430,9 +430,10 @@ def run_contraction(ctx: RunContext, jobs: int) -> bool:
     ]
     ctx.write_csv("trace.csv", rows, ["iteration", "diff_zs", "diff_hs_sup"])
     has_verdict = len(trace.diff_norms) >= 2
-    verdict = bool(has_verdict and trace.factor < 0.5)
+    factor = trace.factor if has_verdict else None  # no ratio: null, since NaN is not JSON
+    verdict = bool(has_verdict and factor < 0.5)
     payload = {
-        "factor": trace.factor,
+        "factor": factor,
         "converged": trace.converged,
         "diverged": trace.diverged,
         "verdict_contracting": verdict if has_verdict else None,
@@ -440,8 +441,8 @@ def run_contraction(ctx: RunContext, jobs: int) -> bool:
     ctx.write_json("summary.json", payload)
     ctx.verdicts.update(payload)
     print(
-        f"contraction factor: {trace.factor:.6g} (converged={trace.converged}, "
-        f"diverged={trace.diverged})"
+        f"contraction factor: {'n/a' if factor is None else format(factor, '.6g')} "
+        f"(converged={trace.converged}, diverged={trace.diverged})"
     )
     return not trace.diverged and (verdict or not has_verdict)
 
@@ -492,7 +493,8 @@ def run_picard_check(ctx: RunContext, jobs: int) -> bool:
         closed = second_iterate_closed(model, u0, t).field
         quad = second_iterate_quadrature(model, u0, t, cfg["steps"])
         err = float(np.max(np.abs(closed.coeffs - quad.coeffs)))
-        passed = err <= cfg["tol"]
+        # relative to max|A2| once it exceeds 1, so that large data pass at rounding level
+        passed = err <= cfg["tol"] * max(1.0, float(np.max(np.abs(closed.coeffs))))
         ok = ok and passed
         rows.append(
             {

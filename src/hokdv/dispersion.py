@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .reporting import ExperimentReport
-from .torus import SpectralField
+from .torus import SpectralField, TorusGrid
 
 
 class Region(Enum):
@@ -75,13 +75,15 @@ class DispersionModel:
         p = self.sign * k**self.order
         return p if p.ndim else float(p)
 
+    def check_grid(self, grid: TorusGrid) -> None:
+        """Refuse a grid on another torus: the model's multipliers read k = m/lam."""
+        if grid.lam != self.lam:
+            raise ValueError(f"grid lam {grid.lam} does not match model lam {self.lam}")
+
 
 def free_evolve(model: DispersionModel, u0: SpectralField, t: float) -> SpectralField:
     """Apply the free propagator: coeff(k) -> exp(i t p(k)) coeff(k)."""
-    if u0.grid.lam != model.lam:
-        raise ValueError(
-            f"grid lam {u0.grid.lam} does not match model lam {model.lam}"
-        )
+    model.check_grid(u0.grid)
     multiplier = np.exp(1j * t * model.phase(u0.grid.k_values))
     return SpectralField(u0.grid, u0.coeffs * multiplier)
 

@@ -9,11 +9,10 @@ With u1(t) = S(t) u0, the second and third expansion kernels are
 where the quadratic product is the normalized lattice convolution.  Both
 are one Duhamel kernel, int_0^t S(t-s) d_x(L R)(s) ds for L and R given as
 sums of waves c e^{i s w}: A2 applies it to u1's free waves on both sides,
-and A3 to u1's waves and A2's, since A2(s) is itself a sum of waves.  Each
-pair of waves contributes an oscillatory weight E(t, w) = (e^{itw} - 1)/(iw)
-whose frequency w is a signed resonance function, evaluated in exact integer
-arithmetic so that the resonant limit E(t, 0) = t is taken exactly, never
-by a floating-point threshold.
+and A3 to u1's waves and A2's, which A3 reads off the pairs A2's kernel
+walks.  Each pair of waves has an exact integer gap whose frequency w sets
+its weight E(t, w) = (e^{itw} - 1)/(iw), so the resonant limit E(t, 0) = t
+is taken exactly, never by a floating-point threshold.
 
 A quadrature oracle evaluates the A2 integral by a fourth-order
 exponential rule that never forms resonance functions, providing an
@@ -24,6 +23,7 @@ that both closed forms run.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,8 +81,7 @@ _Wave = tuple[int, complex, int]  # (m, c, q): c e^{i s sign q / lam^n} at latti
 def _free_waves(model: DispersionModel, u0: SpectralField) -> list[_Wave]:
     """The free flow u1(s) = S(s) u0 as waves (m, c, m^n), one per nonzero mode."""
     grid = u0.grid
-    if grid.lam != model.lam:
-        raise ValueError("grid lam does not match model lam")
+    model.check_grid(grid)
     if abs(u0.coeffs[0]) != 0.0:
         raise ValueError("data must be mean-zero")
     n = model.order
@@ -90,40 +89,38 @@ def _free_waves(model: DispersionModel, u0: SpectralField) -> list[_Wave]:
     return [(m, complex(c), m**n) for m, c in zip(grid.m_ints[idx].tolist(), u0.coeffs[idx])]
 
 
+def _wave_pairs(model: DispersionModel, left: list[_Wave], right: list[_Wave]) -> Iterator:
+    """Every pair of waves with output mode m = m_L + m_R != 0, in support order,
+    as (m_L, m_R, m, a, gap, w): a = (m/lam) c_L c_R / lam, the exact integer
+    gap q_L + q_R - m^n and its frequency w = sign gap / lam^n."""
+    n, sign, lam = model.order, model.sign, model.lam
+    lam_pow = float(lam) ** n
+    for m1, c1, q1 in left:
+        for m2, c2, q2 in right:
+            m = m1 + m2
+            if m != 0:
+                gap = q1 + q2 - m**n
+                yield m1, m2, m, (m / lam) * c1 * c2 / lam, gap, sign * float(gap) / lam_pow
+
+
 def _duhamel_kernel(
     model: DispersionModel, grid: TorusGrid, t: float, left: list[_Wave], right: list[_Wave]
 ) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """int_0^t S(t-s) d_x(L R)(s) ds for L, R given as waves (m, c, q).
 
-    q is an exact integer, m^n for a free wave.  Every pair with output mode
-    m = m_L + m_R != 0 adds, in support order,
-
-        i k e^{itp(k)} (1/lam) c_L c_R E(t, sign (q_L + q_R - m^n) / lam^n),
-
-    so its exact integer gap q_L + q_R - m^n takes the resonant limit
-    E(t, 0) = t exactly.  Returns the raw coefficient array and the (m_L,
-    m_R) of every pair whose gap is zero.
+    Each pair of `_wave_pairs` adds i a e^{itp(k)} E(t, w) at its output
+    mode, w the frequency of its exact gap, so a zero gap takes the
+    resonant limit E(t, 0) = t exactly.  Returns the raw coefficient array
+    and the (m_L, m_R) of every pair whose gap is zero.
     """
-    modes = grid.modes
-    half = modes // 2
-    n = model.order
-    lam = model.lam
-    lam_pow = float(lam) ** n
-    out = np.zeros(modes, dtype=np.complex128)
+    out = np.zeros(grid.modes, dtype=np.complex128)
     resonant = []
-    for m1, c1, q1 in left:
-        for m2, c2, q2 in right:
-            m = m1 + m2
-            if m == 0:
-                continue
-            if not -half < m < half:
-                raise ValueError(f"iterate mode {m} leaves the lattice; enlarge the grid")
-            gap = q1 + q2 - m**n
-            if gap == 0:
-                resonant.append((m1, m2))
-            omega = model.sign * float(gap) / lam_pow
-            k = m / lam
-            out[m % modes] += 1j * k * c1 * c2 / lam * _oscillatory_factor(t, omega)
+    for m1, m2, m, a, gap, w in _wave_pairs(model, left, right):
+        if abs(m) >= grid.modes // 2:
+            raise ValueError(f"iterate mode {m} leaves the lattice; enlarge the grid")
+        if gap == 0:
+            resonant.append((m1, m2))
+        out[m % grid.modes] += 1j * a * _oscillatory_factor(t, w)
     return out * np.exp(1j * t * model.phase(grid.k_values)), resonant
 
 
@@ -146,32 +143,22 @@ def second_iterate_closed(model: DispersionModel, u0: SpectralField, t: float) -
 def third_iterate_closed(model: DispersionModel, u0: SpectralField, t: float) -> IterateResult:
     """Evaluate A3(u0)(t) = 2 int_0^t S(t-s) d_x(u1 A2)(s) ds.
 
-    A2(s) is a sum of waves: each pair k23 = k2 + k3 != 0 of u1's modes
-    gives +k23 c2 c3/(lam w23) at q = m2^n + m3^n and -k23 c2 c3/(lam w23)
-    at q = m23^n, with w23 = sign q0(k2, k3)/lam^n; q0(k2, k3) = 0 would
-    contradict the integer gap bound and raises.  The Duhamel kernel on u1
-    and these waves then meets, per triple k = k1 + k23 != 0, the gaps
-    q1 = m1^n + m2^n + m3^n - m^n and q2 = q0(k1, k23).  q2 is never zero,
-    since k1, k23 and k are all nonzero, so `resonant_terms` counts the
-    triples with q1 = 0.
+    A2(s) is a sum of waves, built from the pairs A2's kernel walks: the pair
+    (k2, k3) with weight a and frequency w23 gives a/w23 at q = m23^n + gap
+    and -a/w23 at q = m23^n; a zero gap would contradict the integer gap
+    bound and raises.  The Duhamel kernel on u1 and these waves then meets,
+    per triple k = k1 + k23 != 0, the gaps q1 = m1^n + m2^n + m3^n - m^n and
+    q2 = q0(k1, k23).  q2 is never zero, since k1, k23 and k are all
+    nonzero, so `resonant_terms` counts the triples with q1 = 0.
     """
     u1 = _free_waves(model, u0)
     n = model.order
-    lam = model.lam
-    lam_pow = float(lam) ** n
     a2 = []
-    for m2, c2, q2 in u1:
-        for m3, c3, q3 in u1:
-            m23 = m2 + m3
-            if m23 == 0:
-                continue
-            q23 = m23**n
-            q0 = q2 + q3 - q23
-            if q0 == 0:
-                raise ResonanceConsistencyError(f"q0(k2, k3) = 0 at nonzero k2 + k3 ({m2}, {m3})")
-            w23 = model.sign * float(q0) / lam_pow
-            amp = (m23 / lam) * c2 * c3 / (lam * w23)
-            a2 += [(m23, amp, q2 + q3), (m23, -amp, q23)]
+    for m2, m3, m23, a, gap, w23 in _wave_pairs(model, u1, u1):
+        if gap == 0:
+            raise ResonanceConsistencyError(f"q0(k2, k3) = 0 at nonzero k2 + k3 ({m2}, {m3})")
+        amp = a / w23
+        a2 += [(m23, amp, m23**n + gap), (m23, -amp, m23**n)]
     out, resonant = _duhamel_kernel(model, u0.grid, t, u1, a2)
     return IterateResult(SpectralField(u0.grid, 2.0 * out), len(resonant))
 
@@ -230,8 +217,7 @@ def second_iterate_quadrature(
     if t < 0:
         raise ValueError("t must be nonnegative")
     grid = u0.grid
-    if grid.lam != model.lam:
-        raise ValueError("grid lam does not match model lam")
+    model.check_grid(grid)
     needed = quadrature_steps_needed(model, u0, t)
     if steps < needed:
         raise ValueError(

@@ -382,8 +382,7 @@ def zs_norm_cells(
 
 def xsb_norm(u: SpaceTimeField, spec: NormSpec, model: DispersionModel) -> float:
     """X_{s,b} norm with weights <k>^s <tau - p(k)>^b over the cell lattice."""
-    if u.grid.lam != model.lam:
-        raise ValueError("field and model lam differ")
+    model.check_grid(u.grid)
     _, k, sigma, vals = u.cell_arrays(model)
     mass = xsb_mass(k, sigma, vals, u.dtau, u.grid.lam, spec.s, spec.b, spec.homogeneous)
     return float(np.sqrt(mass)[0])
@@ -398,8 +397,7 @@ def ys_norm(u: SpaceTimeField, s: float) -> float:
 
 def zs_norm(u: SpaceTimeField, s: float, model: DispersionModel) -> ZsNorm:
     """Region-decomposed Z^s norm; returns the four components and their sum."""
-    if u.grid.lam != model.lam:
-        raise ValueError("field and model lam differ")
+    model.check_grid(u.grid)
     m, k, sigma, vals = u.cell_arrays(model)
     return zs_norm_cells(m, k, sigma, vals, u.dtau, model, s).field(0)
 

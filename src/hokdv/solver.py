@@ -101,8 +101,7 @@ def integrate(
     always including t = 0 and T.
     """
     grid = u0.grid
-    if grid.lam != model.lam:
-        raise ValueError("grid lam does not match model lam")
+    model.check_grid(grid)
     if abs(u0.mean_value()) > 1e-13:
         raise ValueError("initial data must be mean-zero")
     steps = cfg.steps
@@ -214,8 +213,7 @@ def frame_grid(model: DispersionModel, grid: TorusGrid, times: np.ndarray) -> Fr
     times = np.asarray(times, dtype=np.float64)
     if len(times) < 4:
         raise ValueError("need at least 4 frames for the cumulative quadrature")
-    if grid.lam != model.lam:
-        raise ValueError(f"grid lam {grid.lam} does not match model lam {model.lam}")
+    model.check_grid(grid)
     dt = uniform_step(times)
     anchor = int(np.argmin(np.abs(times)))
     if abs(times[anchor]) > 1e-12:

@@ -144,8 +144,7 @@ def reference_second_iterate_quadrature(model, u0, t, steps):
     if t < 0:
         raise ValueError("t must be nonnegative")
     grid = u0.grid
-    if grid.lam != model.lam:
-        raise ValueError("grid lam does not match model lam")
+    model.check_grid(grid)
     needed = quadrature_steps_needed(model, u0, t)
     if steps < needed:
         raise ValueError(
@@ -188,8 +187,7 @@ def reference_second_iterate_closed(model, u0, t):
     from hokdv.iterates import ResonanceConsistencyError, _oscillatory_factor
 
     grid = u0.grid
-    if grid.lam != model.lam:
-        raise ValueError("grid lam does not match model lam")
+    model.check_grid(grid)
     if abs(u0.coeffs[0]) != 0.0:
         raise ValueError("data must be mean-zero")
     support = _reference_support(u0)
@@ -223,8 +221,7 @@ def reference_third_iterate_closed(model, u0, t):
     from hokdv.iterates import ResonanceConsistencyError, _oscillatory_factor
 
     grid = u0.grid
-    if grid.lam != model.lam:
-        raise ValueError("grid lam does not match model lam")
+    model.check_grid(grid)
     if abs(u0.coeffs[0]) != 0.0:
         raise ValueError("data must be mean-zero")
     support = _reference_support(u0)
@@ -360,8 +357,7 @@ def reference_integrate(model, u0, cfg):
         return full_mult * w_new
 
     grid = u0.grid
-    if grid.lam != model.lam:
-        raise ValueError("grid lam does not match model lam")
+    model.check_grid(grid)
     if abs(u0.mean_value()) > 1e-13:
         raise ValueError("initial data must be mean-zero")
     steps = cfg.steps

@@ -275,11 +275,24 @@ def test_contraction_default_run_contracts(tmp_path):
     assert summary["verdict_contracting"] is True
 
 
-def test_contraction_single_step_has_no_verdict(tmp_path):
+def strict_json(path: Path):
+    """Parse a JSON file, refusing the NaN and Infinity tokens that are not JSON."""
+
+    def refuse(token):
+        raise ValueError(f"{path.name} holds {token}, which is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_contraction_single_step_has_no_verdict(tmp_path, capsys):
+    # one difference gives no ratio: the factor is null in both files, n/a when printed
     code = run(tmp_path, "contraction", "--set", "max_iter = 1", "--set", "n_frames = 101")
     assert code == 0
-    summary = json.loads((only_run_dir(tmp_path) / "summary.json").read_text())
-    assert summary["verdict_contracting"] is None
+    summary = strict_json(only_run_dir(tmp_path) / "summary.json")
+    verdicts = strict_json(only_run_dir(tmp_path) / "manifest.json")["verdicts"]
+    for payload in (summary, verdicts):
+        assert payload["factor"] is None and payload["verdict_contracting"] is None
+    assert "contraction factor: n/a (" in capsys.readouterr().out
 
 
 def test_contraction_large_amplitude_diverges(tmp_path):
@@ -313,6 +326,16 @@ def test_picard_check_defaults_pass(tmp_path):
     assert code == 0
     rows = (only_run_dir(tmp_path) / "oracle.csv").read_text().splitlines()
     assert len(rows) == 5  # header plus j=2 x N in {2, 4} x t in {0.1, 0.3}
+
+
+def test_picard_check_tolerance_scales_with_large_data(tmp_path):
+    # A2(phi_2) at s = -300 is ~2^600, and the oracle meets it to ~1e-15 relative:
+    # max_abs_err ~6e165 passes tol = 1e-6 times max|A2|, and tol = 1e-30 still fails
+    argv = ["picard-check", "--set", "s = -300", "--set", "N_list = 2"]
+    assert run(tmp_path / "scaled", *argv) == 0
+    rows = (only_run_dir(tmp_path / "scaled") / "oracle.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 and all(float(row.split(",")[4]) > 1e150 for row in rows)
+    assert run(tmp_path / "tight", *argv, "--set", "tol = 1e-30") == 1
 
 
 def test_picard_check_refuses_unresolved_budget(tmp_path, capsys):

@@ -18,7 +18,14 @@ from hokdv.dispersion import (
     region_masks,
     resonance_q0,
 )
-from hokdv.norms import NormSpec, sobolev_norm
+from hokdv.iterates import (
+    phi_n_data,
+    second_iterate_closed,
+    second_iterate_quadrature,
+    third_iterate_closed,
+)
+from hokdv.norms import NormSpec, SpaceTimeField, sobolev_norm, xsb_norm, zs_norm
+from hokdv.solver import SolverConfig, frame_grid, integrate
 from hokdv.torus import TorusGrid
 
 from helpers import random_band_limited, reference_audit_summary
@@ -85,6 +92,29 @@ def test_free_evolve_lambda_mismatch():
     u = random_band_limited(grid, np.random.default_rng(0), 4)
     with pytest.raises(ValueError):
         free_evolve(DispersionModel(2, 1.0), u, 0.1)
+
+
+_ON_ANOTHER_TORUS = {
+    "free_evolve": lambda m, u, stf: free_evolve(m, u, 0.1),
+    "integrate": lambda m, u, stf: integrate(m, u, SolverConfig(dt=0.01, T=0.02)),
+    "frame_grid": lambda m, u, stf: frame_grid(m, u.grid, 0.1 * np.arange(-2, 3)),
+    "second_iterate_closed": lambda m, u, stf: second_iterate_closed(m, u, 0.1),
+    "third_iterate_closed": lambda m, u, stf: third_iterate_closed(m, u, 0.1),
+    "second_iterate_quadrature": lambda m, u, stf: second_iterate_quadrature(m, u, 0.1, 64),
+    "xsb_norm": lambda m, u, stf: xsb_norm(stf, NormSpec(0.0, 0.5), m),
+    "zs_norm": lambda m, u, stf: zs_norm(stf, 0.0, m),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ON_ANOTHER_TORUS))
+def test_every_entry_point_refuses_a_grid_on_another_torus(entry):
+    """Each entry point that reads k = m/lam off a grid refuses one whose lam is
+    not the model's, through `DispersionModel.check_grid`."""
+    grid = TorusGrid(2.0, 32)
+    u = phi_n_data(2, 0.0, grid)
+    stf = SpaceTimeField(grid, 0.5, np.ones((grid.modes, 8)))
+    with pytest.raises(ValueError, match="grid lam 2.0 does not match model lam 1.0"):
+        _ON_ANOTHER_TORUS[entry](DispersionModel(2, 1.0), u, stf)
 
 
 def triple_q1_q2(n, m1, m2, m3):

@@ -370,9 +370,10 @@ def test_third_iterate_of_real_data_is_real():
 
 
 @pytest.mark.parametrize("j", [2, 3])
-def test_third_iterate_matches_oscillatory_quadrature(j):
-    grid = TorusGrid(1.0, 128)
-    model = DispersionModel(j, 1.0)
+@pytest.mark.parametrize("lam", [1.0, 2.0])
+def test_third_iterate_matches_oscillatory_quadrature(j, lam):
+    grid = TorusGrid(lam, 128)
+    model = DispersionModel(j, lam)
     for N, t in ((2, 0.3), (8, 0.1)):
         u = phi_n_data(N, 0.0, grid)
         closed = third_iterate_closed(model, u, t).field.coeffs
@@ -464,6 +465,27 @@ def test_third_iterate_matches_the_hand_derived_sum(j, lam):
         assert result.resonant_terms == resonant
         resonant_seen += resonant
     assert resonant_seen > 0
+
+
+class _TransportModel(DispersionModel):
+    """Order 1, a pure transport: every pair of waves has gap m1 + m2 - (m1 + m2) = 0."""
+
+    order = 1
+
+
+def test_closed_iterates_refuse_a_zero_gap_and_modes_off_the_lattice():
+    grid = TorusGrid(1.0, 16)
+    u = SpectralField.from_modes(grid, {2: 1.0, -2: 1.0})
+    with pytest.raises(ResonanceConsistencyError, match=r"q0 = 0 at nonzero output mode \(2, 2\)"):
+        second_iterate_closed(_TransportModel(2), u, 0.1)
+    with pytest.raises(ResonanceConsistencyError, match=r"q0\(k2, k3\) = 0 .* \(2, 2\)"):
+        third_iterate_closed(_TransportModel(2), u, 0.1)
+    # 16 modes hold |m| <= 7: A2 of modes +-5 reaches 10, A3 of modes +-3 reaches 9
+    model = DispersionModel(2, 1.0)
+    for iterate, m, out in ((second_iterate_closed, 5, 10), (third_iterate_closed, 3, 9)):
+        u = SpectralField.from_modes(grid, {m: 1.0, -m: 1.0})
+        with pytest.raises(ValueError, match=f"iterate mode {out} leaves the lattice"):
+            iterate(model, u, 0.1)
 
 
 def test_oscillatory_factor_limit_consistency():
