@@ -224,7 +224,8 @@ def run_simulate(ctx: RunContext, jobs: int) -> bool:
     try:
         times, frames = integrate(model, u0, _solver_config(cfg))
     except BlowUpError as err:
-        ctx.verdicts["blow_up"] = {"t": err.t, "ratio": err.ratio}
+        ratio = err.ratio if np.isfinite(err.ratio) else None  # null, since NaN is not JSON
+        ctx.verdicts["blow_up"] = {"t": err.t, "ratio": ratio}
         print(f"error: {err}", file=sys.stderr)
         return False
     quantities = [conserved_quantities(SpectralField(grid, row)) for row in frames]

@@ -98,7 +98,7 @@ def resonance_q0(n: int, m1, m2):
     return m1**n + m2**n - (m1 + m2) ** n
 
 
-_AUDIT_ROWS = 32  # m1 rows per audit block; every block spans all m2 columns
+_AUDIT_ROWS = 32  # m1 rows per audit block
 _U = 2.0**-53  # unit roundoff of float64
 
 
@@ -111,7 +111,7 @@ def _ratio_bounds(float_n, float_r, float_j, off, m1, m2):
     the exact one, relatively; the 8u and 16u slacks also cover the rounding
     of the bounds themselves.  lo >= 1 therefore certifies lhs >= rhs.
     Pairs with m1 + m2 = 0 or an overflowing power or rhs get hi = inf
-    and a lo that is nan or below 1.  Also returns the m1 + m2 != 0 mask.
+    and a lo that is nan or below 1.
     """
     idx = m1[:, None] + (m2 + off)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -121,7 +121,7 @@ def _ratio_bounds(float_n, float_r, float_j, off, m1, m2):
         r = float_r[idx] * float_j[m1 + off][:, None] * float_j[m2 + off]
         lo = (q - slack) / r * (1 - 16 * _U)
         hi = np.where(r < math.inf, (q + slack) / r * (1 + 16 * _U), math.inf)
-    return idx != off, lo, hi
+    return lo, hi
 
 
 def _first_min(num: np.ndarray, den: np.ndarray) -> int:
@@ -142,10 +142,18 @@ def _first_min(num: np.ndarray, den: np.ndarray) -> int:
 def audit_resonance_bound(model: DispersionModel, kmax: int) -> ExperimentReport:
     """Check |k^{2j+1}-k1^{2j+1}-k2^{2j+1}| >= (2j+1)|k k1^j k2^j| on every pair.
 
-    Enumerates every integer pair 1 <= |m1|, |m2| <= kmax with m1 + m2 != 0,
-    in blocks of m1 rows, and decides every verdict exactly.  A float64
-    filter with a proved rounding bound certifies lhs >= rhs on the pairs
-    whose margin exceeds that bound and brackets each pair's ratio; exact
+    Covers every integer pair 1 <= |m1|, |m2| <= kmax with m1 + m2 != 0 by
+    walking one pair per orbit of (m1, m2) -> (m2, m1) and (m1, m2) ->
+    (-m1, -m2), under which both sides are invariant: the lexicographically
+    first one, which lies in D = {m1 < 0, m1 <= m2, m1 + m2 < 0}.  D is
+    walked in blocks of m1 rows in (m1, m2) order, so its first minimal pair
+    is the first of all pairs.  A violating pair of D counts its whole orbit
+    (2 pairs on the diagonal m1 = m2, 4 elsewhere), and the witnesses are
+    the first 16 members of the violating orbits in (m1, m2) order.
+
+    Every verdict is decided exactly.  A float64 filter with a proved
+    rounding bound certifies lhs >= rhs on the pairs whose margin exceeds
+    that bound and brackets each pair's ratio; exact
     integer arithmetic (int64 where a guard proves every value and cross
     product fits, Python ints otherwise) then settles every pair the filter
     does not certify and every pair whose ratio may be the minimum (a
@@ -174,20 +182,23 @@ def audit_resonance_bound(model: DispersionModel, kmax: int) -> ExperimentReport
 
     rng1 = np.concatenate([np.arange(-kmax, 0), np.arange(1, kmax + 1)])
     pairs_checked = rng1.size * (rng1.size - 1)
-    violations: list[tuple[int, int]] = []
+    violations: list[tuple[int, int]] = []  # violating pairs of D
     min_num, min_den = None, None  # running min of LHS/RHS as exact pair
     argmin = None
     min_hi = math.inf  # bounds the minimal ratio from above
-    for start in range(0, rng1.size, _AUDIT_ROWS):
-        m1 = rng1[start : start + _AUDIT_ROWS]
-        valid, lo, hi = _ratio_bounds(float_n, float_r, float_j, off, m1, rng1)
+    for start in range(0, kmax, _AUDIT_ROWS):
+        # Rows m1 < 0; columns [m1_first, -m1_first) cover the block's part of D.
+        m1 = rng1[start : min(start + _AUDIT_ROWS, kmax)]
+        m2 = rng1[start : rng1.size - start - 1]
+        lo, hi = _ratio_bounds(float_n, float_r, float_j, off, m1, m2)
         min_hi = min(min_hi, np.fmin.reduce(hi, axis=None))
-        # Exact step: every pair not certified both lhs >= rhs and above the
-        # minimum (nan compares false), walked in (m1, m2) order.
-        rows, cols = np.nonzero(valid & ~((lo >= 1) & (lo > min_hi)))
+        in_d = (m1[:, None] <= m2) & (m1[:, None] + m2 < 0)
+        # Exact step: every pair of D not certified both lhs >= rhs and above
+        # the minimum (nan compares false), walked in (m1, m2) order.
+        rows, cols = np.nonzero(in_d & ~((lo >= 1) & (lo > min_hi)))
         if rows.size == 0:
             continue
-        p1, p2 = m1[rows], rng1[cols]
+        p1, p2 = m1[rows], m2[cols]
         p = p1 + p2
         lhs = np.abs(exact_n[p + off] - exact_n[p1 + off] - exact_n[p2 + off])
         rhs = (n * np.abs(p)).astype(dtype) * exact_j[p1 + off] * exact_j[p2 + off]
@@ -199,22 +210,24 @@ def audit_resonance_bound(model: DispersionModel, kmax: int) -> ExperimentReport
             min_num, min_den = num, den
             argmin = (int(p1[i]), int(p2[i]))
     min_ratio = float(Fraction(min_num, min_den)) if min_den else float("nan")
+    n_violations = sum(2 if a == b else 4 for a, b in violations)
+    orbits = {w for a, b in violations for w in ((a, b), (b, a), (-a, -b), (-b, -a))}
     return ExperimentReport(
         rows=[
             {
                 "j": j,
                 "kmax": kmax,
                 "pairs_checked": pairs_checked,
-                "violations": len(violations),
+                "violations": n_violations,
                 "min_ratio": min_ratio,
             }
         ],
         summary={
             "pairs_checked": pairs_checked,
-            "violations": len(violations),
+            "violations": n_violations,
             "min_ratio": min_ratio,
             "min_ratio_pair": list(argmin) if argmin else None,
-            "witnesses": [list(v) for v in violations[:16]],
+            "witnesses": [list(v) for v in sorted(orbits)[:16]],
         },
         passed=not violations,
     )

@@ -3,6 +3,7 @@ emitted reports, and manifests."""
 
 import hashlib
 import json
+import math
 import shlex
 import warnings
 from pathlib import Path
@@ -250,6 +251,18 @@ def test_simulate_blow_up_exits_one(tmp_path, capsys):
     assert out.out.startswith("run directory: ")
 
 
+def test_simulate_blow_up_at_a_frame_records_its_finite_ratio(tmp_path):
+    # a frame after every step sees the norm grow before it overflows
+    code = run(
+        tmp_path, "simulate", "--set", "j = 2", "--set", "M = 64", "--set", "dt = 0.05",
+        "--set", "T = 2.0", "--set", "frame_stride = 1", "--set", "initial_amplitude = 5.0",
+        "--set", "initial_decay = 0.3", "--set", "initial_modes = 8",
+    )
+    assert code == 1
+    blow_up = strict_json(only_run_dir(tmp_path) / "manifest.json")["verdicts"]["blow_up"]
+    assert blow_up["t"] == 0.05 and 10 < blow_up["ratio"] < math.inf
+
+
 def test_simulate_overflow_between_frames_names_the_interval(tmp_path, capsys):
     """A state that overflows between two frames raises no RuntimeWarning, and the
     error says that the norm is not finite and where the state left double
@@ -265,6 +278,9 @@ def test_simulate_overflow_between_frames_names_the_interval(tmp_path, capsys):
         "error: L2 norm is nan (not finite) at t = 0.01: the state left double precision "
         "in (0, 0.01]; the run is unstable (reduce dt or the data amplitude)\n"
     )
+    # the ratio is not finite: null in the manifest, since NaN is not JSON
+    verdicts = strict_json(only_run_dir(tmp_path) / "manifest.json")["verdicts"]
+    assert verdicts["blow_up"] == {"t": 0.01, "ratio": None}
 
 
 def test_contraction_default_run_contracts(tmp_path):

@@ -206,7 +206,9 @@ def _quiet_model(j):
         return DispersionModel(j, 1.0)
 
 
-@pytest.mark.parametrize("kmax", [1, 2, 7, 60])
+# The m1 < 0 rows come in blocks of 32: kmax 31 ends one row short of a
+# block edge, 33 and 65 one row past one and two blocks.
+@pytest.mark.parametrize("kmax", [1, 2, 7, 31, 33, 60, 65])
 @pytest.mark.parametrize("j", [1, 2, 3, 4, 5])
 def test_audit_matches_reference_loop(j, kmax):
     model = _quiet_model(j)
@@ -232,7 +234,7 @@ def test_audit_exact_step_dtype_matches_reference(monkeypatch, j, kmax, dtype):
     assert seen and all(d == np.dtype(dtype) for d in seen)
 
 
-@pytest.mark.parametrize("j,order,kmax", [(2, 3, 7), (2, 3, 60), (3, 5, 60)])
+@pytest.mark.parametrize("j,order,kmax", [(2, 3, 7), (2, 3, 60), (3, 5, 60), (2, 4, 7)])
 def test_audit_reports_violations_like_reference(j, order, kmax):
     # An order below 2j+1 breaks the bound on most pairs, which exercises
     # the violation count and the witness list.
@@ -240,6 +242,21 @@ def test_audit_reports_violations_like_reference(j, order, kmax):
     summary = audit_resonance_bound(model, kmax).summary
     assert summary["violations"] > 16
     assert summary == reference_audit_summary(model, kmax)
+
+
+def test_audit_expands_each_violating_orbit_into_its_members():
+    # At order 3 the gap is 3|m m1 m2| exactly, below 3|m| m1^2 m2^2 when
+    # |m1 m2| >= 2.  At kmax 2 the walked pairs (-2, -2), (-2, -1) and
+    # (-2, 1) violate; their orbits hold 2 + 4 + 4 pairs, among them both
+    # (-2, -1) and (-1, -2), listed in (m1, m2) order.
+    model = SimpleNamespace(j=2, order=3, lam=1.0)
+    summary = audit_resonance_bound(model, 2).summary
+    assert summary["violations"] == 10
+    assert summary["witnesses"] == [
+        [-2, -2], [-2, -1], [-2, 1], [-1, -2], [-1, 2],
+        [1, -2], [1, 2], [2, -1], [2, 1], [2, 2],
+    ]
+    assert summary == reference_audit_summary(model, 2)
 
 
 def test_audit_overflowing_float_powers_go_to_the_exact_step():
