@@ -19,6 +19,7 @@ import argparse
 import hashlib
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable
@@ -45,7 +46,7 @@ from .solver import (
     integrate,
 )
 from .torus import SpectralField, TorusGrid, physical_l2_norm
-from .norms import write_frames
+from .norms import write_frames, zs_region_exponents
 from .verifier import (
     GENERATORS,
     RatioSearchConfig,
@@ -90,17 +91,6 @@ class RunContext:
             "verdicts": self.verdicts,
         }
         atomic_write_text(self.out_dir / "manifest.json", dump_json(manifest))
-
-
-def _parallel_map(func, items, jobs: int) -> list:
-    """Order-preserving map; results are identical for any worker count."""
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [func(item) for item in items]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-        return list(pool.map(func, items))
 
 
 def _make_run_dir(out_root: Path, command: str, config: dict) -> Path:
@@ -215,7 +205,7 @@ def _check_simulate(cfg: dict) -> None:
         )
 
 
-def run_simulate(ctx: RunContext, jobs: int) -> bool:
+def run_simulate(ctx: RunContext) -> bool:
     cfg = ctx.config
     model = DispersionModel(cfg["j"], cfg["lam"])
     grid = TorusGrid(cfg["lam"], cfg["M"])
@@ -266,21 +256,14 @@ def _check_illposed(cfg: dict) -> None:
         _check_phi_n("s_list", f"A3 at s = {s:g}", log2_n, max(-3 * s - g, -4 * s - 2 * g, key=abs))
 
 
-def _sweep_one(task):
-    j, lam, s, n_list, t = task
-    return growth_sweep(DispersionModel(j, lam), s, n_list, t)
-
-
-def run_illposed_sweep(ctx: RunContext, jobs: int) -> bool:
+def run_illposed_sweep(ctx: RunContext) -> bool:
     cfg = ctx.config
-    tasks = [
-        (cfg["j"], cfg["lam"], s, cfg["N_list"], cfg["t"]) for s in cfg["s_list"]
-    ]
-    reports = _parallel_map(_sweep_one, tasks, jobs)
+    model = DispersionModel(cfg["j"], cfg["lam"])
     all_rows: list[dict] = []
     table = []
     ok = True
-    for s, report in zip(cfg["s_list"], reports):
+    for s in cfg["s_list"]:
+        report = growth_sweep(model, s, cfg["N_list"], cfg["t"])
         all_rows.extend(report.rows)
         summary = dict(report.summary)
         consistent = bool(report.passed) and (
@@ -305,27 +288,18 @@ AUDIT_SCHEMA = {
     "j_list": Field("int_list", check=lambda v: len(v) >= 1 and min(v) >= 1,
                     help="every j must be >= 1"),
     "kmax": Field("int", check=lambda v: v >= 1),
-    "lam": Field("float", 1.0, check=lambda v: v >= 1),
 }
 
 
-def _audit_one(task):
-    j, lam, kmax = task
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        model = DispersionModel(j, lam)
-    return audit_resonance_bound(model, kmax)
-
-
-def run_resonance_audit(ctx: RunContext, jobs: int) -> bool:
+def run_resonance_audit(ctx: RunContext) -> bool:
     cfg = ctx.config
-    tasks = [(j, cfg["lam"], cfg["kmax"]) for j in cfg["j_list"]]
-    reports = _parallel_map(_audit_one, tasks, jobs)
     rows = []
     violations = 0
-    for report in reports:
+    for j in cfg["j_list"]:
+        with warnings.catch_warnings():  # j = 1, the KdV sanity mode, warns
+            warnings.simplefilter("ignore")
+            model = DispersionModel(j)
+        report = audit_resonance_bound(model, cfg["kmax"])
         rows.extend(report.rows)
         violations += report.summary["violations"]
     ctx.write_csv("audit.csv", rows, ["j", "kmax", "pairs_checked", "violations", "min_ratio"])
@@ -369,7 +343,7 @@ ESTIMATE_SCHEMA = {
 
 def _check_estimate(cfg: dict) -> None:
     """Refuse cells int64 cannot multiply exactly, a generator for 2.1 (always dyadic), and for
-    2.5 and 3.1 an s whose A2-like phi_N profile, ~ N^-2s, leaves double precision at top N."""
+    2.5 and 3.1 an s the doubles cannot carry (_check_estimate_s)."""
     if cfg["estimate"] == "2.1" and cfg["generator"] != "mixed":
         raise ConfigError("generator", "estimate 2.1 draws only dyadic-concentrated fields")
     l_max = max(cfg["l1"], cfg["l2"]) if cfg["estimate"] == "2.1" else 6
@@ -378,11 +352,50 @@ def _check_estimate(cfg: dict) -> None:
         check_search_lattice(2 * cfg["j"] + 1, int(cfg["lam"]), search, l_max)
     except ValueError as err:
         raise ConfigError("k_max", str(err)) from None
-    if cfg["estimate"] in ("2.5", "3.1") and cfg["generator"] in ("mixed", "phi_N-family"):
-        _check_phi_n("s", "the A2-like profile", np.log2(max(3, cfg["k_max"] // 2)), -2 * cfg["s"])
+    if cfg["estimate"] in ("2.5", "3.1"):
+        _check_estimate_s(cfg)
 
 
-def run_estimate_search(ctx: RunContext, jobs: int) -> bool:
+def _check_estimate_s(cfg: dict) -> None:
+    """Refuse, for 2.5 and 3.1, an s whose A2-like phi_N profile, ~ N^-2s, leaves double
+    precision at top N, or whose Z^s block weights <k>^{2s_e} <sigma>^{2b_e}
+    (norms.zs_region_exponents) may leave 2^-1022 .. 2^1022 on the cells the search can
+    reach: a factor alone, or the weight times the largest squared coefficient mass of
+    a measured field.  The Y^s and X_{s,b} weights, (s, b) with 0 <= b <= (2j-1)/(2j),
+    lie inside the D1 u D5 block's range."""
+    j, lam, s = cfg["j"], cfg["lam"], cfg["s"]
+    n = 2 * j + 1
+    # drawn cells: |m| <= max(k_max, 6) (phi_N reaches 2N), |sigma| <= t_modes, 2^7
+    # (dyadic shells up to l = 6) or |m / lam|^n (fixed-tau, phi_N's resonance gap)
+    m = max(cfg["k_max"], 6)
+    sig = max(cfg["t_modes"], 2.0**7, (m / lam) ** n)
+    cells = max(cfg["support"], 2 * cfg["k_max"])
+    # log2 of the largest |coefficient| drawn: a complex normal stays below 2^4, and the
+    # phi_N pair at 2 <= N <= max(3, k_max // 2) has N^-s and 2N^(1-2s) / |q0(N, N)|
+    amp = 4.0
+    if cfg["generator"] in ("mixed", "phi_N-family"):
+        log_n = np.log2([2.0, max(3, cfg["k_max"] // 2)])
+        _check_phi_n("s", "the A2-like profile", log_n[1], -2 * s)
+        gap = np.log2(2.0**n - 2.0)  # |q0(N, N)| = (2^n - 2) N^n
+        amp = max(amp, *(-s * log_n), *(1.0 + (1.0 - 2.0 * s - n) * log_n - gap))
+    if cfg["estimate"] == "3.1":
+        # the product: per cell up to `cells` terms |c1 c2| / lam, times |k| / <sigma> <= 2m / lam,
+        # on twice the modes, with the resonance shift |q0| <= 3 (2m)^n / lam^n in sigma
+        amp = 2.0 * amp + np.log2(cells * 2.0 * m / lam)
+        cells, m, sig = cells**2, 2 * m, 2.0 * sig + 3.0 * (2.0 * m / lam) ** n
+    # a field's squared coefficients summed, or a Y^s column's L1 mass squared
+    mass = 2.0 * amp + 2.0 * np.log2(cells)
+    log_k, log_sig = np.log2(np.hypot(1.0, m / lam)), np.log2(np.hypot(1.0, sig))
+    reach = 0.0
+    for se, be in zs_region_exponents(DispersionModel(j, lam), s).values():
+        k_pow, sig_pow = 2.0 * se * log_k, 2.0 * be * log_sig
+        lo, hi = min(k_pow, 0.0) + min(sig_pow, 0.0), max(k_pow, 0.0) + max(sig_pow, 0.0)
+        reach = max(reach, abs(k_pow), abs(sig_pow), hi + mass, -(lo + mass))
+    if not reach < 1022.0:
+        raise ConfigError("s", f"the Z^s weights may reach 2^±{reach:.6g}, outside double precision")
+
+
+def run_estimate_search(ctx: RunContext) -> bool:
     cfg = ctx.config
     name, run = ESTIMATES[cfg["estimate"]]
     report = run(DispersionModel(cfg["j"], cfg["lam"]), cfg, _from_config(RatioSearchConfig, cfg))
@@ -412,7 +425,7 @@ CONTRACTION_SCHEMA = {
 }
 
 
-def run_contraction(ctx: RunContext, jobs: int) -> bool:
+def run_contraction(ctx: RunContext) -> bool:
     cfg = ctx.config
     model = DispersionModel(cfg["j"], cfg["lam"])
     grid = TorusGrid(cfg["lam"], cfg["modes"])
@@ -486,7 +499,7 @@ def _check_picard(cfg: dict) -> None:
             )
 
 
-def run_picard_check(ctx: RunContext, jobs: int) -> bool:
+def run_picard_check(ctx: RunContext) -> bool:
     cfg = ctx.config
     rows = []
     ok = True
@@ -524,7 +537,7 @@ class Command:
 
     help: str
     schema: dict[str, Field]
-    run: Callable[[RunContext, int], bool]
+    run: Callable[[RunContext], bool]
     check: Callable[[dict], None] | None = None
 
 
@@ -565,7 +578,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="override one config entry (repeatable)",
         )
         p.add_argument("--out-root", type=str, default="runs", help="run directory root")
-        p.add_argument("--jobs", type=int, default=1, help="worker cap (experiments are deterministic regardless)")
+        # every run is one process; perfbench/run.py still passes --jobs 1
+        p.add_argument("--jobs", type=int, default=1, choices=(1,),
+                       help="only 1: every run is one process (kept for callers that pass it)")
     return parser
 
 
@@ -591,7 +606,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {err}", file=sys.stderr)
         return USAGE
     ctx = RunContext(args.command, config, _make_run_dir(Path(args.out_root), args.command, config))
-    passed = COMMANDS[args.command].run(ctx, args.jobs)
+    passed = COMMANDS[args.command].run(ctx)
     ctx.finish()
     print(f"run directory: {ctx.out_dir}")
     return PASS if passed else SCI_FAIL

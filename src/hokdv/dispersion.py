@@ -142,6 +142,9 @@ def _first_min(num: np.ndarray, den: np.ndarray) -> int:
 def audit_resonance_bound(model: DispersionModel, kmax: int) -> ExperimentReport:
     """Check |k^{2j+1}-k1^{2j+1}-k2^{2j+1}| >= (2j+1)|k k1^j k2^j| on every pair.
 
+    Both sides have degree 2j+1, so with k_i = m_i/lam the scale lam cancels:
+    the bound does not depend on lam, and the audit reads only model.j and
+    model.order, on the integer modes m_i.
     Covers every integer pair 1 <= |m1|, |m2| <= kmax with m1 + m2 != 0 by
     walking one pair per orbit of (m1, m2) -> (m2, m1) and (m1, m2) ->
     (-m1, -m2), under which both sides are invariant: the lexicographically

@@ -595,19 +595,17 @@ def _run_trials(
         for i, (trial, ratio) in enumerate(zip(batch, ratios.tolist())):
             if not filled[i]:
                 continue
-            measured[trial] = {key: col[i] for key, col in columns.items()}, ratio
+            measured[trial] = {key: col[i] for key, col in columns.items()}
             if ratio > 0.0 and (best is None or (ratio, -trial) > best[:2]):
                 best = ratio, -trial, stacks, i
     for trial, gen in enumerate(gens):
         if trial not in measured:
             report.skipped += 1
             continue
-        values, ratio = measured[trial]
-        report.rows.append({"trial": trial, "generator": gen, **values})
-        if ratio > report.max_ratio:
-            report.max_ratio, report.argmax_trial = ratio, trial
-    if best is not None:  # the argmax trial's fields
-        _, _, stacks, i = best
+        report.rows.append({"trial": trial, "generator": gen, **measured[trial]})
+    if best is not None:  # the argmax trial and its fields
+        report.max_ratio, neg_trial, stacks, i = best
+        report.argmax_trial = -neg_trial
         report.witness = {"fields": [f.describe(i) for f in stacks]}
     return report
 

@@ -2,6 +2,7 @@
 emitted reports, and manifests."""
 
 import hashlib
+import itertools
 import json
 import math
 import shlex
@@ -84,6 +85,15 @@ def test_unknown_key_is_usage_error(tmp_path, capsys):
     code = run(tmp_path, "resonance-audit", "--set", "j_list = 2", "--set", "kmax = 5", "--set", "zzz = 1")
     assert code == 2
     assert "zzz" in capsys.readouterr().err
+
+
+def test_jobs_other_than_one_is_usage_error(tmp_path, capsys):
+    # argparse refuses it while parsing, before a config is read or a run directory made
+    with pytest.raises(SystemExit) as exit_info:
+        run(tmp_path, "resonance-audit", "--set", "j_list = 2", "--set", "kmax = 5", "--jobs", "2")
+    assert exit_info.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_audit_passes_and_emits_csv(tmp_path):
@@ -174,12 +184,12 @@ SMALL_SIMULATE = ["simulate", "--set", "j = 2", "--set", "M = 64", "--set", "dt 
          "contraction", "picard-check", "estimate-2.1", "estimate-2.2", "estimate-2.5",
          "estimate-3.1"],
 )
-def test_data_files_identical_across_runs_and_job_counts(tmp_path, argv, data_files):
-    # Two runs at --jobs 1 and one at --jobs 2 (two worker processes).
+def test_data_files_identical_across_runs(tmp_path, argv, data_files):
+    # Three runs at --jobs 1, the only worker count the option accepts.
     digests = []
-    for jobs in ("1", "1", "2"):
+    for _ in range(3):
         out = tmp_path / f"run{len(digests)}"
-        assert main([*argv, "--jobs", jobs, "--out-root", str(out)]) == 0
+        assert main([*argv, "--jobs", "1", "--out-root", str(out)]) == 0
         run_dir = only_run_dir(out)
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert sorted(manifest["outputs"]) == sorted(data_files)
@@ -383,6 +393,8 @@ SIMULATE_SHORT = ["simulate", "--set", "j = 2", "--set", "M = 64", "--set", "dt 
         (["contraction", "--set", "max_iter = 1", "--set", "seed = abc"], "'seed'"),
         (["estimate-search", "--set", "estimate = 3.1", "--set", "lam = 1.5"], "'lam'"),
         (["resonance-audit", "--set", "j_list = 2, 0", "--set", "kmax = 5"], "'j_list'"),
+        # the gap bound has degree 2j + 1 on both sides: lam cancels, and the audit takes none
+        (["resonance-audit", "--set", "j_list = 2", "--set", "kmax = 5", "--set", "lam = 2"], "'lam'"),
         # initial data past double precision: overflow, underflow to zero, an infinite L2 norm
         ([*SIMULATE_SHORT, "--set", "initial = phi_n", "--set", "initial_s = -1000"], "'initial_s'"),
         ([*SIMULATE_SHORT, "--set", "initial = phi_n", "--set", "initial_s = 1000"], "'initial_s'"),
@@ -392,7 +404,7 @@ SIMULATE_SHORT = ["simulate", "--set", "j = 2", "--set", "M = 64", "--set", "dt 
          "'initial_amplitude'"),
     ],
     ids=["T-not-multiple-of-dt", "frame-stride-not-dividing-steps", "non-integer-seed",
-         "non-integral-lam", "audit-j-below-one", "phi-n-overflows", "phi-n-underflows",
+         "non-integral-lam", "audit-j-below-one", "audit-lam", "phi-n-overflows", "phi-n-underflows",
          "smooth-random-l2-overflows", "smooth-random-decay-overflows", "cosine-l2-overflows"],
 )
 def test_bad_input_exits_two_before_a_run_directory(tmp_path, capsys, argv, key):
@@ -402,6 +414,8 @@ def test_bad_input_exits_two_before_a_run_directory(tmp_path, capsys, argv, key)
 
 
 SWEEP_J2 = ["illposed-sweep", "--set", "j = 2", "--set", "N_list = 8, 16, 32"]
+ZS_WEIGHT_OVERFLOWS = [("3.1", 17, 40), ("3.1", 20, 40), ("3.1", -30, 40), ("3.1", -40, 40),
+                       ("3.1", -60, 40), ("3.1", -80, 40), ("2.5", 30, 20)]
 
 
 @pytest.mark.parametrize(
@@ -414,17 +428,33 @@ SWEEP_J2 = ["illposed-sweep", "--set", "j = 2", "--set", "N_list = 8, 16, 32"]
         (["picard-check", "--set", "s = -300"], "'s'"),
         (["estimate-search", "--set", "estimate = 3.1", "--set", "s = -2000",
           "--set", "trials = 4"], "'s'"),
+        # at j = 2 and k_max = 32 these passed the phi_N bound, exited 0 and printed inf, 0
+        # or a maximum formed from overflowed Z^s weights
+        *((["estimate-search", "--set", f"estimate = {estimate}", "--set", f"s = {s}",
+            "--set", f"trials = {trials}"], "'s'")
+          for estimate, s, trials in ZS_WEIGHT_OVERFLOWS),
     ],
     ids=["sweep-s-minus-300", "sweep-s-minus-100", "sweep-s-300", "picard-s-minus-2000",
-         "picard-s-minus-300", "estimate-3.1-s-minus-2000"],
+         "picard-s-minus-300", "estimate-3.1-s-minus-2000",
+         *(f"estimate-{estimate}-s-{s}-zs-weights" for estimate, s, _ in ZS_WEIGHT_OVERFLOWS)],
 )
 def test_phi_n_data_past_double_precision_exits_two(tmp_path, capsys, argv, key):
-    """A regularity whose phi_N data or iterates overflow, or drop out of the normal
-    doubles, at the largest N is refused before any iterate is evaluated."""
+    """A regularity whose phi_N data, iterates or Z^s weights overflow, or drop out of
+    the normal doubles, on the largest cells is refused before any is evaluated."""
     assert run(tmp_path, *argv) == 2
     err = capsys.readouterr().err
     assert key in err and "double precision" in err
     assert not any(tmp_path.iterdir())
+
+
+def test_campaign_estimate_searches_pass_the_zs_weight_check():
+    # run_estimate_searches.py's 3.1 grid, at the threshold s = -j + 1/2
+    for j, lam, k_max in itertools.product((2, 3), (1, 2, 4), (32, 64, 128)):
+        args = build_parser().parse_args(
+            ["estimate-search", "--set", "estimate = 3.1", "--set", f"j = {j}",
+             "--set", f"lam = {lam}", "--set", f"k_max = {k_max}", "--set", f"s = {-j + 0.5}"]
+        )
+        assert resolve_config(args)["s"] == -j + 0.5
 
 
 SIMULATE_PHI_N = ["simulate", "--set", "j = 2", "--set", "M = 64", "--set", "dt = 0.01",
@@ -438,7 +468,6 @@ SIMULATE_PHI_N = ["simulate", "--set", "j = 2", "--set", "M = 64", "--set", "dt 
         ([*SIMULATE_PHI_N, "--set", "T = 1e400"], "T"),
         (["illposed-sweep", "--set", "j = 2", "--set", "s_list = -1.5, nan",
           "--set", "N_list = 8, 16, 32"], "s_list"),
-        (["resonance-audit", "--set", "j_list = 2", "--set", "kmax = 5", "--set", "lam = inf"], "lam"),
         (["estimate-search", "--set", "estimate = 3.1", "--set", "s = nan"], "s"),
         (["estimate-search", "--set", "estimate = 2.2", "--set", "a = -inf"], "a"),
         (["contraction", "--set", "s = nan"], "s"),
@@ -446,9 +475,9 @@ SIMULATE_PHI_N = ["simulate", "--set", "j = 2", "--set", "M = 64", "--set", "dt 
         (["picard-check", "--set", "lam = inf"], "lam"),
         (["picard-check", "--set", "t_list = 0.1, 1e400"], "t_list"),
     ],
-    ids=["simulate-initial-s-nan", "simulate-T-overflow", "sweep-s-nan", "audit-lam-inf",
-         "estimate-s-nan", "estimate-a-minus-inf", "contraction-s-nan",
-         "contraction-amplitude-overflow", "picard-lam-inf", "picard-t-overflow"],
+    ids=["simulate-initial-s-nan", "simulate-T-overflow", "sweep-s-nan", "estimate-s-nan",
+         "estimate-a-minus-inf", "contraction-s-nan", "contraction-amplitude-overflow",
+         "picard-lam-inf", "picard-t-overflow"],
 )
 def test_non_finite_number_exits_two_naming_its_key(tmp_path, capsys, argv, key):
     assert run(tmp_path, *argv) == 2
