@@ -385,14 +385,24 @@ def _check_estimate_s(cfg: dict) -> None:
         cells, m, sig = cells**2, 2 * m, 2.0 * sig + 3.0 * (2.0 * m / lam) ** n
     # a field's squared coefficients summed, or a Y^s column's L1 mass squared
     mass = 2.0 * amp + 2.0 * np.log2(cells)
-    log_k, log_sig = np.log2(np.hypot(1.0, m / lam)), np.log2(np.hypot(1.0, sig))
-    reach = 0.0
-    for se, be in zs_region_exponents(DispersionModel(j, lam), s).values():
-        k_pow, sig_pow = 2.0 * se * log_k, 2.0 * be * log_sig
-        lo, hi = min(k_pow, 0.0) + min(sig_pow, 0.0), max(k_pow, 0.0) + max(sig_pow, 0.0)
-        reach = max(reach, abs(k_pow), abs(sig_pow), hi + mass, -(lo + mass))
+    alone, lo, hi = _zs_weight_range(DispersionModel(j, lam), s, np.log2(np.hypot(1.0, m / lam)),
+                                     np.log2(np.hypot(1.0, sig)))
+    reach = max(alone, hi + mass, -(lo + mass))
     if not reach < 1022.0:
         raise ConfigError("s", f"the Z^s weights may reach 2^±{reach:.6g}, outside double precision")
+
+
+def _zs_weight_range(model: DispersionModel, s: float, log_k: float, log_sig: float) -> tuple:
+    """(alone, lo, hi): log2 bounds of the Z^s block weights <k>^{2s_e} <sigma>^{2b_e}
+    (norms.zs_region_exponents) on cells with log2 <k> <= log_k and log2 <sigma> <= log_sig:
+    the largest |log2| of one factor, and the smallest and largest log2 of a weight."""
+    alone = lo = hi = 0.0
+    for se, be in zs_region_exponents(model, s).values():
+        k_pow, sig_pow = 2.0 * se * log_k, 2.0 * be * log_sig
+        alone = max(alone, abs(k_pow), abs(sig_pow))
+        lo = min(lo, min(k_pow, 0.0) + min(sig_pow, 0.0))
+        hi = max(hi, max(k_pow, 0.0) + max(sig_pow, 0.0))
+    return alone, lo, hi
 
 
 def run_estimate_search(ctx: RunContext) -> bool:
@@ -423,6 +433,34 @@ CONTRACTION_SCHEMA = {
     "n_frames": Field("int", 301, check=lambda v: v >= 41),
     "modes": Field("int", 16, check=lambda v: v >= 8 and v % 2 == 0),
 }
+
+
+def _check_contraction(cfg: dict) -> None:
+    """Refuse an s whose Z^s block weights may leave 2^-1022 .. 2^1022 on the run's frame
+    lattice, |m| <= M/2 and |sigma| <= tau_max + |p(M / 2 lam)|, and an amplitude whose
+    squared iterate differences, times those weights, may: a Z^s pass that leaves the
+    doubles reads as divergence.  The bounds are read in log space."""
+    model = DispersionModel(cfg["j"], cfg["lam"])
+    # contraction_experiment's grid: 2 half + 1 frames on [-2.2, 2.2], so tau_max < pi half / 2.2
+    half, log_k = cfg["n_frames"] // 2, np.log2(cfg["modes"] / 2.0) - np.log2(cfg["lam"])
+    log_sig = np.logaddexp2(np.log2(np.pi * half / 2.2), model.order * log_k)
+    alone, lo, hi = _zs_weight_range(model, cfg["s"], *(0.5 * np.logaddexp2(0.0, 2.0 * x)
+                                                         for x in (log_k, log_sig)))
+    reach = max(alone, hi, -lo)
+    if not reach < 1022.0:
+        raise ConfigError("s", f"the Z^s weights may reach 2^±{reach:.6g} on the frame lattice, "
+                               "outside double precision")
+    # the first difference, the Duhamel term of the free flow, is the largest a contracting
+    # run forms (a diverging one stops once a difference passes 1e8 times the free flow):
+    # with |coeff| <= A = amplitude pi, a frame's is <= (1/2) (28/24) 4.4 k (M / lam) A^2 and
+    # the time transform's sum over frames adds n dt <= 4.6, so <= 24 k^2 A^2 in all; summed
+    # squared over the cells, or a Y^s column squared
+    diff = np.log2(24.0) + 2.0 * (log_k + np.log2(cfg["amplitude"]) + np.log2(np.pi))
+    mass = 2.0 * diff + 2.0 * np.log2(cfg["modes"] * (2 * half + 1))
+    reach = max(hi + mass, -(lo + mass))
+    if not reach < 1022.0:
+        raise ConfigError("amplitude", f"the squared iterate differences times the Z^s weights "
+                                       f"may reach 2^±{reach:.6g}, outside double precision")
 
 
 def run_contraction(ctx: RunContext) -> bool:
@@ -550,7 +588,7 @@ COMMANDS = {
     "estimate-search": Command("empirical ratio search for one estimate",
                                ESTIMATE_SCHEMA, run_estimate_search, _check_estimate),
     "contraction": Command("cutoff Duhamel map contraction measurement",
-                           CONTRACTION_SCHEMA, run_contraction),
+                           CONTRACTION_SCHEMA, run_contraction, _check_contraction),
     "picard-check": Command("closed-form vs quadrature oracle agreement",
                             PICARD_SCHEMA, run_picard_check, _check_picard),
 }
@@ -562,25 +600,22 @@ COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hokdv",
-        description="Spectral numerics laboratory for the periodic higher-order "
-        "KdV equation: simulation, resonance audits, iterate growth sweeps, "
+        description="Spectral numerics laboratory for the periodic higher-order KdV\n"
+        "equation: simulation, resonance audits, iterate growth sweeps,\n"
         "estimate ratio searches, and contraction measurements.",
+        epilog="commands:\n" + "\n".join(f"  {name:<16} {c.help}" for name, c in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        p.add_argument("--config", type=str, default=None, help="key = value config file")
-        p.add_argument(
-            "--set",
-            action="append",
-            metavar="KEY=VALUE",
-            help="override one config entry (repeatable)",
-        )
-        p.add_argument("--out-root", type=str, default="runs", help="run directory root")
-        # every run is one process; perfbench/run.py still passes --jobs 1
-        p.add_argument("--jobs", type=int, default=1, choices=(1,),
-                       help="only 1: every run is one process (kept for callers that pass it)")
+    parser.add_argument("command", metavar="COMMAND", choices=COMMANDS,
+                        help="the experiment to run, one of the commands below")
+    parser.add_argument("--config", type=str, default=None, help="key = value config file")
+    parser.add_argument("--set", action="append", metavar="KEY=VALUE",
+                        help="override one config entry (repeatable)")
+    parser.add_argument("--out-root", type=str, default="runs", help="run directory root")
+    # every run is one process; perfbench/run.py still passes --jobs 1
+    parser.add_argument("--jobs", type=int, default=1, choices=(1,),
+                        help="only 1: every run is one process (kept for callers that pass it)")
     return parser
 
 

@@ -145,7 +145,7 @@ class SpaceTimeField:
         m = np.repeat(self.grid.m_ints, self.t_modes)
         k = np.repeat(self.grid.k_values, self.t_modes)
         tau = np.tile(self.tau_values, self.grid.modes)
-        sigma = tau - model.phase(k)
+        sigma = tau - np.repeat(model.phase(self.grid.k_values), self.t_modes)
         return m, k, sigma, self.coeffs.reshape(-1)
 
     def total_mass_squared(self) -> float:
@@ -446,11 +446,11 @@ def smooth_bump_window() -> Callable:
 
 
 def uniform_step(times: np.ndarray) -> float:
-    """The step of a uniformly spaced time grid: every step equal to the first
-    within rtol 1e-9, atol 1e-12, or ValueError."""
+    """The step of a uniformly spaced time grid: at least two times, every step
+    equal to the first within rtol 1e-9, atol 1e-12, or ValueError."""
     steps = np.diff(times)
-    if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
-        raise ValueError("frames must be uniformly spaced in time")
+    if not (steps.size and np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12)):
+        raise ValueError("frames must be uniformly spaced in time, at least two of them")
     return steps[0]
 
 
@@ -463,23 +463,26 @@ def spacetime_from_timeseries(
     Produces coefficients F(k, tau_n) = dt * sum_i u_i(k) e^{-i tau_n t_i}
     on the tau lattice with spacing 2*pi / (n_frames * dt).
     """
-    frames = np.asarray(frames)
-    if frames.ndim != 2 or frames.shape[1] != grid.modes:
-        raise ValueError(f"frames must be (n_frames, {grid.modes}), got {frames.shape}")
-    n = len(frames)
-    if n < 8:
-        raise ValueError(f"need at least 8 frames, got {n}")
     times = np.asarray(times, dtype=np.float64)
-    if times.shape != (n,):
-        raise ValueError("times must match frames")
-    dt = uniform_step(times)
+    return time_transform(grid, frames, *time_transform_phase(times, uniform_step(times)))
+
+
+def time_transform_phase(times: np.ndarray, dt: float) -> tuple[np.ndarray, float]:
+    """time_transform's (phase, dtau) on times of uniform step dt: e^{-i tau t_0} dt
+    in fft order of tau, and the tau spacing 2*pi / (n_frames * dt)."""
+    tau_fft = 2.0 * np.pi * np.fft.fftfreq(len(times), d=dt)
+    return np.exp(-1j * tau_fft * times[0]) * dt, 2.0 * np.pi / (len(times) * dt)
+
+
+def time_transform(grid: TorusGrid, frames: np.ndarray, phase: np.ndarray, dtau: float):
+    """The SpaceTimeField of (n_frames, M) frames, n_frames = len(phase) >= 8."""
+    frames = np.asarray(frames)
+    if frames.shape != (len(phase), grid.modes) or len(frames) < 8:
+        raise ValueError(f"frames must be ({len(phase)}, {grid.modes}), at least 8 frames; "
+                         f"got {frames.shape}")
     spectrum = np.fft.fft(frames.T, axis=1)  # sum_i u_i exp(-2 pi i n i / N)
-    tau_fft = 2.0 * np.pi * np.fft.fftfreq(n, d=dt)
-    spectrum *= np.exp(-1j * tau_fft[None, :] * times[0]) * dt
-    # reorder columns to ascending tau
-    coeffs = np.fft.fftshift(spectrum, axes=1)
-    dtau = 2.0 * np.pi / (n * dt)
-    return SpaceTimeField(grid, dtau, coeffs)
+    spectrum *= phase
+    return SpaceTimeField(grid, dtau, np.fft.fftshift(spectrum, axes=1))  # tau ascending
 
 
 # ---------------------------------------------------------------------------

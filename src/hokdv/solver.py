@@ -24,7 +24,8 @@ from .norms import (
     ZsNorm,
     smooth_bump_window,
     sobolev_norm,
-    spacetime_from_timeseries,
+    time_transform,
+    time_transform_phase,
     uniform_step,
     zs_norm_cells,
 )
@@ -173,11 +174,11 @@ def conserved_quantities(u: SpectralField) -> tuple[float, float]:
 
 @dataclass(frozen=True, eq=False)
 class FrameGrid:
-    """The time-only arrays of a uniform frame grid on one torus: dt, the index
-    of t = 0, the window eta(t_i) as a column, the propagators S(t_i) and
-    S(-t_i) as (n_frames, M) arrays, and the dealias mask.  The grid's
-    space-time cells (m, k, sigma) and their Z^s weight passes by s are formed
-    by the first zs_norm that needs them."""
+    """The time-only arrays of a uniform frame grid on one torus: dt, the index of
+    t = 0, the window eta(t_i) as a column, the propagators S(t_i) and S(-t_i) as
+    (n_frames, M) arrays, the dealias mask, and norms.time_transform_phase.  Its
+    space-time cells and their Z^s weight passes by s are formed by the first
+    zs_norm that needs them."""
 
     model: DispersionModel
     grid: TorusGrid
@@ -188,6 +189,8 @@ class FrameGrid:
     forward: np.ndarray
     backward: np.ndarray
     mask: np.ndarray
+    tau_phase: np.ndarray
+    dtau: float
     cells: list = field(default_factory=list)
     zs_weights: dict = field(default_factory=dict)
 
@@ -200,7 +203,7 @@ class FrameGrid:
     def zs_norm(self, frames: np.ndarray, s: float) -> ZsNorm:
         """Z^s of the space-time field of a frame series on this grid, as
         norms.zs_norm gives it."""
-        stf = spacetime_from_timeseries(self.grid, frames, self.times)
+        stf = time_transform(self.grid, frames, self.tau_phase, self.dtau)
         if not self.cells:
             self.cells.extend(stf.cell_arrays(self.model)[:3])
         return zs_norm_cells(*self.cells, stf.coeffs.reshape(-1), stf.dtau, self.model, s,
@@ -218,15 +221,11 @@ def frame_grid(model: DispersionModel, grid: TorusGrid, times: np.ndarray) -> Fr
     anchor = int(np.argmin(np.abs(times)))
     if abs(times[anchor]) > 1e-12:
         raise ValueError("frame times must include t = 0")
-    lin = model.phase(grid.k_values)
-    t_col = times[:, None]
-    return FrameGrid(
-        model, grid, times, dt, anchor,
-        eta_t=np.asarray(smooth_bump_window()(times), dtype=np.float64)[:, None],
-        forward=np.exp(1j * t_col * lin),
-        backward=np.exp(-1j * t_col * lin),
-        mask=dealias_mask(grid),
-    )
+    forward = np.exp(1j * times[:, None] * model.phase(grid.k_values))
+    eta_t = np.asarray(smooth_bump_window()(times), dtype=np.float64)[:, None]
+    # S(-t) is the conjugate of S(t), the bits of exp(-1j * t * p(k)) on every grid
+    return FrameGrid(model, grid, times, dt, anchor, eta_t, forward, forward.conj(),
+                     dealias_mask(grid), *time_transform_phase(times, dt))
 
 
 def duhamel_map(

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import hokdv
 from hokdv.cli import COMMANDS, build_parser, main, resolve_config
 from hokdv.config import ConfigError, parse_config_text, validate_config, Field
 
@@ -94,6 +95,30 @@ def test_jobs_other_than_one_is_usage_error(tmp_path, capsys):
     assert exit_info.value.code == 2
     assert "--jobs" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_unknown_command_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run(tmp_path, "nosuch")
+    assert exit_info.value.code == 2
+    assert "nosuch" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_version_prints_the_package_version(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--version"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.strip() == hokdv.__version__
+
+
+def test_help_lists_every_command_and_the_shared_options(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["contraction", "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert all(option in out for option in ("--config", "--set", "--out-root"))
+    assert all(name in out for name in COMMANDS)
 
 
 def test_audit_passes_and_emits_csv(tmp_path):
@@ -445,6 +470,56 @@ def test_phi_n_data_past_double_precision_exits_two(tmp_path, capsys, argv, key)
     err = capsys.readouterr().err
     assert key in err and "double precision" in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "sets,key",
+    [
+        # at the defaults (j = 2, M = 16, 301 frames) these overflowed a power of the
+        # weight pass, and the run exited 1 as divergent with inf or nan in trace.csv
+        (["s = 35"], "'s'"),
+        (["s = -60"], "'s'"),
+        (["j = 3", "s = 25"], "'s'"),
+        (["j = 3", "s = -35"], "'s'"),
+        (["amplitude = 1e77"], "'amplitude'"),
+        # <sigma>^{2s + 2} of the D2 block underflows 2^-1022 on the largest |sigma|
+        (["s = -40"], "'s'"),
+        # the first difference, ~ amplitude^2, squared underflows 2^-1022
+        (["amplitude = 1e-85"], "'amplitude'"),
+    ],
+    ids=["s-35", "s-minus-60", "j3-s-25", "j3-s-minus-35", "amplitude-1e77", "s-minus-40",
+         "amplitude-1e-85"],
+)
+def test_contraction_past_double_precision_exits_two(tmp_path, capsys, sets, key):
+    argv = ["contraction", *itertools.chain.from_iterable(("--set", kv) for kv in sets)]
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert key in err and "double precision" in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.filterwarnings("ignore::hokdv.norms.NormRangeWarning")
+@pytest.mark.parametrize(
+    "sets",
+    [["s = 32"], ["s = -35"], ["j = 3", "s = 22"], ["j = 3", "s = -25"],
+     ["amplitude = 1e71"], ["amplitude = 1e-79"]],
+    ids=["s-32", "s-minus-35", "j3-s-22", "j3-s-minus-25", "amplitude-1e71", "amplitude-1e-79"],
+)
+def test_contraction_at_the_accepted_edges_stays_finite(tmp_path, sets):
+    # pytest turns a RuntimeWarning, an overflow among them, into an error
+    argv = ["contraction", "--set", "max_iter = 2",
+            *itertools.chain.from_iterable(("--set", kv) for kv in sets)]
+    assert run(tmp_path, *argv) in (0, 1)
+    rows = (only_run_dir(tmp_path) / "trace.csv").read_text().splitlines()[1:]
+    assert rows and all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
+
+def test_bench_contraction_amplitudes_pass_the_check():
+    for amplitude in (0.0025, 0.005, 0.01, 0.02, 0.04, 0.08, 0.16):
+        args = build_parser().parse_args(
+            ["contraction", "--set", f"amplitude = {amplitude}", "--set", "max_iter = 8"]
+        )
+        assert resolve_config(args)["amplitude"] == amplitude
 
 
 def test_campaign_estimate_searches_pass_the_zs_weight_check():

@@ -161,6 +161,16 @@ def test_ys_mass_is_independent_of_cell_order(seed, s):
     assert shuffled_mass == pytest.approx(sorted_mass, rel=1e-13)
 
 
+@pytest.mark.parametrize("j,lam", [(2, 1.0), (3, 2.0)])
+def test_cell_sigma_reads_the_phase_per_wavenumber(j, lam):
+    """sigma = tau - p(k) with p read once per wavenumber: the bits of p on every cell."""
+    model = DispersionModel(j, lam)
+    u = random_field(TorusGrid(lam, 32), t_modes=301)
+    _, k, sigma, _ = u.cell_arrays(model)
+    assert np.array_equal(k, np.repeat(u.grid.k_values, u.t_modes))
+    assert np.array_equal(sigma, np.tile(u.tau_values, u.grid.modes) - model.phase(k))
+
+
 # -- Z^s ---------------------------------------------------------------------
 
 

@@ -266,6 +266,39 @@ def test_duhamel_held_frame_grid_gives_the_same_bits():
         duhamel_map(model, phi, free[1:], times[1:], held=held)
 
 
+@pytest.mark.parametrize("j", [2, 3])
+@pytest.mark.parametrize("lam", [1.0, 2.0])
+@pytest.mark.parametrize("modes", [16, 32])
+@pytest.mark.parametrize("n_frames", [41, 301])
+def test_held_frame_grid_transform_gives_the_bits_of_a_fresh_one(j, lam, modes, n_frames):
+    """The held grid's time transform phase, its S(-t) as the conjugate of S(t), and
+    its cells give the Z^s norms of a fresh spacetime_from_timeseries and zs_norm."""
+    grid = TorusGrid(lam, modes)
+    model = DispersionModel(j, lam)
+    times = frame_times(n_frames)
+    held = frame_grid(model, grid, times)
+    assert np.array_equal(held.backward, np.exp(-1j * times[:, None] * model.phase(grid.k_values)))
+    phi = smooth_data(grid, scale=0.2, seed=j + modes)
+    frames = duhamel_map(model, phi, held.free_flow(phi), times, held=held)
+    for s in (-j + 0.5, -j / 2.0):
+        assert held.zs_norm(frames, s) == zs_norm(
+            spacetime_from_timeseries(grid, frames, times), s, model
+        )
+
+
+def test_held_frame_grid_zs_norm_checks_its_frames():
+    grid = TorusGrid(1.0, 16)
+    model = DispersionModel(2, 1.0)
+    held = frame_grid(model, grid, frame_times(41))
+    frames = held.free_flow(SpectralField.from_modes(grid, {1: 0.1, -1: 0.1}))
+    for wrong in (frames[1:], frames[:, :8], frames[0]):
+        with pytest.raises(ValueError, match="frames must be"):
+            held.zs_norm(wrong, -1.5)
+    few = frame_grid(model, grid, frame_times(7))
+    with pytest.raises(ValueError, match=r"\(7, 16\), at least 8 frames"):
+        few.zs_norm(few.free_flow(SpectralField.zero(grid)), -1.5)
+
+
 def test_duhamel_picard_two_matches_closed_second_iterate():
     """One application of the map to the free flow must reproduce
     u1 - (1/2) A2 on the window core."""
