@@ -118,6 +118,16 @@ def _check_phi_n(key: str, what: str, log2_n: float, power: float) -> None:
         raise ConfigError(key, f"{what} reaches 2^{power * log2_n:.6g}, outside double precision")
 
 
+def _check_phase(j: int, lam: float, modes: int, t_max: float) -> None:
+    """Refuse a j whose dispersion phase on the top mode, |p(M / 2 lam)| times t_max
+    (the longest time the run multiplies it by, or 1 when that is shorter), leaves
+    double precision: the phase turns inf and every multiplier e^{i p t} nan."""
+    reach = (2 * j + 1) * np.log2(modes / (2.0 * lam)) + max(0.0, np.log2(t_max))
+    if not reach < 1022.0:
+        raise ConfigError("j", f"the dispersion phase on the top mode reaches 2^{reach:.6g}, "
+                               "outside double precision")
+
+
 def _initial_data(config: dict, grid: TorusGrid, rng: np.random.Generator) -> SpectralField:
     family = config["initial"]
     if family == "phi_n":
@@ -183,7 +193,9 @@ def _initial_scale_key(cfg: dict) -> str:
 def _check_simulate(cfg: dict) -> None:
     """Refuse a time step, a frame stride or initial data that the run cannot carry:
     frames.bin stores one frame spacing, so the stride must divide the steps, and
-    the data must have finite coefficients and a finite, nonzero L2 norm."""
+    the data must have finite coefficients and a finite, nonzero L2 norm; and a j
+    whose phase, times the half step dt / 2, leaves the doubles."""
+    _check_phase(cfg["j"], cfg["lam"], cfg["M"], cfg["dt"] / 2.0)
     steps = _solver_config(cfg).steps
     if steps % cfg["frame_stride"]:
         raise ConfigError("frame_stride", f"{cfg['frame_stride']} does not divide the {steps} steps")
@@ -436,10 +448,12 @@ CONTRACTION_SCHEMA = {
 
 
 def _check_contraction(cfg: dict) -> None:
-    """Refuse an s whose Z^s block weights may leave 2^-1022 .. 2^1022 on the run's frame
-    lattice, |m| <= M/2 and |sigma| <= tau_max + |p(M / 2 lam)|, and an amplitude whose
-    squared iterate differences, times those weights, may: a Z^s pass that leaves the
-    doubles reads as divergence.  The bounds are read in log space."""
+    """Refuse a j whose phase, times the frame times up to 2.2, leaves the doubles; an s
+    whose Z^s block weights may leave 2^-1022 .. 2^1022 on the run's frame lattice,
+    |m| <= M/2 and |sigma| <= tau_max + |p(M / 2 lam)|; and an amplitude whose squared
+    iterate differences, times those weights, may: a Z^s pass that leaves the doubles
+    reads as divergence.  The bounds are read in log space."""
+    _check_phase(cfg["j"], cfg["lam"], cfg["modes"], 2.2)
     model = DispersionModel(cfg["j"], cfg["lam"])
     # contraction_experiment's grid: 2 half + 1 frames on [-2.2, 2.2], so tau_max < pi half / 2.2
     half, log_k = cfg["n_frames"] // 2, np.log2(cfg["modes"] / 2.0) - np.log2(cfg["lam"])

@@ -31,7 +31,8 @@ import numpy as np
 from .dispersion import DispersionModel
 from .expquad import exponential_weights, lagrange_monomial_basis
 from .reporting import ExperimentReport
-from .torus import SpectralField, TorusGrid, lattice_square, product_scale
+from .torus import (SpectralField, TorusGrid, full_spectrum, half_spectrum, lattice_square,
+                    product_scale)
 from .norms import NormSpec, sobolev_norm
 
 
@@ -169,7 +170,7 @@ def third_iterate_closed(model: DispersionModel, u0: SpectralField, t: float) ->
 
 _NC4_NODES = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
 _NC4_BASIS = lagrange_monomial_basis(_NC4_NODES)
-_PANEL_BLOCK_VALUES = 2**12  # B = 2**12 // M panels: (B, 4, M) arrays of 256 KB
+_PANEL_BLOCK_VALUES = 2**12  # B = 2**12 // M panels: (B, 4, M/2 + 1) arrays of ~128 KB
 
 
 def quadrature_steps_needed(model: DispersionModel, u0: SpectralField, t: float) -> int:
@@ -207,6 +208,9 @@ def second_iterate_quadrature(
     multiple of 2 pi, the panel errors add up in phase (j = 3, N = 2,
     t = 0.3, 55 panels: theta = 1.40, relative error 9e-2).
 
+    u0 must be a real field, exactly conjugate symmetric (else ValueError): the
+    free flow, the weights and the accumulator live on its half spectrum, the
+    nonnegative modes 0 .. M/2, and A2 is mirrored back to the whole lattice.
     Panels run in blocks, one forcing `lattice_square` each, the free flow formed
     on the support of u0 only.  A table made once by `exp` carries each panel's end
     value to the end of its block, so one contraction per block replaces the
@@ -224,26 +228,28 @@ def second_iterate_quadrature(
             f"{steps} panels cannot resolve the forcing oscillation over "
             f"[0, {t}]; steps must be >= {needed}"
         )
+    c = half_spectrum(u0)
     if t == 0.0:
         return SpectralField.zero(grid)
     h = t / steps
-    lin = model.phase(grid.k_values)
-    d_x = 1j * grid.k_values * product_scale(grid)  # d_x and the scale of lattice_square
+    k = grid.half_k_values
+    lin = model.phase(k)
+    d_x = 1j * k * product_scale(grid)  # d_x and the scale of lattice_square
     weights = exponential_weights(lin, h, _NC4_NODES, _NC4_BASIS) * d_x
     block = max(1, _PANEL_BLOCK_VALUES // grid.modes)
-    support = np.flatnonzero(u0.coeffs)
+    support = np.flatnonzero(c)
     local = np.exp(1j * ((block - 1 - np.arange(block))[:, None] * h) * lin)
-    u1 = np.zeros((block, len(_NC4_NODES), grid.modes), dtype=np.complex128)
-    acc = np.zeros(grid.modes, dtype=np.complex128)
+    u1 = np.zeros((block, len(_NC4_NODES), len(c)), dtype=np.complex128)
+    acc = np.zeros(len(c), dtype=np.complex128)
     for start in range(0, steps, block):
         # u1 at each panel's nodes, on the support; a partial block takes local's last n rows
         n = min(block, steps - start)
         nodes = (np.arange(start, start + n)[:, None, None] + _NC4_NODES[:, None]) * h
-        u1[:n, :, support] = u0.coeffs[support] * np.exp(1j * nodes * lin[support])
-        terms = weights * lattice_square(u1[:n])
+        u1[:n, :, support] = c[support] * np.exp(1j * nodes * lin[support])
+        terms = weights * lattice_square(u1[:n], grid.modes)
         acc *= np.exp(1j * (n * h) * lin)
         acc += np.einsum("bm,bkm->m", local[block - n:], terms)
-    return SpectralField(grid, acc)
+    return SpectralField(grid, full_spectrum(acc, grid.modes))
 
 
 def growth_sweep(

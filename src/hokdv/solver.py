@@ -6,9 +6,11 @@ The linear part is diagonal in Fourier space and is always applied through
 its exact unimodular multiplier (k^{2j+1} time scales are hopeless for any
 explicit scheme on the raw equation); only the quadratic term is stepped,
 either by integrating-factor RK4 or by ETDRK4.  The quadratic product is the
-2/3-dealiased normalized lattice convolution; `integrate` folds its constants
-into step weights built once per run, so each stage is one FFT pair
-(`torus.lattice_square`), and `duhamel_map` runs `torus.lattice_product`.
+2/3-dealiased normalized lattice convolution.  `integrate` marches a real
+field's half spectrum, its nonnegative modes 0 .. M/2, and folds the product's
+constants and the output mask into step weights built once per run on that
+half, so each stage is one real-FFT pair (`torus.lattice_square`) on the kept
+modes alone, the input mask; `duhamel_map` runs `torus.lattice_product`.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from .norms import (
     uniform_step,
     zs_norm_cells,
 )
-from .torus import (SpectralField, TorusGrid, dealias_mask, lattice_product, lattice_square,
-                    physical_l2_norm, product_scale)
+from .torus import (SpectralField, TorusGrid, dealias_cutoff, dealias_mask, full_spectrum,
+                    half_spectrum, lattice_product, lattice_square, physical_l2_norm, product_scale)
 
 
 class BlowUpError(RuntimeError):
@@ -85,9 +87,12 @@ class ContractionTrace:
     diverged: bool = False
 
 
-def _stage_factor(grid: TorusGrid, mask: np.ndarray) -> np.ndarray:
-    """g with -(i k / 2) (u (*) u) = g * lattice_square(u mask) on the dealiased lattice."""
-    return (-0.5j * product_scale(grid)) * grid.k_values * mask
+def _stage_factor(grid: TorusGrid) -> np.ndarray:
+    """g on the nonnegative modes with -(i k / 2) (u (*) u) = g * lattice_square(v, M),
+    v the kept modes of u's half spectrum: the 2/3 rule's output mask."""
+    cutoff = dealias_cutoff(grid.modes)
+    k = grid.half_k_values
+    return (-0.5j * product_scale(grid)) * k * (np.arange(len(k)) <= cutoff)
 
 
 def integrate(
@@ -95,25 +100,29 @@ def integrate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """March the equation from u0, returning (times, frames).
 
-    frames is an (n_frames, M) coefficient array, one row per recorded time
-    with its Nyquist slot zero.  The mean mode is required to vanish (it is
-    conserved and decoupled, and all downstream norm machinery assumes a
-    zero-free lattice).  Frames are recorded every cfg.frame_stride steps,
-    always including t = 0 and T.
+    The state is u's half spectrum, its nonnegative modes 0 .. M/2, so u0 must
+    be a real field (exactly conjugate symmetric, else ValueError).  frames
+    is an (n_frames, M) coefficient array, one row per recorded time, each
+    row exactly conjugate symmetric with its Nyquist slot zero.  The mean
+    mode is required to vanish (it is conserved and decoupled, and all
+    downstream norm machinery assumes a zero-free lattice).  Frames are
+    recorded every cfg.frame_stride steps, always including t = 0 and T.
     """
     grid = u0.grid
     model.check_grid(grid)
     if abs(u0.mean_value()) > 1e-13:
         raise ValueError("initial data must be mean-zero")
+    c = half_spectrum(u0)
     steps = cfg.steps
     dt = cfg.dt
-    lin = model.phase(grid.k_values)
-    mask = dealias_mask(grid)
+    modes = grid.modes
+    kept = dealias_cutoff(modes) + 1  # the 2/3 input mask: lattice_square of c[:kept]
+    lin = model.phase(grid.half_k_values)
     half_mult = np.exp(1j * lin * dt / 2.0)
     full_mult = half_mult * half_mult
     initial_l2 = physical_l2_norm(u0)
 
-    g = _stage_factor(grid, mask)  # folded into every step weight
+    g = _stage_factor(grid)  # folded into every step weight
     if cfg.scheme == "etdrk4":
         z = 1j * lin * dt
         phis = phi_functions(z, 4)
@@ -132,7 +141,6 @@ def integrate(
         out_23 = (dt / 3.0) * half_mult * g
         out_4 = (dt / 6.0) * g
 
-    c = u0.coeffs.copy()
     times = [0.0]
     frames = [u0.coeffs]
     # a state that overflows between frames turns inf and nan quietly; the frame check names it
@@ -141,24 +149,24 @@ def integrate(
             if not cfg.nonlinear:
                 c = full_mult * c
             elif cfg.scheme == "etdrk4":
-                q0 = lattice_square(c * mask)
+                q0 = lattice_square(c[:kept], modes)
                 hc = half_mult * c
                 a = hc + stage_w * q0
-                qa = lattice_square(a * mask)
-                qb = lattice_square((hc + stage_w * qa) * mask)
-                qc = lattice_square((half_mult * a + stage_w * (2.0 * qb - q0)) * mask)
+                qa = lattice_square(a[:kept], modes)
+                qb = lattice_square((hc + stage_w * qa)[:kept], modes)
+                qc = lattice_square((half_mult * a + stage_w * (2.0 * qb - q0))[:kept], modes)
                 c = full_mult * c + w1 * q0 + w2 * (qa + qb) + w3 * qc
             else:
-                q1 = lattice_square(c * mask)
+                q1 = lattice_square(c[:kept], modes)
                 hc = half_mult * c
-                q2 = lattice_square((hc + in_a * q1) * mask)
-                q3 = lattice_square((hc + in_b * q2) * mask)
+                q2 = lattice_square((hc + in_a * q1)[:kept], modes)
+                q3 = lattice_square((hc + in_b * q2)[:kept], modes)
                 fc = full_mult * c
-                q4 = lattice_square((fc + in_c * q3) * mask)
+                q4 = lattice_square((fc + in_c * q3)[:kept], modes)
                 c = fc + out_1 * q1 + out_23 * (q2 + q3) + out_4 * q4
             t_now = (step + 1) * dt
             if (step + 1) % cfg.frame_stride == 0 or step + 1 == steps:
-                frame = SpectralField(grid, c)
+                frame = SpectralField(grid, full_spectrum(c, modes))
                 frames.append(frame.coeffs)
                 times.append(t_now)
                 ratio = physical_l2_norm(frame) / max(initial_l2, 1e-300)

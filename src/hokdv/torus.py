@@ -13,6 +13,8 @@ the lattice measure, so inverse_transform divides by 2*pi*lam.
 
 The Nyquist mode m = -M/2 is forced to zero so the retained lattice is
 exactly symmetric and conjugate symmetry survives every operation.
+A real field is also held by its nonnegative modes 0 .. M/2 alone
+(`half_spectrum`, `full_spectrum`), the form `lattice_square` squares.
 """
 
 from __future__ import annotations
@@ -64,6 +66,11 @@ class TorusGrid:
     def nyquist_index(self) -> int:
         """Array index of the unpaired mode m = -M/2 (always held at zero)."""
         return self.modes // 2
+
+    @property
+    def half_k_values(self) -> np.ndarray:
+        """k = m/lam on the nonnegative modes m = 0 .. M/2 that `half_spectrum` holds."""
+        return np.arange(self.modes // 2 + 1) / self.lam
 
     def index_of(self, m: int) -> int:
         """Array index of integer lattice mode m (k = m/lam)."""
@@ -157,11 +164,17 @@ def convolve(f: SpectralField, g: SpectralField) -> SpectralField:
     return SpectralField(grid, out / grid.lam)
 
 
-def lattice_square(c: np.ndarray) -> np.ndarray:
-    """fft(ifft(c)^2) along the last axis, leading axes batched: u (*) u is product_scale
-    times it on the kept modes while every populated pair has |m1 + m2| <= M/2."""
-    w = np.fft.ifft(c)
-    return np.fft.fft(w * w)
+def lattice_square(c: np.ndarray, modes: int) -> np.ndarray:
+    """rfft(irfft(c, M)^2) along the last axis, leading axes batched: the nonnegative
+    modes 0 .. M/2 of the square of the real field whose nonnegative modes are c.
+
+    c may hold any number of modes up to M/2 + 1 and the missing ones count as
+    zero, so c[..., :dealias_cutoff(M) + 1] is the 2/3-rule input mask.  u (*) u is
+    product_scale times it on the kept modes while every populated pair has
+    |m1 + m2| <= M/2.
+    """
+    w = np.fft.irfft(c, modes)
+    return np.fft.rfft(w * w)
 
 
 def product_scale(grid: TorusGrid) -> float:
@@ -192,12 +205,35 @@ def physical_l2_norm(f: SpectralField) -> float:
     return l2_norm(f) / np.sqrt(TWO_PI)
 
 
-def dealias_mask(grid: TorusGrid) -> np.ndarray:
-    """2/3-rule mask: True on modes kept for quadratic products.
+def dealias_cutoff(modes: int) -> int:
+    """Orszag's 2/3-rule cutoff (M - 1)//3: a product of two modes |m| <= cutoff that
+    wraps around the M-point lattice lands on |m| >= M - 2*cutoff > cutoff."""
+    return (modes - 1) // 3
 
-    Orszag's cutoff |m| <= (M - 1)//3: a product of two kept modes that
-    wraps around the M-point lattice lands on |m| >= M - 2*cutoff > cutoff,
-    outside the mask.
+
+def dealias_mask(grid: TorusGrid) -> np.ndarray:
+    """2/3-rule mask: True on modes kept for quadratic products, |m| <= dealias_cutoff."""
+    return np.abs(grid.m_ints) <= dealias_cutoff(grid.modes)
+
+
+def half_spectrum(f: SpectralField) -> np.ndarray:
+    """The nonnegative modes 0 .. M/2 of a real field, mode M/2 zero, as a copy.
+
+    Raises ValueError unless f is exactly conjugate symmetric, coeff(-m) =
+    conj(coeff(m)) and coeff(0) real: the half would silently drop the rest.
     """
-    cutoff = (grid.modes - 1) // 3
-    return np.abs(grid.m_ints) <= cutoff
+    c = f.coeffs
+    half = f.grid.modes // 2
+    if c[0].imag != 0.0 or not np.array_equal(c[:half:-1], np.conj(c[1:half])):
+        raise ValueError("the field is not exactly conjugate symmetric (not a real field)")
+    return c[: half + 1].copy()
+
+
+def full_spectrum(half: np.ndarray, modes: int) -> np.ndarray:
+    """The M lattice coefficients, leading axes batched, of the real fields whose
+    nonnegative modes 0 .. M/2 are `half`: coeff(-m) = conj(coeff(m)), Nyquist zero."""
+    out = np.empty(half.shape[:-1] + (modes,), dtype=np.complex128)
+    out[..., : modes // 2] = half[..., : modes // 2]
+    out[..., modes // 2] = 0.0
+    out[..., : modes // 2 : -1] = np.conj(half[..., 1 : modes // 2])
+    return out

@@ -427,10 +427,14 @@ SIMULATE_SHORT = ["simulate", "--set", "j = 2", "--set", "M = 64", "--set", "dt 
         ([*SIMULATE_SHORT, "--set", "initial_decay = -1000"], "'initial_decay'"),
         ([*SIMULATE_SHORT, "--set", "initial = cosine", "--set", "initial_amplitude = 1e307"],
          "'initial_amplitude'"),
+        # the phase p(M / 2 lam) dt / 2 overflows: the run exited 1 as a blow-up
+        (["simulate", "--set", "j = 200", "--set", "M = 64", "--set", "dt = 1e-3",
+          "--set", "T = 0.01"], "'j'"),
     ],
     ids=["T-not-multiple-of-dt", "frame-stride-not-dividing-steps", "non-integer-seed",
          "non-integral-lam", "audit-j-below-one", "audit-lam", "phi-n-overflows", "phi-n-underflows",
-         "smooth-random-l2-overflows", "smooth-random-decay-overflows", "cosine-l2-overflows"],
+         "smooth-random-l2-overflows", "smooth-random-decay-overflows", "cosine-l2-overflows",
+         "simulate-phase-overflows"],
 )
 def test_bad_input_exits_two_before_a_run_directory(tmp_path, capsys, argv, key):
     assert run(tmp_path, *argv) == 2
@@ -486,9 +490,11 @@ def test_phi_n_data_past_double_precision_exits_two(tmp_path, capsys, argv, key)
         (["s = -40"], "'s'"),
         # the first difference, ~ amplitude^2, squared underflows 2^-1022
         (["amplitude = 1e-85"], "'amplitude'"),
+        # the phase p(M / 2 lam) overflows: this named 's'
+        (["j = 200"], "'j'"),
     ],
     ids=["s-35", "s-minus-60", "j3-s-25", "j3-s-minus-35", "amplitude-1e77", "s-minus-40",
-         "amplitude-1e-85"],
+         "amplitude-1e-85", "j-200"],
 )
 def test_contraction_past_double_precision_exits_two(tmp_path, capsys, sets, key):
     argv = ["contraction", *itertools.chain.from_iterable(("--set", kv) for kv in sets)]

@@ -302,8 +302,8 @@ def test_blocked_quadrature_matches_the_per_panel_reference(j, lam, modes):
 
 @pytest.mark.parametrize("j", [2, 3])
 def test_blocked_quadrature_forms_the_free_flow_on_any_support(j):
-    # the free flow is formed on the nonzero modes of u0 only: a random real
-    # field and a one-sided complex one, whose mirror modes stay zero
+    # the free flow is formed on the nonzero modes of u0 only, for a random real
+    # field; a one-sided complex one, whose mirror modes are zero, is refused
     grid = TorusGrid(1.0, 64)
     model = DispersionModel(j, 1.0)
     rng = np.random.default_rng(19 + j)
@@ -316,10 +316,25 @@ def test_blocked_quadrature_forms_the_free_flow_on_any_support(j):
     assert one_sided.coeffs[grid.index_of(-2)] == 0
     t = 0.05 if j == 2 else 0.002
     block = _PANEL_BLOCK_VALUES // grid.modes
-    for u in (real, one_sided):
-        needed = quadrature_steps_needed(model, u, t)
-        for steps in sorted({needed, max(needed, 4 * block + 5)}):
-            _assert_near_per_panel_reference(model, u, t, steps)
+    needed = quadrature_steps_needed(model, real, t)
+    for steps in sorted({needed, max(needed, 4 * block + 5)}):
+        _assert_near_per_panel_reference(model, real, t, steps)
+    with pytest.raises(ValueError, match="conjugate symmetric"):
+        second_iterate_quadrature(model, one_sided, t, quadrature_steps_needed(model, one_sided, t))
+
+
+@pytest.mark.parametrize("j,lam,modes", [(2, 1.0, 64), (3, 1.0, 512), (2, 3.0, 256), (4, 1.0, 256)])
+def test_quadrature_a2_is_exactly_real(j, lam, modes):
+    """A2 of a real field is real bit for bit: coeff(-m) == conj(coeff(m)) and
+    coeff(0) real, also on grids where p(-k) != -p(k) in the last bit."""
+    grid = TorusGrid(lam, modes)
+    model = DispersionModel(j, lam)
+    u = random_band_limited(grid, np.random.default_rng(modes + j), 3)
+    t = 0.002
+    a2 = second_iterate_quadrature(model, u, t, quadrature_steps_needed(model, u, t)).coeffs
+    assert np.max(np.abs(a2)) > 0
+    assert a2[0].imag == 0.0
+    assert np.array_equal(a2[: modes // 2 : -1], np.conj(a2[1 : modes // 2]))
 
 
 def test_blocked_quadrature_keeps_zero_time_and_refusals():

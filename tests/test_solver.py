@@ -29,7 +29,16 @@ from hokdv.solver import (
     scale_time_factor,
     scale_transform,
 )
-from hokdv.torus import SpectralField, TorusGrid, dealias_mask, lattice_product, lattice_square
+from hokdv.torus import (
+    SpectralField,
+    TorusGrid,
+    dealias_cutoff,
+    dealias_mask,
+    full_spectrum,
+    half_spectrum,
+    lattice_product,
+    lattice_square,
+)
 
 from helpers import (
     random_band_limited,
@@ -168,16 +177,37 @@ def test_integrate_matches_the_reference_stepper(j, lam, modes, scheme):
 
 @pytest.mark.parametrize("lam,modes", [(1.0, 16), (1.0, 256), (2.0, 64), (3.0, 512)])
 def test_stage_factor_times_lattice_square_is_the_product_term(lam, modes):
-    """g * lattice_square(v mask) is -(ik/2) lattice_product(v) on the whole lattice,
-    masked input and output, for fields with modes beyond the 2/3 cutoff."""
+    """g * lattice_square of the kept modes of v's half spectrum, mirrored, is
+    -(ik/2) lattice_product(v) on the whole lattice, masked input and output,
+    for real fields with modes beyond the 2/3 cutoff."""
     grid = TorusGrid(lam, modes)
     mask = dealias_mask(grid)
-    rng = np.random.default_rng(modes)
-    for real in (True, False):
-        v = random_band_limited(grid, rng, modes // 2 - 1, real=real).coeffs
-        expect = -0.5j * grid.k_values * lattice_product(v, grid, mask)
-        got = _stage_factor(grid, mask) * lattice_square(v * mask)
-        assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
+    v = random_band_limited(grid, np.random.default_rng(modes), modes // 2 - 1)
+    expect = -0.5j * grid.k_values * lattice_product(v.coeffs, grid, mask)
+    kept = half_spectrum(v)[: dealias_cutoff(modes) + 1]
+    got = full_spectrum(_stage_factor(grid) * lattice_square(kept, modes), modes)
+    assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("scheme", ["ifrk4", "etdrk4"])
+@pytest.mark.parametrize("j,lam,modes", [(2, 1.0, 64), (3, 1.0, 512), (2, 3.0, 256), (4, 1.0, 256)])
+def test_integrate_frames_are_exactly_real(j, lam, modes, scheme):
+    """Every frame is real bit for bit, coeff(-m) == conj(coeff(m)) and coeff(0)
+    real, also on grids where p(-k) != -p(k) in the last bit."""
+    grid = TorusGrid(lam, modes)
+    model = DispersionModel(j, lam)
+    u0 = smooth_data(grid)
+    _, frames = integrate(model, u0, SolverConfig(dt=1e-4, T=0.002, scheme=scheme, frame_stride=5))
+    assert np.all(frames[:, 0].imag == 0.0)
+    assert np.array_equal(frames[:, : modes // 2 : -1], np.conj(frames[:, 1 : modes // 2]))
+
+
+def test_integrate_refuses_a_field_that_is_not_real():
+    grid = TorusGrid(1.0, 32)
+    model = DispersionModel(2, 1.0)
+    one_sided = SpectralField.from_modes(grid, {1: 0.1 + 0.2j, 3: -0.1j})
+    with pytest.raises(ValueError, match="conjugate symmetric"):
+        integrate(model, one_sided, SolverConfig(dt=0.01, T=0.1))
 
 
 def test_conserved_quantities_of_named_fields():

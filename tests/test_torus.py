@@ -10,8 +10,11 @@ from hokdv.torus import (
     SpectralField,
     TorusGrid,
     convolve,
+    dealias_cutoff,
     dealias_mask,
     forward_transform,
+    full_spectrum,
+    half_spectrum,
     inner_product,
     inverse_transform,
     l2_norm,
@@ -115,12 +118,33 @@ def test_lattice_square_matches_direct_convolution(lam, modes):
     # support <= M/4: no m1 + m2 wraps onto a kept mode; m1 + m2 = +-M/2 lands
     # in the Nyquist slot, which every SpectralField holds at zero
     grid = TorusGrid(lam, modes)
-    rng = np.random.default_rng(modes)
-    for real in (True, False):
-        f = random_band_limited(grid, rng, modes // 4, real=real)
-        direct = convolve(f, f).coeffs
-        fast = SpectralField(grid, product_scale(grid) * lattice_square(f.coeffs)).coeffs
-        assert np.max(np.abs(fast - direct)) < 1e-12 * max(1.0, np.max(np.abs(direct)))
+    f = random_band_limited(grid, np.random.default_rng(modes), modes // 4)
+    direct = convolve(f, f).coeffs
+    fast = full_spectrum(product_scale(grid) * lattice_square(half_spectrum(f), modes), modes)
+    assert np.max(np.abs(fast - direct)) < 1e-12 * max(1.0, np.max(np.abs(direct)))
+
+
+@pytest.mark.parametrize("lam,modes", [(1.0, 32), (2.0, 64), (1.0, 96)])
+def test_lattice_square_of_the_kept_modes_is_the_dealiased_convolution(lam, modes):
+    # support up to M/2 - 1; passing only the kept modes is the 2/3 input mask,
+    # and no wrapped pair lands on a kept mode
+    grid = TorusGrid(lam, modes)
+    mask = dealias_mask(grid)
+    f = random_band_limited(grid, np.random.default_rng(modes + 1), modes // 2 - 1)
+    kept = SpectralField(grid, f.coeffs * mask)
+    direct = convolve(kept, kept).coeffs * mask
+    short = half_spectrum(f)[: dealias_cutoff(modes) + 1]
+    fast = full_spectrum(product_scale(grid) * lattice_square(short, modes), modes) * mask
+    assert np.max(np.abs(fast - direct)) < 1e-12 * np.max(np.abs(direct))
+
+
+def test_half_spectrum_refuses_a_field_that_is_not_real():
+    grid = TorusGrid(1.0, 16)
+    f = random_band_limited(grid, np.random.default_rng(2), 7)
+    assert np.array_equal(full_spectrum(half_spectrum(f), 16), f.coeffs)
+    for bad in ({1: 1.0j}, {0: 1.0j}, {1: 1.0, -1: 1.0 + 1e-16j}):
+        with pytest.raises(ValueError, match="conjugate symmetric"):
+            half_spectrum(SpectralField.from_modes(grid, bad))
 
 
 def test_dealiased_lattice_product_is_masked_direct_convolution():
