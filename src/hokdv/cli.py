@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 import time
 import warnings
@@ -261,11 +262,40 @@ ILLPOSED_SCHEMA = {
 
 
 def _check_illposed(cfg: dict) -> None:
-    """Refuse an s whose A3, ~ N^(-3s - g) with g = 2j - 1, or its squared H-dot^s norm,
-    ~ N^(-4s - 2g), leaves double precision at the largest N (early for s > 0)."""
-    g, log2_n = 2 * cfg["j"] - 1, np.log2(max(cfg["N_list"]))
-    for s in cfg["s_list"]:
-        _check_phi_n("s_list", f"A3 at s = {s:g}", log2_n, max(-3 * s - g, -4 * s - 2 * g, key=abs))
+    """Refuse a j whose phase on the largest grid leaves double precision, or a config
+    for which a number the sweep forms does so at the smallest or the largest N:
+    - A3 at mode N, from its one triple (-N, N, N): 4 t a^3 N^2 / lam^4 times
+      min(1 / |w0|, t / 2), with a = N^-s and w0 = (2^n - 2) (N / lam)^n the gap
+      frequency of (N, N), n = 2j + 1; at each s, and at the amplitude the sweep
+      walks, a = N^(g/3) with g = 2j - 1;
+    - the rescaling between the two, N^(-3s - g);
+    - the squared H-dot^s norm, 2 (N / lam)^(2s) |A3_N|^2 / lam;
+    - A2's pair weight 2N a^2 / lam^2, which a walk at s forms, so that every
+      accepted s can be checked against one."""
+    j, lam, t, n_list = cfg["j"], cfg["lam"], cfg["t"], cfg["N_list"]
+    _check_phase(j, lam, grid_size_for_mode(3 * n_list[-1]), t)
+    n, g, log2_lam, log2_t = 2 * j + 1, 2 * j - 1, np.log2(lam), np.log2(t)
+    for N in (n_list[0], n_list[-1]):
+        log2_n = np.log2(N)
+        log2_w0 = math.log2(2**n - 2) + n * (log2_n - log2_lam)
+        a3_unit = 2 * log2_n + 2 + log2_t - 4 * log2_lam - max(log2_w0, 1 - log2_t)
+        walked = g * log2_n + a3_unit
+        if not abs(walked) < 1022.0:
+            key = "lam" if walked > 0 or 4 * log2_lam > -log2_t else "t"
+            raise ConfigError(key, f"A3 at N = {N} and the walked amplitude N^(g/3) reaches "
+                                   f"2^{walked:.6g}, outside double precision")
+        for s in cfg["s_list"]:
+            a3 = -3 * s * log2_n + a3_unit
+            sizes = {
+                "A3": a3,
+                "the rescaling of A3": (-3 * s - g) * log2_n,
+                "the squared H-dot^s norm of A3": 2 * (s * (log2_n - log2_lam) + a3) + 1 - log2_lam,
+                "A2's pair weight": (1 - 2 * s) * log2_n + 1 - 2 * log2_lam,
+            }
+            for what, log2_size in sizes.items():
+                if not abs(log2_size) < 1022.0:
+                    raise ConfigError("s_list", f"{what} at s = {s:g}, N = {N} reaches "
+                                                f"2^{log2_size:.6g}, outside double precision")
 
 
 def run_illposed_sweep(ctx: RunContext) -> bool:
@@ -274,8 +304,7 @@ def run_illposed_sweep(ctx: RunContext) -> bool:
     all_rows: list[dict] = []
     table = []
     ok = True
-    for s in cfg["s_list"]:
-        report = growth_sweep(model, s, cfg["N_list"], cfg["t"])
+    for s, report in zip(cfg["s_list"], growth_sweep(model, cfg["s_list"], cfg["N_list"], cfg["t"])):
         all_rows.extend(report.rows)
         summary = dict(report.summary)
         consistent = bool(report.passed) and (

@@ -1,8 +1,8 @@
 """Phi functions and exponential quadrature weights for diagonal linear parts.
 
 phi_0(z) = e^z and phi_{r+1}(z) = (phi_r(z) - 1/r!)/z; near z = 0 the
-recurrences cancel catastrophically, so small arguments switch to the
-series sum_n z^n / (n + r)!.
+recurrences cancel catastrophically, so small arguments, |z| < 0.5, switch
+to the series sum_n z^n / (n + r)!, which is evaluated on those alone.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ def phi_functions(z: np.ndarray, count: int) -> list[np.ndarray]:
     """phi_0 .. phi_{count-1} evaluated elementwise on a complex array."""
     z = np.asarray(z, dtype=np.complex128)
     small = np.abs(z) < 0.5
+    z_small = np.where(small, z, 0.0)  # the series runs where it is kept, and stays finite
     out = [np.exp(z)]
     for r in range(1, count):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -24,7 +25,7 @@ def phi_functions(z: np.ndarray, count: int) -> list[np.ndarray]:
         zp = np.ones_like(z)
         for n in range(18):
             series = series + zp / float(math.factorial(n + r))
-            zp = zp * z
+            zp = zp * z_small
         out.append(np.where(small, series, direct))
     return out
 

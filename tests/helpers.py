@@ -262,6 +262,110 @@ def reference_third_iterate_closed(model, u0, t):
     return SpectralField(grid, out * phases).coeffs, resonant
 
 
+def full_lattice_duhamel_kernel(model, grid, t, left, right):
+    """`iterates._duhamel_kernel` as it was before it phased only the modes it
+    fills: the whole lattice times e^{itp(k)}."""
+    from hokdv.iterates import _oscillatory_factor, _wave_pairs
+
+    out = np.zeros(grid.modes, dtype=np.complex128)
+    resonant = []
+    for m1, m2, m, a, gap, w in _wave_pairs(model, left, right):
+        if abs(m) >= grid.modes // 2:
+            raise ValueError(f"iterate mode {m} leaves the lattice; enlarge the grid")
+        if gap == 0:
+            resonant.append((m1, m2))
+        out[m % grid.modes] += 1j * a * _oscillatory_factor(t, w)
+    return out * np.exp(1j * t * model.phase(grid.k_values)), resonant
+
+
+def reference_growth_sweep(model, s, n_list, t):
+    """`growth_sweep` for one s as it was before it walked A3 once per N: a new
+    grid and a walk of A3 at phi_N's own amplitude N^-s for every N.  Each row
+    also holds `nonzero_modes`, the count of nonzero A3 coefficients."""
+    from hokdv.iterates import grid_size_for_mode, phi_n_data, third_iterate_closed
+    from hokdv.norms import NormSpec, sobolev_norm
+    from hokdv.reporting import ExperimentReport
+
+    rows = []
+    for N in n_list:
+        grid = TorusGrid(model.lam, grid_size_for_mode(3 * N))
+        result = third_iterate_closed(model, phi_n_data(N, s, grid), t)
+        rows.append(
+            {
+                "j": model.j,
+                "s": s,
+                "N": N,
+                "t": t,
+                "h_s_norm": sobolev_norm(result.field, NormSpec(s, homogeneous=True)),
+                "resonant_terms": result.resonant_terms,
+                "nonzero_modes": int(np.count_nonzero(result.field.coeffs)),
+            }
+        )
+    log_n = np.log([row["N"] for row in rows])
+    log_norm = np.log([row["h_s_norm"] for row in rows])
+    coeffs, cov = np.polyfit(log_n, log_norm, 1, cov=True)
+    exponent = float(coeffs[0])
+    theory = -2.0 * s - (2.0 * model.j - 1.0)
+    threshold = -model.j + 0.5
+    return ExperimentReport(
+        rows=rows,
+        summary={
+            "fitted_exponent": exponent,
+            "stderr": float(np.sqrt(cov[0, 0])),
+            "theory_exponent": theory,
+            "threshold_s": threshold,
+            "grows_unbounded": exponent > 0.1,
+            "below_threshold": s < threshold,
+        },
+        passed=abs(exponent - theory) <= 0.1,
+    )
+
+
+def accepted_s_edges(cfg: dict, inside: float) -> tuple[float, float]:
+    """The lowest and the highest s that `illposed-sweep`'s check accepts for the
+    other keys of cfg, found by bisection outwards from the accepted s `inside`."""
+    from hokdv.cli import _check_illposed
+    from hokdv.config import ConfigError
+
+    def accepted(s):
+        try:
+            _check_illposed({**cfg, "s_list": [s]})
+        except ConfigError:
+            return False
+        return True
+
+    assert accepted(inside)
+    edges = []
+    for outside in (-1e4, 1e4):
+        ok, bad = inside, outside
+        for _ in range(80):
+            mid = 0.5 * (ok + bad)
+            ok, bad = (mid, bad) if accepted(mid) else (ok, mid)
+        edges.append(ok)
+    return edges[0], edges[1]
+
+
+def reference_phi_functions(z, count):
+    """phi_0 .. phi_{count-1} with the series evaluated on the entries |z| < 0.5 alone,
+    gathered out of z, and the recurrence on the others."""
+    import math
+
+    z = np.asarray(z, dtype=np.complex128)
+    small = np.abs(z) < 0.5
+    out = [np.exp(z)]
+    for r in range(1, count):
+        phi = np.empty_like(z)
+        phi[~small] = (out[r - 1][~small] - 1.0 / math.factorial(r - 1)) / z[~small]
+        series = np.zeros(np.count_nonzero(small), dtype=np.complex128)
+        zp = np.ones_like(series)
+        for n in range(18):
+            series = series + zp / float(math.factorial(n + r))
+            zp = zp * z[small]
+        phi[small] = series
+        out.append(phi)
+    return out
+
+
 def reference_duhamel_map(model, phi, u_frames, times):
     """The cutoff Duhamel map as `solver.duhamel_map` formed it before it took
     held frame-grid arrays, as a reference: window, propagators and dealias

@@ -88,7 +88,7 @@ def test_criterion_1_growth_law():
     ok = True
     for j, s, expected in cases:
         model = DispersionModel(j, 1.0)
-        fitted = growth_sweep(model, s, n_list, 1.0).summary["fitted_exponent"]
+        fitted = growth_sweep(model, [s], n_list, 1.0)[0].summary["fitted_exponent"]
         good = abs(fitted - expected) <= 0.1
         ok = ok and good
         results.append(f"j={j} s={s}: {fitted:.3f} (theory {expected})")

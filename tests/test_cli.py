@@ -12,8 +12,11 @@ from pathlib import Path
 import pytest
 
 import hokdv
+import hokdv.solver
 from hokdv.cli import COMMANDS, build_parser, main, resolve_config
 from hokdv.config import ConfigError, parse_config_text, validate_config, Field
+
+from helpers import accepted_s_edges, reference_phi_functions
 
 
 def run(tmp_path, *argv):
@@ -318,6 +321,22 @@ def test_simulate_overflow_between_frames_names_the_interval(tmp_path, capsys):
     assert verdicts["blow_up"] == {"t": 0.01, "ratio": None}
 
 
+EXPQUAD_LARGE_PHASE = ["simulate", "--set", "j = 5", "--set", "M = 512", "--set", "dt = 1e-4",
+                       "--set", "T = 0.001", "--set", "scheme = etdrk4"]
+
+
+def test_etdrk4_at_a_phase_past_the_series_range_stays_finite(tmp_path, monkeypatch):
+    """At j = 5, M = 512 the ETDRK4 weights see |z| up to 2^88 dt: the phi series
+    overflowed there, though its values were discarded (a RuntimeWarning, which
+    pytest makes an error).  The frames equal those of a run whose series sees
+    only the entries |z| < 0.5."""
+    assert run(tmp_path / "a", *EXPQUAD_LARGE_PHASE) == 0
+    monkeypatch.setattr(hokdv.solver, "phi_functions", reference_phi_functions)
+    assert run(tmp_path / "b", *EXPQUAD_LARGE_PHASE) == 0
+    frames = [(only_run_dir(tmp_path / side) / "frames.bin").read_bytes() for side in "ab"]
+    assert frames[0] == frames[1]
+
+
 def test_contraction_default_run_contracts(tmp_path):
     code = run(tmp_path, "contraction", "--set", "max_iter = 6", "--set", "n_frames = 201")
     assert code == 0
@@ -430,11 +449,14 @@ SIMULATE_SHORT = ["simulate", "--set", "j = 2", "--set", "M = 64", "--set", "dt 
         # the phase p(M / 2 lam) dt / 2 overflows: the run exited 1 as a blow-up
         (["simulate", "--set", "j = 200", "--set", "M = 64", "--set", "dt = 1e-3",
           "--set", "T = 0.01"], "'j'"),
+        # the gap of A3's 3N pair leaves the doubles: this raised OverflowError
+        (["illposed-sweep", "--set", "j = 60", "--set", "s_list = -50",
+          "--set", "N_list = 8, 16, 32, 64, 128"], "'j'"),
     ],
     ids=["T-not-multiple-of-dt", "frame-stride-not-dividing-steps", "non-integer-seed",
          "non-integral-lam", "audit-j-below-one", "audit-lam", "phi-n-overflows", "phi-n-underflows",
          "smooth-random-l2-overflows", "smooth-random-decay-overflows", "cosine-l2-overflows",
-         "simulate-phase-overflows"],
+         "simulate-phase-overflows", "sweep-phase-overflows"],
 )
 def test_bad_input_exits_two_before_a_run_directory(tmp_path, capsys, argv, key):
     assert run(tmp_path, *argv) == 2
@@ -443,6 +465,7 @@ def test_bad_input_exits_two_before_a_run_directory(tmp_path, capsys, argv, key)
 
 
 SWEEP_J2 = ["illposed-sweep", "--set", "j = 2", "--set", "N_list = 8, 16, 32"]
+SWEEP_N128 = ["--set", "N_list = 8, 16, 32, 64, 128"]
 ZS_WEIGHT_OVERFLOWS = [("3.1", 17, 40), ("3.1", 20, 40), ("3.1", -30, 40), ("3.1", -40, 40),
                        ("3.1", -60, 40), ("3.1", -80, 40), ("2.5", 30, 20)]
 
@@ -453,6 +476,15 @@ ZS_WEIGHT_OVERFLOWS = [("3.1", 17, 40), ("3.1", 20, 40), ("3.1", -30, 40), ("3.1
         ([*SWEEP_J2, "--set", "s_list = -300"], "'s_list'"),
         ([*SWEEP_J2, "--set", "s_list = -100"], "'s_list'"),
         ([*SWEEP_J2, "--set", "s_list = 300"], "'s_list'"),
+        # these passed a bound on N^(-4s - 2g) alone: the squared norm at N = 128, smaller
+        # by A3's constant 2^-38, underflowed to 0, and verdicts.json held NaN fits ...
+        (["illposed-sweep", "--set", "j = 20", "--set", "s_list = 16.9", *SWEEP_N128], "'s_list'"),
+        # ... and a walk at s = -74 overflowed A2's pair weight into nan norms
+        (["illposed-sweep", "--set", "j = 40", "--set", "s_list = -74", *SWEEP_N128], "'s_list'"),
+        # below the inverse gap frequency A3 goes as t^2, not t: its norm underflowed to 0
+        ([*SWEEP_J2, "--set", "t = 1e-100", "--set", "s_list = -1.5"], "'s_list'"),
+        # and at t = 1e-250 so does A3 of the walk at N^(g/3), whatever s
+        ([*SWEEP_J2, "--set", "t = 1e-250", "--set", "s_list = -1.5"], "'t'"),
         (["picard-check", "--set", "s = -2000"], "'s'"),
         (["picard-check", "--set", "s = -300"], "'s'"),
         (["estimate-search", "--set", "estimate = 3.1", "--set", "s = -2000",
@@ -463,7 +495,8 @@ ZS_WEIGHT_OVERFLOWS = [("3.1", 17, 40), ("3.1", 20, 40), ("3.1", -30, 40), ("3.1
             "--set", f"trials = {trials}"], "'s'")
           for estimate, s, trials in ZS_WEIGHT_OVERFLOWS),
     ],
-    ids=["sweep-s-minus-300", "sweep-s-minus-100", "sweep-s-300", "picard-s-minus-2000",
+    ids=["sweep-s-minus-300", "sweep-s-minus-100", "sweep-s-300", "sweep-j20-s-16.9",
+         "sweep-j40-s-minus-74", "sweep-t-1e-100", "sweep-t-1e-250", "picard-s-minus-2000",
          "picard-s-minus-300", "estimate-3.1-s-minus-2000",
          *(f"estimate-{estimate}-s-{s}-zs-weights" for estimate, s, _ in ZS_WEIGHT_OVERFLOWS)],
 )
@@ -474,6 +507,22 @@ def test_phi_n_data_past_double_precision_exits_two(tmp_path, capsys, argv, key)
     err = capsys.readouterr().err
     assert key in err and "double precision" in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("j", [2, 20, 40])
+def test_illposed_sweep_at_the_accepted_edges_stays_finite(tmp_path, j):
+    # pytest turns a RuntimeWarning, log(0) among them, into an error
+    lo, hi = accepted_s_edges({"j": j, "lam": 1.0, "t": 1.0, "N_list": [8, 16, 32, 64, 128]},
+                              -j + 0.5)
+    code = run(tmp_path, "illposed-sweep", "--set", f"j = {j}", "--set", f"s_list = {lo!r}, {hi!r}",
+               *SWEEP_N128)
+    assert code in (0, 1)
+    run_dir = only_run_dir(tmp_path)
+    rows = (run_dir / "growth.csv").read_text().splitlines()[1:]
+    assert len(rows) == 10
+    assert all(0.0 < float(row.split(",")[4]) < math.inf for row in rows)
+    for entry in strict_json(run_dir / "verdicts.json")["per_s"]:
+        assert math.isfinite(entry["fitted_exponent"]) and math.isfinite(entry["stderr"])
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import hokdv.iterates
 from hokdv.dispersion import DispersionModel, free_evolve
 from hokdv.iterates import (
     _PANEL_BLOCK_VALUES,
@@ -24,7 +25,10 @@ from hokdv.norms import NormSpec, sobolev_norm
 from hokdv.torus import SpectralField, TorusGrid, inverse_transform
 
 from helpers import (
+    accepted_s_edges,
+    full_lattice_duhamel_kernel,
     random_band_limited,
+    reference_growth_sweep,
     reference_second_iterate_closed,
     reference_second_iterate_quadrature,
     reference_third_iterate_closed,
@@ -519,14 +523,14 @@ def test_oscillatory_factor_limit_consistency():
 
 def test_growth_sweep_matches_secular_exponent():
     model = DispersionModel(2, 1.0)
-    report = growth_sweep(model, -2.0, [8, 16, 32, 64], 1.0)
+    report = growth_sweep(model, [-2.0], [8, 16, 32, 64], 1.0)[0]
     assert report.summary["fitted_exponent"] == pytest.approx(1.0, abs=0.05)
     assert report.passed
 
 
 def test_growth_sweep_flat_at_threshold():
     model = DispersionModel(2, 1.0)
-    report = growth_sweep(model, -1.5, [8, 16, 32, 64], 1.0)
+    report = growth_sweep(model, [-1.5], [8, 16, 32, 64], 1.0)[0]
     assert abs(report.summary["fitted_exponent"]) < 0.05
     assert not report.summary["grows_unbounded"]
 
@@ -534,19 +538,87 @@ def test_growth_sweep_flat_at_threshold():
 def test_growth_sweep_needs_three_points():
     model = DispersionModel(2, 1.0)
     with pytest.raises(ValueError):
-        growth_sweep(model, -2.0, [8, 16], 1.0)
+        growth_sweep(model, [-2.0], [8, 16], 1.0)
     with pytest.raises(ValueError):
-        growth_sweep(model, -2.0, [16, 8, 32], 1.0)
+        growth_sweep(model, [-2.0], [16, 8, 32], 1.0)
 
 
 @pytest.mark.parametrize("n_list", [[8, 8, 16], [8, 8, 8]])
 def test_growth_sweep_refuses_repeated_n(n_list):
     model = DispersionModel(2, 1.0)
     with pytest.raises(ValueError, match="strictly ascending"):
-        growth_sweep(model, -2.0, n_list, 1.0)
+        growth_sweep(model, [-2.0], n_list, 1.0)
 
 
 def test_growth_rows_carry_resonance_counts():
     model = DispersionModel(3, 1.0)
-    report = growth_sweep(model, -3.0, [4, 8, 16], 0.5)
+    report = growth_sweep(model, [-3.0], [4, 8, 16], 0.5)[0]
     assert all(row["resonant_terms"] == 2 for row in report.rows)
+
+
+def _sweep_nonzero_modes(monkeypatch) -> list[int]:
+    """Record the count of nonzero coefficients of every A3 `growth_sweep` takes a norm of."""
+    counts = []
+    norm = hokdv.iterates.sobolev_norm
+
+    def counting_norm(coeffs, spec, grid):
+        counts.append(int(np.count_nonzero(coeffs)))
+        return norm(coeffs, spec, grid)
+
+    monkeypatch.setattr(hokdv.iterates, "sobolev_norm", counting_norm)
+    return counts
+
+
+SWEEP_N = [8, 16, 32, 64, 128]
+
+
+@pytest.mark.parametrize("j", [2, 3, 8, 20, 40])
+def test_growth_sweep_matches_the_per_s_walk_across_the_accepted_range(monkeypatch, j):
+    """One A3 walk per N, rescaled to each s, against a walk at every s: at s_c and
+    at both edges of the range illposed-sweep's check accepts."""
+    model = DispersionModel(j, 1.0)
+    s_c = -j + 0.5
+    lo, hi = accepted_s_edges({"j": j, "lam": 1.0, "t": 1.0, "N_list": SWEEP_N}, s_c)
+    s_list = [lo, s_c, hi]
+    counts = _sweep_nonzero_modes(monkeypatch)
+    reports = growth_sweep(model, s_list, SWEEP_N, 1.0)
+    assert len(reports) == len(s_list)
+    for i, (s, report) in enumerate(zip(s_list, reports)):
+        want = reference_growth_sweep(model, s, SWEEP_N, 1.0)
+        for n, (row, ref) in enumerate(zip(report.rows, want.rows)):
+            assert (row["s"], row["N"], row["resonant_terms"]) == (s, ref["N"], ref["resonant_terms"])
+            assert row["h_s_norm"] == pytest.approx(ref["h_s_norm"], rel=1e-13, abs=0.0)
+            assert counts[i * len(SWEEP_N) + n] == ref["nonzero_modes"]
+        consistent = report.summary["grows_unbounded"] == report.summary["below_threshold"]
+        want_consistent = want.summary["grows_unbounded"] == want.summary["below_threshold"]
+        assert (report.passed, consistent) == (want.passed, want_consistent)
+
+
+def test_unit_amplitude_walk_loses_the_3n_modes_at_j40():
+    """A walk at unit amplitude (s = 0), rescaled by N^(-3s), would fail the test above:
+    at j = 40 and N = 128 its 3N modes underflow, which a walk at s_c keeps."""
+    model = DispersionModel(40, 1.0)
+    s_c = -39.5
+    want = reference_growth_sweep(model, s_c, SWEEP_N, 1.0)
+    grid = TorusGrid(1.0, grid_size_for_mode(3 * 128))
+    unit = third_iterate_closed(model, phi_n_data(128, 0.0, grid), 1.0).field.coeffs
+    rescaled = float(128) ** (-3 * s_c) * unit
+    assert want.rows[-1]["nonzero_modes"] == 4
+    assert np.count_nonzero(rescaled) == 2
+
+
+@pytest.mark.parametrize("j", [2, 3])
+@pytest.mark.parametrize("lam", [1.0, 2.0])
+@pytest.mark.parametrize("N", [2, 8, 32])
+@pytest.mark.parametrize("t", [0.0, 0.1, 0.3])
+def test_phasing_only_the_filled_modes_is_bit_identical(monkeypatch, j, lam, N, t):
+    model = DispersionModel(j, lam)
+    grid = TorusGrid(lam, grid_size_for_mode(3 * N))
+    u0 = phi_n_data(N, -1.5, grid)
+    got = [second_iterate_closed(model, u0, t).field.coeffs,
+           third_iterate_closed(model, u0, t).field.coeffs]
+    monkeypatch.setattr(hokdv.iterates, "_duhamel_kernel", full_lattice_duhamel_kernel)
+    want = [second_iterate_closed(model, u0, t).field.coeffs,
+            third_iterate_closed(model, u0, t).field.coeffs]
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
