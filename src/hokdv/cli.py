@@ -271,7 +271,10 @@ def _check_illposed(cfg: dict) -> None:
     - the rescaling between the two, N^(-3s - g);
     - the squared H-dot^s norm, 2 (N / lam)^(2s) |A3_N|^2 / lam;
     - A2's pair weight 2N a^2 / lam^2, which a walk at s forms, so that every
-      accepted s can be checked against one."""
+      accepted s can be checked against one;
+    and a t at which A3 at the smallest N cancels past 2^-20 relative: its two
+    waves there differ by t - E(t, w0), whose rounding error leaves about
+    2^-52 / (t |w0|) of it."""
     j, lam, t, n_list = cfg["j"], cfg["lam"], cfg["t"], cfg["N_list"]
     _check_phase(j, lam, grid_size_for_mode(3 * n_list[-1]), t)
     n, g, log2_lam, log2_t = 2 * j + 1, 2 * j - 1, np.log2(lam), np.log2(t)
@@ -296,6 +299,11 @@ def _check_illposed(cfg: dict) -> None:
                 if not abs(log2_size) < 1022.0:
                     raise ConfigError("s_list", f"{what} at s = {s:g}, N = {N} reaches "
                                                 f"2^{log2_size:.6g}, outside double precision")
+    log2_tw0 = log2_t + math.log2(2**n - 2) + n * (np.log2(n_list[0]) - log2_lam)
+    if -52 - log2_tw0 > -20:
+        raise ConfigError("t", f"A3 at N = {n_list[0]} cancels to a relative rounding error of "
+                               f"about 2^{-52 - log2_tw0:.6g} in double precision, above 2^-20 "
+                               f"(t |w0| = 2^{log2_tw0:.6g} must reach 2^-32)")
 
 
 def run_illposed_sweep(ctx: RunContext) -> bool:

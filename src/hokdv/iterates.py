@@ -37,7 +37,6 @@ from .expquad import exponential_weights, lagrange_monomial_basis
 from .reporting import ExperimentReport
 from .torus import (SpectralField, TorusGrid, full_spectrum, half_spectrum, lattice_square,
                     product_scale)
-from .norms import NormSpec, sobolev_norm
 
 
 class ResonanceConsistencyError(RuntimeError):
@@ -271,7 +270,8 @@ def growth_sweep(
     A3 is cubic in the data, so A3(phi_N at s) = r^3 A3(phi_N at s_ref) with
     r = N^{-s} / N^{-s_ref}: the kernel is walked once per N, at
     s_ref = -(2j - 1)/3, where A3 ~ N^{-3 s_ref - (2j - 1)} = N^0, and every s
-    rescales that walk before its norm is taken.  At unit amplitude (s = 0)
+    rescales that walk before its norm is taken, summed over the modes the
+    walk fills with `sobolev_norm`'s per-mode terms.  At unit amplitude (s = 0)
     A3 ~ N^{-(2j - 1)} would lose its 3N modes to underflow at large j
     (j = 40, N = 128).  r^3 = N^{-3s - (2j - 1)} is A3's size at s but for
     its constant; `illposed-sweep` refuses an s that takes r^3, A3 or its
@@ -291,16 +291,19 @@ def growth_sweep(
     for N in n_list:
         grid = TorusGrid(model.lam, grid_size_for_mode(3 * N))
         data = phi_n_data(N, -g / 3.0, grid)  # amplitude N^(g/3)
-        walks.append((N, float(N) ** (g / 3.0), third_iterate_closed(model, data, t)))
+        result = third_iterate_closed(model, data, t)
+        filled = np.flatnonzero(result.field.coeffs)  # never mode 0
+        walks.append((N, float(N) ** (g / 3.0), result.resonant_terms,
+                      np.abs(grid.k_values[filled]), result.field.coeffs[filled]))
     log_n = np.log(n_list)
     threshold = -model.j + 0.5
     reports = []
     for s in s_list:
-        spec = NormSpec(s, homogeneous=True)
         rows = []
-        for N, amp_ref, result in walks:
+        for N, amp_ref, resonant_terms, k, coeffs in walks:
             scale = (float(N) ** (-s) / amp_ref) ** 3
-            norm = sobolev_norm(scale * result.field.coeffs, spec, result.field.grid)
+            mass = np.sum((k**s * np.abs(scale * coeffs)) ** 2)
+            norm = float(np.sqrt(mass / model.lam))
             rows.append(
                 {
                     "j": model.j,
@@ -308,7 +311,7 @@ def growth_sweep(
                     "N": N,
                     "t": t,
                     "h_s_norm": norm,
-                    "resonant_terms": result.resonant_terms,
+                    "resonant_terms": resonant_terms,
                 }
             )
         log_norm = np.log([row["h_s_norm"] for row in rows])

@@ -485,6 +485,10 @@ ZS_WEIGHT_OVERFLOWS = [("3.1", 17, 40), ("3.1", 20, 40), ("3.1", -30, 40), ("3.1
         ([*SWEEP_J2, "--set", "t = 1e-100", "--set", "s_list = -1.5"], "'s_list'"),
         # and at t = 1e-250 so does A3 of the walk at N^(g/3), whatever s
         ([*SWEEP_J2, "--set", "t = 1e-250", "--set", "s_list = -1.5"], "'t'"),
+        # A3 at N = 8 cancels to rounding noise (t |w0| = 2^-317): it wrote non-monotone
+        # norms, a fit of -50.8 against 75, and exited 1
+        (["illposed-sweep", "--set", "j = 3", "--set", "lam = 3.5", "--set", "t = 1e-100",
+          "--set", "s_list = -40", "--set", "N_list = 8, 16, 32"], "'t'"),
         (["picard-check", "--set", "s = -2000"], "'s'"),
         (["picard-check", "--set", "s = -300"], "'s'"),
         (["estimate-search", "--set", "estimate = 3.1", "--set", "s = -2000",
@@ -496,7 +500,8 @@ ZS_WEIGHT_OVERFLOWS = [("3.1", 17, 40), ("3.1", 20, 40), ("3.1", -30, 40), ("3.1
           for estimate, s, trials in ZS_WEIGHT_OVERFLOWS),
     ],
     ids=["sweep-s-minus-300", "sweep-s-minus-100", "sweep-s-300", "sweep-j20-s-16.9",
-         "sweep-j40-s-minus-74", "sweep-t-1e-100", "sweep-t-1e-250", "picard-s-minus-2000",
+         "sweep-j40-s-minus-74", "sweep-t-1e-100", "sweep-t-1e-250", "sweep-j3-lam3.5-cancels",
+         "picard-s-minus-2000",
          "picard-s-minus-300", "estimate-3.1-s-minus-2000",
          *(f"estimate-{estimate}-s-{s}-zs-weights" for estimate, s, _ in ZS_WEIGHT_OVERFLOWS)],
 )

@@ -2,6 +2,9 @@
 two-mode sums, oscillatory-weighted quadrature, the exponential Duhamel
 rule, the small-time resonant expansion, and the growth-exponent fits."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -556,17 +559,18 @@ def test_growth_rows_carry_resonance_counts():
     assert all(row["resonant_terms"] == 2 for row in report.rows)
 
 
-def _sweep_nonzero_modes(monkeypatch) -> list[int]:
-    """Record the count of nonzero coefficients of every A3 `growth_sweep` takes a norm of."""
-    counts = []
-    norm = hokdv.iterates.sobolev_norm
+def _sweep_walks(monkeypatch) -> list[np.ndarray]:
+    """Record the A3 coefficients of every walk `growth_sweep` makes, in N order."""
+    walks = []
+    closed = hokdv.iterates.third_iterate_closed
 
-    def counting_norm(coeffs, spec, grid):
-        counts.append(int(np.count_nonzero(coeffs)))
-        return norm(coeffs, spec, grid)
+    def recording(model, u0, t):
+        result = closed(model, u0, t)
+        walks.append(result.field.coeffs)
+        return result
 
-    monkeypatch.setattr(hokdv.iterates, "sobolev_norm", counting_norm)
-    return counts
+    monkeypatch.setattr(hokdv.iterates, "third_iterate_closed", recording)
+    return walks
 
 
 SWEEP_N = [8, 16, 32, 64, 128]
@@ -580,15 +584,17 @@ def test_growth_sweep_matches_the_per_s_walk_across_the_accepted_range(monkeypat
     s_c = -j + 0.5
     lo, hi = accepted_s_edges({"j": j, "lam": 1.0, "t": 1.0, "N_list": SWEEP_N}, s_c)
     s_list = [lo, s_c, hi]
-    counts = _sweep_nonzero_modes(monkeypatch)
+    walks = _sweep_walks(monkeypatch)
     reports = growth_sweep(model, s_list, SWEEP_N, 1.0)
     assert len(reports) == len(s_list)
-    for i, (s, report) in enumerate(zip(s_list, reports)):
+    for s, report in zip(s_list, reports):
         want = reference_growth_sweep(model, s, SWEEP_N, 1.0)
         for n, (row, ref) in enumerate(zip(report.rows, want.rows)):
             assert (row["s"], row["N"], row["resonant_terms"]) == (s, ref["N"], ref["resonant_terms"])
             assert row["h_s_norm"] == pytest.approx(ref["h_s_norm"], rel=1e-13, abs=0.0)
-            assert counts[i * len(SWEEP_N) + n] == ref["nonzero_modes"]
+            # the modes of the rescaled walk the norm sums over
+            scale = (float(row["N"]) ** (-s) / float(row["N"]) ** ((2 * j - 1) / 3)) ** 3
+            assert np.count_nonzero(scale * walks[n]) == ref["nonzero_modes"]
         consistent = report.summary["grows_unbounded"] == report.summary["below_threshold"]
         want_consistent = want.summary["grows_unbounded"] == want.summary["below_threshold"]
         assert (report.passed, consistent) == (want.passed, want_consistent)
@@ -622,3 +628,73 @@ def test_phasing_only_the_filled_modes_is_bit_identical(monkeypatch, j, lam, N, 
             third_iterate_closed(model, u0, t).field.coeffs]
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("j,lam", [(2, 1.0), (3, 2.0), (8, 1.0)])
+def test_growth_sweep_norms_keep_the_bits_of_the_whole_lattice_norm(j, lam):
+    """growth_sweep sums the H-dot^s mass over the modes A3 fills; sobolev_norm over
+    the whole lattice of the same rescaled walk gives the same bits."""
+    model, g = DispersionModel(j, lam), 2.0 * j - 1.0
+    s_c = -j + 0.5
+    s_list = [s_c - 0.5, s_c, s_c + 0.25, 0.0]
+    reports = growth_sweep(model, s_list, SWEEP_N, 0.7)
+    for s, report in zip(s_list, reports):
+        for N, row in zip(SWEEP_N, report.rows):
+            grid = TorusGrid(lam, grid_size_for_mode(3 * N))
+            walk = third_iterate_closed(model, phi_n_data(N, -g / 3.0, grid), 0.7).field.coeffs
+            scale = (float(N) ** (-s) / float(N) ** (g / 3.0)) ** 3
+            assert row["h_s_norm"] == sobolev_norm(scale * walk, NormSpec(s, homogeneous=True), grid)
+
+
+def _exact_a3_mode_n(model, N, t):
+    """A3(phi_N)(t) at mode N for unit amplitude, without its phase e^{itp(N)}, as
+    rational (re, im).
+
+    Mode N meets one pair of waves: u1's at -N with A2's two waves at 2N, of
+    amplitude +-amp = +-(2N/lam^2) / w23, w23 the frequency of the gap
+    (2 - 2^n) N^n of (N, N).  One has a zero gap (weight t), the other the gap
+    frequency w0 = sign (2^n - 2) N^n / lam^n, so A3_N = 2 i a (t - E(t, w0)) e^{itp(N)}
+    with a = (N/lam^2) amp, and t - E(t, w) = -t sum_{k >= 2} (i t w)^(k-1) / k!,
+    summed to k = 40 (|t w0| <= 2^-8 here: the rest is below 2^-400)."""
+    n, lam, t = model.order, Fraction(model.lam), Fraction(t)
+    w23 = model.sign * (2 - 2**n) * N**n / lam**n
+    a = Fraction(N) / lam**2 * (2 * N / lam**2) / w23
+    x = t * model.sign * (2**n - 2) * N**n / lam**n
+    parts = [Fraction(0), Fraction(0)]  # t - E as (re, im)
+    term = -t
+    for k in range(2, 41):
+        term = term * x / k  # -t x^(k-1) / k!, times i^(k-1)
+        power = (k - 1) % 4
+        parts[power % 2] += term if power < 2 else -term
+    re, im = parts
+    return -2 * a * im, 2 * a * re
+
+
+@pytest.mark.parametrize("j,lam,N", [(2, 1.0, 8), (3, 3.5, 8), (4, 1.0, 2)])
+@pytest.mark.parametrize("log2_tw0", [-8, -24, -31, -40])
+def test_a3_cancellation_error_follows_the_refused_bound(j, lam, N, log2_tw0):
+    """At mode N, A3's two waves cancel to t - E(t, w0).  Against the exact value,
+    A3's relative error stays within 4 times 2^-52 / (t |w0|), the estimate
+    illposed-sweep refuses above 2^-20; at j = 3, lam = 3.5 (an inexact w0) it
+    reaches that estimate, past 2^-20 where t is refused.  (Elsewhere E's real
+    part may round to t exactly, which leaves an error near t |w0| / 3.)"""
+    from hokdv.cli import ConfigError, _check_illposed
+
+    model = DispersionModel(j, lam)
+    n = model.order
+    t = 2.0**log2_tw0 / ((2**n - 2) * (N / lam) ** n)
+    grid = TorusGrid(lam, grid_size_for_mode(3 * N))
+    got = third_iterate_closed(model, phi_n_data(N, 0.0, grid), t).field.coeffs[N]
+    got /= np.exp(1j * t * model.phase(grid.k_values[N]))
+    re, im = _exact_a3_mode_n(model, N, t)
+    error2 = ((Fraction(got.real) - re) ** 2 + (Fraction(got.imag) - im) ** 2) / (re**2 + im**2)
+    error, estimate = math.sqrt(error2), 2.0 ** (-52 - log2_tw0)
+    assert error <= 4 * estimate
+    cfg = {"j": j, "lam": lam, "t": t, "N_list": [N, 2 * N, 4 * N], "s_list": [0.0]}
+    if estimate > 2.0**-20:
+        with pytest.raises(ConfigError, match="'t'"):
+            _check_illposed(cfg)
+        if (j, lam) == (3, 3.5):
+            assert error > 2.0**-20
+    else:
+        _check_illposed(cfg)

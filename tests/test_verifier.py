@@ -1,7 +1,7 @@
 """Ratio searches: determinism, homogeneity, closed-form single-cell values,
 boundedness trends, the resonant family, and the negative control."""
 
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -614,6 +614,18 @@ def _reference_cases():
                 id=f"{search}-{gen}-l2{l2}-j{j}-lam{int(lam)}-k{k_max}-t{trials}"
                 + ("-perturbed" if perturb else ""),
             ))
+    # k_max 128 searches whose fixed-cell trials (free-solution-like, fixed-tau)
+    # are batches of their own, several per search, after the others
+    for search, gen, j, lam, trials in (
+        ("3.1", "mixed", 3, 1.0, 9), ("3.1", "free-solution-like", 2, 1.0, 3),
+        ("2.2", "mixed", 3, 2.0, 9), ("2.2", "fixed-tau", 2, 1.0, 3),
+    ):
+        for perturb in (False, True):
+            out.append(pytest.param(
+                search, gen, None, j, lam, 128, trials, perturb,
+                id=f"{search}-{gen}-j{j}-lam{int(lam)}-k128-t{trials}-alone"
+                + ("-perturbed" if perturb else ""),
+            ))
     return out
 
 
@@ -742,3 +754,94 @@ def test_repeated_cells_share_their_plans_across_a_search(monkeypatch):
         cfg = RatioSearchConfig(trials=trials, k_max=128, generator="free-solution-like", seed=4)
         report = bilinear_zs_ratio(model, -1.5, cfg)
         assert len(report.rows) == trials and len(passes) == 2
+
+
+def _varied(rng, n):
+    """n complex coefficients over 16 decades, so that a cell's sum rounds by the
+    order in which its terms are added."""
+    return (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.integers(-8, 8, size=n)
+
+
+def _served_cases():
+    """(model, f cells, g cells): each (m, sig, bounds)."""
+    fixed = []
+    for j, lam in ((2, 1.0), (3, 2.0)):
+        model = DispersionModel(j, lam)
+        m, sig, _ = field_cells("fixed-tau", model, RatioSearchConfig(k_max=8), None)
+        fixed.append((model, (m, sig, None), (m, sig, None)))
+    model = DispersionModel(2, 1.0)
+    free = field_cells("free-solution-like", model, RatioSearchConfig(k_max=8), np.random.default_rng(0))
+    return {
+        "fixed-tau-j2-lam1": fixed[0],
+        "fixed-tau-j3-lam2": fixed[1],
+        # every pair meets at m = 0: nothing is left once those cells are dropped
+        "empty-product": (model, ([1], [0], None), ([-1], [0], None)),
+        # field 0's product is empty, field 1's keeps three of four cells
+        "empty-field": (model, ([1, 3, 2], [0, 5, 0], [0, 1, 3]), ([-1, -3, 2], [0, 0, 7], [0, 1, 3])),
+        "underflow": (model, free[:2] + (None,), free[:2] + (None,)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_served_cases()))
+def test_served_plans_match_a_fresh_product_bit_for_bit(case):
+    """The same cells come up three times in one memo with fresh coefficients: the
+    product from the plan the memo serves (summed by rank), its smoothed
+    derivative and both Z^s norms equal a fresh no-memo call bit for bit.
+    fixed-tau cells meet up to 2 k_max - 1 pairs per output cell, so every tail rank
+    and the long cells (5 pairs or more) are summed; the last underflow call's
+    first pairs are 1e-340 -> 0, which sends the product back to its values."""
+    model, f_cells, g_cells = _served_cases()[case]
+    rng, memo, s = np.random.default_rng(11), PlanMemo(), -1.5
+    for call in range(3):
+        coeffs = [_varied(rng, len(cells[0])) for cells in (f_cells, g_cells)]
+        if case == "underflow" and call == 2:
+            for c in coeffs:
+                c[:2] = 1e-170
+        f, g = (ModulationField(model, m, sig, c, bounds)
+                for (m, sig, bounds), c in zip((f_cells, g_cells), coeffs))
+        out, fresh = convolve_modulation(f, g, memo), convolve_modulation(f, g)
+        served = out._plan.head is not None
+        assert served == (call == 1 or (call == 2 and case != "underflow"))
+        for got, want in ((out, fresh), (smoothed_derivative(out), smoothed_derivative(fresh))):
+            for attr in ("m", "sig_scaled", "coeffs", "bounds"):
+                assert np.array_equal(getattr(got, attr), getattr(want, attr))
+            if not got.is_empty():
+                for a, b in zip(astuple(got.zs(s)), astuple(want.zs(s))):
+                    assert np.array_equal(a, b)
+        if case.startswith("fixed-tau") and served:
+            assert len(out._plan.tail) == 3 and out._plan.long is not None
+        if case.startswith("empty"):
+            assert len(out.m) == (0 if case == "empty-product" else 3)
+
+
+def test_fixed_cell_generators_are_those_whose_cells_ignore_the_rng():
+    """_FIXED_CELLS names exactly the generators whose cells are the same from
+    every rng: the trials _run_trials measures as batches of their own."""
+    model, cfg = DispersionModel(2, 1.0), RatioSearchConfig(k_max=32)
+    for gen in GENERATORS:
+        draws = [field_cells(gen, model, cfg, np.random.default_rng(seed)) for seed in range(4)]
+        same = all(np.array_equal(d[i], draws[0][i]) for d in draws for i in (0, 1))
+        assert same == (gen in verifier._FIXED_CELLS)
+
+
+@pytest.mark.parametrize("k_max", [32, 128])
+def test_free_solution_trials_of_a_search_share_one_product_plan(monkeypatch, k_max):
+    """The 8 free-solution-like trials of a mixed 32-trial 3.1 search are batches
+    of their own, after one batch of the other 24, and all their products have
+    one plan, served by rank.  The one-field 2.5 search forms no product and
+    keeps every trial in its batches by size."""
+    products, stacks = [], []
+    convolve, stack = verifier.convolve_modulation, verifier._stack
+    monkeypatch.setattr(verifier, "convolve_modulation",
+                        lambda f, g, memo=None: products.append(convolve(f, g, memo)) or products[-1])
+    monkeypatch.setattr(verifier, "_stack", lambda *a: stacks.append(stack(*a)) or stacks[-1])
+    model = DispersionModel(2, 1.0)
+    cfg = RatioSearchConfig(trials=32, k_max=k_max, seed=9)
+    report = bilinear_zs_ratio(model, -1.5, cfg)
+    assert [len(w.bounds) - 1 for w in products] == [24] + [1] * 8
+    assert all(w._plan is products[1]._plan for w in products[2:])
+    assert products[1]._plan.head is not None
+    assert len(report.rows) == 32
+    stacks.clear()
+    embedding_ratio(model, -1.5, replace(cfg, k_max=32))
+    assert [len(u.bounds) - 1 for u in stacks] == [32]
