@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .reporting import ExperimentReport
-from .torus import SpectralField, TorusGrid
+from .torus import DoubleRangeError, SpectralField, TorusGrid
 
 
 class Region(Enum):
@@ -81,11 +81,20 @@ class DispersionModel:
             raise ValueError(f"grid lam {grid.lam} does not match model lam {self.lam}")
 
 
+def phase_multiplier(model: DispersionModel, k, t) -> np.ndarray:
+    """exp(i t p(k)), t a scalar or an array broadcast against k; DoubleRangeError
+    names the phase if some t p(k) leaves the doubles."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        arg = 1j * t * model.phase(k)
+    if not np.isfinite(arg).all():
+        raise DoubleRangeError("the phase", "some t p(k) is not finite")
+    return np.exp(arg)
+
+
 def free_evolve(model: DispersionModel, u0: SpectralField, t: float) -> SpectralField:
     """Apply the free propagator: coeff(k) -> exp(i t p(k)) coeff(k)."""
     model.check_grid(u0.grid)
-    multiplier = np.exp(1j * t * model.phase(u0.grid.k_values))
-    return SpectralField(u0.grid, u0.coeffs * multiplier)
+    return SpectralField(u0.grid, u0.coeffs * phase_multiplier(model, u0.grid.k_values, t))
 
 
 def resonance_q0(n: int, m1, m2):

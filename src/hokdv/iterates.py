@@ -18,6 +18,11 @@ only the modes its pairs fill.
 The growth sweep walks A3 once per N, at the amplitude where A3 ~ N^0, and
 rescales it to every s, since A3 is cubic in the data.
 
+Each number that could leave the doubles is checked where it is formed,
+with torus.DoubleRangeError naming it: the phi_N amplitude N^-s, a pair's
+weight and gap frequency, the phase e^{itp(k)}, and in the sweep A3, its
+rescaling and its squared norm.
+
 A quadrature oracle evaluates the A2 integral by a fourth-order
 exponential rule that never forms resonance functions, providing an
 independent check on every sign and combinatorial factor of the kernel
@@ -27,16 +32,17 @@ that both closed forms run.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import DispersionModel
+from .dispersion import DispersionModel, phase_multiplier
 from .expquad import exponential_weights, lagrange_monomial_basis
 from .reporting import ExperimentReport
-from .torus import (SpectralField, TorusGrid, full_spectrum, half_spectrum, lattice_square,
-                    product_scale)
+from .torus import (TINY, SpectralField, TorusGrid, check_range, checked_power, doubles,
+                    full_spectrum, half_spectrum, lattice_square, product_scale)
 
 
 class ResonanceConsistencyError(RuntimeError):
@@ -64,7 +70,7 @@ def phi_n_data(N: int, s: float, grid: TorusGrid) -> SpectralField:
             f"grid with {grid.modes} modes cannot hold mode 3N = {3 * N}; "
             "enlarge the lattice to avoid aliased iterates"
         )
-    amp = float(N) ** (-s)
+    amp = checked_power("the phi_N amplitude", N, -s)
     return SpectralField.from_modes(grid, {N: amp, -N: amp})
 
 
@@ -96,15 +102,23 @@ def _free_waves(model: DispersionModel, u0: SpectralField) -> list[_Wave]:
 def _wave_pairs(model: DispersionModel, left: list[_Wave], right: list[_Wave]) -> Iterator:
     """Every pair of waves with output mode m = m_L + m_R != 0, in support order,
     as (m_L, m_R, m, a, gap, w): a = (m/lam) c_L c_R / lam, the exact integer
-    gap q_L + q_R - m^n and its frequency w = sign gap / lam^n."""
+    gap q_L + q_R - m^n and its frequency w = sign gap / lam^n.  DoubleRangeError
+    names the phase if w leaves the doubles, and the pair weight if a does."""
     n, sign, lam = model.order, model.sign, model.lam
-    lam_pow = float(lam) ** n
     for m1, c1, q1 in left:
         for m2, c2, q2 in right:
             m = m1 + m2
             if m != 0:
                 gap = q1 + q2 - m**n
-                yield m1, m2, m, (m / lam) * c1 * c2 / lam, gap, sign * float(gap) / lam_pow
+                try:
+                    w = sign * float(gap) / float(lam) ** n
+                except OverflowError:
+                    w = math.inf
+                a = (m / lam) * c1 * c2 / lam
+                if not (abs(w) < math.inf and TINY <= abs(a) < math.inf):  # name the one
+                    check_range("the phase", abs(w), tiny=0.0)
+                    check_range("the pair weight", abs(a), huge=sys.float_info.max)
+                yield m1, m2, m, a, gap, w
 
 
 def _duhamel_kernel(
@@ -127,7 +141,7 @@ def _duhamel_kernel(
             resonant.append((m1, m2))
         out[m % grid.modes] += 1j * a * _oscillatory_factor(t, w)
     filled = np.flatnonzero(out)
-    out[filled] *= np.exp(1j * t * model.phase(grid.k_values[filled]))
+    out[filled] *= phase_multiplier(model, grid.k_values[filled], t)
     return out, resonant
 
 
@@ -185,10 +199,13 @@ def quadrature_steps_needed(model: DispersionModel, u0: SpectralField, t: float)
     The forcing d_x(u1(s)^2) oscillates at most at Omega = 2 max|p(k)| over
     the support of u0, read from the free-flow phases alone.  A panel of
     length h = t/steps is accepted while its phase h*Omega is at most pi/2,
-    a quarter forcing period; the count is never below 16.
+    a quarter forcing period; the count is never below 16.  DoubleRangeError
+    names the phase if t Omega leaves the doubles.
     """
     support = u0.grid.k_values[np.abs(u0.coeffs) != 0.0]
-    omega = 2.0 * float(np.max(np.abs(model.phase(support)), initial=0.0))
+    with np.errstate(over="ignore"):
+        omega = 2.0 * float(np.max(np.abs(model.phase(support)), initial=0.0))
+    check_range("the phase", t * omega, tiny=0.0)
     return max(16, math.ceil(t * omega / (0.5 * np.pi)))
 
 
@@ -274,8 +291,10 @@ def growth_sweep(
     walk fills with `sobolev_norm`'s per-mode terms.  At unit amplitude (s = 0)
     A3 ~ N^{-(2j - 1)} would lose its 3N modes to underflow at large j
     (j = 40, N = 128).  r^3 = N^{-3s - (2j - 1)} is A3's size at s but for
-    its constant; `illposed-sweep` refuses an s that takes r^3, A3 or its
-    norm out of the doubles.  Over j = 2 to 40, at both ends of that range,
+    its constant.  DoubleRangeError names A3 if a walk leaves the normal
+    doubles, and A3 at s if r^3 or the squared norm does, or a mode of A3 at s
+    overflows; a mode that underflows (A3's 3N modes, at j = 40 and s = -10)
+    is left to the norm.  Over j = 2 to 40, at both ends of the accepted s,
     each norm stayed within 6e-16 relative of a walk at s.
 
     The fitted exponent is compared against the secular-growth prediction
@@ -295,25 +314,31 @@ def growth_sweep(
         filled = np.flatnonzero(result.field.coeffs)  # never mode 0
         walks.append((N, float(N) ** (g / 3.0), result.resonant_terms,
                       np.abs(grid.k_values[filled]), result.field.coeffs[filled]))
+    check_range("A3", np.abs(np.concatenate([walk[-1] for walk in walks])))
     log_n = np.log(n_list)
     threshold = -model.j + 0.5
     reports = []
     for s in s_list:
         rows = []
-        for N, amp_ref, resonant_terms, k, coeffs in walks:
-            scale = (float(N) ** (-s) / amp_ref) ** 3
-            mass = np.sum((k**s * np.abs(scale * coeffs)) ** 2)
-            norm = float(np.sqrt(mass / model.lam))
-            rows.append(
-                {
-                    "j": model.j,
-                    "s": s,
-                    "N": N,
-                    "t": t,
-                    "h_s_norm": norm,
-                    "resonant_terms": resonant_terms,
-                }
-            )
+        with doubles("A3 at s"):
+            for N, amp_ref, resonant_terms, k, coeffs in walks:
+                try:
+                    scale = (float(N) ** (-s) / amp_ref) ** 3
+                except OverflowError:
+                    scale = math.inf
+                mass = np.sum((k**s * np.abs(scale * coeffs)) ** 2) / model.lam
+                check_range("A3 at s", scale)
+                check_range("A3 at s", mass)
+                rows.append(
+                    {
+                        "j": model.j,
+                        "s": s,
+                        "N": N,
+                        "t": t,
+                        "h_s_norm": float(np.sqrt(mass)),
+                        "resonant_terms": resonant_terms,
+                    }
+                )
         log_norm = np.log([row["h_s_norm"] for row in rows])
         coeffs, cov = np.polyfit(log_n, log_norm, 1, cov=True)
         exponent = float(coeffs[0])

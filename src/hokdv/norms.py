@@ -10,6 +10,12 @@ literal lattice transcription of its continuum definition.
 The frequency lattice is zero-free: the k = 0 column is held at zero
 (fields entering this machinery are mean-zero), mirroring the punctured
 lattice on which the modulation regions partition.
+
+The Z^s pass refuses a number that leaves the doubles where it is formed,
+with torus.DoubleRangeError: `zs_weights` a block weight outside
+[2^-1022, 2^1022] or a bracket power that under- or overflows, and
+`ZsWeights.norm` a mass that overflows.  A mass that underflows is left to
+the field's total, which its caller may check.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import numpy as np
 
 from .dispersion import DispersionModel, Region, region_masks
 from .reporting import atomic_write_bytes
-from .torus import TorusGrid, SpectralField
+from .torus import TorusGrid, SpectralField, check_range, doubles
 
 
 class NormRangeWarning(UserWarning):
@@ -303,14 +309,18 @@ class ZsWeights:
 
     def norm(self, coeffs: np.ndarray, cell_measure: float) -> ZsNorm:
         """The coefficient half: Z^s of coeffs on these cells, one array entry
-        per field, each block summed over the field's cells in their order."""
+        per field, each block summed over the field's cells in their order.
+        A mass that overflows raises DoubleRangeError naming the Z^s mass; one
+        that underflows is left to the field's total."""
         amps, lam = np.abs(coeffs), self.lam
-        mass = amps**2
-        x = [
-            np.sqrt(segment_sums(weights * mass.take(cells), bounds) * cell_measure / lam)
-            for cells, weights, bounds in self.blocks
-        ]
-        return ZsNorm(*x, np.sqrt(_ys_mass(self.ys, amps, cell_measure, lam)))
+        with doubles("the Z^s mass"):
+            mass = amps**2
+            x = [
+                np.sqrt(segment_sums(weights * mass.take(cells), bounds) * cell_measure / lam)
+                for cells, weights, bounds in self.blocks
+            ]
+            ys = np.sqrt(_ys_mass(self.ys, amps, cell_measure, lam))
+        return ZsNorm(*x, ys)
 
 
 def zs_weights(
@@ -323,7 +333,9 @@ def zs_weights(
 ) -> ZsWeights:
     """The Z^s weights of the cells (m, k, sigma), fields at offsets bounds (None:
     one field): region masks, bracket powers and Y^s columns, everything of the
-    norm that does not read a coefficient, laid out for one entry per field."""
+    norm that does not read a coefficient, laid out for one entry per field.
+    DoubleRangeError names the Z^s weights if a bracket power under- or
+    overflows, or a weight leaves [2^-1022, 2^1022]."""
     bounds = _lone(len(m)) if bounds is None else bounds
     masks = region_masks(model, k, sigma)
     exps = zs_region_exponents(model, s)
@@ -335,12 +347,15 @@ def zs_weights(
         weights = k_bracket.take(cells) ** (2.0 * se) * sigma_bracket.take(cells) ** (2.0 * be)
         return cells, weights, np.searchsorted(cells, bounds)
 
-    blocks = (
-        block(masks[Region.D1] | masks[Region.D5], *exps["d1d5"]),
-        block(masks[Region.D2], *exps["d2"]),
-        block(masks[Region.D3] | masks[Region.D4], *exps["d3d4"]),
-    )
-    return ZsWeights(blocks, _ys_columns(m, k, s, bounds), model.lam)
+    with doubles("the Z^s weights", under="raise"):
+        blocks = (
+            block(masks[Region.D1] | masks[Region.D5], *exps["d1d5"]),
+            block(masks[Region.D2], *exps["d2"]),
+            block(masks[Region.D3] | masks[Region.D4], *exps["d3d4"]),
+        )
+        ys = _ys_columns(m, k, s, bounds)
+    check_range("the Z^s weights", np.concatenate([weights for _, weights, _ in blocks] + [ys[3]]))
+    return ZsWeights(blocks, ys, model.lam)
 
 
 def zs_norm_cells(

@@ -19,15 +19,62 @@ A real field is also held by its nonnegative modes 0 .. M/2 alone
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+# the normal doubles, less a factor 2 at the top so that a sum of two cannot overflow
+TINY, HUGE = 2.0**-1022, 2.0**1022
 
 
 class GridMismatchError(ValueError):
     """Raised when two fields do not live on the same grid."""
+
+
+class DoubleRangeError(ArithmeticError):
+    """A number left the doubles where it was formed; `what` names it, and each
+    command of the CLI names the config key that scales it."""
+
+    def __init__(self, what: str, detail: str):
+        super().__init__(f"{what} left double precision ({detail})")
+        self.what = what
+
+
+def check_range(what: str, sizes, tiny: float = TINY, huge: float = HUGE) -> None:
+    """Raise DoubleRangeError naming `what` unless every size (a magnitude) lies in
+    [tiny, huge]; a nan fails too.  An underflow is silent, so it is checked here."""
+    if isinstance(sizes, float):  # np.float64 too: no array round trip for one number
+        lo = hi = sizes
+    else:
+        sizes = np.asarray(sizes)
+        if not sizes.size:
+            return
+        lo, hi = sizes.min(), sizes.max()
+    if not (lo >= tiny and hi <= huge):
+        raise DoubleRangeError(what, f"they reach {lo:.3g} .. {hi:.3g}")
+
+
+@contextmanager
+def doubles(what: str, under: str = "ignore"):
+    """A block in which an overflow or a nan, and with under = "raise" an underflow,
+    raises DoubleRangeError naming `what` instead of a RuntimeWarning."""
+    try:
+        with np.errstate(over="raise", invalid="raise", under=under):
+            yield
+    except FloatingPointError as err:
+        raise DoubleRangeError(what, str(err)) from None
+
+
+def checked_power(what: str, base: float, exponent: float) -> float:
+    """base^exponent as a float, checked by check_range under the name `what`."""
+    try:
+        value = float(base) ** exponent
+    except OverflowError:
+        value = np.inf
+    check_range(what, value)
+    return value
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from .norms import (
     DyadicShell, ZsNorm, angle_bracket, kept_bounds, kept_indices, segment_sums, xsb_mass,
     zs_norm_cells,
 )
+from .torus import check_range, checked_power
 
 
 @dataclass(frozen=True)
@@ -437,9 +438,10 @@ def convolve_modulation(
 
 
 def _pair_products(f: ModulationField, g: ModulationField, rows, cols, scale: float) -> np.ndarray:
-    """f.coeffs[rows] * g.coeffs[cols] * scale, formed in place."""
-    vals = f.coeffs.take(rows)
-    vals *= g.coeffs.take(cols)
+    """f.coeffs[rows] * g.coeffs[cols] * scale.  The pair products go to a new array:
+    numpy multiplies a one-element array in place without the fused loop that every
+    other length takes, so a lone pair would round otherwise (numpy 2.4)."""
+    vals = f.coeffs.take(rows) * g.coeffs.take(cols)
     vals *= scale
     return vals
 
@@ -519,7 +521,8 @@ def _fixed_tau_cells(model: DispersionModel, cfg: RatioSearchConfig, rng) -> tup
 def _resonant_cells(
     model: DispersionModel, cfg: RatioSearchConfig, rng, s: float, N: int | None = None
 ) -> tuple[tuple, tuple]:
-    """The raw cells of resonant_pair's two fields."""
+    """The raw cells of resonant_pair's two fields.  DoubleRangeError names the
+    phi_N amplitude N^-s or the A2-like amplitude if it leaves the normal doubles."""
     if N is None:
         N = rng.integers(2, max(3, cfg.k_max // 2) + 1)
     N, n = int(N), model.order
@@ -528,9 +531,10 @@ def _resonant_cells(
         check_int64_lattice(n, 4 * N, 2 * abs(q0))
     except ValueError as err:
         raise ValueError(f"resonant pair at N = {N}: {err}") from None
-    amp = float(N) ** (-s)
+    amp = checked_power("the phi_N amplitude", N, -s)
     u1 = np.array([N, -N], dtype=np.int64), np.zeros(2, dtype=np.int64), np.array([amp, amp])
-    a2_amp = 2.0 * N * amp**2 / abs(q0)
+    a2_amp = 2.0 * N * checked_power("the A2-like amplitude", amp, 2) / abs(q0)
+    check_range("the A2-like amplitude", a2_amp)
     shift = model.sign * q0
     u2 = (
         np.array([2 * N, 2 * N, -2 * N, -2 * N], dtype=np.int64),

@@ -321,27 +321,38 @@ def reference_growth_sweep(model, s, n_list, t):
     )
 
 
-def accepted_s_edges(cfg: dict, inside: float) -> tuple[float, float]:
-    """The lowest and the highest s that `illposed-sweep`'s check accepts for the
-    other keys of cfg, found by bisection outwards from the accepted s `inside`."""
-    from hokdv.cli import _check_illposed
-    from hokdv.config import ConfigError
+def accepted_s_edges(cfg: dict, inside: float, also=None) -> tuple[float, float]:
+    """The lowest and the highest s at which an `illposed-sweep` run with the other
+    keys of cfg is not refused (exit 2), and also(s) holds if given, found by
+    bisection outwards from the accepted s `inside`, out to -1e4 and 1e4."""
+    import contextlib
+    import io
+    import tempfile
 
-    def accepted(s):
-        try:
-            _check_illposed({**cfg, "s_list": [s]})
-        except ConfigError:
-            return False
-        return True
+    from hokdv.cli import main
 
-    assert accepted(inside)
-    edges = []
-    for outside in (-1e4, 1e4):
-        ok, bad = inside, outside
-        for _ in range(80):
-            mid = 0.5 * (ok + bad)
-            ok, bad = (mid, bad) if accepted(mid) else (ok, mid)
-        edges.append(ok)
+    def text(value):
+        return ", ".join(map(str, value)) if isinstance(value, list) else str(value)
+
+    sets = [arg for key, value in cfg.items() if key != "s_list"
+            for arg in ("--set", f"{key} = {text(value)}")]
+
+    def accepted(s, out_root):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            argv = ["illposed-sweep", *sets, "--set", f"s_list = {s!r}", "--out-root", out_root]
+            return main(argv) != 2 and (also is None or also(s))
+
+    with tempfile.TemporaryDirectory() as out_root:
+        assert accepted(inside, out_root)
+        edges = []
+        for outside in (-1e4, 1e4):
+            ok, bad = inside, outside
+            for _ in range(80):
+                mid = 0.5 * (ok + bad)
+                if mid in (ok, bad):  # the two are neighbouring doubles
+                    break
+                ok, bad = (mid, bad) if accepted(mid, out_root) else (ok, mid)
+            edges.append(ok)
     return edges[0], edges[1]
 
 

@@ -246,9 +246,13 @@ def _reference_smoothed(model, m, sig, vals):
     return reference_modulation_cells(m, sig, vals * mult)
 
 
-# products of these underflow to 0 (1e-170 squared), cancel exactly (+-1, +-1j)
-# or sum with rounding that depends on the order (3e8 against 1e-8 + 1j)
-_PLAN_COEFF = st.sampled_from([1.0, -1.0, 1j, -1j, 0.5 - 2j, 1e-170, -1e-170j, 3e8, 1e-8 + 1j])
+# products of these underflow to 0 (1e-170 squared) or cancel exactly (+-1, +-1j), and
+# those drawn over 16 decades, as _varied's, sum with rounding that depends on the order
+_PLAN_COEFF = st.one_of(
+    st.sampled_from([1.0, -1.0, 1j, -1j, 1e-170, -1e-170j]),
+    st.builds(lambda re, im, decade: complex(re, im) * 10.0**decade,
+              st.floats(0.5, 2.0), st.floats(-2.0, 2.0), st.integers(-8, 8)),
+)
 
 
 @st.composite
