@@ -5,8 +5,8 @@ Exit codes follow a machine-parseable contract:
     0  run completed and every scientific verdict passed
     1  run completed but a scientific verdict failed (growth law violated,
        audit violation, oracle disagreement, divergent contraction, blow-up)
-    2  usage or configuration error, or a number the run forms that leaves
-       the doubles: each command names the config key that scales it
+    2  usage or configuration error, or an input a rule of the library refuses
+       (torus.Refused): each command names the config key that sets it
 
 Each run writes into its own directory runs/<timestamp>-<confighash>/
 containing exactly one manifest.json (command, full configuration, seed,
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import sys
 import time
 import warnings
@@ -37,7 +36,6 @@ from .iterates import (
     grid_size_for_mode,
     growth_sweep,
     phi_n_data,
-    quadrature_steps_needed,
     second_iterate_closed,
     second_iterate_quadrature,
 )
@@ -49,13 +47,12 @@ from .solver import (
     contraction_experiment,
     integrate,
 )
-from .torus import DoubleRangeError, SpectralField, TorusGrid, check_range, physical_l2_norm
+from .torus import Refused, SpectralField, TorusGrid, check_range, physical_l2_norm
 from .norms import write_frames
 from .verifier import (
     GENERATORS,
     RatioSearchConfig,
     bilinear_zs_ratio,
-    check_search_lattice,
     dyadic_bilinear_ratio,
     embedding_ratio,
     product_l2_ratio,
@@ -125,30 +122,26 @@ def _from_config(cls, cfg: dict):
 
 
 def _initial_data(config: dict, grid: TorusGrid, rng: np.random.Generator) -> SpectralField:
-    """A simulate config's initial data.  ConfigError names initial_N or initial_modes
-    for modes off the grid.  DoubleRangeError names the phi_N amplitude N^-s, the
-    largest decay factor e^{-initial_decay m}, or, if the L2 norm leaves the normal
-    doubles, the family's scale: N^-s for phi_n, the initial amplitude otherwise."""
+    """A simulate config's initial data.  Refused names N or m for modes off the grid, or
+    the number that leaves the doubles: N^-s, the largest decay factor e^{-initial_decay m},
+    or, for the L2 norm, the family's scale (N^-s for phi_n, else the initial amplitude)."""
     family, what = config["initial"], "the initial amplitude"
-    try:
-        if family == "phi_n":
-            what = "the phi_N amplitude"
-            u0 = phi_n_data(config["initial_N"], config["initial_s"], grid)
-        elif family == "cosine":
-            a = config["initial_amplitude"] * np.pi
-            u0 = SpectralField.from_modes(grid, {1: a, -1: a})
-        else:
-            amps, decay = {}, []
-            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-                for m in range(1, config["initial_modes"] + 1):
-                    decay.append(np.exp(-config["initial_decay"] * m))
-                    a = config["initial_amplitude"] * (rng.normal() + 1j * rng.normal()) * decay[-1]
-                    amps[m] = a
-                    amps[-m] = np.conj(a)
-            check_range("the initial decay", max(decay))
-            u0 = SpectralField.from_modes(grid, amps)
-    except ValueError as err:
-        raise ConfigError("initial_N" if family == "phi_n" else "initial_modes", str(err)) from None
+    if family == "phi_n":
+        what = "the phi_N amplitude"
+        u0 = phi_n_data(config["initial_N"], config["initial_s"], grid)
+    elif family == "cosine":
+        a = config["initial_amplitude"] * np.pi
+        u0 = SpectralField.from_modes(grid, {1: a, -1: a})
+    else:
+        amps, decay = {}, []
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            for m in range(1, config["initial_modes"] + 1):
+                decay.append(np.exp(-config["initial_decay"] * m))
+                a = config["initial_amplitude"] * (rng.normal() + 1j * rng.normal()) * decay[-1]
+                amps[m] = a
+                amps[-m] = np.conj(a)
+        check_range("the initial decay", max(decay))
+        u0 = SpectralField.from_modes(grid, amps)
     with np.errstate(over="ignore", invalid="ignore"):
         check_range(what, physical_l2_norm(u0))
     return u0
@@ -177,28 +170,18 @@ SIMULATE_SCHEMA = {
 }
 
 
-def _solver_config(cfg: dict) -> SolverConfig:
-    try:
-        return _from_config(SolverConfig, cfg)
-    except ValueError as err:
-        raise ConfigError("T", str(err)) from None
-
-
-def _check_simulate(cfg: dict) -> None:
-    """Refuse a time step or a frame stride that the run cannot carry: frames.bin
-    stores one frame spacing, so the stride must divide the steps."""
-    steps = _solver_config(cfg).steps
-    if steps % cfg["frame_stride"]:
-        raise ConfigError("frame_stride", f"{cfg['frame_stride']} does not divide the {steps} steps")
-
-
 def run_simulate(ctx: RunContext) -> bool:
     cfg = ctx.config
+    solver = _from_config(SolverConfig, cfg)
+    # a rule of frames.bin, which stores one frame spacing; integrate takes any stride
+    if solver.steps % cfg["frame_stride"]:
+        raise ConfigError("frame_stride",
+                          f"{cfg['frame_stride']} does not divide the {solver.steps} steps")
     model = DispersionModel(cfg["j"], cfg["lam"])
     grid = TorusGrid(cfg["lam"], cfg["M"])
     u0 = _initial_data(cfg, grid, np.random.default_rng(cfg["seed"]))
     try:
-        times, frames = integrate(model, u0, _solver_config(cfg))
+        times, frames = integrate(model, u0, solver)
     except BlowUpError as err:
         ratio = err.ratio if np.isfinite(err.ratio) else None  # null, since NaN is not JSON
         ctx.verdicts["blow_up"] = {"t": err.t, "ratio": ratio}
@@ -232,21 +215,6 @@ ILLPOSED_SCHEMA = {
                     check=lambda v: len(v) >= 3 and min(v) >= 1 and v == sorted(set(v))),
     "t": Field("float", 1.0, check=lambda v: v > 0),
 }
-
-
-def _check_illposed(cfg: dict) -> None:
-    """Refuse a t at which t |w0| < 50 at the smallest N, w0 = (2^n - 2) (N / lam)^n the
-    gap frequency of (N, N), n = 2j + 1.  Below t |w0| ~ 1 A3 at mode N grows as t^2,
-    not t, and its N-exponent misses the secular law's (j = 3, lam = 3.5, t = 1e-8,
-    N = 8, 16, 32 fitted 81.08 against 75); over j = 1 to 8 the worst misfit fell from
-    0.30 at t |w0| = 5 to 0.008 at 50.  A3's two waves there also cancel, to a relative
-    rounding error of about 2^-52 / (t |w0|)."""
-    j, lam, t, N = cfg["j"], cfg["lam"], cfg["t"], cfg["N_list"][0]
-    n = 2 * j + 1
-    log2_tw0 = math.log2(t) + math.log2(2**n - 2) + n * (math.log2(N) - math.log2(lam))
-    if log2_tw0 < math.log2(50.0):
-        raise ConfigError("t", f"t |w0| = 2^{log2_tw0:.6g} at N = {N} is below 50, where A3 "
-                               "is not yet linear in t and the fit misses the secular law")
 
 
 def run_illposed_sweep(ctx: RunContext) -> bool:
@@ -331,18 +299,6 @@ ESTIMATE_SCHEMA = {
     "generator": Field("str", "mixed", check=lambda v: v == "mixed" or v in GENERATORS,
                        help="mixed or one of " + ", ".join(GENERATORS)),
 }
-
-
-def _check_estimate(cfg: dict) -> None:
-    """Refuse cells int64 cannot multiply exactly, and a generator for 2.1 (always dyadic)."""
-    if cfg["estimate"] == "2.1" and cfg["generator"] != "mixed":
-        raise ConfigError("generator", "estimate 2.1 draws only dyadic-concentrated fields")
-    l_max = max(cfg["l1"], cfg["l2"]) if cfg["estimate"] == "2.1" else 6
-    search = _from_config(RatioSearchConfig, cfg)
-    try:
-        check_search_lattice(2 * cfg["j"] + 1, int(cfg["lam"]), search, l_max)
-    except ValueError as err:
-        raise ConfigError("k_max", str(err)) from None
 
 
 def run_estimate_search(ctx: RunContext) -> bool:
@@ -435,18 +391,6 @@ def _picard_cells(cfg: dict):
                 yield j, N, t, model, u0
 
 
-def _check_picard(cfg: dict) -> None:
-    """Refuse a panel budget the quadrature oracle cannot resolve on some cell."""
-    for j, N, t, model, u0 in _picard_cells(cfg):
-        needed = quadrature_steps_needed(model, u0, t)
-        if cfg["steps"] < needed:
-            raise ConfigError(
-                "steps",
-                f"{cfg['steps']} panels cannot resolve the forcing at "
-                f"j={j} N={N} t={t}; steps must be >= {needed}",
-            )
-
-
 def run_picard_check(ctx: RunContext) -> bool:
     cfg = ctx.config
     rows = []
@@ -480,38 +424,39 @@ def run_picard_check(ctx: RunContext) -> bool:
 
 @dataclass(frozen=True)
 class Command:
-    """A subcommand: its schema, an optional check refusing a resolved config before anything
-    is written, a runner that fills the run context and says whether every verdict passed,
-    and for each number whose DoubleRangeError it may meet (by its `what`) the config key
-    that scales it."""
+    """A subcommand: its schema, a runner that fills the run context and says whether
+    every verdict passed, and for each input a Refused of the library may name (by its
+    `what`) the config key that sets it; a `what` not listed is that key itself."""
 
     help: str
     schema: dict[str, Field]
     run: Callable[[RunContext], bool]
-    check: Callable[[dict], None] | None = None
-    ranges: dict[str, str] = field(default_factory=dict)
+    keys: dict[str, str] = field(default_factory=dict)
 
 
 COMMANDS = {
     "simulate": Command("integrate the nonlinear equation and track invariants",
-                        SIMULATE_SCHEMA, run_simulate, _check_simulate,
+                        SIMULATE_SCHEMA, run_simulate,
                         {"the phase": "j", "the phi_N amplitude": "initial_s",
                          "the initial amplitude": "initial_amplitude",
-                         "the initial decay": "initial_decay"}),
+                         "the initial decay": "initial_decay",
+                         "N": "initial_N", "m": "initial_modes"}),
     "illposed-sweep": Command("third-iterate growth exponents across s",
-                              ILLPOSED_SCHEMA, run_illposed_sweep, _check_illposed,
+                              ILLPOSED_SCHEMA, run_illposed_sweep,
                               {"the phase": "j", "the phi_N amplitude": "j",
                                "the pair weight": "j", "A3": "t", "A3 at s": "s_list"}),
     "resonance-audit": Command("exact integer lower-bound audit", AUDIT_SCHEMA, run_resonance_audit),
     "estimate-search": Command("empirical ratio search for one estimate",
-                               ESTIMATE_SCHEMA, run_estimate_search, _check_estimate,
+                               ESTIMATE_SCHEMA, run_estimate_search,
                                {"the phi_N amplitude": "s", "the A2-like amplitude": "s",
-                                "the Z^s weights": "s", "the Z^s mass": "s"}),
+                                "the Z^s weights": "s", "the Z^s mass": "s",
+                                "the X_{s,b} weights": "s", "the X_{0,a} weights": "a",
+                                "the X_{0,b} weights": "b"}),
     "contraction": Command("cutoff Duhamel map contraction measurement",
-                           CONTRACTION_SCHEMA, run_contraction, None,
+                           CONTRACTION_SCHEMA, run_contraction,
                            {"the phase": "j", "the Z^s weights": "s", "the Z^s mass": "amplitude"}),
     "picard-check": Command("closed-form vs quadrature oracle agreement",
-                            PICARD_SCHEMA, run_picard_check, _check_picard,
+                            PICARD_SCHEMA, run_picard_check,
                             {"the phase": "j_list", "the phi_N amplitude": "s",
                              "the pair weight": "s"}),
 }
@@ -543,18 +488,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args) -> dict:
-    """The checked config of a parsed command line; raises ConfigError, FileNotFoundError, or
-    DoubleRangeError from a check that forms numbers (picard-check's phi_N data)."""
-    command = COMMANDS[args.command]
+    """The schema-checked config of a parsed command line; raises ConfigError or
+    FileNotFoundError."""
     raw: dict = {}
     if args.config:
         raw.update(load_config(args.config))
     for override in args.set or []:
         raw.update(parse_config_text(override))
-    config = validate_config(raw, {**command.schema, "seed": Field("int", 2025)})
-    if command.check is not None:
-        command.check(config)
-    return config
+    return validate_config(raw, {**COMMANDS[args.command].schema, "seed": Field("int", 2025)})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -564,9 +505,9 @@ def main(argv: list[str] | None = None) -> int:
         config = resolve_config(args)
         ctx = RunContext(args.command, config, Path(args.out_root))
         passed = command.run(ctx)
-    except (ConfigError, DoubleRangeError, FileNotFoundError) as err:
-        if isinstance(err, DoubleRangeError):
-            err = ConfigError(command.ranges[err.what], str(err))
+    except (ConfigError, Refused, FileNotFoundError) as err:
+        if isinstance(err, Refused):  # a rule of the library, before the first write
+            err = ConfigError(command.keys.get(err.what, err.what), str(err))
         print(f"usage error: {err}", file=sys.stderr)
         return USAGE
     ctx.finish()

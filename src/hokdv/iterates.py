@@ -21,7 +21,8 @@ rescales it to every s, since A3 is cubic in the data.
 Each number that could leave the doubles is checked where it is formed,
 with torus.DoubleRangeError naming it: the phi_N amplitude N^-s, a pair's
 weight and gap frequency, the phase e^{itp(k)}, and in the sweep A3, its
-rescaling and its squared norm.
+rescaling and its squared norm.  torus.Refused names an input a rule here
+refuses: phi_N's N off the grid, the oracle's `steps`, and the sweep's `t`.
 
 A quadrature oracle evaluates the A2 integral by a fourth-order
 exponential rule that never forms resonance functions, providing an
@@ -38,11 +39,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import DispersionModel, phase_multiplier
+from .dispersion import DispersionModel, phase_multiplier, resonance_q0
 from .expquad import exponential_weights, lagrange_monomial_basis
 from .reporting import ExperimentReport
-from .torus import (TINY, SpectralField, TorusGrid, check_range, checked_power, doubles,
-                    full_spectrum, half_spectrum, lattice_square, product_scale)
+from .torus import (TINY, Refused, SpectralField, TorusGrid, check_range, checked_power,
+                    doubles, full_spectrum, half_spectrum, lattice_square, product_scale)
 
 
 class ResonanceConsistencyError(RuntimeError):
@@ -61,15 +62,13 @@ def phi_n_data(N: int, s: float, grid: TorusGrid) -> SpectralField:
     """Build the two-mode field N^{-s} (chi_N + chi_{-N}) on the grid.
 
     The grid must also hold mode 3N so that third-iterate output cannot
-    silently alias.
+    silently alias (else Refused names N).
     """
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
     if 3 * N >= grid.modes // 2:
-        raise ValueError(
-            f"grid with {grid.modes} modes cannot hold mode 3N = {3 * N}; "
-            "enlarge the lattice to avoid aliased iterates"
-        )
+        raise Refused("N", f"grid with {grid.modes} modes cannot hold mode 3N = {3 * N}; "
+                           "enlarge the lattice to avoid aliased iterates")
     amp = checked_power("the phi_N amplitude", N, -s)
     return SpectralField.from_modes(grid, {N: amp, -N: amp})
 
@@ -222,8 +221,9 @@ def second_iterate_quadrature(
 
     A budget is accepted only while each panel spans at most a quarter
     period of the forcing: theta = h * Omega <= pi/2, with h = t/steps and
-    Omega = 2 max|p(k)| over the support of u0.  Otherwise ValueError names
-    the smallest accepted panel count (`quadrature_steps_needed`).  On the
+    Omega = 2 max|p(k)| over the support of u0.  Otherwise Refused names
+    steps, and its message the cell (j, the largest mode N of u0, t) and the
+    smallest accepted panel count (`quadrature_steps_needed`).  On the
     phi_N data (j = 2, 3; N <= 8; 64 to 1024 panels) the error relative to
     max|A2| stayed below 2e-3 for theta <= 1.2, reached 1e-2 near theta = 3
     and stopped falling beyond, up to 0.5 at theta = 9.6.  The rule is
@@ -233,33 +233,33 @@ def second_iterate_quadrature(
 
     u0 must be a real field, exactly conjugate symmetric (else ValueError): the
     free flow, the weights and the accumulator live on its half spectrum, the
-    nonnegative modes 0 .. M/2, and A2 is mirrored back to the whole lattice.
+    nonnegative modes 0 .. M/2, and A2 is mirrored back to the whole lattice;
+    DoubleRangeError names the phase if t max|p(k)| there leaves the doubles.
     Panels run in blocks, one forcing `lattice_square` each, the free flow formed
     on the support of u0 only.  A table made once by `exp` carries each panel's end
     value to the end of its block, so one contraction per block replaces the
     per-panel recursion; the two differ by at most 3.9e-11 max|A2| (j = 2, 3, lam = 1, 2).
     """
-    if steps < 16:
-        raise ValueError(f"steps must be >= 16, got {steps}")
     if t < 0:
         raise ValueError("t must be nonnegative")
     grid = u0.grid
     model.check_grid(grid)
     needed = quadrature_steps_needed(model, u0, t)
     if steps < needed:
-        raise ValueError(
-            f"{steps} panels cannot resolve the forcing oscillation over "
-            f"[0, {t}]; steps must be >= {needed}"
-        )
+        N = int(np.max(np.abs(grid.m_ints[u0.coeffs != 0]), initial=0))
+        raise Refused("steps", f"{steps} panels cannot resolve the forcing at j={model.j} "
+                               f"N={N} t={t}; steps must be >= {needed}")
     c = half_spectrum(u0)
     if t == 0.0:
         return SpectralField.zero(grid)
     h = t / steps
     k = grid.half_k_values
-    lin = model.phase(k)
+    with np.errstate(over="ignore"):
+        lin = model.phase(k)
+    check_range("the phase", t * np.max(np.abs(lin)), tiny=0.0)  # every phase formed below
     d_x = 1j * k * product_scale(grid)  # d_x and the scale of lattice_square
     weights = exponential_weights(lin, h, _NC4_NODES, _NC4_BASIS) * d_x
-    block = max(1, _PANEL_BLOCK_VALUES // grid.modes)
+    block = max(1, min(steps, _PANEL_BLOCK_VALUES // grid.modes))
     support = np.flatnonzero(c)
     local = np.exp(1j * ((block - 1 - np.arange(block))[:, None] * h) * lin)
     u1 = np.zeros((block, len(_NC4_NODES), len(c)), dtype=np.complex128)
@@ -299,12 +299,22 @@ def growth_sweep(
 
     The fitted exponent is compared against the secular-growth prediction
     -2s - (2j - 1); growth (positive exponent) is expected exactly below the
-    threshold s = -j + 1/2.
+    threshold s = -j + 1/2.  Refused names t unless t |w0| >= 50 at the
+    smallest N, w0 = q0(N, N) / lam^n: below t |w0| ~ 1 A3 grows as t^2, not t
+    (j = 3, lam = 3.5, t = 1e-8, N = 8, 16, 32 fitted 81.08 against 75), and
+    its two waves cancel to a relative rounding error of about 2^-52 / (t |w0|).
+    Over j = 1 to 8 the worst misfit fell from 0.30 at t |w0| = 5 to 0.008 at 50.
     """
     if len(n_list) < 3:
         raise ValueError("need at least 3 values of N for the exponent fit")
     if any(a >= b for a, b in zip(n_list, n_list[1:])):
         raise ValueError("N list must be strictly ascending")
+    n, N = model.order, n_list[0]
+    # in log2 of the exact integer gap, which overflows a float at large j
+    log2_tw0 = math.log2(t) + math.log2(abs(resonance_q0(n, N, N))) - n * math.log2(model.lam)
+    if log2_tw0 < math.log2(50.0):
+        raise Refused("t", f"t |w0| = 2^{log2_tw0:.6g} at N = {N} is below 50, where A3 "
+                           "is not yet linear in t and the fit misses the secular law")
     g = 2.0 * model.j - 1.0
     walks = []
     for N in n_list:

@@ -11,11 +11,11 @@ The frequency lattice is zero-free: the k = 0 column is held at zero
 (fields entering this machinery are mean-zero), mirroring the punctured
 lattice on which the modulation regions partition.
 
-The Z^s pass refuses a number that leaves the doubles where it is formed,
-with torus.DoubleRangeError: `zs_weights` a block weight outside
-[2^-1022, 2^1022] or a bracket power that under- or overflows, and
-`ZsWeights.norm` a mass that overflows.  A mass that underflows is left to
-the field's total, which its caller may check.
+The Z^s and X_{s,b} passes refuse a number that leaves the doubles where it
+is formed, with torus.DoubleRangeError: `zs_weights` and `xsb_mass` a weight
+outside [2^-1022, 2^1022] or a bracket power that under- or overflows, and
+`ZsWeights.norm` and `xsb_mass` a mass that overflows.  A mass that
+underflows is left to the field's total, which its caller may check.
 """
 
 from __future__ import annotations
@@ -203,15 +203,21 @@ def xsb_mass(
     b: float,
     homogeneous: bool = False,
     bounds: np.ndarray | None = None,
+    what: str = "the X_{s,b} weights",
 ) -> np.ndarray:
     """Squared X_{s,b} mass of the listed cells (k = 0 cells excluded), fields at
-    offsets bounds (None: one field): one entry per field."""
+    offsets bounds (None: one field): one entry per field.  DoubleRangeError names
+    `what` if a bracket power under- or overflows, a weight leaves
+    [2^-1022, 2^1022], or a mass overflows."""
     bounds = _lone(len(k)) if bounds is None else bounds
     sel = k != 0
     kw = np.abs(k[sel]) if homogeneous else angle_bracket(k[sel])
-    weight = kw ** (2.0 * s) * angle_bracket(sigma[sel]) ** (2.0 * b)
-    terms = weight * np.abs(coeffs[sel]) ** 2
-    return segment_sums(terms, kept_bounds(sel, bounds)) * cell_measure / lam
+    with doubles(what, under="raise"):
+        weight = kw ** (2.0 * s) * angle_bracket(sigma[sel]) ** (2.0 * b)
+    check_range(what, weight)
+    with doubles(what):
+        terms = weight * np.abs(coeffs[sel]) ** 2
+        return segment_sums(terms, kept_bounds(sel, bounds)) * cell_measure / lam
 
 
 def _ys_columns(m: np.ndarray, k: np.ndarray, s: float, bounds: np.ndarray) -> tuple:

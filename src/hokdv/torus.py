@@ -15,6 +15,10 @@ The Nyquist mode m = -M/2 is forced to zero so the retained lattice is
 exactly symmetric and conjugate symmetry survives every operation.
 A real field is also held by its nonnegative modes 0 .. M/2 alone
 (`half_spectrum`, `full_spectrum`), the form `lattice_square` squares.
+
+A rule on an input raises `Refused`, a ValueError naming the input, in the
+module that owns the rule; a number that leaves the doubles where it is formed
+raises its subclass `DoubleRangeError`, naming the number.
 """
 
 from __future__ import annotations
@@ -33,13 +37,20 @@ class GridMismatchError(ValueError):
     """Raised when two fields do not live on the same grid."""
 
 
-class DoubleRangeError(ArithmeticError):
-    """A number left the doubles where it was formed; `what` names it, and each
-    command of the CLI names the config key that scales it."""
+class Refused(ValueError):
+    """An input refused by the rule that owns it; `what` names the input (a parameter
+    of the refusing call, or the number it formed), which the CLI maps to a config key."""
+
+    def __init__(self, what: str, message: str):
+        super().__init__(message)
+        self.what = what
+
+
+class DoubleRangeError(Refused, ArithmeticError):
+    """A number left the doubles where it was formed; `what` names the number."""
 
     def __init__(self, what: str, detail: str):
-        super().__init__(f"{what} left double precision ({detail})")
-        self.what = what
+        super().__init__(what, f"{what} left double precision ({detail})")
 
 
 def check_range(what: str, sizes, tiny: float = TINY, huge: float = HUGE) -> None:
@@ -122,7 +133,7 @@ class TorusGrid:
     def index_of(self, m: int) -> int:
         """Array index of integer lattice mode m (k = m/lam)."""
         if not -self.modes // 2 < m < self.modes // 2:
-            raise ValueError(f"mode {m} outside lattice |m| < {self.modes // 2}")
+            raise Refused("m", f"mode {m} outside lattice |m| < {self.modes // 2}")
         return m % self.modes
 
 

@@ -15,7 +15,9 @@ convolution picks up exactly the resonance shift
 
     sigma_out = sigma_1 + sigma_2 + p(k1) + p(k2) - p(k1 + k2),
 
-evaluated in exact integer arithmetic on the scaled-sigma lattice.
+evaluated in exact integer arithmetic on the scaled-sigma lattice.  Each
+search refuses with torus.Refused, before it draws, a lattice whose cells would
+wrap in int64 (`check_search_lattice`, naming k_max).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .norms import (
     DyadicShell, ZsNorm, angle_bracket, kept_bounds, kept_indices, segment_sums, xsb_mass,
     zs_norm_cells,
 )
-from .torus import check_range, checked_power
+from .torus import Refused, check_range, checked_power
 
 
 @dataclass(frozen=True)
@@ -326,10 +328,9 @@ class ModulationField:
         mass = segment_sums(np.abs(self.coeffs) ** 2, self.bounds)
         return np.sqrt(mass * self.dtau / self.model.lam)
 
-    def xsb(self, s: float, b: float) -> np.ndarray:
-        mass = xsb_mass(
-            self.k, self.sigma, self.coeffs, self.dtau, self.model.lam, s, b, bounds=self.bounds
-        )
+    def xsb(self, s: float, b: float, what: str = "the X_{s,b} weights") -> np.ndarray:
+        mass = xsb_mass(self.k, self.sigma, self.coeffs, self.dtau, self.model.lam, s, b,
+                        bounds=self.bounds, what=what)
         return np.sqrt(mass)
 
     def zs(self, s: float) -> ZsNorm:
@@ -360,9 +361,11 @@ def _is_canonical(m: np.ndarray, sig: np.ndarray, bounds: np.ndarray) -> bool:
 
 def check_int64_lattice(order: int, m_bound: int, sig_bound: int) -> None:
     """Refuse a product of cells with |m1| + |m2| <= m_bound and |sig1| + |sig2|
-    <= sig_bound unless int64 holds every power, partial sum and output exactly."""
+    <= sig_bound unless int64 holds every power, partial sum and output exactly:
+    Refused names k_max, the search's mode range."""
     if 3 * m_bound**order + sig_bound >= 2**63:
-        raise ValueError("mode or modulation range too large for the exact int64 sigma lattice")
+        raise Refused("k_max", "mode or modulation range too large for the exact int64 "
+                               "sigma lattice")
 
 
 def _field_maxima(a: np.ndarray, bounds: np.ndarray) -> list[int]:
@@ -564,12 +567,12 @@ GENERATORS = _MIXED + ("fixed-tau",)  # the negative control is drawn only by na
 _FIXED_CELLS = ("free-solution-like", "fixed-tau")
 
 
-def check_search_lattice(order: int, lam: int, cfg: RatioSearchConfig, l_max: int = 6) -> None:
+def check_search_lattice(model: DispersionModel, cfg: RatioSearchConfig, l_max: int = 6) -> None:
     """Refuse cfg if two generated fields may not multiply exactly in int64; l_max is the
     largest dyadic shell asked for, and resonant pairs reach 2N <= max(6, k_max)."""
     m = max(cfg.k_max, 6)
-    sig = max(max(cfg.t_modes, 2 ** (max(l_max, 6) + 1)) * lam**order, m**order)
-    check_int64_lattice(order, 2 * m, 2 * sig)
+    sig = max(max(cfg.t_modes, 2 ** (max(l_max, 6) + 1)) * _scale(model), m**model.order)
+    check_int64_lattice(model.order, 2 * m, 2 * sig)
 
 
 def _scale(model: DispersionModel) -> int:
@@ -712,7 +715,11 @@ def dyadic_bilinear_ratio(
 
     Fields are drawn in their shells, yet each is restricted to DyadicShell(l)
     again: from l = 53 on, a drawn |sigma| near 2^{l+1} rounds to 2^{l+1} in
-    float64 and leaves the shell, and a trial left with an empty field is skipped."""
+    float64 and leaves the shell, and a trial left with an empty field is skipped.
+    It draws no other fields: Refused names a generator other than mixed."""
+    if cfg.generator != "mixed":
+        raise Refused("generator", "estimate 2.1 draws only dyadic-concentrated fields")
+    check_search_lattice(model, cfg, max(l1, l2))
     lo, hi = sorted((2.0**l1, 2.0**l2))
     prefactor = lo**0.5 * hi ** (1.0 / (2.0 * (2.0 * model.j + 1.0)))
 
@@ -740,6 +747,7 @@ def product_l2_ratio(
     Admissibility (a + b >= (j+1)/(2j+1), min(a,b) > 1/(2(2j+1))) is checked
     and recorded; inadmissible pairs run as flagged exploratory searches.
     """
+    check_search_lattice(model, cfg)
     j = model.j
     admissible = (a + b >= (j + 1) / (2 * j + 1) - 1e-12) and min(a, b) > 1 / (
         2 * (2 * j + 1)
@@ -749,7 +757,8 @@ def product_l2_ratio(
         return field_cells(gen, model, cfg, rng), field_cells(gen, model, cfg, rng)
 
     def measure(memo, u, v):
-        return _lhs_rhs(convolve_modulation(u, v, memo).l2_norm(), u.xsb(0.0, a) * v.xsb(0.0, b))
+        rhs = u.xsb(0.0, a, "the X_{0,a} weights") * v.xsb(0.0, b, "the X_{0,b} weights")
+        return _lhs_rhs(convolve_modulation(u, v, memo).l2_norm(), rhs)
 
     report = RatioReport(
         params={"j": j, "lam": model.lam, "a": a, "b": b, **vars(cfg)},
@@ -766,6 +775,7 @@ def embedding_ratio(
 
     Each trial's ratio is the largest of its three directions; the maximum of
     each direction over the trials is reported as params["max_by_direction"]."""
+    check_search_lattice(model, cfg)
     j = model.j
     directions = ("low_vs_zs", "zs_vs_high", "half_d12_vs_zs")
 
@@ -799,6 +809,7 @@ def bilinear_zs_ratio(
 
     probed over random and adversarial pairs, including the resonant
     two-mode family that saturates it below the threshold regularity."""
+    check_search_lattice(model, cfg)
 
     def draw(gen, rng):
         if gen == "phi_N-family":

@@ -139,18 +139,15 @@ def reference_second_iterate_quadrature(model, u0, t, steps):
     from hokdv.expquad import exponential_weights
     from hokdv.iterates import _NC4_BASIS, _NC4_NODES, quadrature_steps_needed
 
-    if steps < 16:
-        raise ValueError(f"steps must be >= 16, got {steps}")
     if t < 0:
         raise ValueError("t must be nonnegative")
     grid = u0.grid
     model.check_grid(grid)
     needed = quadrature_steps_needed(model, u0, t)
     if steps < needed:
-        raise ValueError(
-            f"{steps} panels cannot resolve the forcing oscillation over "
-            f"[0, {t}]; steps must be >= {needed}"
-        )
+        N = int(np.max(np.abs(grid.m_ints[u0.coeffs != 0]), initial=0))
+        raise ValueError(f"{steps} panels cannot resolve the forcing at j={model.j} "
+                         f"N={N} t={t}; steps must be >= {needed}")
     if t == 0.0:
         return SpectralField.zero(grid)
     h = t / steps

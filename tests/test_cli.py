@@ -462,6 +462,10 @@ SIMULATE_SHORT = ["simulate", "--set", "j = 2", "--set", "M = 64", "--set", "dt 
           "--set", "N_list = 8, 16, 32, 64, 128"], "'j'"),
         # the forcing frequency 2 |p(2)| overflows: the panel count raised OverflowError
         (["picard-check", "--set", "j_list = 600", "--set", "N_list = 2"], "'j_list'"),
+        # t |w0| at j = 200 is past the doubles: the rule compares it in log2 of the exact
+        # gap, and the walk's phase is refused
+        (["illposed-sweep", "--set", "j = 200", "--set", "s_list = -1.5",
+          "--set", "N_list = 8, 16, 32"], "'j'"),
         # t |w0| below 50 at the smallest N: A3 grows as t^2 there, not t.  At t = 1e-8 the
         # fit read 81.08 against 75 and the run exited 1 ...
         (["illposed-sweep", "--set", "j = 3", "--set", "lam = 3.5", "--set", "t = 1e-8",
@@ -479,6 +483,7 @@ SIMULATE_SHORT = ["simulate", "--set", "j = 2", "--set", "M = 64", "--set", "dt 
          "non-integral-lam", "audit-j-below-one", "audit-lam", "phi-n-overflows", "phi-n-underflows",
          "smooth-random-l2-overflows", "smooth-random-decay-overflows", "cosine-l2-overflows",
          "simulate-phase-overflows", "sweep-phase-overflows", "picard-phase-overflows",
+         "sweep-j-200-phase-overflows",
          "sweep-t-1e-8-quadratic-in-t",
          "sweep-t-1e-100", "sweep-t-1e-250", "sweep-j3-lam3.5-cancels"],
 )
@@ -511,15 +516,22 @@ ZS_WEIGHT_OVERFLOWS = [("3.1", 17, 40), ("3.1", 20, 40), ("3.1", -20, 40), ("3.1
         *((["estimate-search", "--set", f"estimate = {estimate}", "--set", f"s = {s}",
             "--set", f"trials = {trials}"], "'s'")
           for estimate, s, trials in ZS_WEIGHT_OVERFLOWS),
+        # X_{0,a} and X_{0,b} weights past the doubles: 3 of 4 trials wrote rhs = inf and
+        # ratio 0 at a = 1000, and at b = -400 trial 0's rhs underflowed to 0, silently
+        (["estimate-search", "--set", "estimate = 2.2", "--set", "a = 1000",
+          "--set", "trials = 4"], "'a'"),
+        (["estimate-search", "--set", "estimate = 2.2", "--set", "b = -400",
+          "--set", "trials = 4"], "'b'"),
     ],
     ids=["sweep-s-minus-300", "sweep-s-minus-100", "sweep-s-300", "sweep-j20-s-16.9",
          "picard-s-minus-2000",
          "picard-s-minus-300", "estimate-3.1-s-minus-2000",
-         *(f"estimate-{estimate}-s-{s}-zs-weights" for estimate, s, _ in ZS_WEIGHT_OVERFLOWS)],
+         *(f"estimate-{estimate}-s-{s}-zs-weights" for estimate, s, _ in ZS_WEIGHT_OVERFLOWS),
+         "estimate-2.2-a-1000-xsb-weights", "estimate-2.2-b-minus-400-xsb-weights"],
 )
 def test_phi_n_data_past_double_precision_exits_two(tmp_path, capsys, argv, key):
-    """A regularity whose phi_N data, iterates or Z^s weights overflow, or drop out of
-    the normal doubles, is refused where the number is formed, before any file is written."""
+    """A regularity whose phi_N data, iterates, Z^s or X_{s,b} weights overflow, or drop out
+    of the normal doubles, is refused where the number is formed, before any file is written."""
     assert run(tmp_path, *argv) == 2
     err = capsys.readouterr().err
     assert key in err and "double precision" in err
@@ -555,13 +567,15 @@ def test_illposed_sweep_at_the_accepted_edges_stays_finite(tmp_path, j):
         (["amplitude = 1e77"], "'amplitude'"),
         # <sigma>^{2s + 2} of the D2 block underflows 2^-1022 on the largest |sigma|
         (["s = -40"], "'s'"),
-        # the first difference, ~ amplitude^2, squared underflows 2^-1022
+        # the first difference, ~ amplitude^2, squared underflows 2^-1022: to 0 at 1e-85,
+        # and at 1e-78 to a subnormal 1.0e-310 that moved diff_zs by 5e-11 relative
         (["amplitude = 1e-85"], "'amplitude'"),
+        (["amplitude = 1e-78"], "'amplitude'"),
         # the phase p(M / 2 lam) overflows: this named 's'
         (["j = 200"], "'j'"),
     ],
     ids=["s-35", "s-minus-60", "j3-s-25", "j3-s-minus-35", "amplitude-1e77", "s-minus-40",
-         "amplitude-1e-85", "j-200"],
+         "amplitude-1e-85", "amplitude-1e-78", "j-200"],
 )
 def test_contraction_past_double_precision_exits_two(tmp_path, capsys, sets, key):
     argv = ["contraction", *itertools.chain.from_iterable(("--set", kv) for kv in sets)]
@@ -575,8 +589,8 @@ def test_contraction_past_double_precision_exits_two(tmp_path, capsys, sets, key
 @pytest.mark.parametrize(
     "sets",
     [["s = 32"], ["s = -35"], ["j = 3", "s = 22"], ["j = 3", "s = -25"],
-     ["amplitude = 1e71"], ["amplitude = 1e-79"]],
-    ids=["s-32", "s-minus-35", "j3-s-22", "j3-s-minus-25", "amplitude-1e71", "amplitude-1e-79"],
+     ["amplitude = 1e71"], ["amplitude = 4e-78"]],
+    ids=["s-32", "s-minus-35", "j3-s-22", "j3-s-minus-25", "amplitude-1e71", "amplitude-4e-78"],
 )
 def test_contraction_at_the_accepted_edges_stays_finite(tmp_path, sets):
     # pytest turns a RuntimeWarning, an overflow among them, into an error
@@ -632,6 +646,48 @@ def test_estimate_search_is_right_or_refused(estimate, j, s, k_max, trials):
     run_is_right_or_refused(["estimate-search", "--set", f"estimate = {estimate}",
                              "--set", f"j = {j}", "--set", f"s = {s!r}", "--set", f"k_max = {k_max}",
                              "--set", f"trials = {trials}"])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(j=st.integers(2, 6), scheme=st.sampled_from(["ifrk4", "etdrk4"]),
+       M=st.sampled_from([8, 16, 64]), dt=st.sampled_from(["1e-3", "3e-3", "0.01"]),
+       T=st.sampled_from(["0.01", "0.02", "0.03"]), stride=st.integers(1, 12),
+       initial=st.sampled_from(["phi_n", "cosine", "smooth-random"]), N=st.integers(1, 12),
+       initial_s=st.floats(-600.0, 600.0), log_amplitude=st.floats(-300.0, 300.0),
+       modes=st.integers(1, 40), decay=st.floats(-300.0, 300.0))
+def test_simulate_is_right_or_refused(j, scheme, M, dt, T, stride, initial, N, initial_s,
+                                      log_amplitude, modes, decay):
+    run_is_right_or_refused(["simulate", "--set", f"j = {j}", "--set", f"scheme = {scheme}",
+                             "--set", f"M = {M}", "--set", f"dt = {dt}", "--set", f"T = {T}",
+                             "--set", f"frame_stride = {stride}", "--set", f"initial = {initial}",
+                             "--set", f"initial_N = {N}", "--set", f"initial_s = {initial_s!r}",
+                             "--set", f"initial_amplitude = {10.0**log_amplitude!r}",
+                             "--set", f"initial_modes = {modes}",
+                             "--set", f"initial_decay = {decay!r}"])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(j=st.integers(2, 200), lam=st.sampled_from(["1", "2", "3.5"]),
+       s=st.lists(st.floats(-600.0, 600.0), min_size=1, max_size=2),
+       N0=st.integers(1, 16), log_t=st.floats(-12.0, 3.0))
+@example(j=200, lam="1", s=[-1.5], N0=8, log_t=0.0).via("the phase of j = 200 overflows")
+def test_illposed_sweep_is_right_or_refused(j, lam, s, N0, log_t):
+    run_is_right_or_refused(["illposed-sweep", "--set", f"j = {j}", "--set", f"lam = {lam}",
+                             "--set", f"s_list = {', '.join(map(repr, s))}",
+                             "--set", f"N_list = {N0}, {2 * N0}, {4 * N0}",
+                             "--set", f"t = {10.0**log_t!r}"])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(j=st.integers(2, 200), N=st.integers(1, 8), log_t=st.floats(-12.0, 3.0),
+       steps=st.integers(16, 1024), s=st.floats(-600.0, 600.0),
+       lam=st.sampled_from(["1", "2"]))
+@example(j=2, N=4, log_t=math.log10(0.3), steps=256, s=0.0, lam="1").via("steps below 392")
+@example(j=171, N=1, log_t=0.0, steps=16, s=0.0, lam="1").via("the oracle's p(M/2) overflows")
+def test_picard_check_is_right_or_refused(j, N, log_t, steps, s, lam):
+    run_is_right_or_refused(["picard-check", "--set", f"j_list = {j}", "--set", f"N_list = {N}",
+                             "--set", f"t_list = {10.0**log_t!r}", "--set", f"steps = {steps}",
+                             "--set", f"s = {s!r}", "--set", f"lam = {lam}"])
 
 
 def test_bench_contraction_amplitudes_pass_the_check():

@@ -25,7 +25,7 @@ from hokdv.iterates import (
     third_iterate_closed,
 )
 from hokdv.norms import NormSpec, sobolev_norm
-from hokdv.torus import DoubleRangeError, SpectralField, TorusGrid, inverse_transform
+from hokdv.torus import DoubleRangeError, Refused, SpectralField, TorusGrid, inverse_transform
 
 from helpers import (
     accepted_s_edges,
@@ -688,9 +688,7 @@ def test_a3_cancellation_error_follows_the_refused_bound(j, lam, N, log2_tw0):
     A3's relative error stays within 4 times 2^-52 / (t |w0|); at j = 3, lam = 3.5
     (an inexact w0) it reaches that estimate, past 2^-20 where the estimate is.
     (Elsewhere E's real part may round to t exactly, which leaves an error near
-    t |w0| / 3.)  illposed-sweep refuses every t here, as t |w0| < 50."""
-    from hokdv.cli import ConfigError, _check_illposed
-
+    t |w0| / 3.)  growth_sweep refuses every t here, naming t, as t |w0| < 50."""
     model = DispersionModel(j, lam)
     n = model.order
     t = 2.0**log2_tw0 / ((2**n - 2) * (N / lam) ** n)
@@ -703,6 +701,6 @@ def test_a3_cancellation_error_follows_the_refused_bound(j, lam, N, log2_tw0):
     assert error <= 4 * estimate
     if estimate > 2.0**-20 and (j, lam) == (3, 3.5):
         assert error > 2.0**-20
-    cfg = {"j": j, "lam": lam, "t": t, "N_list": [N, 2 * N, 4 * N], "s_list": [0.0]}
-    with pytest.raises(ConfigError, match="'t'"):
-        _check_illposed(cfg)
+    with pytest.raises(Refused, match="below 50") as refused:
+        growth_sweep(model, [0.0], [N, 2 * N, 4 * N], t)
+    assert refused.value.what == "t"

@@ -30,7 +30,7 @@ from hokdv.norms import (
     zs_norm_cells,
     zs_weights,
 )
-from hokdv.torus import SpectralField, TorusGrid
+from hokdv.torus import DoubleRangeError, SpectralField, TorusGrid
 from hokdv.verifier import ModulationField
 
 from helpers import random_band_limited, random_spacetime_coeffs, reference_zs_norm_cells
@@ -408,3 +408,14 @@ def test_norms_satisfy_triangle_inequality(seed):
         lambda f: zs_norm(f, -1.5, model).total,
     ):
         assert norm(w) <= norm(u) + norm(v) + 1e-12
+
+
+@pytest.mark.parametrize("s,b,message", [(600.0, 0.5, "overflow"), (0.0, -400.0, "underflow"),
+                                         (0.0, 51.3256, "they reach")])
+def test_xsb_weights_leave_the_doubles_by_the_callers_name(s, b, message):
+    """A bracket power that over- or underflows, or a weight past 2^1022 (here
+    <1000>^102.65 = 2^1023), is refused under the name the caller gives its weights."""
+    u = ModulationField(DispersionModel(2, 1.0), [3, -5], [2, 1000], [1.0, 1.0j])
+    with pytest.raises(DoubleRangeError, match=message) as refused:
+        u.xsb(s, b, "the X_{0,b} weights")
+    assert refused.value.what == "the X_{0,b} weights"

@@ -202,7 +202,7 @@ def test_resonant_pair_refuses_N_past_int64(j, delta, far):
     edge = _largest_resonant_N(model)
     assert j > 3 or edge >= 64  # criterion 9 (j <= 3) draws N <= k_max // 2 = 64
     with pytest.raises(ValueError, match="int64"):  # a checked search never draws N > edge
-        check_search_lattice(n, 1, RatioSearchConfig(k_max=2 * (edge + 1)))
+        check_search_lattice(model, RatioSearchConfig(k_max=2 * (edge + 1)))
     for N in (edge + delta, far):
         if N > edge:
             with pytest.raises(ValueError, match=f"N = {N}"):
@@ -317,9 +317,9 @@ def test_cell_plans_match_a_fresh_product_and_the_reference(cells, data):
 
 def test_search_lattice_check_accepts_the_criterion_9_range():
     cfg = RatioSearchConfig(k_max=128, t_modes=64)
-    check_search_lattice(7, 4, cfg)  # j = 3, lam = 4
+    check_search_lattice(DispersionModel(3, 4.0), cfg)
     with pytest.raises(ValueError, match="int64"):
-        check_search_lattice(7, 256, cfg)
+        check_search_lattice(DispersionModel(3, 256.0), cfg)
 
 
 def test_convolution_collision_accumulates(model):
