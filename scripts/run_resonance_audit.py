@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Full exact-arithmetic audit of the resonance lower bound, j = 1..4."""
+"""Certified audit of the resonance lower bound for every integer pair, j = 1..4,
+with the least ratio reported at kmax = 200."""
 
 import sys
 

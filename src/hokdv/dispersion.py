@@ -19,7 +19,6 @@ float factor lam^{-(2j+1)} applied afterwards.
 
 from __future__ import annotations
 
-import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -108,191 +107,89 @@ def resonance_q0(n: int, m1, m2):
     return m1**n + m2**n - (m1 + m2) ** n
 
 
-_AUDIT_ROWS = 32  # m1 rows per audit block
-_U = 2.0**-53  # unit roundoff of float64
+def _over_r_plus_1(p: list[int]) -> list[int]:
+    """p / (r + 1) by synthetic division, ArithmeticError unless p(-1) = 0; every
+    polynomial here is a list of Python-int coefficients, lowest power first."""
+    q, carry = [0] * max(len(p) - 1, 1), 0
+    for i in range(len(p) - 1, 0, -1):
+        carry = q[i - 1] = p[i] - carry
+    if carry != p[0]:
+        raise ArithmeticError("r + 1 does not divide the polynomial")
+    return q
 
 
-def _ratio_bounds(float_n, float_r, float_j, off, m1, m2, float_exact):
-    """Float64 bounds lo <= lhs/rhs <= hi on the block (m1[:, None], m2), and
-    the block's gaps q and right-hand sides r as the filter forms them.
-
-    float_n, float_r and float_j hold the correctly rounded m^n, n|m| and
-    |m|^j at index m + off; u = 2^-53.
-
-    With float_exact set, the caller has proved that every table value, gap
-    and right-hand side is an integer below 2^53 (the audit's kmax up to
-    96,574 at j = 1, 766 at j = 2, 94 at j = 3 and 29 at j = 4): q and r are
-    then lhs and rhs exactly, and lo = hi = fl(q/r).  Rounding is monotone,
-    and q < r gives q/r <= 1 - 1/r < 1 - u, a double, so lo >= 1 holds
-    exactly when lhs >= rhs, and a pair whose lo exceeds another's has the
-    larger ratio.
-
-    Otherwise the computed |q0| lies within 3.1u(|a|+|b|+|c|) of the exact
-    lhs and the computed rhs within 5.1u of the exact one, relatively; the
-    8u and 16u slacks also cover the rounding of the bounds themselves.  lo
-    >= 1 therefore certifies lhs >= rhs.  Pairs with an overflowing power
-    or rhs get a hi that is inf or nan and a lo that is nan or below 1.
-    Pairs with m1 + m2 = 0, outside D, get nan or inf.
-    """
-    idx = m1[:, None] + (m2 + off)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        a, b, c = float_n[idx], float_n[m1 + off][:, None], float_n[m2 + off]
-        q = np.abs(a - b - c)
-        r = float_r[idx] * float_j[m1 + off][:, None] * float_j[m2 + off]
-        if float_exact:
-            ratio = q / r
-            return ratio, ratio, q, r
-        slack = (np.abs(a) + (np.abs(b) + np.abs(c))) * (8 * _U)
-        lo = (q - slack) / r * (1 - 16 * _U)
-        hi = np.where(r < math.inf, (q + slack) / r * (1 + 16 * _U), math.inf)
-    return lo, hi, q, r
+def _mobius(p: list[int]) -> list[int]:
+    """(1 + x)^deg(p) p(-x/(1 + x)), positive on x > 0 where p is on (-1, 0): p(-x)
+    reversed, Taylor-shifted to x + 1 (a suffix sum per pass), reversed back."""
+    a = np.array([-c if i % 2 else c for i, c in enumerate(p)][::-1], dtype=object)
+    for i in range(len(a) - 1):
+        a[i:] = np.cumsum(a[i:][::-1])[::-1]
+    return a[::-1].tolist()
 
 
-def _tournament(num: np.ndarray, den: np.ndarray) -> int:
-    """Index of the first minimum of num/den: rounds of adjacent pairs in
-    which the left entry wins ties."""
-    idx = np.arange(num.size)
-    while idx.size > 1:
-        left, right = idx[0::2], idx[1::2]
-        head = left[: right.size]
-        right_wins = num[right] * den[head] < num[head] * den[right]
-        idx = np.concatenate([np.where(right_wins, right, head), left[right.size :]])
-    return int(idx[0])
+def _positive(p: list[int]) -> bool:
+    """Descartes' rule of signs, no sign change: p > 0 on x > 0."""
+    return min(p) >= 0 and max(p) > 0
 
 
-def _first_min(num: np.ndarray, den: np.ndarray) -> int:
-    """Index of the first minimum of num/den (den > 0) by exact cross products.
+def _gap_polynomials(j: int) -> tuple[list[int], list[int], list[int]]:
+    """P^2, G and N / (r + 1) of the gap bound at n = 2j + 1.  (k1 + k2)^n - k1^n -
+    k2^n = k1 k2 (k1 + k2) P(k1, k2), so on r = k1/k2 the bound's sides have the ratio
+    R(r) = |P(r, 1)| / (n |r|^{j-1}); G = (P^2 - n^2 r^{2j-2}) / (r + 1)^2 has the
+    sign of R - 1, and N = r (P^2)' - (2j-2) P^2 = n^2 r^{2j-1} d(R^2)/dr."""
+    n = 2 * j + 1
+    P = np.array(_over_r_plus_1([math.comb(n, i + 1) for i in range(n - 1)]), dtype=object)
+    P2 = np.convolve(P, P).tolist()
+    F = [c - n * n * (i == 2 * j - 2) for i, c in enumerate(P2)]
+    N = [(i - 2 * j + 2) * c for i, c in enumerate(P2)]
+    return P2, _over_r_plus_1(_over_r_plus_1(F)), _over_r_plus_1(N)
 
-    Each round keeps, in order, the entries strictly below the first one;
-    the first minimum is among them unless none is, so the first entry of
-    the last round is the one a sequential strict-< scan would keep.  A
-    round that keeps more than half goes to `_tournament` instead, so the
-    worst case stays O(n log n).
-    """
-    idx = np.arange(num.size)
-    while num.size > 1:
-        below = np.flatnonzero(num[1:] * den[0] < num[0] * den[1:]) + 1
-        if below.size == 0:
-            break
-        if 2 * below.size > num.size:
-            return int(idx[below[_tournament(num[below], den[below])]])
-        idx, num, den = idx[below], num[below], den[below]
-    return int(idx[0])
+
+def _uncertified(j: int, n: int) -> str | None:
+    """The first sign condition of the audit that Descartes' rule cannot prove, or
+    None.  Condition 1 needs n = 2j + 1, so that R depends on r alone; r < -1 follows
+    from R(r) = R(1/r).  At j = 1, G = 0 (the KdV identity, R = 1): 2 and 3 go unused."""
+    P2, G, M = _gap_polynomials(j)
+    if n != 2 * j + 1 or (any(G) and not (_positive(G) and _positive(_mobius(G)))):
+        return "condition 1: G_j > 0 away from r = -1"
+    if not any(G):
+        return None
+    if not _positive([-c for c in _mobius(M)]):  # on (-1, 0), r + 1 > 0 > r^{2j-1}
+        return "condition 2: d(R^2)/dr > 0 on (-1, 0)"
+    # R(r)^2 > R(-1/2)^2: 4^{j-1} P(r)^2 - 16^{j-1} P(-1/2)^2 r^{2j-2} > 0
+    at_half = sum(c * (-1) ** i * 2 ** (4 * j - 4 - i) for i, c in enumerate(P2))
+    T = [4 ** (j - 1) * c - at_half * (i == 2 * j - 2) for i, c in enumerate(P2)]
+    return None if _positive(T) else "condition 3: R(r) > R(-1/2) on r > 0"
 
 
 def audit_resonance_bound(model: DispersionModel, kmax: int) -> ExperimentReport:
-    """Check |k^{2j+1}-k1^{2j+1}-k2^{2j+1}| >= (2j+1)|k k1^j k2^j| on every pair.
+    """Prove |k^{2j+1}-k1^{2j+1}-k2^{2j+1}| >= (2j+1)|k k1^j k2^j| on every integer
+    pair, and report the least ratio on 1 <= |m1|, |m2| <= kmax, m1 + m2 != 0.
 
-    Both sides have degree 2j+1, so with k_i = m_i/lam the scale lam cancels:
-    the bound does not depend on lam, and the audit reads only model.j and
-    model.order, on the integer modes m_i.
-    Covers every integer pair 1 <= |m1|, |m2| <= kmax with m1 + m2 != 0 by
-    walking one pair per orbit of (m1, m2) -> (m2, m1) and (m1, m2) ->
-    (-m1, -m2), under which both sides are invariant: the lexicographically
-    first one, which lies in D = {m1 < 0, m1 <= m2, m1 + m2 < 0}.  D is
-    walked in blocks of m1 rows in (m1, m2) order, so its first minimal pair
-    is the first of all pairs.  A violating pair of D counts its whole orbit
-    (2 pairs on the diagonal m1 = m2, 4 elsewhere), and the witnesses are
-    the first 16 members of the violating orbits in (m1, m2) order.
-
-    Every verdict is decided exactly.  A float64 filter with a proved
-    rounding bound certifies lhs >= rhs on the pairs whose margin exceeds
-    that bound and brackets each pair's ratio; exact integer arithmetic
-    (int64 where a guard proves every value and cross product fits, Python
-    ints otherwise) then settles every pair the filter does not certify and
-    every pair whose ratio may be the minimum (a filtered exact predicate,
-    after Shewchuk, Discrete Comput. Geom. 18, 1997).  Where both sides stay
-    below 2^53 (kmax up to 96,574 at j = 1, 766 at j = 2, 94 at j = 3 and 29
-    at j = 4) the filter's plain float64 values are the exact integers: its
-    ratio decides every verdict, only the pairs tying the running minimum
-    reach the exact step, and that step reads its integers from the filter.
-    Records the minimal LHS/RHS ratio, the first pair attaining it in (m1,
-    m2) order, and any violating witness (none is expected; a violation
-    would signal an implementation bug, since the bound is a proved
-    identity consequence).
+    Both sides have degree 2j+1, so lam cancels (k_i = m_i/lam), and their ratio is
+    R(r) on r = m1/m2 (`_gap_polynomials`).  `_uncertified` proves by Descartes' rule,
+    on (-1, 0) after the Moebius map r = -x/(1 + x) (Collins and Akritas, SYMSAC
+    1976): 1. G > 0, so no pair violates the bound; 2. R grows on (-1, 0) away from
+    -1, so on r < 0 the least ratio is at -(kmax-1)/kmax or its inverse, first held
+    by (-kmax, kmax-1); 3. R on r > 0 exceeds R(-1/2), the largest such least ratio.
+    At j = 1 (R = 1) and kmax = 1 (only r = 1) the first pair (-kmax, -kmax) holds
+    it.  The cost does not depend on kmax.  A condition left unproved (a wrong lemma
+    or a bug) fails the report, and its summary names the condition.
     """
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     j, n = model.j, model.order
-    off = 2 * kmax
-    max_lhs = (2 * kmax) ** n + 2 * kmax**n
-    max_rhs = n * 2 * kmax * kmax ** (2 * j)
-    # Below 2^53 every value the filter forms is an exact float64 integer.
-    float_exact = max(max_lhs, max_rhs) < 2**53
-    dtype = np.int64 if max_lhs * max_rhs < 2**63 else object
-    pos_n = [m**n for m in range(off + 1)]
-    pos_j = [m**j for m in range(off + 1)]
-
-    def mirrored(pos, sign):  # index m + off over -off..off, from m >= 0
-        return np.concatenate([sign * pos[:0:-1], pos])
-
-    def floats(pos):  # correctly rounded; inf (left to the exact step) from 2^1023 on
-        cut = bisect.bisect_left(pos, 2**1023)  # pos is nondecreasing
-        return np.concatenate([np.array(pos[:cut], np.float64), np.full(len(pos) - cut, math.inf)])
-
-    # float(-p) = -float(p), so the mirrored floats stay correctly rounded.
-    float_n, float_j = mirrored(floats(pos_n), (-1) ** n), mirrored(floats(pos_j), 1)
-    float_r = n * np.abs(np.arange(-off, off + 1, dtype=np.float64))
-    if not float_exact:
-        exact_n = mirrored(np.array(pos_n, dtype=dtype), (-1) ** n)
-        exact_j = mirrored(np.array(pos_j, dtype=dtype), 1)
-
-    rng1 = np.concatenate([np.arange(-kmax, 0), np.arange(1, kmax + 1)])
-    pairs_checked = rng1.size * (rng1.size - 1)
-    violations: list[tuple[int, int]] = []  # violating pairs of D
-    min_num, min_den = None, None  # running min of LHS/RHS as exact pair
-    argmin = None
-    min_hi = math.inf  # bounds the minimal ratio from above
-    for start in range(0, kmax, _AUDIT_ROWS):
-        # Rows m1 < 0; columns [m1_first, -m1_first) cover the block's part of D.
-        m1 = rng1[start : min(start + _AUDIT_ROWS, kmax)]
-        m2 = rng1[start : rng1.size - start - 1]
-        width = m2.size
-        lo, hi, q, r = _ratio_bounds(float_n, float_r, float_j, off, m1, m2, float_exact)
-        min_hi = min(min_hi, np.fmin.reduce(hi, axis=None))
-        in_d = (m1[:, None] <= m2) & (m1[:, None] + m2 < 0)
-        # Exact step: every pair of D not certified both lhs >= rhs and above
-        # the minimum (nan compares false), walked in (m1, m2) order.
-        sel = np.flatnonzero(in_d & ~((lo >= 1) & (lo > min_hi)))
-        if sel.size == 0:
-            continue
-        if float_exact:  # q and r hold the integers; via int64 so objects are ints
-            lhs, rhs = (v.ravel()[sel].astype(np.int64).astype(dtype, copy=False) for v in (q, r))
-        else:
-            p1, p2 = m1[sel // width], m2[sel % width]
-            p = p1 + p2
-            lhs = np.abs(exact_n[p + off] - exact_n[p1 + off] - exact_n[p2 + off])
-            rhs = (n * np.abs(p)).astype(dtype) * exact_j[p1 + off] * exact_j[p2 + off]
-        rows, cols = np.divmod(sel[lhs < rhs], width)
-        violations.extend(zip(m1[rows].tolist(), m2[cols].tolist()))
-        i = _first_min(lhs, rhs)
-        num, den = int(lhs[i]), int(rhs[i])
-        if min_num is None or num * min_den < min_num * den:
-            min_num, min_den = num, den
-            row, col = divmod(int(sel[i]), width)
-            argmin = (int(m1[row]), int(m2[col]))
-    min_ratio = float(Fraction(min_num, min_den)) if min_den else float("nan")
-    n_violations = sum(2 if a == b else 4 for a, b in violations)
-    orbits = {w for a, b in violations for w in ((a, b), (b, a), (-a, -b), (-b, -a))}
-    return ExperimentReport(
-        rows=[
-            {
-                "j": j,
-                "kmax": kmax,
-                "pairs_checked": pairs_checked,
-                "violations": n_violations,
-                "min_ratio": min_ratio,
-            }
-        ],
-        summary={
-            "pairs_checked": pairs_checked,
-            "violations": n_violations,
-            "min_ratio": min_ratio,
-            "min_ratio_pair": list(argmin) if argmin else None,
-            "witnesses": [list(v) for v in sorted(orbits)[:16]],
-        },
-        passed=not violations,
-    )
+    failed = _uncertified(j, n)
+    if failed:
+        summary = {"pairs_checked": 0, "uncertified": failed}
+        return ExperimentReport([{"j": j, "kmax": kmax}], summary, passed=False)
+    pairs = 2 * kmax * (2 * kmax - 1)
+    m1, m2 = (-kmax, -kmax) if j == 1 or kmax == 1 else (-kmax, kmax - 1)
+    ratio = float(Fraction(abs(resonance_q0(n, m1, m2)), n * abs(m1 + m2) * abs(m1 * m2) ** j))
+    row = {"j": j, "kmax": kmax, "pairs_checked": pairs, "violations": 0, "min_ratio": ratio}
+    summary = {"pairs_checked": pairs, "violations": 0, "min_ratio": ratio,
+               "min_ratio_pair": [m1, m2], "witnesses": []}
+    return ExperimentReport([row], summary, passed=True)
 
 
 def region_masks(

@@ -232,9 +232,10 @@ def second_iterate_quadrature(
     t = 0.3, 55 panels: theta = 1.40, relative error 9e-2).
 
     u0 must be a real field, exactly conjugate symmetric (else ValueError): the
-    free flow, the weights and the accumulator live on its half spectrum, the
-    nonnegative modes 0 .. M/2, and A2 is mirrored back to the whole lattice;
-    DoubleRangeError names the phase if t max|p(k)| there leaves the doubles.
+    free flow lives on its half spectrum, the nonnegative modes 0 .. M/2, and the
+    weights, phases and accumulator on the modes A2 can fill there, 0 .. 2N for u0
+    supported on |m| <= N; A2 is mirrored back to the whole lattice.
+    DoubleRangeError names the phase if t max|p(k)| on those modes leaves the doubles.
     Panels run in blocks, one forcing `lattice_square` each, the free flow formed
     on the support of u0 only.  A table made once by `exp` carries each panel's end
     value to the end of its block, so one contraction per block replaces the
@@ -253,25 +254,26 @@ def second_iterate_quadrature(
     if t == 0.0:
         return SpectralField.zero(grid)
     h = t / steps
-    k = grid.half_k_values
+    support = np.flatnonzero(c)
+    filled = min(len(c), 2 * int(support.max(initial=0)) + 1)  # the modes A2 fills
+    k = grid.half_k_values[:filled]
     with np.errstate(over="ignore"):
         lin = model.phase(k)
     check_range("the phase", t * np.max(np.abs(lin)), tiny=0.0)  # every phase formed below
     d_x = 1j * k * product_scale(grid)  # d_x and the scale of lattice_square
     weights = exponential_weights(lin, h, _NC4_NODES, _NC4_BASIS) * d_x
     block = max(1, min(steps, _PANEL_BLOCK_VALUES // grid.modes))
-    support = np.flatnonzero(c)
     local = np.exp(1j * ((block - 1 - np.arange(block))[:, None] * h) * lin)
-    u1 = np.zeros((block, len(_NC4_NODES), len(c)), dtype=np.complex128)
+    u1 = np.zeros((block, len(_NC4_NODES), filled), dtype=np.complex128)
     acc = np.zeros(len(c), dtype=np.complex128)
     for start in range(0, steps, block):
         # u1 at each panel's nodes, on the support; a partial block takes local's last n rows
         n = min(block, steps - start)
         nodes = (np.arange(start, start + n)[:, None, None] + _NC4_NODES[:, None]) * h
         u1[:n, :, support] = c[support] * np.exp(1j * nodes * lin[support])
-        terms = weights * lattice_square(u1[:n], grid.modes)
-        acc *= np.exp(1j * (n * h) * lin)
-        acc += np.einsum("bm,bkm->m", local[block - n:], terms)
+        terms = weights * lattice_square(u1[:n], grid.modes)[..., :filled]
+        acc[:filled] *= np.exp(1j * (n * h) * lin)
+        acc[:filled] += np.einsum("bm,bkm->m", local[block - n:], terms)
     return SpectralField(grid, full_spectrum(acc, grid.modes))
 
 

@@ -64,8 +64,9 @@ def rows_to_csv(rows: Sequence[Mapping[str, Any]], fields: Sequence[str]) -> str
 
 
 def dump_json(payload: Any) -> str:
-    """Sorted, indented JSON; numpy scalars and arrays go through `tolist`."""
+    """Sorted, indented JSON; numpy scalars and arrays go through `tolist`.  A nan or
+    infinite float raises ValueError: NaN and Infinity are not JSON."""
     return (
-        json.dumps(payload, indent=2, sort_keys=True, allow_nan=True, default=lambda v: v.tolist())
+        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=lambda v: v.tolist())
         + "\n"
     )

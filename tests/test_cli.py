@@ -10,6 +10,7 @@ import json
 import math
 import shlex
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -149,6 +150,33 @@ def test_audit_includes_classical_sanity_mode(tmp_path):
     lines = (only_run_dir(tmp_path) / "audit.csv").read_text().splitlines()
     assert lines[1].startswith("1,30,")
     assert ",0," in lines[1]  # zero violations
+
+
+def test_audit_at_kmax_a_million_exits_zero_within_a_second(tmp_path, capsys):
+    # the certificate covers every pair, so kmax only picks the reported minimum
+    start = time.perf_counter()
+    code = run(tmp_path, "resonance-audit", "--set", "j_list = 1, 2, 3, 4",
+               "--set", "kmax = 1000000")
+    assert code == 0 and time.perf_counter() - start < 1.0
+    lines = (only_run_dir(tmp_path) / "audit.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[:4] for line in lines] == [
+        [str(j), "1000000", "3999998000000", "0"] for j in (1, 2, 3, 4)
+    ]
+    assert "j=2: pairs=3999998000000 violations=0 min_ratio=1.00000000" in capsys.readouterr().out
+
+
+def test_audit_names_an_unproved_condition_and_exits_one(tmp_path, capsys, monkeypatch):
+    condition = "condition 2: d(R^2)/dr > 0 on (-1, 0)"
+    uncertified = hokdv.dispersion._uncertified
+    monkeypatch.setattr(hokdv.dispersion, "_uncertified",
+                        lambda j, n: condition if j == 3 else uncertified(j, n))
+    assert run(tmp_path, "resonance-audit", "--set", "j_list = 2, 3", "--set", "kmax = 5") == 1
+    run_dir = only_run_dir(tmp_path)
+    rows = (run_dir / "audit.csv").read_text().splitlines()
+    assert rows[1].startswith("2,5,90,0,") and rows[2] == "3,5,,,"
+    verdicts = strict_json(run_dir / "manifest.json")["verdicts"]
+    assert verdicts == {"violations": 0, "uncertified": [f"j=3: {condition}"]}
+    assert f"uncertified j=3: {condition}" in capsys.readouterr().out
 
 
 def test_illposed_sweep_verdicts(tmp_path):
@@ -688,6 +716,23 @@ def test_picard_check_is_right_or_refused(j, N, log_t, steps, s, lam):
     run_is_right_or_refused(["picard-check", "--set", f"j_list = {j}", "--set", f"N_list = {N}",
                              "--set", f"t_list = {10.0**log_t!r}", "--set", f"steps = {steps}",
                              "--set", f"s = {s!r}", "--set", f"lam = {lam}"])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(j=st.lists(st.integers(-1, 40), min_size=1, max_size=3), kmax=st.integers(-2, 10**12))
+def test_resonance_audit_is_right_or_refused(j, kmax):
+    run_is_right_or_refused(["resonance-audit", "--set", f"j_list = {', '.join(map(str, j))}",
+                             "--set", f"kmax = {kmax}"])
+
+
+def test_picard_check_phases_only_the_modes_a2_fills(tmp_path):
+    # p(M/2) at j = 171 overflows, but A2 of phi_1 fills |m| <= 2, where the phase is
+    # finite: the run was refused naming j_list, though its answer was right
+    code = run(tmp_path, "picard-check", "--set", "j_list = 171", "--set", "N_list = 1",
+               "--set", "t_list = 1")
+    assert code == 0
+    (row,) = list(csv.DictReader((only_run_dir(tmp_path) / "oracle.csv").open()))
+    assert row["pass"] == "true" and float(row["max_abs_err"]) < 1e-100
 
 
 def test_bench_contraction_amplitudes_pass_the_check():

@@ -207,61 +207,16 @@ def _quiet_model(j):
         return DispersionModel(j, 1.0)
 
 
-# The m1 < 0 rows come in blocks of 32: kmax 31 ends one row short of a
-# block edge, 33 and 65 one row past one and two blocks.
-@pytest.mark.parametrize("kmax", [1, 2, 7, 31, 33, 60, 65])
-@pytest.mark.parametrize("j", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kmax", [1, 2, 3, 7, 31, 33, 60, 65])
+@pytest.mark.parametrize("j", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_audit_matches_reference_loop(j, kmax):
     model = _quiet_model(j)
     assert audit_resonance_bound(model, kmax).summary == reference_audit_summary(model, kmax)
 
 
-@pytest.mark.parametrize(
-    "j,kmax,dtype",
-    [(1, 200, np.int64), (2, 40, np.int64), (2, 45, object)],
-    ids=["j1-every-pair-ties-int64", "int64", "python-ints"],
-)
-def test_audit_exact_step_dtype_matches_reference(monkeypatch, j, kmax, dtype):
-    seen = []
-    first_min = dispersion._first_min
-
-    def spy(num, den):
-        seen.append(num.dtype)
-        if num.dtype == object:
-            # Python ints, not floats: a float cross product rounds past 2^53
-            assert all(type(v) is int for v in (*num, *den))
-        return first_min(num, den)
-
-    monkeypatch.setattr(dispersion, "_first_min", spy)
-    model = _quiet_model(j)
-    assert audit_resonance_bound(model, kmax).summary == reference_audit_summary(model, kmax)
-    assert seen and all(d == np.dtype(dtype) for d in seen)
-
-
-# Below 2^53 the filter's floats are the exact integers: up to kmax 94 at
-# j = 3 (130 * 94^7 < 2^53), and at j = 1 and 2 up to 96,574 and 766.
-@pytest.mark.parametrize(
-    "j,kmax,float_exact",
-    [(3, 94, True), (3, 95, False), (1, 200, True), (2, 200, True)],
-    ids=["j3-last-exact", "j3-first-certified", "j1", "j2"],
-)
-def test_audit_matches_reference_across_the_exact_float_regime(monkeypatch, j, kmax, float_exact):
-    seen = set()
-    ratio_bounds = dispersion._ratio_bounds
-
-    def spy(*args):
-        seen.add(args[-1])
-        return ratio_bounds(*args)
-
-    monkeypatch.setattr(dispersion, "_ratio_bounds", spy)
-    model = _quiet_model(j)
-    assert audit_resonance_bound(model, kmax).summary == reference_audit_summary(model, kmax)
-    assert seen == {float_exact}
-
-
 @pytest.mark.parametrize("j", [1, 2, 3, 4])
 def test_audit_minimum_at_kmax_200(j):
-    # j = 1 ties every pair at ratio 1, so the first pair of the walk wins;
+    # j = 1 ties every pair at ratio 1, so the first pair in (m1, m2) order wins;
     # for j >= 2 the minimum sits at (-kmax, kmax - 1), with the float of
     # the exact ratio there.
     summary = audit_resonance_bound(_quiet_model(j), 200).summary
@@ -279,79 +234,109 @@ def test_audit_minimum_at_kmax_200(j):
     }[j]
 
 
-def _scan_first_min(num, den):
-    """The sequential strict-< scan `_first_min` stands for."""
-    best = 0
-    for i in range(1, len(num)):
-        if num[i] * den[best] < num[best] * den[i]:
-            best = i
-    return best
+def _poly_at(p, r):
+    return sum(c * r**i for i, c in enumerate(p))
 
 
-def _first_min_cases():
-    rng = np.random.default_rng(30)
-    big = [2**70 + 3 * i for i in range(64)]
-    return {
-        "equal-ratios": (np.full(40_000, 6, np.int64), np.full(40_000, 3, np.int64)),
-        "equal-ratios-other-terms": (
-            np.arange(1, 40_001, dtype=np.int64) * 2, np.arange(1, 40_001, dtype=np.int64)
-        ),
-        "strictly-decreasing": (np.arange(5_000, 0, -1, dtype=np.int64), np.full(5_000, 7, np.int64)),
-        "random-with-repeats": (rng.integers(0, 6, 5_000), rng.integers(1, 4, 5_000)),
-        "python-ints-past-2^63": (
-            np.array([b * (1 + i % 3) for i, b in enumerate(big)], dtype=object),
-            np.array(big[::-1], dtype=object),
-        ),
-    }
+def _ratio(j, r):
+    """R(r) = |P_j(r, 1)| / ((2j+1) |r|^{j-1}), straight from the gap bound at (r, 1)."""
+    n = 2 * j + 1
+    return abs((r + 1) ** n - r**n - 1) / (n * abs(r + 1) * abs(r) ** j)
 
 
-@pytest.mark.parametrize("case", list(_first_min_cases()))
-def test_first_min_matches_sequential_scan(monkeypatch, case):
-    num, den = _first_min_cases()[case]
-    rounds = []
-    tournament = dispersion._tournament
+@pytest.mark.parametrize("j", [*range(1, 13), 16, 20, 30])
+def test_gap_conditions_hold(j):
+    n = 2 * j + 1
+    P2, G, M = dispersion._gap_polynomials(j)
+    assert dispersion._uncertified(j, n) is None
+    # P^2 = ((r+1)^n - r^n - 1)^2 / (r (r+1))^2, (r+1)^2 G = P^2 - n^2 r^{2j-2} and
+    # (r+1) M = r (P^2)' - (2j-2) P^2, exactly at more points than their degrees
+    for r in (Fraction(i, 7) for i in range(-20, 40) if i not in (-7, 0)):
+        p2 = ((r + 1) ** n - r**n - 1) ** 2 / (r * (r + 1)) ** 2
+        assert _poly_at(P2, r) == p2
+        assert (r + 1) ** 2 * _poly_at(G, r) == p2 - n * n * r ** (2 * j - 2)
+        dp2 = sum(i * c * r ** (i - 1) for i, c in enumerate(P2) if i)
+        assert (r + 1) * _poly_at(M, r) == r * dp2 - (2 * j - 2) * p2
+    if j == 1:  # the KdV identity: R = 1 on every pair
+        assert G == [0] and M == [0]
+        return
+    assert len(G) == 4 * j - 5 and _poly_at(G, -1) > 0  # F / (r + 1)^2, not F
+    samples = [Fraction(-i, 97) for i in range(1, 97)]  # r in (-1, 0), from 0 toward -1
+    # condition 1: G > 0 off r = -1, so R > 1
+    for r in [*samples, *(1 / r for r in samples), Fraction(1, 7), Fraction(1), Fraction(9, 2)]:
+        assert _poly_at(G, r) > 0 and _ratio(j, r) > 1
+    # condition 2: N / (r + 1) < 0 on (-1, 0), so R grows from -1 to 0
+    assert all(_poly_at(M, r) < 0 for r in samples)
+    ratios = [_ratio(j, r) for r in samples]
+    assert ratios == sorted(ratios, reverse=True) and len(set(ratios)) == len(ratios)
+    # condition 3: R on r > 0 stays above R(-1/2) = R(-2, 1)
+    assert all(_ratio(j, Fraction(i, 13)) > _ratio(j, Fraction(-1, 2)) for i in range(1, 60))
 
-    def spy(num, den):
-        rounds.append(num.size)
-        return tournament(num, den)
 
-    monkeypatch.setattr(dispersion, "_tournament", spy)
-    assert dispersion._first_min(num, den) == _scan_first_min(num.tolist(), den.tolist())
-    # Only a round keeping more than half falls back to the tournament.
-    assert bool(rounds) == (case == "strictly-decreasing")
+def test_mobius_map_matches_its_definition():
+    rng = np.random.default_rng(31)
+    for degree in (0, 1, 2, 5, 9):
+        p = [int(v) for v in rng.integers(-9, 10, degree + 1)]
+        H = dispersion._mobius(p)
+        for x in (Fraction(1, 3), Fraction(1), Fraction(7, 2)):
+            assert _poly_at(H, x) == (1 + x) ** degree * _poly_at(p, -x / (1 + x))
+
+
+def test_over_r_plus_1_refuses_a_remainder():
+    assert dispersion._over_r_plus_1([2, 3, 1]) == [2, 1]  # (r + 1)(r + 2)
+    assert dispersion._over_r_plus_1([0]) == [0]
+    with pytest.raises(ArithmeticError):
+        dispersion._over_r_plus_1([1, 3, 1])
+
+
+@pytest.mark.parametrize(
+    "polys,named",
+    [
+        # positive on r > 0, but 8r^2 + 8r + 1 = -1 at r = -1/2: only the Moebius map sees it
+        (lambda P2, G, M: (P2, [1, 8, 8], M), "condition 1"),
+        # N / (r + 1) = 1 > 0 on (-1, 0): R would fall away from -1
+        (lambda P2, G, M: (P2, G, [1]), "condition 2"),
+        # P^2 = r^2 makes R constant, so R(r) > R(-1/2) fails on r > 0
+        (lambda P2, G, M: ([0, 0, 1, 0, 0], G, M), "condition 3"),
+    ],
+    ids=["condition-1", "condition-2", "condition-3"],
+)
+def test_audit_names_the_condition_it_cannot_prove(monkeypatch, polys, named):
+    _gap_polynomials = dispersion._gap_polynomials
+    monkeypatch.setattr(dispersion, "_gap_polynomials", lambda j: polys(*_gap_polynomials(j)))
+    report = audit_resonance_bound(DispersionModel(2, 1.0), 7)
+    assert report.passed is False
+    assert report.summary["uncertified"].startswith(named + ":")
+    assert report.rows == [{"j": 2, "kmax": 7}]
 
 
 @pytest.mark.parametrize("j,order,kmax", [(2, 3, 7), (2, 3, 60), (3, 5, 60), (2, 4, 7)])
-def test_audit_reports_violations_like_reference(j, order, kmax):
-    # An order below 2j+1 breaks the bound on most pairs, which exercises
-    # the violation count and the witness list.
+def test_audit_of_a_wrong_order_fails_condition_1(j, order, kmax):
+    # An order other than 2j+1 breaks the bound on most pairs (the reference
+    # loop finds them), and the ratio no longer depends on m1/m2 alone.
     model = SimpleNamespace(j=j, order=order, lam=1.0)
-    summary = audit_resonance_bound(model, kmax).summary
-    assert summary["violations"] > 16
-    assert summary == reference_audit_summary(model, kmax)
+    assert reference_audit_summary(model, kmax)["violations"] > 16
+    report = audit_resonance_bound(model, kmax)
+    assert report.passed is False
+    assert report.summary["uncertified"].startswith("condition 1:")
 
 
-def test_audit_expands_each_violating_orbit_into_its_members():
-    # At order 3 the gap is 3|m m1 m2| exactly, below 3|m| m1^2 m2^2 when
-    # |m1 m2| >= 2.  At kmax 2 the walked pairs (-2, -2), (-2, -1) and
-    # (-2, 1) violate; their orbits hold 2 + 4 + 4 pairs, among them both
-    # (-2, -1) and (-1, -2), listed in (m1, m2) order.
-    model = SimpleNamespace(j=2, order=3, lam=1.0)
-    summary = audit_resonance_bound(model, 2).summary
-    assert summary["violations"] == 10
-    assert summary["witnesses"] == [
-        [-2, -2], [-2, -1], [-2, 1], [-1, -2], [-1, 2],
-        [1, -2], [1, 2], [2, -1], [2, 1], [2, 2],
-    ]
-    assert summary == reference_audit_summary(model, 2)
-
-
-def test_audit_overflowing_float_powers_go_to_the_exact_step():
-    # float(4**601) overflows; those pairs must be decided exactly, not crash
+def test_audit_certifies_j_300():
+    # float(4**601) overflows: the certificate and the ratio are exact integers
     model = DispersionModel(300, 1.0)
     summary = audit_resonance_bound(model, 2).summary
     assert summary == reference_audit_summary(model, 2)
     assert summary["min_ratio"] == pytest.approx(6.78e87, rel=1e-3)
+
+
+def test_audit_cost_does_not_grow_with_kmax():
+    # kmax = 10^6 covers 4 * 10^12 pairs; the closed form reads the minimum at
+    # (-kmax, kmax - 1), where R is within 1/kmax^2 of 1
+    for j in (1, 2, 3, 4):
+        summary = audit_resonance_bound(_quiet_model(j), 10**6).summary
+        assert summary["pairs_checked"] == 2 * 10**6 * (2 * 10**6 - 1)
+        assert summary["min_ratio_pair"] == ([-(10**6)] * 2 if j == 1 else [-(10**6), 10**6 - 1])
+        assert 1.0 <= summary["min_ratio"] < 1.0 + 1e-11
 
 
 @pytest.mark.parametrize("j", [2, 3])

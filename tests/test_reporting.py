@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from hokdv.reporting import atomic_write_text, dump_json, format_value, rows_to_csv
 
@@ -33,18 +34,27 @@ def test_dump_json_writes_numpy_values_as_python_values():
         "f": np.float64(1.0 / 3.0),
         "i": np.int64(7),
         "b": np.bool_(True),
-        "a": np.array([[1.5, float("nan")], [2.0, 0.1]]),
+        "a": np.array([[1.5, -0.0], [2.0, 0.1]]),
         "n": [np.int32(3), np.float32(0.5)],
     }
     plain = {
         "f": 1.0 / 3.0,
         "i": 7,
         "b": True,
-        "a": [[1.5, float("nan")], [2.0, 0.1]],
+        "a": [[1.5, -0.0], [2.0, 0.1]],
         "n": [3, 0.5],
     }
     assert dump_json(values) == dump_json(plain)
     assert '"f": 0.3333333333333333' in dump_json(values)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -np.inf, np.float64("nan")])
+def test_dump_json_refuses_non_finite_floats(value):
+    # NaN and Infinity are not JSON: no manifest or summary may carry them
+    with pytest.raises(ValueError):
+        dump_json({"verdicts": {"ratio": value}})
+    with pytest.raises(ValueError):
+        dump_json({"a": np.array([1.0, value])})
 
 
 def test_atomic_write_replaces_contents(tmp_path):
