@@ -329,9 +329,9 @@ def test_audit_certifies_j_300():
     assert summary["min_ratio"] == pytest.approx(6.78e87, rel=1e-3)
 
 
-def test_audit_cost_does_not_grow_with_kmax():
+def test_audit_at_kmax_a_million_reads_the_closed_form():
     # kmax = 10^6 covers 4 * 10^12 pairs; the closed form reads the minimum at
-    # (-kmax, kmax - 1), where R is within 1/kmax^2 of 1
+    # (-kmax, kmax - 1), where R - 1 is of order 1/kmax^2
     for j in (1, 2, 3, 4):
         summary = audit_resonance_bound(_quiet_model(j), 10**6).summary
         assert summary["pairs_checked"] == 2 * 10**6 * (2 * 10**6 - 1)
