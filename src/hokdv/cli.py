@@ -11,16 +11,20 @@ Exit codes follow a machine-parseable contract:
 
 Each run writes into its own directory runs/<timestamp>-<confighash>/
 containing exactly one manifest.json (command, full configuration, seed,
-version, output paths, verdicts) next to the data files.  The directory is
-made at the first write, and every runner computes before it writes, so a
-refused run leaves none.  Given the same configuration and seed, the data
-files are byte-identical across runs.
+version, output paths, verdicts) next to the data files.  A run fills a
+hidden directory, made at the first write, and publishes it with its manifest
+by one rename; a run that ends otherwise removes it.  Given the same
+configuration and seed, the data files are byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
+import itertools
+import os
+import shutil
 import sys
 import time
 import warnings
@@ -40,7 +44,7 @@ from .iterates import (
     second_iterate_closed,
     second_iterate_quadrature,
 )
-from .reporting import atomic_write_text, dump_json, rows_to_csv
+from .reporting import NonFiniteError, atomic_write_text, dump_json, rows_to_csv
 from .solver import (
     BlowUpError,
     SolverConfig,
@@ -70,26 +74,26 @@ class RunContext:
     started: float = field(default_factory=time.time)
     outputs: list[str] = field(default_factory=list)
     verdicts: dict = field(default_factory=dict)
-    _out_dir: Path | None = None
-
-    @property
-    def out_dir(self) -> Path:
-        """The run directory, made on first use: at the first record or at finish."""
-        if self._out_dir is None:
-            self._out_dir = _make_run_dir(self.out_root, self.command, self.config)
-        return self._out_dir
+    staging: Path | None = None  # the hidden directory the run fills, made at the first write
 
     def record(self, name: str) -> Path:
+        if self.staging is None:
+            self.out_root.mkdir(parents=True, exist_ok=True)
+            staging = self.out_root / f".{os.urandom(8).hex()}"
+            staging.mkdir()
+            self.staging = staging
         self.outputs.append(name)
-        return self.out_dir / name
+        return self.staging / name
 
     def write_csv(self, name: str, rows: list[dict], fields: list[str]) -> None:
-        atomic_write_text(self.record(name), rows_to_csv(rows, fields))
+        atomic_write_text(self.record(name), _render(name, rows_to_csv, rows, fields))
 
     def write_json(self, name: str, payload: Any) -> None:
-        atomic_write_text(self.record(name), dump_json(payload))
+        atomic_write_text(self.record(name), _render(name, dump_json, payload))
 
-    def finish(self) -> None:
+    def finish(self) -> Path:
+        """Write the manifest, then publish the run directory by one rename to
+        <stamp>-<digest>, or to the first of -1, -2, ... after it that is free."""
         manifest = {
             "command": self.command,
             "config": self.config,
@@ -100,21 +104,27 @@ class RunContext:
             "outputs": sorted(self.outputs),
             "verdicts": self.verdicts,
         }
-        atomic_write_text(self.out_dir / "manifest.json", dump_json(manifest))
+        self.write_json("manifest.json", manifest)  # `outputs`, read above, lists the data files
+        digest = hashlib.sha256((self.command + repr(sorted(self.config.items()))).encode())
+        stem = f"{time.strftime('%Y%m%dT%H%M%S', time.gmtime())}-{digest.hexdigest()[:8]}"
+        for suffix in itertools.count():
+            path = self.out_root / (f"{stem}-{suffix}" if suffix else stem)
+            try:
+                self.staging.rename(path)  # rename(2) replaces an empty directory only
+                break
+            except OSError:
+                if not path.exists():
+                    raise
+        self.staging = None
+        return path
 
 
-def _make_run_dir(out_root: Path, command: str, config: dict) -> Path:
-    digest = hashlib.sha256(
-        (command + repr(sorted(config.items()))).encode()
-    ).hexdigest()[:8]
-    stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
-    path = out_root / f"{stamp}-{digest}"
-    suffix = 0
-    while path.exists():
-        suffix += 1
-        path = out_root / f"{stamp}-{digest}-{suffix}"
-    path.mkdir(parents=True)
-    return path
+def _render(name: str, render: Callable[..., str], *args) -> str:
+    """render(*args), with a non-finite value named by the file it was bound for."""
+    try:
+        return render(*args)
+    except NonFiniteError as err:
+        raise NonFiniteError(f"{name}: {err}") from None
 
 
 def _from_config(cls, cfg: dict):
@@ -471,6 +481,7 @@ COMMANDS = {
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hokdv",
@@ -507,17 +518,23 @@ def resolve_config(args) -> dict:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     command = COMMANDS[args.command]
+    ctx = None
     try:
-        config = resolve_config(args)
-        ctx = RunContext(args.command, config, Path(args.out_root))
+        ctx = RunContext(args.command, resolve_config(args), Path(args.out_root))
         passed = command.run(ctx)
+        run_dir = ctx.finish()
     except (ConfigError, Refused, FileNotFoundError) as err:
         if isinstance(err, Refused):  # a rule of the library, before the first write
             err = ConfigError(command.keys.get(err.what, err.what), str(err))
         print(f"usage error: {err}", file=sys.stderr)
         return USAGE
-    ctx.finish()
-    print(f"run directory: {ctx.out_dir}")
+    except NonFiniteError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return SCI_FAIL
+    finally:  # a run that ends before it is published leaves no directory
+        if ctx is not None and ctx.staging is not None:
+            shutil.rmtree(ctx.staging)
+    print(f"run directory: {run_dir}")
     return PASS if passed else SCI_FAIL
 
 

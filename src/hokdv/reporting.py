@@ -1,19 +1,25 @@
 """Structured experiment records and deterministic CSV/JSON emission.
 
 Every numeric value is written with 17 significant digits via repr-style
-formatting so identical runs produce byte-identical files.  All writes go
-through a temp-file-then-rename so partially written outputs never appear
-under a run directory.
+formatting so identical runs produce byte-identical files.  A nan or
+infinite float is refused with NonFiniteError, in a CSV cell as in JSON.
+Files are written in place, mode 0600: the unit of atomicity is the run
+directory, which the CLI fills while it is hidden and publishes whole, with
+its manifest, by one rename.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
+
+
+class NonFiniteError(ValueError):
+    """A nan or infinite float in an output: CSV and JSON files carry finite numbers."""
 
 
 @dataclass
@@ -26,34 +32,30 @@ class ExperimentReport:
 
 
 def format_value(value: Any) -> str:
-    """Full-precision, locale-independent scalar formatting."""
+    """Full-precision, locale-independent scalar formatting; a nan or infinite float
+    raises NonFiniteError."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise NonFiniteError(f"non-finite value {value!r}")
         return format(value, ".17g")
     return str(value)
 
 
-def _atomic_write(path: Path, data: str | bytes, mode: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, mode) as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _write(path: Path, data: str | bytes, mode: str) -> None:
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600), mode) as handle:
+        handle.write(data)
 
 
 def atomic_write_text(path: Path, text: str) -> None:
-    _atomic_write(path, text, "w")
+    """Write text to path in place; the run directory, published whole, is atomic."""
+    _write(path, text, "w")
 
 
 def atomic_write_bytes(path: Path, blob: bytes) -> None:
-    _atomic_write(path, blob, "wb")
+    """Write blob to path in place; the run directory, published whole, is atomic."""
+    _write(path, blob, "wb")
 
 
 def rows_to_csv(rows: Sequence[Mapping[str, Any]], fields: Sequence[str]) -> str:
@@ -65,8 +67,11 @@ def rows_to_csv(rows: Sequence[Mapping[str, Any]], fields: Sequence[str]) -> str
 
 def dump_json(payload: Any) -> str:
     """Sorted, indented JSON; numpy scalars and arrays go through `tolist`.  A nan or
-    infinite float raises ValueError: NaN and Infinity are not JSON."""
-    return (
-        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=lambda v: v.tolist())
-        + "\n"
-    )
+    infinite float raises NonFiniteError: NaN and Infinity are not JSON.  Without the
+    circular check, the encoder raises ValueError for nothing else."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
+                          check_circular=False, default=lambda v: v.tolist())
+    except ValueError as err:
+        raise NonFiniteError(str(err)) from None
+    return text + "\n"

@@ -3,6 +3,7 @@ emitted reports, and manifests."""
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -874,6 +875,117 @@ def test_every_run_directory_has_exactly_one_manifest(tmp_path):
     payload = json.loads(manifests[0].read_text())
     for key in ("command", "config", "seed", "version", "outputs", "verdicts"):
         assert key in payload
+
+
+# -- one parser per process, and run directories published whole ---------------
+
+
+def test_the_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_two_calls_in_one_process_parse_independently(tmp_path):
+    first, second = tmp_path / "first.cfg", tmp_path / "second.cfg"
+    first.write_text("j_list = 2\nkmax = 5\n")
+    second.write_text("j_list = 3\n")
+    assert run(tmp_path / "a", "resonance-audit", "--config", str(first),
+               "--set", "seed = 3", "--set", "kmax = 6") == 0
+    assert run(tmp_path / "b", "resonance-audit", "--config", str(second),
+               "--set", "kmax = 7") == 0
+    configs = [json.loads((only_run_dir(tmp_path / side) / "manifest.json").read_text())["config"]
+               for side in "ab"]
+    assert configs == [{"j_list": [2], "kmax": 6, "seed": 3}, {"j_list": [3], "kmax": 7, "seed": 2025}]
+
+
+def with_runner(monkeypatch, run_after):
+    """Replace resonance-audit's runner by the real one followed by run_after(ctx)."""
+    command = COMMANDS["resonance-audit"]
+
+    def run_then(ctx):
+        passed = command.run(ctx)
+        run_after(ctx)
+        return passed
+
+    monkeypatch.setitem(COMMANDS, "resonance-audit", dataclasses.replace(command, run=run_then))
+
+
+AUDIT = ("resonance-audit", "--set", "j_list = 2", "--set", "kmax = 5")
+
+
+def test_a_run_that_raises_after_its_first_write_leaves_nothing(tmp_path, monkeypatch):
+    def fail(ctx):
+        raise RuntimeError("after the first write")
+
+    with_runner(monkeypatch, fail)
+    with pytest.raises(RuntimeError, match="after the first write"):
+        run(tmp_path, *AUDIT)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_run_is_hidden_until_its_manifest_is_written(tmp_path, monkeypatch):
+    seen = []
+
+    def spy(path, text):
+        seen.append((path, sorted(p.name for p in tmp_path.iterdir())))
+        write(path, text)
+
+    write = hokdv.cli.atomic_write_text
+    monkeypatch.setattr(hokdv.cli, "atomic_write_text", spy)
+    assert run(tmp_path, *AUDIT) == 0
+    assert [path.name for path, _ in seen] == ["audit.csv", "manifest.json"]
+    for path, listing in seen:
+        assert listing == [path.parent.name] and path.parent.name.startswith(".")
+    run_dir = only_run_dir(tmp_path)
+    assert list(tmp_path.iterdir()) == [run_dir]
+    assert sorted(p.name for p in run_dir.iterdir()) == ["audit.csv", "manifest.json"]
+
+
+def test_same_second_runs_publish_numbered_directories(tmp_path, monkeypatch):
+    monkeypatch.setattr(time, "strftime", lambda fmt, t=None: "20260101T000000")
+    assert run(tmp_path, *AUDIT) == 0
+    (first,) = tmp_path.iterdir()
+    (first / "note.txt").write_text("not a run's file")
+    before = {p.name: p.read_bytes() for p in first.iterdir()}
+    assert run(tmp_path, *AUDIT) == 0
+    assert run(tmp_path, *AUDIT) == 0
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == [first.name, f"{first.name}-1", f"{first.name}-2"]
+    assert first.name.startswith("20260101T000000-")
+    assert {p.name: p.read_bytes() for p in first.iterdir()} == before
+    for name in names[1:]:
+        assert sorted(p.name for p in (tmp_path / name).iterdir()) == ["audit.csv", "manifest.json"]
+
+
+def test_run_directories_have_the_mode_of_mkdir_and_files_0600(tmp_path):
+    (tmp_path / "plain").mkdir()
+    assert run(tmp_path / "runs", *AUDIT) == 0
+    run_dir = only_run_dir(tmp_path / "runs")
+    assert run_dir.stat().st_mode & 0o777 == (tmp_path / "plain").stat().st_mode & 0o777
+    assert {p.stat().st_mode & 0o777 for p in run_dir.iterdir()} == {0o600}
+
+
+def test_a_non_finite_csv_cell_exits_one_and_leaves_nothing(tmp_path, monkeypatch, capsys):
+    audit = hokdv.cli.audit_resonance_bound
+
+    def infinite_ratio(model, kmax):
+        report = audit(model, kmax)
+        report.rows[0]["min_ratio"] = float("inf")
+        return report
+
+    monkeypatch.setattr(hokdv.cli, "audit_resonance_bound", infinite_ratio)
+    assert run(tmp_path, *AUDIT) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: audit.csv: non-finite value inf\n"
+    assert "run directory" not in captured.out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_non_finite_verdict_exits_one_and_leaves_nothing(tmp_path, monkeypatch, capsys):
+    with_runner(monkeypatch, lambda ctx: ctx.verdicts.update(extra=float("nan")))
+    assert run(tmp_path, *AUDIT) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: manifest.json: ") and err.endswith("nan\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def readme_command_lines() -> list[str]:

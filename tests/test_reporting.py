@@ -5,7 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from hokdv.reporting import atomic_write_text, dump_json, format_value, rows_to_csv
+from hokdv.reporting import (
+    NonFiniteError,
+    atomic_write_bytes,
+    atomic_write_text,
+    dump_json,
+    format_value,
+    rows_to_csv,
+)
 
 
 def test_scalar_formatting_full_precision():
@@ -55,6 +62,26 @@ def test_dump_json_refuses_non_finite_floats(value):
         dump_json({"verdicts": {"ratio": value}})
     with pytest.raises(ValueError):
         dump_json({"a": np.array([1.0, value])})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -np.inf, np.float64("nan")])
+def test_csv_cells_and_json_refuse_non_finite_floats_by_one_error(value):
+    with pytest.raises(NonFiniteError, match="non-finite value"):
+        rows_to_csv([{"a": 1.0}, {"a": value}], ["a"])
+    with pytest.raises(NonFiniteError, match="not JSON compliant"):
+        dump_json({"verdicts": {"ratio": value}})
+    assert issubclass(NonFiniteError, ValueError)
+
+
+def test_writes_go_in_place_with_mode_0600(tmp_path):
+    # the run directory, published by one rename, is the unit of atomicity
+    path = tmp_path / "out.bin"
+    atomic_write_bytes(path, b"first")
+    inode = path.stat().st_ino
+    atomic_write_bytes(path, b"2nd")
+    assert path.read_bytes() == b"2nd" and path.stat().st_ino == inode
+    assert path.stat().st_mode & 0o777 == 0o600
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_atomic_write_replaces_contents(tmp_path):
