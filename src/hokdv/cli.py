@@ -5,7 +5,7 @@ Exit codes follow a machine-parseable contract:
     0  run completed and every scientific verdict passed
     1  run completed but a scientific verdict failed (growth law violated,
        audit condition left unproved, oracle disagreement, divergent
-       contraction, blow-up)
+       contraction, blow-up), or an output held a nan or inf: no run directory
     2  usage or configuration error, or an input a rule of the library refuses
        (torus.Refused): each command names the config key that sets it
 
