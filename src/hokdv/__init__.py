@@ -2,36 +2,26 @@
 
     u_t + (-1)^{j+1} d_x^{2j+1} u + (1/2) d_x(u^2) = 0,   x in [0, 2 pi lam).
 
-The package provides exact Fourier analysis on the scaled torus, the
-dispersion/resonance toolkit (exact integer resonance functions, the
-modulation-region classifier, the semigroup), the X_{s,b} / Y^s / Z^s norm
-family on discrete space-time lattices, closed-form Picard iterates with
-their quadrature oracle, a stiff pseudo-spectral integrator with the cutoff
-Duhamel contraction experiment, and empirical ratio searches for the
-bilinear estimates.  The `hokdv` command line drives every experiment.
+The package holds what the `hokdv` command line runs: fields on the scaled
+torus and their dealiased FFT products, exact resonance functions with the
+region masks and the certified gap-bound audit, the H^s and X_{s,b} / Z^s
+norms over (k, tau) cell arrays, closed-form Picard iterates with their
+quadrature oracle, a stiff pseudo-spectral integrator with the cutoff
+Duhamel contraction experiment, and ratio searches for the bilinear estimates.
 """
 
 __version__ = "0.1.0"
 
-from .dispersion import DispersionModel, Region, classify_region, free_evolve
-from .norms import NormSpec, SpaceTimeField, sobolev_norm, xsb_norm, ys_norm, zs_norm
-from .torus import SpectralField, TorusGrid, convolve, forward_transform, inverse_transform
+from .dispersion import DispersionModel, Region
+from .norms import SpaceTimeField, sobolev_norm
+from .torus import SpectralField, TorusGrid
 
 __all__ = [
     "DispersionModel",
-    "NormSpec",
     "Region",
     "SpaceTimeField",
     "SpectralField",
     "TorusGrid",
-    "classify_region",
-    "convolve",
-    "forward_transform",
-    "free_evolve",
-    "inverse_transform",
     "sobolev_norm",
-    "xsb_norm",
-    "ys_norm",
-    "zs_norm",
     "__version__",
 ]

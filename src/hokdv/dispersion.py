@@ -92,7 +92,8 @@ def phase_multiplier(model: DispersionModel, k, t) -> np.ndarray:
 
 
 def free_evolve(model: DispersionModel, u0: SpectralField, t: float) -> SpectralField:
-    """Apply the free propagator: coeff(k) -> exp(i t p(k)) coeff(k)."""
+    """Apply the free propagator: coeff(k) -> exp(i t p(k)) coeff(k).  No command
+    calls it; it stays here while perfbench/spans.py traces it (ROADMAP item 1)."""
     model.check_grid(u0.grid)
     return SpectralField(u0.grid, u0.coeffs * phase_multiplier(model, u0.grid.k_values, t))
 
@@ -218,8 +219,3 @@ def region_masks(
         Region.ZERO_MODE: zero,
     }
 
-
-def classify_region(model: DispersionModel, k: float, tau: float) -> Region:
-    """The unique modulation region label of one space-time frequency."""
-    masks = region_masks(model, k, tau - model.phase(k))
-    return next(region for region, mask in masks.items() if mask)

@@ -1,5 +1,8 @@
-"""Space-time fields and the norm family used throughout: H^s, X_{s,b},
-Y^s, the region-decomposed Z^s, and dyadic modulation shells.
+"""Space-time fields, dyadic modulation shells, and the norms the commands
+use: H^s of spatial fields, and X_{s,b} and the region-decomposed Z^s (with
+its Y^s part) over flat arrays of (k, tau) cells, which the contraction
+experiment forms from a dense SpaceTimeField and the estimate searches from
+sparse modulation fields.
 
 A SpaceTimeField holds coefficients on the product of a spatial frequency
 lattice and a uniform tau lattice dual to a finite time window.  All
@@ -37,19 +40,6 @@ class NormRangeWarning(UserWarning):
     """Regularity index outside the window the region decomposition assumes."""
 
 
-class MeanModeDroppedWarning(UserWarning):
-    """Homogeneous weight requested on a field with nonzero mean mode."""
-
-
-@dataclass(frozen=True)
-class NormSpec:
-    """Parameters (s, b, homogeneous) selecting a Sobolev / modulation norm."""
-
-    s: float
-    b: float = 0.0
-    homogeneous: bool = False
-
-
 @dataclass(frozen=True)
 class DyadicShell:
     """Modulation band <sigma> in [2^l, 2^{l+1}); the shells partition the axis."""
@@ -75,32 +65,19 @@ def angle_bracket(x) -> np.ndarray:
 
 
 def sobolev_norm(
-    u: SpectralField | np.ndarray, spec: NormSpec, grid: TorusGrid | None = None
+    u: SpectralField | np.ndarray, s: float, grid: TorusGrid | None = None
 ) -> float | np.ndarray:
-    """H^s (or homogeneous H-dot^s) norm, ((1/lam) sum w(k)^{2s} |coeff|^2)^{1/2}.
+    """H^s norm, ((1/lam) sum <k>^{2s} |coeff|^2)^{1/2}.
 
     u is a SpectralField, or with `grid` given a coefficient array whose last
     axis is the lattice: an (n_frames, M) series gives one norm per frame.
-    The homogeneous weight |k|^s excludes the k = 0 mode; if that mode is
-    populated it is dropped and a MeanModeDroppedWarning is issued.
     """
     if grid is None:
         grid, coeffs = u.grid, u.coeffs
     else:
         coeffs = np.asarray(u)
-    if spec.homogeneous:
-        if np.any(coeffs[..., 0] != 0.0):
-            warnings.warn(
-                "homogeneous norm drops the populated mean mode",
-                MeanModeDroppedWarning,
-                stacklevel=2,
-            )
-        nz = grid.m_ints != 0
-        w = np.abs(grid.k_values[nz]) ** spec.s
-        mass = np.sum((w * np.abs(coeffs[..., nz])) ** 2, axis=-1)
-    else:
-        w = angle_bracket(grid.k_values) ** spec.s
-        mass = np.sum((w * np.abs(coeffs)) ** 2, axis=-1)
+    w = angle_bracket(grid.k_values) ** s
+    mass = np.sum((w * np.abs(coeffs)) ** 2, axis=-1)
     norm = np.sqrt(mass / grid.lam)
     return float(norm) if norm.ndim == 0 else norm
 
@@ -154,14 +131,6 @@ class SpaceTimeField:
         sigma = tau - np.repeat(model.phase(self.grid.k_values), self.t_modes)
         return m, k, sigma, self.coeffs.reshape(-1)
 
-    def total_mass_squared(self) -> float:
-        return float(np.sum(np.abs(self.coeffs) ** 2) * self.dtau / self.grid.lam)
-
-    def masked(self, mask_cells: np.ndarray) -> "SpaceTimeField":
-        """Field with cells outside the flat boolean mask zeroed."""
-        kept = np.where(mask_cells.reshape(self.coeffs.shape), self.coeffs, 0.0)
-        return SpaceTimeField(self.grid, self.dtau, kept)
-
 
 # ---------------------------------------------------------------------------
 # norm cores over flat cell arrays (shared by dense fields and the sparse
@@ -201,7 +170,6 @@ def xsb_mass(
     lam: float,
     s: float,
     b: float,
-    homogeneous: bool = False,
     bounds: np.ndarray | None = None,
     what: str = "the X_{s,b} weights",
 ) -> np.ndarray:
@@ -211,9 +179,8 @@ def xsb_mass(
     [2^-1022, 2^1022], or a mass overflows."""
     bounds = _lone(len(k)) if bounds is None else bounds
     sel = k != 0
-    kw = np.abs(k[sel]) if homogeneous else angle_bracket(k[sel])
     with doubles(what, under="raise"):
-        weight = kw ** (2.0 * s) * angle_bracket(sigma[sel]) ** (2.0 * b)
+        weight = angle_bracket(k[sel]) ** (2.0 * s) * angle_bracket(sigma[sel]) ** (2.0 * b)
     check_range(what, weight)
     with doubles(what):
         terms = weight * np.abs(coeffs[sel]) ** 2
@@ -255,19 +222,6 @@ def _ys_mass(columns: tuple, amps: np.ndarray, cell_measure: float, lam: float) 
         amps = amps[order]
     col_l1 = np.add.reduceat(amps, starts)
     return segment_sums(weights * col_l1**2, field_columns) / lam
-
-
-def ys_mass(
-    m: np.ndarray,
-    k: np.ndarray,
-    coeffs: np.ndarray,
-    cell_measure: float,
-    lam: float,
-    s: float,
-) -> np.ndarray:
-    """Squared Y^s mass of the cells as one field, l2 in k of <k>^s times the
-    L1-in-tau column integral: one entry per field, an array of length 1."""
-    return _ys_mass(_ys_columns(m, k, s, _lone(len(m))), np.abs(coeffs), cell_measure, lam)
 
 
 @dataclass(frozen=True)
@@ -396,50 +350,6 @@ def zs_norm_cells(
     return zw.norm(coeffs, cell_measure)
 
 
-# ---------------------------------------------------------------------------
-# dense-field front ends
-# ---------------------------------------------------------------------------
-
-
-def xsb_norm(u: SpaceTimeField, spec: NormSpec, model: DispersionModel) -> float:
-    """X_{s,b} norm with weights <k>^s <tau - p(k)>^b over the cell lattice."""
-    model.check_grid(u.grid)
-    _, k, sigma, vals = u.cell_arrays(model)
-    mass = xsb_mass(k, sigma, vals, u.dtau, u.grid.lam, spec.s, spec.b, spec.homogeneous)
-    return float(np.sqrt(mass)[0])
-
-
-def ys_norm(u: SpaceTimeField, s: float) -> float:
-    """Y^s norm, l2 in k of the tau L1 integral; needs no dispersion model."""
-    m = np.repeat(u.grid.m_ints, u.t_modes)
-    k = np.repeat(u.grid.k_values, u.t_modes)
-    return float(np.sqrt(ys_mass(m, k, u.coeffs.reshape(-1), u.dtau, u.grid.lam, s))[0])
-
-
-def zs_norm(u: SpaceTimeField, s: float, model: DispersionModel) -> ZsNorm:
-    """Region-decomposed Z^s norm; returns the four components and their sum."""
-    model.check_grid(u.grid)
-    m, k, sigma, vals = u.cell_arrays(model)
-    return zs_norm_cells(m, k, sigma, vals, u.dtau, model, s).field(0)
-
-
-def dyadic_localize(
-    u: SpaceTimeField, shell: DyadicShell, model: DispersionModel
-) -> SpaceTimeField:
-    """Zero every cell whose modulation lies outside the shell's dyadic band."""
-    _, _, sigma, _ = u.cell_arrays(model)
-    return u.masked(shell.mask(sigma))
-
-
-def shell_masses(
-    u: SpaceTimeField, model: DispersionModel, max_shell: int = 48
-) -> np.ndarray:
-    """Squared L2 mass per DyadicShell l = 0 .. max_shell, the last holding every higher one."""
-    _, _, sigma, vals = u.cell_arrays(model)
-    levels = np.minimum(DyadicShell.index(sigma), max_shell)
-    return np.bincount(levels, np.abs(vals) ** 2 * u.dtau / u.grid.lam, minlength=max_shell + 1)
-
-
 def smooth_bump_window() -> Callable:
     """C-infinity cutoff equal to 1 on [-1, 1], supported in [-2, 2].
 
@@ -482,7 +392,8 @@ def spacetime_from_timeseries(
     time; the caller windows the frames (e.g. by smooth_bump_window) first.
 
     Produces coefficients F(k, tau_n) = dt * sum_i u_i(k) e^{-i tau_n t_i}
-    on the tau lattice with spacing 2*pi / (n_frames * dt).
+    on the tau lattice with spacing 2*pi / (n_frames * dt).  No command calls
+    it; it stays here while perfbench/spans.py traces it (ROADMAP item 1).
     """
     times = np.asarray(times, dtype=np.float64)
     return time_transform(grid, frames, *time_transform_phase(times, uniform_step(times)))

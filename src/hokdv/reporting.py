@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
+import numpy as np
+
 
 class NonFiniteError(ValueError):
     """A nan or infinite float in an output: CSV and JSON files carry finite numbers."""
@@ -32,14 +34,17 @@ class ExperimentReport:
 
 
 def format_value(value: Any) -> str:
-    """Full-precision, locale-independent scalar formatting; a nan or infinite float
-    raises NonFiniteError."""
-    if isinstance(value, bool):
+    """Full-precision, locale-independent scalar formatting, booleans (numpy's too)
+    as true / false; a nan or infinite float, numpy's of any width too, raises
+    NonFiniteError."""
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, float):
         if not math.isfinite(value):
             raise NonFiniteError(f"non-finite value {value!r}")
         return format(value, ".17g")
+    if isinstance(value, np.floating) and not np.isfinite(value):
+        raise NonFiniteError(f"non-finite value {value!r}")
     return str(value)
 
 

@@ -1,6 +1,5 @@
-"""Pseudo-spectral time integration of the full nonlinear equation, the
-cutoff Duhamel map and its contraction measurement, and the scaling
-transform between tori.
+"""Pseudo-spectral time integration of the full nonlinear equation, and the
+cutoff Duhamel map and its contraction measurement.
 
 The linear part is diagonal in Fourier space and is always applied through
 its exact unimodular multiplier (k^{2j+1} time scales are hopeless for any
@@ -22,7 +21,6 @@ import numpy as np
 from .dispersion import DispersionModel, phase_multiplier
 from .expquad import phi_functions
 from .norms import (
-    NormSpec,
     ZsNorm,
     smooth_bump_window,
     sobolev_norm,
@@ -210,8 +208,8 @@ class FrameGrid:
         return out
 
     def zs_norm(self, frames: np.ndarray, s: float) -> ZsNorm:
-        """Z^s of the space-time field of a frame series on this grid, as
-        norms.zs_norm gives it."""
+        """Z^s of the space-time field of a frame series on this grid, by
+        zs_norm_cells over its cells."""
         stf = time_transform(self.grid, frames, self.tau_phase, self.dtau)
         if not self.cells:
             self.cells.extend(stf.cell_arrays(self.model)[:3])
@@ -328,7 +326,7 @@ def contraction_experiment(
         return z
 
     def hs_sup(frames: np.ndarray) -> float:
-        return float(np.max(sobolev_norm(frames, NormSpec(s), grid)))
+        return float(np.max(sobolev_norm(frames, s, grid)))
 
     current = held.free_flow(phi)
     trace = ContractionTrace()
@@ -352,27 +350,3 @@ def contraction_experiment(
     trace.factor = max(ratios) if ratios else float("nan")
     return trace
 
-
-def scale_transform(
-    model: DispersionModel, u0: SpectralField, mu: int
-) -> tuple[SpectralField, DispersionModel]:
-    """Map data to the 2*pi*lam*mu torus: u_mu(x) = mu^{-2j} u0(x / mu).
-
-    On the index lattice the coefficients simply rescale,
-    coeff'(m) = mu^{1-2j} coeff(m), reinterpreted at frequency m/(lam mu).
-    Solutions scale with time factor mu^{2j+1} (see scale_time_factor).
-    """
-    if int(mu) != mu or mu < 1:
-        raise ValueError(f"mu must be a positive integer, got {mu}")
-    mu = int(mu)
-    if mu == 1:
-        return u0, model
-    new_model = DispersionModel(model.j, model.lam * mu)
-    new_grid = TorusGrid(model.lam * mu, u0.grid.modes)
-    coeffs = u0.coeffs * float(mu) ** (1 - 2 * model.j)
-    return SpectralField(new_grid, coeffs), new_model
-
-
-def scale_time_factor(model: DispersionModel, mu: int) -> float:
-    """Solving the scaled problem to time T matches the original at T / mu^{2j+1}."""
-    return float(mu) ** (2 * model.j + 1)

@@ -9,7 +9,7 @@ Sums over the lattice carry the normalized counting measure, i.e. a
 single 1/lam factor; with that convention the discrete L2 pairing
 (1/lam) sum_k f(k) conj(g(k)) equals 2*pi times the physical-space
 integral of f conj(g).  The 2*pi sits in the transform pair, not in
-the lattice measure, so inverse_transform divides by 2*pi*lam.
+the lattice measure: samples are (1/(2 pi lam)) sum_k coeff(k) e^{ikx}.
 
 The Nyquist mode m = -M/2 is forced to zero so the retained lattice is
 exactly symmetric and conjugate symmetry survives every operation.
@@ -100,7 +100,6 @@ class TorusGrid:
     modes: int
     m_ints: np.ndarray = field(init=False, repr=False, compare=False)
     k_values: np.ndarray = field(init=False, repr=False, compare=False)
-    x_points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.lam < 1:
@@ -108,13 +107,11 @@ class TorusGrid:
         if self.modes < 2 or self.modes % 2 != 0:
             raise ValueError(f"modes must be a positive even integer, got {self.modes}")
         m = (np.fft.fftfreq(self.modes) * self.modes).astype(np.int64)
-        x = TWO_PI * self.lam * np.arange(self.modes) / self.modes
         k = m / self.lam
-        for arr in (m, k, x):
+        for arr in (m, k):
             arr.setflags(write=False)
         object.__setattr__(self, "m_ints", m)
         object.__setattr__(self, "k_values", k)
-        object.__setattr__(self, "x_points", x)
 
     @property
     def period(self) -> float:
@@ -182,26 +179,6 @@ def _require_same_grid(f: SpectralField, g: SpectralField) -> None:
         )
 
 
-def forward_transform(samples: np.ndarray, grid: TorusGrid) -> SpectralField:
-    """Transform point samples to integral coefficients.
-
-    The rectangle rule (2 pi lam / M) * DFT is exact for functions band
-    limited to the retained lattice.
-    """
-    samples = np.asarray(samples)
-    if samples.shape != (grid.modes,):
-        raise ValueError(
-            f"sample array has length {samples.shape}, expected ({grid.modes},)"
-        )
-    coeffs = np.fft.fft(samples.astype(np.complex128)) * (grid.period / grid.modes)
-    return SpectralField(grid, coeffs)
-
-
-def inverse_transform(f: SpectralField) -> np.ndarray:
-    """Evaluate the field at the grid points, (1/(2 pi lam)) sum_k coeff(k) e^{ikx}."""
-    return np.fft.ifft(f.coeffs) * (f.grid.modes / f.grid.period)
-
-
 def convolve(f: SpectralField, g: SpectralField) -> SpectralField:
     """Direct lattice convolution with normalized counting measure.
 
@@ -209,7 +186,8 @@ def convolve(f: SpectralField, g: SpectralField) -> SpectralField:
     Under the integral-coefficient convention this equals 2*pi times the
     transform of the pointwise product whenever supports are small enough
     that no wrapped mode survives truncation.  The O(M^2) reference for
-    `lattice_square` and `lattice_product`.
+    `lattice_square` and `lattice_product`; no command calls it, and it stays
+    here while perfbench/spans.py traces it (ROADMAP item 1).
     """
     _require_same_grid(f, g)
     grid = f.grid
@@ -245,12 +223,6 @@ def lattice_product(coeffs: np.ndarray, grid: TorusGrid, mask: np.ndarray) -> np
     whose contraction factor perfbench/check.py pins until its reference is re-recorded."""
     w = np.fft.ifft(coeffs * mask) * (grid.modes / grid.period)
     return np.fft.fft(w * w) * (grid.period / grid.modes) * TWO_PI * mask
-
-
-def inner_product(f: SpectralField, g: SpectralField) -> complex:
-    """(1/lam) sum_k f(k) conj(g(k)); equals 2*pi * integral f conj(g) dx."""
-    _require_same_grid(f, g)
-    return complex(np.sum(f.coeffs * np.conj(g.coeffs)) / f.grid.lam)
 
 
 def l2_norm(f: SpectralField) -> float:

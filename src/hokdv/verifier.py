@@ -17,7 +17,7 @@ convolution picks up exactly the resonance shift
 
 evaluated in exact integer arithmetic on the scaled-sigma lattice.  Each
 search refuses with torus.Refused, before it draws, a lattice whose cells would
-wrap in int64 (`check_search_lattice`, naming k_max).
+wrap in int64 (`check_search_lattice`, naming k_max, lam, t_modes, l1 or l2).
 """
 
 from __future__ import annotations
@@ -294,10 +294,6 @@ class ModulationField:
     def dtau(self) -> float:
         return 1.0
 
-    def is_empty(self) -> bool:
-        """True if no field holds a cell."""
-        return len(self.m) == 0
-
     def where(self, keep: np.ndarray) -> "ModulationField":
         """The cells selected by a boolean mask."""
         return ModulationField(
@@ -359,13 +355,13 @@ def _is_canonical(m: np.ndarray, sig: np.ndarray, bounds: np.ndarray) -> bool:
     return bool(ascending.all())
 
 
-def check_int64_lattice(order: int, m_bound: int, sig_bound: int) -> None:
+def check_int64_lattice(order: int, m_bound: int, sig_bound: int, what: str = "k_max") -> None:
     """Refuse a product of cells with |m1| + |m2| <= m_bound and |sig1| + |sig2|
     <= sig_bound unless int64 holds every power, partial sum and output exactly:
-    Refused names k_max, the search's mode range."""
+    Refused names `what`, by default k_max, the search's mode range."""
     if 3 * m_bound**order + sig_bound >= 2**63:
-        raise Refused("k_max", "mode or modulation range too large for the exact int64 "
-                               "sigma lattice")
+        raise Refused(what, "mode or modulation range too large for the exact int64 "
+                            "sigma lattice")
 
 
 def _field_maxima(a: np.ndarray, bounds: np.ndarray) -> list[int]:
@@ -524,8 +520,11 @@ def _fixed_tau_cells(model: DispersionModel, cfg: RatioSearchConfig, rng) -> tup
 def _resonant_cells(
     model: DispersionModel, cfg: RatioSearchConfig, rng, s: float, N: int | None = None
 ) -> tuple[tuple, tuple]:
-    """The raw cells of resonant_pair's two fields.  DoubleRangeError names the
-    phi_N amplitude N^-s or the A2-like amplitude if it leaves the normal doubles."""
+    """The raw cells of the two-mode free datum and its windowed second-iterate
+    profile, whose product meets the dispersion surface where q1 vanishes at the
+    triple (-N, N, N): the growth sweep's secular mechanism in one estimate.
+    DoubleRangeError names the phi_N amplitude N^-s or the A2-like amplitude if
+    it leaves the normal doubles."""
     if N is None:
         N = rng.integers(2, max(3, cfg.k_max // 2) + 1)
     N, n = int(N), model.order
@@ -547,32 +546,24 @@ def _resonant_cells(
     return u1, u2
 
 
-def resonant_pair(
-    model: DispersionModel, cfg: RatioSearchConfig, rng, s: float, N: int | None = None
-) -> tuple[ModulationField, ModulationField]:
-    """The two-mode free datum and its windowed second-iterate profile.
-
-    Pairing (free phi_N flow, A2-like output at modulation q0(N, N)) drives
-    the product back onto the dispersion surface through the vanishing of
-    q1 at the triple (-N, N, N): the same secular mechanism the growth
-    sweep measures, expressed at the level of a single bilinear estimate.
-    """
-    u1, u2 = _resonant_cells(model, cfg, rng, s, N)
-    return ModulationField(model, *u1), ModulationField(model, *u2)
-
-
 _MIXED = ("gaussian-random", "dyadic-concentrated", "free-solution-like", "phi_N-family")
 GENERATORS = _MIXED + ("fixed-tau",)  # the negative control is drawn only by name
 # the generators whose cells do not depend on the rng, only their coefficients do
 _FIXED_CELLS = ("free-solution-like", "fixed-tau")
 
 
-def check_search_lattice(model: DispersionModel, cfg: RatioSearchConfig, l_max: int = 6) -> None:
-    """Refuse cfg if two generated fields may not multiply exactly in int64; l_max is the
-    largest dyadic shell asked for, and resonant pairs reach 2N <= max(6, k_max)."""
-    m = max(cfg.k_max, 6)
-    sig = max(max(cfg.t_modes, 2 ** (max(l_max, 6) + 1)) * _scale(model), m**model.order)
-    check_int64_lattice(model.order, 2 * m, 2 * sig)
+def check_search_lattice(model: DispersionModel, cfg: RatioSearchConfig, **shells: int) -> None:
+    """Refuse cfg if two generated fields may not multiply exactly in int64.  Resonant
+    pairs reach 2N <= max(6, k_max), mixed draws shells up to 6 on the lam^(2j+1)
+    lattice, and shells names the other dyadic shells asked for by their keys.  The
+    ranges are added one at a time, and Refused names the first that overflows."""
+    m, scale = max(cfg.k_max, 6), _scale(model)
+    ranges = {"k_max": m**model.order, "lam": 2**7 * scale, "t_modes": cfg.t_modes * scale}
+    ranges.update((key, 2 ** (l + 1) * scale) for key, l in shells.items())
+    sig = 0
+    for what, bound in ranges.items():
+        sig = max(sig, bound)
+        check_int64_lattice(model.order, 2 * m, 2 * sig, what)
 
 
 def _scale(model: DispersionModel) -> int:
@@ -719,7 +710,7 @@ def dyadic_bilinear_ratio(
     It draws no other fields: Refused names a generator other than mixed."""
     if cfg.generator != "mixed":
         raise Refused("generator", "estimate 2.1 draws only dyadic-concentrated fields")
-    check_search_lattice(model, cfg, max(l1, l2))
+    check_search_lattice(model, cfg, l1=l1, l2=l2)
     lo, hi = sorted((2.0**l1, 2.0**l2))
     prefactor = lo**0.5 * hi ** (1.0 / (2.0 * (2.0 * model.j + 1.0)))
 

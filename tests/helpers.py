@@ -1,9 +1,15 @@
-"""Shared test-field builders."""
+"""Shared test-field builders, and the references tests compare product code
+against: dense transforms and norms, the scaling transform, and earlier forms of
+the product's algorithms."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from hokdv.dispersion import DispersionModel
+from hokdv.norms import (
+    SpaceTimeField, ZsNorm, _lone, _ys_columns, _ys_mass, xsb_mass, zs_norm_cells,
+)
 from hokdv.torus import SpectralField, TorusGrid
 
 
@@ -25,6 +31,90 @@ def random_spacetime_coeffs(
     rng: np.random.Generator, modes: int, t_modes: int
 ) -> np.ndarray:
     return rng.normal(size=(modes, t_modes)) + 1j * rng.normal(size=(modes, t_modes))
+
+
+def forward_transform(samples: np.ndarray, grid: TorusGrid) -> SpectralField:
+    """Transform point samples to integral coefficients.
+
+    The rectangle rule (2 pi lam / M) * DFT is exact for functions band
+    limited to the retained lattice.
+    """
+    samples = np.asarray(samples)
+    if samples.shape != (grid.modes,):
+        raise ValueError(
+            f"sample array has length {samples.shape}, expected ({grid.modes},)"
+        )
+    coeffs = np.fft.fft(samples.astype(np.complex128)) * (grid.period / grid.modes)
+    return SpectralField(grid, coeffs)
+
+
+def inverse_transform(f: SpectralField) -> np.ndarray:
+    """Evaluate the field at the grid points, (1/(2 pi lam)) sum_k coeff(k) e^{ikx}."""
+    return np.fft.ifft(f.coeffs) * (f.grid.modes / f.grid.period)
+
+
+def homogeneous_sobolev_norm(
+    u: SpectralField | np.ndarray, s: float, grid: TorusGrid | None = None
+) -> float | np.ndarray:
+    """Homogeneous H-dot^s norm, ((1/lam) sum_{k != 0} |k|^{2s} |coeff|^2)^{1/2}:
+    the k = 0 mode is dropped.  u and grid as for `norms.sobolev_norm`."""
+    if grid is None:
+        grid, coeffs = u.grid, u.coeffs
+    else:
+        coeffs = np.asarray(u)
+    nz = grid.m_ints != 0
+    w = np.abs(grid.k_values[nz]) ** s
+    mass = np.sum((w * np.abs(coeffs[..., nz])) ** 2, axis=-1)
+    norm = np.sqrt(mass / grid.lam)
+    return float(norm) if norm.ndim == 0 else norm
+
+
+def xsb_norm(u: SpaceTimeField, s: float, b: float, model: DispersionModel) -> float:
+    """X_{s,b} norm with weights <k>^s <tau - p(k)>^b over the cell lattice."""
+    model.check_grid(u.grid)
+    _, k, sigma, vals = u.cell_arrays(model)
+    mass = xsb_mass(k, sigma, vals, u.dtau, u.grid.lam, s, b)
+    return float(np.sqrt(mass)[0])
+
+
+def ys_mass(m, k, coeffs, cell_measure: float, lam: float, s: float) -> np.ndarray:
+    """Squared Y^s mass of the cells as one field, l2 in k of <k>^s times the
+    L1-in-tau column integral: one entry per field, an array of length 1."""
+    return _ys_mass(_ys_columns(m, k, s, _lone(len(m))), np.abs(coeffs), cell_measure, lam)
+
+
+def ys_norm(u: SpaceTimeField, s: float) -> float:
+    """Y^s norm, l2 in k of the tau L1 integral; needs no dispersion model."""
+    m = np.repeat(u.grid.m_ints, u.t_modes)
+    k = np.repeat(u.grid.k_values, u.t_modes)
+    return float(np.sqrt(ys_mass(m, k, u.coeffs.reshape(-1), u.dtau, u.grid.lam, s))[0])
+
+
+def zs_norm(u: SpaceTimeField, s: float, model: DispersionModel) -> ZsNorm:
+    """Region-decomposed Z^s norm; returns the four components and their sum."""
+    model.check_grid(u.grid)
+    m, k, sigma, vals = u.cell_arrays(model)
+    return zs_norm_cells(m, k, sigma, vals, u.dtau, model, s).field(0)
+
+
+def scale_transform(
+    model: DispersionModel, u0: SpectralField, mu: int
+) -> tuple[SpectralField, DispersionModel]:
+    """Map data to the 2*pi*lam*mu torus: u_mu(x) = mu^{-2j} u0(x / mu).
+
+    On the index lattice the coefficients simply rescale,
+    coeff'(m) = mu^{1-2j} coeff(m), reinterpreted at frequency m/(lam mu).
+    Solutions scale with time factor mu^{2j+1}.
+    """
+    if int(mu) != mu or mu < 1:
+        raise ValueError(f"mu must be a positive integer, got {mu}")
+    mu = int(mu)
+    if mu == 1:
+        return u0, model
+    new_model = DispersionModel(model.j, model.lam * mu)
+    new_grid = TorusGrid(model.lam * mu, u0.grid.modes)
+    coeffs = u0.coeffs * float(mu) ** (1 - 2 * model.j)
+    return SpectralField(new_grid, coeffs), new_model
 
 
 def reference_audit_summary(model, kmax: int) -> dict:
@@ -280,7 +370,6 @@ def reference_growth_sweep(model, s, n_list, t):
     grid and a walk of A3 at phi_N's own amplitude N^-s for every N.  Each row
     also holds `nonzero_modes`, the count of nonzero A3 coefficients."""
     from hokdv.iterates import grid_size_for_mode, phi_n_data, third_iterate_closed
-    from hokdv.norms import NormSpec, sobolev_norm
     from hokdv.reporting import ExperimentReport
 
     rows = []
@@ -293,7 +382,7 @@ def reference_growth_sweep(model, s, n_list, t):
                 "s": s,
                 "N": N,
                 "t": t,
-                "h_s_norm": sobolev_norm(result.field, NormSpec(s, homogeneous=True)),
+                "h_s_norm": homogeneous_sobolev_norm(result.field, s),
                 "resonant_terms": result.resonant_terms,
                 "nonzero_modes": int(np.count_nonzero(result.field.coeffs)),
             }
@@ -402,9 +491,7 @@ def reference_contraction_experiment(model, phi, s, *, max_iter, n_frames):
     as a reference: the free flow frame by frame through `free_evolve`, every
     map through `reference_duhamel_map`, every Z^s through a fresh `zs_norm`."""
     from hokdv.dispersion import free_evolve
-    from hokdv.norms import (
-        NormSpec, smooth_bump_window, sobolev_norm, spacetime_from_timeseries, zs_norm,
-    )
+    from hokdv.norms import smooth_bump_window, sobolev_norm, spacetime_from_timeseries
     from hokdv.solver import ContractionTrace
 
     if n_frames % 2 == 0:
@@ -418,7 +505,7 @@ def reference_contraction_experiment(model, phi, s, *, max_iter, n_frames):
         return zs_norm(spacetime_from_timeseries(grid, frames, times), s, model).total
 
     def hs_sup(frames):
-        return float(np.max(sobolev_norm(frames, NormSpec(s), grid)))
+        return float(np.max(sobolev_norm(frames, s, grid)))
 
     eta_t = np.asarray(smooth_bump_window()(times), dtype=np.float64)[:, None]
     current = eta_t * np.array([free_evolve(model, phi, t).coeffs for t in times])

@@ -24,30 +24,14 @@ from hokdv.iterates import (
     second_iterate_quadrature,
     third_iterate_closed,
 )
-from hokdv.norms import (
-    DyadicShell,
-    NormSpec,
-    SpaceTimeField,
-    dyadic_localize,
-    shell_masses,
-    sobolev_norm,
-)
+from hokdv.norms import DyadicShell, SpaceTimeField
 from hokdv.solver import (
     SolverConfig,
     conserved_quantities,
     contraction_experiment,
     integrate,
-    scale_time_factor,
-    scale_transform,
 )
-from hokdv.torus import (
-    SpectralField,
-    TorusGrid,
-    convolve,
-    forward_transform,
-    inner_product,
-    inverse_transform,
-)
+from hokdv.torus import SpectralField, TorusGrid, convolve
 from hokdv.verifier import (
     RatioSearchConfig,
     bilinear_zs_ratio,
@@ -55,7 +39,14 @@ from hokdv.verifier import (
     product_l2_ratio,
 )
 
-from helpers import random_band_limited, random_spacetime_coeffs
+from helpers import (
+    forward_transform,
+    homogeneous_sobolev_norm,
+    inverse_transform,
+    random_band_limited,
+    random_spacetime_coeffs,
+    scale_transform,
+)
 
 
 def report(number: int, passed: bool, detail: str) -> None:
@@ -259,9 +250,7 @@ def test_criterion_7_scaling_law():
     details = []
     for mu in (2, 4, 8):
         scaled, _ = scale_transform(model, u0, mu)
-        ratio = sobolev_norm(scaled, NormSpec(s, homogeneous=True)) / sobolev_norm(
-            u0, NormSpec(s, homogeneous=True)
-        )
+        ratio = homogeneous_sobolev_norm(scaled, s) / homogeneous_sobolev_norm(u0, s)
         target = float(mu) ** (-2 * model.j + 0.5 - s)
         good = abs(ratio - target) <= 1e-12 * target
         ok = ok and good
@@ -269,7 +258,7 @@ def test_criterion_7_scaling_law():
     # solve-then-scale against scale-then-solve
     data = smooth_data(grid, scale=0.3, decay=1.0, max_mode=3, seed=5)
     mu, T = 2, 0.1
-    factor = scale_time_factor(model, mu)
+    factor = float(mu) ** (2 * model.j + 1)
     scaled0, scaled_model = scale_transform(model, data, mu)
     _, f_scaled = integrate(scaled_model, scaled0, SolverConfig(dt=T / 512, T=T, frame_stride=10**9))
     _, f_orig = integrate(
@@ -299,7 +288,7 @@ def test_criterion_8_norm_machinery():
     )
     fx, gx = inverse_transform(f), inverse_transform(g)
     physical = np.sum(fx * np.conj(gx)) * grid.period / grid.modes
-    parseval = abs(inner_product(f, g) - 2 * np.pi * physical)
+    parseval = abs(np.sum(f.coeffs * np.conj(g.coeffs)) / grid.lam - 2 * np.pi * physical)
     conv = np.max(
         np.abs(
             convolve(f, g).coeffs
@@ -311,18 +300,21 @@ def test_criterion_8_norm_machinery():
         f"round-trip {round_trip:.1e}, Parseval {parseval:.1e}, convolution {conv:.1e}"
     )
 
-    # shells partition mass exactly; region masks partition the punctured lattice
+    # shells partition the cells and their mass exactly; region masks partition the
+    # punctured lattice
     model = DispersionModel(2, 1.0)
     small = TorusGrid(1.0, 16)
     u = SpaceTimeField(small, 0.5, random_spacetime_coeffs(np.random.default_rng(3), 16, 32))
-    _, k, sigma, _ = u.cell_arrays(model)
+    _, k, sigma, vals = u.cell_arrays(model)
     top = int(np.ceil(np.log2(np.hypot(1, sigma).max()))) + 1
-    reassembled = sum(
-        dyadic_localize(u, DyadicShell(l), model).coeffs for l in range(top + 1)
+    shells = [DyadicShell(l).mask(sigma) for l in range(top + 1)]
+    reassembled = sum(np.where(shell, vals, 0) for shell in shells)
+    mass = np.abs(vals) ** 2 * u.dtau / small.lam
+    shells_exact = (
+        np.array_equal(sum(shell.astype(int) for shell in shells), np.ones(len(vals), dtype=int))
+        and np.array_equal(reassembled, vals)
+        and sum(mass[shell].sum() for shell in shells) == pytest.approx(mass.sum())
     )
-    shells_exact = np.array_equal(reassembled, u.coeffs) and shell_masses(
-        u, model
-    ).sum() == pytest.approx(u.total_mass_squared())
     masks = region_masks(model, k, sigma)
     cover = sum(
         masks[r].astype(int) for r in (Region.D1, Region.D2, Region.D3, Region.D4, Region.D5)

@@ -37,10 +37,6 @@ def only_run_dir(tmp_path) -> Path:
     return dirs[0]
 
 
-def newest_run_dir(tmp_path) -> Path:
-    return max((p for p in tmp_path.iterdir() if p.is_dir()), key=lambda p: p.name)
-
-
 # -- config parsing ----------------------------------------------------------
 
 
@@ -507,6 +503,15 @@ SIMULATE_SHORT = ["simulate", "--set", "j = 2", "--set", "M = 64", "--set", "dt 
         # non-monotone norms, a fit of -50.8 against 75, and exited 1
         (["illposed-sweep", "--set", "j = 3", "--set", "lam = 3.5", "--set", "t = 1e-100",
           "--set", "s_list = -40", "--set", "N_list = 8, 16, 32"], "'t'"),
+        # a search lattice past int64 names the range that overflows; each of the last
+        # three named k_max, which was never set
+        (["estimate-search", "--set", "estimate = 2.2", "--set", "k_max = 2000000"], "'k_max'"),
+        (["estimate-search", "--set", "estimate = 3.1", "--set", "j = 3", "--set", "lam = 256"],
+         "'lam'"),
+        (["estimate-search", "--set", "estimate = 2.1", "--set", "l1 = 62"], "'l1'"),
+        (["estimate-search", "--set", "estimate = 2.1", "--set", "l2 = 2000"], "'l2'"),
+        (["estimate-search", "--set", "estimate = 3.1", "--set", "t_modes = 5000000000000000000"],
+         "'t_modes'"),
     ],
     ids=["T-not-multiple-of-dt", "frame-stride-not-dividing-steps", "non-integer-seed",
          "non-integral-lam", "audit-j-below-one", "audit-lam", "phi-n-overflows", "phi-n-underflows",
@@ -514,7 +519,9 @@ SIMULATE_SHORT = ["simulate", "--set", "j = 2", "--set", "M = 64", "--set", "dt 
          "simulate-phase-overflows", "sweep-phase-overflows", "picard-phase-overflows",
          "sweep-j-200-phase-overflows",
          "sweep-t-1e-8-quadratic-in-t",
-         "sweep-t-1e-100", "sweep-t-1e-250", "sweep-j3-lam3.5-cancels"],
+         "sweep-t-1e-100", "sweep-t-1e-250", "sweep-j3-lam3.5-cancels",
+         "search-k-max-past-int64", "search-lam-past-int64", "search-l1-past-int64",
+         "search-l2-past-int64", "search-t-modes-past-int64"],
 )
 def test_bad_input_exits_two_before_a_run_directory(tmp_path, capsys, argv, key):
     assert run(tmp_path, *argv) == 2

@@ -14,7 +14,6 @@ from hokdv.dispersion import (
     DispersionModel,
     Region,
     audit_resonance_bound,
-    classify_region,
     free_evolve,
     region_masks,
     resonance_q0,
@@ -25,7 +24,7 @@ from hokdv.iterates import (
     second_iterate_quadrature,
     third_iterate_closed,
 )
-from hokdv.norms import NormSpec, SpaceTimeField, sobolev_norm, xsb_norm, zs_norm
+from hokdv.norms import sobolev_norm
 from hokdv.solver import SolverConfig, frame_grid, integrate
 from hokdv.torus import TorusGrid
 
@@ -60,8 +59,8 @@ def test_free_evolve_preserves_sobolev_norms(s):
     grid = TorusGrid(1.0, 64)
     model = DispersionModel(2, 1.0)
     u = random_band_limited(grid, np.random.default_rng(1), 20)
-    before = sobolev_norm(u, NormSpec(s))
-    after = sobolev_norm(free_evolve(model, u, 1.7), NormSpec(s))
+    before = sobolev_norm(u, s)
+    after = sobolev_norm(free_evolve(model, u, 1.7), s)
     assert after == pytest.approx(before, rel=1e-13)
 
 
@@ -96,14 +95,12 @@ def test_free_evolve_lambda_mismatch():
 
 
 _ON_ANOTHER_TORUS = {
-    "free_evolve": lambda m, u, stf: free_evolve(m, u, 0.1),
-    "integrate": lambda m, u, stf: integrate(m, u, SolverConfig(dt=0.01, T=0.02)),
-    "frame_grid": lambda m, u, stf: frame_grid(m, u.grid, 0.1 * np.arange(-2, 3)),
-    "second_iterate_closed": lambda m, u, stf: second_iterate_closed(m, u, 0.1),
-    "third_iterate_closed": lambda m, u, stf: third_iterate_closed(m, u, 0.1),
-    "second_iterate_quadrature": lambda m, u, stf: second_iterate_quadrature(m, u, 0.1, 64),
-    "xsb_norm": lambda m, u, stf: xsb_norm(stf, NormSpec(0.0, 0.5), m),
-    "zs_norm": lambda m, u, stf: zs_norm(stf, 0.0, m),
+    "free_evolve": lambda m, u: free_evolve(m, u, 0.1),
+    "integrate": lambda m, u: integrate(m, u, SolverConfig(dt=0.01, T=0.02)),
+    "frame_grid": lambda m, u: frame_grid(m, u.grid, 0.1 * np.arange(-2, 3)),
+    "second_iterate_closed": lambda m, u: second_iterate_closed(m, u, 0.1),
+    "third_iterate_closed": lambda m, u: third_iterate_closed(m, u, 0.1),
+    "second_iterate_quadrature": lambda m, u: second_iterate_quadrature(m, u, 0.1, 64),
 }
 
 
@@ -111,11 +108,9 @@ _ON_ANOTHER_TORUS = {
 def test_every_entry_point_refuses_a_grid_on_another_torus(entry):
     """Each entry point that reads k = m/lam off a grid refuses one whose lam is
     not the model's, through `DispersionModel.check_grid`."""
-    grid = TorusGrid(2.0, 32)
-    u = phi_n_data(2, 0.0, grid)
-    stf = SpaceTimeField(grid, 0.5, np.ones((grid.modes, 8)))
+    u = phi_n_data(2, 0.0, TorusGrid(2.0, 32))
     with pytest.raises(ValueError, match="grid lam 2.0 does not match model lam 1.0"):
-        _ON_ANOTHER_TORUS[entry](DispersionModel(2, 1.0), u, stf)
+        _ON_ANOTHER_TORUS[entry](DispersionModel(2, 1.0), u)
 
 
 def triple_q1_q2(n, m1, m2, m3):
@@ -348,13 +343,19 @@ def test_no_vanishing_q0_off_the_trivial_line(j):
     assert not np.any(off_line & (q0 == 0))
 
 
+def region_labels(model, k, sigma):
+    """The region of each (k, sigma) cell, read off region_masks: exactly one each."""
+    masks = region_masks(model, k, sigma)
+    labels = [[region for region, mask in masks.items() if mask[i]] for i in range(len(k))]
+    assert all(len(found) == 1 for found in labels)
+    return [found[0] for found in labels]
+
+
 def test_classify_region_examples():
     m = DispersionModel(2, 1.0)
-    assert classify_region(m, 1.0, m.phase(1.0)) is Region.D1
-    assert classify_region(m, 2.0, m.phase(2.0) + 321.0) is Region.D3
+    assert region_labels(m, [1.0, 2.0], [0.0, 321.0]) == [Region.D1, Region.D3]
     m2 = DispersionModel(2, 2.0)
-    assert classify_region(m2, 0.5, m2.phase(0.5)) is Region.D5
-    assert classify_region(m2, 0.0, 3.0) is Region.ZERO_MODE
+    assert region_labels(m2, [0.5, 0.0], [0.0, 3.0]) == [Region.D5, Region.ZERO_MODE]
 
 
 def test_classifier_agrees_with_raw_inequalities():
@@ -365,11 +366,11 @@ def test_classifier_agrees_with_raw_inequalities():
     ks = rng.choice(np.concatenate([np.arange(1, 65), -np.arange(1, 65)]), 400) / 2.0
     sigmas = rng.uniform(-1e7, 1e7, 400)
     taus = model.phase(ks) + sigmas
-    for k, tau in zip(ks, taus):
+    labels = region_labels(model, ks, taus - model.phase(ks))
+    for k, tau, label in zip(ks, taus, labels):
         abs_sigma = abs(tau - model.phase(k))
         inner = 2 * n / 3 * abs(k) ** (n - 1)
         outer = 2 * n * abs(k) ** n
-        label = classify_region(model, k, tau)
         if abs(k) >= 1:
             if abs_sigma <= inner:
                 expect = Region.D1
@@ -380,17 +381,6 @@ def test_classifier_agrees_with_raw_inequalities():
         else:
             expect = Region.D4 if abs_sigma > outer else Region.D5
         assert label is expect
-
-
-def test_classifier_array_version_matches_scalar():
-    model = DispersionModel(3, 1.0)
-    rng = np.random.default_rng(5)
-    k = rng.choice(np.concatenate([np.arange(1, 20), -np.arange(1, 20), [0]]), 200).astype(float)
-    sigma = rng.uniform(-1e6, 1e6, 200)
-    masks = region_masks(model, k, sigma)
-    for i, (kk, ss) in enumerate(zip(k, sigma)):
-        label = classify_region(model, kk, model.phase(kk) + ss)
-        assert [r for r, m in masks.items() if m[i]] == [label]
 
 
 @settings(max_examples=200, deadline=None)

@@ -13,7 +13,6 @@ import hokdv.iterates
 from hokdv.dispersion import DispersionModel, free_evolve
 from hokdv.iterates import (
     _PANEL_BLOCK_VALUES,
-    IterateResult,
     ResonanceConsistencyError,
     _oscillatory_factor,
     grid_size_for_mode,
@@ -24,12 +23,14 @@ from hokdv.iterates import (
     second_iterate_quadrature,
     third_iterate_closed,
 )
-from hokdv.norms import NormSpec, sobolev_norm
-from hokdv.torus import DoubleRangeError, Refused, SpectralField, TorusGrid, inverse_transform
+from hokdv.norms import sobolev_norm
+from hokdv.torus import DoubleRangeError, Refused, SpectralField, TorusGrid
 
 from helpers import (
     accepted_s_edges,
     full_lattice_duhamel_kernel,
+    homogeneous_sobolev_norm,
+    inverse_transform,
     random_band_limited,
     reference_growth_sweep,
     reference_second_iterate_closed,
@@ -101,7 +102,7 @@ def test_phi_n_coefficients_and_norm():
     u = phi_n_data(8, -2.0, grid)
     assert u.coeffs[grid.index_of(8)] == pytest.approx(64.0)
     assert u.coeffs[grid.index_of(-8)] == pytest.approx(64.0)
-    assert sobolev_norm(u, NormSpec(-2.0, homogeneous=True)) == pytest.approx(np.sqrt(2))
+    assert homogeneous_sobolev_norm(u, -2.0) == pytest.approx(np.sqrt(2))
 
 
 def test_phi_n_unit_amplitude_at_zero_regularity():
@@ -112,7 +113,7 @@ def test_phi_n_unit_amplitude_at_zero_regularity():
 def test_phi_n_norm_independent_of_n():
     grid = TorusGrid(1.0, 512)
     values = {
-        sobolev_norm(phi_n_data(N, -1.5, grid), NormSpec(-1.5, homogeneous=True))
+        homogeneous_sobolev_norm(phi_n_data(N, -1.5, grid), -1.5)
         for N in (4, 16, 64)
     }
     assert all(v == pytest.approx(np.sqrt(2)) for v in values)
@@ -130,9 +131,7 @@ def test_free_solution_keeps_norm_and_matches_t_zero():
     u = phi_n_data(4, -1.0, grid)
     assert np.array_equal(free_evolve(model, u, 0.0).coeffs, u.coeffs)
     out = free_evolve(model, u, 0.37)
-    assert sobolev_norm(out, NormSpec(0.0)) == pytest.approx(
-        sobolev_norm(u, NormSpec(0.0)), rel=1e-13
-    )
+    assert sobolev_norm(out, 0.0) == pytest.approx(sobolev_norm(u, 0.0), rel=1e-13)
 
 
 # -- second iterate -------------------------------------------------------------
@@ -643,7 +642,7 @@ def test_phasing_only_the_filled_modes_is_bit_identical(monkeypatch, j, lam, N, 
 
 @pytest.mark.parametrize("j,lam", [(2, 1.0), (3, 2.0), (8, 1.0)])
 def test_growth_sweep_norms_keep_the_bits_of_the_whole_lattice_norm(j, lam):
-    """growth_sweep sums the H-dot^s mass over the modes A3 fills; sobolev_norm over
+    """growth_sweep sums the H-dot^s mass over the modes A3 fills; the H-dot^s norm over
     the whole lattice of the same rescaled walk gives the same bits."""
     model, g = DispersionModel(j, lam), 2.0 * j - 1.0
     s_c = -j + 0.5
@@ -654,7 +653,7 @@ def test_growth_sweep_norms_keep_the_bits_of_the_whole_lattice_norm(j, lam):
             grid = TorusGrid(lam, grid_size_for_mode(3 * N))
             walk = third_iterate_closed(model, phi_n_data(N, -g / 3.0, grid), 0.7).field.coeffs
             scale = (float(N) ** (-s) / float(N) ** (g / 3.0)) ** 3
-            assert row["h_s_norm"] == sobolev_norm(scale * walk, NormSpec(s, homogeneous=True), grid)
+            assert row["h_s_norm"] == homogeneous_sobolev_norm(scale * walk, s, grid)
 
 
 def _exact_a3_mode_n(model, N, t):

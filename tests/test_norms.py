@@ -12,28 +12,23 @@ from hokdv.dispersion import DispersionModel, Region, free_evolve, region_masks
 from hokdv.iterates import phi_n_data
 from hokdv.norms import (
     DyadicShell,
-    MeanModeDroppedWarning,
     NormRangeWarning,
-    NormSpec,
     SpaceTimeField,
-    dyadic_localize,
     read_frames,
-    shell_masses,
     smooth_bump_window,
     sobolev_norm,
     spacetime_from_timeseries,
     write_frames,
-    xsb_norm,
-    ys_mass,
-    ys_norm,
-    zs_norm,
     zs_norm_cells,
     zs_weights,
 )
 from hokdv.torus import DoubleRangeError, SpectralField, TorusGrid
 from hokdv.verifier import ModulationField
 
-from helpers import random_band_limited, random_spacetime_coeffs, reference_zs_norm_cells
+from helpers import (
+    homogeneous_sobolev_norm, random_band_limited, random_spacetime_coeffs,
+    reference_zs_norm_cells, xsb_norm, ys_mass, ys_norm, zs_norm,
+)
 
 
 @pytest.fixture
@@ -51,6 +46,12 @@ def random_field(grid, seed=0, t_modes=32, dtau=0.5):
     return SpaceTimeField(grid, dtau, random_spacetime_coeffs(rng, grid.modes, t_modes))
 
 
+def cell_masses(u, model):
+    """(sigma, squared L2 mass) of every cell of a space-time field."""
+    _, _, sigma, vals = u.cell_arrays(model)
+    return sigma, np.abs(vals) ** 2 * u.dtau / u.grid.lam
+
+
 # -- H^s ---------------------------------------------------------------------
 
 
@@ -58,24 +59,17 @@ def random_field(grid, seed=0, t_modes=32, dtau=0.5):
 def test_two_mode_data_has_unit_scale_homogeneous_norm(N, s):
     grid = TorusGrid(1.0, 128)
     u = phi_n_data(N, s, grid)
-    assert sobolev_norm(u, NormSpec(s, homogeneous=True)) == pytest.approx(np.sqrt(2.0))
+    assert homogeneous_sobolev_norm(u, s) == pytest.approx(np.sqrt(2.0))
 
 
 def test_sobolev_norm_of_zero_field(grid):
-    assert sobolev_norm(SpectralField.zero(grid), NormSpec(-1.0)) == 0.0
+    assert sobolev_norm(SpectralField.zero(grid), -1.0) == 0.0
 
 
 def test_sobolev_single_mode_bracket_weight(grid):
     c = 0.3 - 1.2j
     u = SpectralField.from_modes(grid, {2: c})
-    assert sobolev_norm(u, NormSpec(1.0)) == pytest.approx(np.sqrt(5.0) * abs(c))
-
-
-def test_homogeneous_norm_drops_populated_mean_with_warning(grid):
-    u = SpectralField.from_modes(grid, {0: 2.0, 3: 1.0})
-    with pytest.warns(MeanModeDroppedWarning):
-        value = sobolev_norm(u, NormSpec(-1.0, homogeneous=True))
-    assert value == pytest.approx(3.0 ** (-1.0))
+    assert sobolev_norm(u, 1.0) == pytest.approx(np.sqrt(5.0) * abs(c))
 
 
 # -- X_{s,b} -----------------------------------------------------------------
@@ -83,9 +77,7 @@ def test_homogeneous_norm_drops_populated_mean_with_warning(grid):
 
 def test_xsb_unit_weights_recover_total_mass(model, grid):
     u = random_field(grid)
-    assert xsb_norm(u, NormSpec(0.0, 0.0), model) ** 2 == pytest.approx(
-        u.total_mass_squared()
-    )
+    assert xsb_norm(u, 0.0, 0.0, model) ** 2 == pytest.approx(cell_masses(u, model)[1].sum())
 
 
 def test_xsb_single_cell_closed_form(model, grid):
@@ -101,14 +93,14 @@ def test_xsb_single_cell_closed_form(model, grid):
         * abs(1.5 + 0.5j)
         * np.sqrt(0.25 / 1.0)
     )
-    assert xsb_norm(u, NormSpec(-1.5, 0.75), model) == pytest.approx(expected)
+    assert xsb_norm(u, -1.5, 0.75, model) == pytest.approx(expected)
 
 
 def test_xsb_monotone_in_modulation_exponent(model, grid):
     for seed in range(100):
         u = random_field(grid, seed=seed, t_modes=16)
-        lo = xsb_norm(u, NormSpec(-1.0, 0.25), model)
-        hi = xsb_norm(u, NormSpec(-1.0, 0.75), model)
+        lo = xsb_norm(u, -1.0, 0.25, model)
+        hi = xsb_norm(u, -1.0, 0.75, model)
         assert lo <= hi * (1 + 1e-12)
 
 
@@ -141,7 +133,7 @@ def test_ys_cauchy_schwarz_against_xsb(model, grid):
         width = 6
         c[:, 10 : 10 + width] = random_spacetime_coeffs(rng, 16, width)
         u = SpaceTimeField(grid, 0.5, c)
-        bound = np.sqrt(width * 0.5) * xsb_norm(u, NormSpec(-1.0, 0.0), DispersionModel(2, 1.0))
+        bound = np.sqrt(width * 0.5) * xsb_norm(u, -1.0, 0.0, DispersionModel(2, 1.0))
         assert ys_norm(u, -1.0) <= bound * (1 + 1e-12)
 
 
@@ -177,11 +169,12 @@ def test_cell_sigma_reads_the_phase_per_wavenumber(j, lam):
 def test_zs_field_supported_in_single_region(model, grid):
     m, k, sigma, _ = random_field(grid).cell_arrays(model)
     masks = region_masks(model, k, sigma)
-    u = random_field(grid, seed=3).masked(masks[Region.D1])
+    v = random_field(grid, seed=3)
+    u = SpaceTimeField(grid, v.dtau, np.where(masks[Region.D1].reshape(v.coeffs.shape), v.coeffs, 0))
     z = zs_norm(u, -1.5, model)
     assert z.x_d2 == 0.0 and z.x_d3d4 == 0.0
     assert z.x_d1d5 == pytest.approx(
-        xsb_norm(u, NormSpec(-1.5, 0.75), model)
+        xsb_norm(u, -1.5, 0.75, model)
     )
     assert z.total == pytest.approx(z.x_d1d5 + z.ys)
 
@@ -204,8 +197,8 @@ def test_zs_sandwich_directions(model, grid):
     for seed in range(50):
         u = random_field(grid, seed=seed)
         z = zs_norm(u, -1.5, model).total
-        low = xsb_norm(u, NormSpec(-1.5, 0.25), model)
-        high = xsb_norm(u, NormSpec(-1.5, 0.75), model)
+        low = xsb_norm(u, -1.5, 0.25, model)
+        high = xsb_norm(u, -1.5, 0.75, model)
         low_ratios.append(low / z)
         high_ratios.append(z / high)
     assert max(low_ratios) < 1.0 + 1e-12  # Z^s contains the low norm outright
@@ -281,28 +274,32 @@ def test_free_solution_mass_sits_in_bottom_shell(model, grid):
     times = -4.0 + 8.0 * np.arange(2048) / 2048
     frames = np.array([free_evolve(model, phi, t).coeffs for t in times])
     stf = spacetime_from_timeseries(grid, smooth_bump_window()(times)[:, None] * frames, times)
-    masses = shell_masses(stf, model)
-    assert masses[:4].sum() / masses.sum() > 0.99
+    sigma, mass = cell_masses(stf, model)
+    assert mass[DyadicShell.index(sigma) < 4].sum() / mass.sum() > 0.99
 
 
 def test_shell_partition_reassembles_exactly(model, grid):
+    """The shell masks cover every cell exactly once, so the shells reassemble the field."""
     u = random_field(grid, seed=9)
-    _, _, sigma, _ = u.cell_arrays(model)
+    _, _, sigma, vals = u.cell_arrays(model)
     top = int(np.ceil(np.log2(np.hypot(1, sigma).max()))) + 1
-    total = np.zeros_like(u.coeffs)
-    for l in range(top + 1):
-        total = total + dyadic_localize(u, DyadicShell(l), model).coeffs
-    assert np.array_equal(total, u.coeffs)
+    masks = [DyadicShell(l).mask(sigma) for l in range(top + 1)]
+    assert np.array_equal(sum(mask.astype(int) for mask in masks), np.ones(len(sigma), dtype=int))
+    assert np.array_equal(sum(np.where(mask, vals, 0) for mask in masks), vals)
 
 
 def test_shell_masses_sum_to_total(model, grid):
     u = random_field(grid, seed=10)
-    assert shell_masses(u, model).sum() == pytest.approx(u.total_mass_squared())
+    sigma, mass = cell_masses(u, model)
+    top = int(DyadicShell.index(sigma).max())
+    shells = [mass[DyadicShell(l).mask(sigma)].sum() for l in range(top + 1)]
+    assert sum(shells) == pytest.approx(mass.sum())
 
 
 def test_shell_masses_and_shell_mask_agree_just_below_a_power_of_two(model, grid):
     """sigma = sqrt(63) has <sigma> = 8 - 2^-50 in double precision, where
-    floor(log2(<sigma>)) rounds up to 3: the cell belongs to shell 2 in both."""
+    floor(log2(<sigma>)) rounds up to 3: the cell belongs to shell 2, which holds
+    the field's whole mass."""
     sigma = 7.937253933193771
     coeffs = np.zeros((grid.modes, 4), dtype=np.complex128)
     coeffs[grid.index_of(1), 3] = 1.0  # tau = dtau, sigma = dtau - p(1) with p(1) = -1
@@ -310,9 +307,10 @@ def test_shell_masses_and_shell_mask_agree_just_below_a_power_of_two(model, grid
     cell_sigma = u.cell_arrays(model)[2][np.flatnonzero(u.coeffs.reshape(-1))]
     assert cell_sigma.tolist() == [sigma]
     assert DyadicShell(2).mask(cell_sigma).tolist() == [True]
-    masses = shell_masses(u, model)
-    assert masses[2] == u.total_mass_squared()
-    assert np.count_nonzero(masses) == 1
+    cells, mass = cell_masses(u, model)
+    shells = [mass[DyadicShell(l).mask(cells)].sum() for l in range(49)]
+    assert shells[2] == mass.sum()
+    assert np.count_nonzero(shells) == 1
 
 
 # -- space-time construction --------------------------------------------------
@@ -385,8 +383,8 @@ def test_norms_are_absolutely_homogeneous(scale, seed):
     grid = TorusGrid(1.0, 8)
     u = random_field(grid, seed=seed, t_modes=16)
     scaled = SpaceTimeField(grid, u.dtau, u.coeffs * scale)
-    assert xsb_norm(scaled, NormSpec(-1.5, 0.5), model) == pytest.approx(
-        scale * xsb_norm(u, NormSpec(-1.5, 0.5), model), rel=1e-12
+    assert xsb_norm(scaled, -1.5, 0.5, model) == pytest.approx(
+        scale * xsb_norm(u, -1.5, 0.5, model), rel=1e-12
     )
     assert ys_norm(scaled, -1.5) == pytest.approx(scale * ys_norm(u, -1.5), rel=1e-12)
     assert zs_norm(scaled, -1.5, model).total == pytest.approx(
@@ -403,7 +401,7 @@ def test_norms_satisfy_triangle_inequality(seed):
     v = random_field(grid, seed=seed + 1, t_modes=16)
     w = SpaceTimeField(grid, u.dtau, u.coeffs + v.coeffs)
     for norm in (
-        lambda f: xsb_norm(f, NormSpec(-1.5, 0.5), model),
+        lambda f: xsb_norm(f, -1.5, 0.5, model),
         lambda f: ys_norm(f, -1.5),
         lambda f: zs_norm(f, -1.5, model).total,
     ):

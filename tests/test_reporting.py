@@ -21,6 +21,8 @@ def test_scalar_formatting_full_precision():
     assert format_value(3) == "3"
     assert format_value(np.float64(1.0 / 3.0)) == "0.33333333333333331"
     assert format_value(np.int64(-7)) == "-7"
+    # numpy booleans as JSON writes them
+    assert rows_to_csv([{"a": np.bool_(True), "b": np.bool_(False)}], ["a", "b"]) == "a,b\ntrue,false\n"
 
 
 def test_rows_to_csv_fills_missing_fields():
@@ -71,6 +73,12 @@ def test_csv_cells_and_json_refuse_non_finite_floats_by_one_error(value):
     with pytest.raises(NonFiniteError, match="not JSON compliant"):
         dump_json({"verdicts": {"ratio": value}})
     assert issubclass(NonFiniteError, ValueError)
+
+
+@pytest.mark.parametrize("value", [np.float32("nan"), np.longdouble("inf"), np.float16("-inf")])
+def test_csv_cells_refuse_non_finite_numpy_floats_of_any_width(value):
+    with pytest.raises(NonFiniteError, match="non-finite value"):
+        rows_to_csv([{"a": 1.0, "b": value}], ["a", "b"])
 
 
 def test_writes_go_in_place_with_mode_0600(tmp_path):

@@ -7,17 +7,14 @@ import pytest
 from hokdv.dispersion import DispersionModel, free_evolve
 from hokdv.iterates import second_iterate_closed
 from hokdv.norms import (
-    NormSpec,
     smooth_bump_window,
     sobolev_norm,
     spacetime_from_timeseries,
-    zs_norm,
     zs_norm_cells,
 )
 from hokdv import solver
 from hokdv.solver import (
     BlowUpError,
-    ContractionTrace,
     SolverConfig,
     _cumulative_integral,
     _stage_factor,
@@ -26,8 +23,6 @@ from hokdv.solver import (
     duhamel_map,
     frame_grid,
     integrate,
-    scale_time_factor,
-    scale_transform,
 )
 from hokdv.torus import (
     SpectralField,
@@ -41,10 +36,13 @@ from hokdv.torus import (
 )
 
 from helpers import (
+    homogeneous_sobolev_norm,
     random_band_limited,
     reference_contraction_experiment,
     reference_duhamel_map,
     reference_integrate,
+    scale_transform,
+    zs_norm,
 )
 
 
@@ -479,22 +477,6 @@ def test_contraction_matches_the_reference_experiment(j, lam, modes, n_frames):
 # -- scaling ------------------------------------------------------------------------
 
 
-def test_scale_transform_identity():
-    grid = TorusGrid(1.0, 32)
-    model = DispersionModel(2, 1.0)
-    u0 = SpectralField.from_modes(grid, {2: 1.0, -2: 1.0})
-    out, out_model = scale_transform(model, u0, 1)
-    assert out is u0 and out_model is model
-
-
-def test_scale_transform_rejects_fractional_mu():
-    grid = TorusGrid(1.0, 32)
-    model = DispersionModel(2, 1.0)
-    u0 = SpectralField.from_modes(grid, {2: 1.0})
-    with pytest.raises(ValueError):
-        scale_transform(model, u0, 1.5)
-
-
 @pytest.mark.parametrize("mu", [2, 4, 8])
 @pytest.mark.parametrize("j,s", [(2, -1.5), (3, -2.5)])
 def test_homogeneous_norm_scaling_law_is_exact(mu, j, s):
@@ -502,9 +484,7 @@ def test_homogeneous_norm_scaling_law_is_exact(mu, j, s):
     model = DispersionModel(j, 1.0)
     u0 = random_band_limited(grid, np.random.default_rng(21), 12)
     scaled, _ = scale_transform(model, u0, mu)
-    ratio = sobolev_norm(scaled, NormSpec(s, homogeneous=True)) / sobolev_norm(
-        u0, NormSpec(s, homogeneous=True)
-    )
+    ratio = homogeneous_sobolev_norm(scaled, s) / homogeneous_sobolev_norm(u0, s)
     assert ratio == pytest.approx(float(mu) ** (-2 * j + 0.5 - s), rel=1e-12)
 
 
@@ -515,7 +495,7 @@ def test_inhomogeneous_norm_scaling_within_five_percent_at_high_frequency():
     amps.update({-m: 1.0 for m in range(32, 49)})
     u0 = SpectralField.from_modes(grid, amps)
     scaled, _ = scale_transform(model, u0, 2)
-    ratio = sobolev_norm(scaled, NormSpec(-1.5)) / sobolev_norm(u0, NormSpec(-1.5))
+    ratio = sobolev_norm(scaled, -1.5) / sobolev_norm(u0, -1.5)
     assert ratio == pytest.approx(2.0 ** (-2 * 2 + 0.5 + 1.5), rel=0.05)
 
 
@@ -525,7 +505,7 @@ def test_solve_then_scale_commutes_with_scale_then_solve(mu):
     model = DispersionModel(2, 1.0)
     u0 = smooth_data(grid, scale=0.3, decay=1.0, max_mode=3, seed=5)
     T = 0.1
-    factor = scale_time_factor(model, mu)
+    factor = float(mu) ** (2 * model.j + 1)
     scaled0, scaled_model = scale_transform(model, u0, mu)
     _, f_scaled = integrate(
         scaled_model, scaled0, SolverConfig(dt=T / 512, T=T, frame_stride=10**9)

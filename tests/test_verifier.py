@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 
 from hokdv import norms, verifier
 from hokdv.dispersion import DispersionModel, Region, resonance_q0
-from hokdv.norms import (
-    DyadicShell, NormSpec, SpaceTimeField, angle_bracket, xsb_norm, ys_norm, zs_norm,
-)
+from hokdv.norms import DyadicShell, angle_bracket
 from hokdv.solver import frame_grid
 from hokdv.torus import TorusGrid
 from hokdv.verifier import (
@@ -28,7 +26,6 @@ from hokdv.verifier import (
     embedding_ratio,
     field_cells,
     product_l2_ratio,
-    resonant_pair,
     smoothed_derivative,
 )
 
@@ -41,6 +38,12 @@ from helpers import (
 @pytest.fixture
 def model():
     return DispersionModel(2, 1.0)
+
+
+def resonant_pair(model, cfg, rng, s, N=None):
+    """The resonant two-mode family's two fields (verifier._resonant_cells)."""
+    u1, u2 = verifier._resonant_cells(model, cfg, rng, s, N)
+    return ModulationField(model, *u1), ModulationField(model, *u2)
 
 
 def test_modulation_field_accumulates_duplicate_cells(model):
@@ -98,7 +101,7 @@ def test_modulation_field_matches_the_lexsort_reference(cells, copies, shuffle, 
     assert np.array_equal(f.sig_scaled, ref_sig)
     assert np.array_equal(f.coeffs, ref_vals)
     if all_zero:
-        assert f.is_empty()
+        assert len(f.m) == 0
 
 
 @pytest.mark.parametrize("m_span", [3, 2**17, 2**63])
@@ -310,7 +313,7 @@ def test_cell_plans_match_a_fresh_product_and_the_reference(cells, data):
         for got, want in zip((w.m, w.sig_scaled, w.coeffs), ref_w):
             assert np.array_equal(got, want)
         assert np.array_equal(w.coeffs, smoothed_derivative(fresh).coeffs)
-        if not w.is_empty():
+        if len(w.m):
             want = reference_zs_norm_cells(w.m, w.k, w.sigma, w.coeffs, 1.0, model, -1.5)
             assert w.zs(-1.5) == want
 
@@ -336,7 +339,7 @@ def test_convolution_collision_accumulates(model):
 def test_empty_inputs_give_empty_output(model):
     empty = ModulationField(model, [], [], [])
     g = ModulationField(model, [1], [0], [1.0])
-    assert convolve_modulation(empty, g).is_empty()
+    assert len(convolve_modulation(empty, g).m) == 0
 
 
 def test_ratios_are_scale_invariant(model):
@@ -466,7 +469,7 @@ def test_d1_restricted_field_satisfies_direct_weight_comparison(model):
     u = ModulationField(model, cells_m, cells_sig, np.ones(40)).region_restricted(
         (Region.D1,)
     )
-    assert not u.is_empty()
+    assert len(u.m)
     low = u.xsb(-1.5, 1.0 / 4.0)
     high = u.xsb(-1.5, 3.0 / 4.0)
     assert low <= high * (1 + 1e-12)
@@ -678,7 +681,7 @@ def test_batched_searches_match_the_per_trial_reference(
 def test_a_lone_field_is_a_stack_of_one(model):
     """A field built without bounds is a stack of one field: its norms are arrays
     of length 1 with the bits of the same field in the middle of a stack of three.
-    The dense front ends give Python floats."""
+    The frame grid's Z^s, of a dense field, gives Python floats."""
     cfg, rng, s = RatioSearchConfig(k_max=16, support=24), np.random.default_rng(5), -1.5
     gens = ("free-solution-like", "gaussian-random", "dyadic-concentrated")
     draws = [field_cells(gen, model, cfg, rng) for gen in gens]
@@ -693,12 +696,10 @@ def test_a_lone_field_is_a_stack_of_one(model):
         assert isinstance(got, np.ndarray) and got.shape == (1,)
         assert got[0] == of_stack[1] and got[0] > 0.0
     grid = TorusGrid(1.0, 16)
-    u = SpaceTimeField(grid, 0.5, random_spacetime_coeffs(rng, grid.modes, 8))
     times = 0.1 * np.arange(-8, 9)
     frames = random_spacetime_coeffs(rng, len(times), grid.modes)
-    dense = [xsb_norm(u, NormSpec(s, 0.3), model), ys_norm(u, s), *astuple(zs_norm(u, s, model))]
-    dense += astuple(frame_grid(model, grid, times).zs_norm(frames, s))
-    assert [type(v) for v in dense] == [float] * 10
+    dense = astuple(frame_grid(model, grid, times).zs_norm(frames, s))
+    assert [type(v) for v in dense] == [float] * 4
 
 
 def test_stacked_products_check_int64_per_field():
@@ -809,7 +810,7 @@ def test_served_plans_match_a_fresh_product_bit_for_bit(case):
         for got, want in ((out, fresh), (smoothed_derivative(out), smoothed_derivative(fresh))):
             for attr in ("m", "sig_scaled", "coeffs", "bounds"):
                 assert np.array_equal(getattr(got, attr), getattr(want, attr))
-            if not got.is_empty():
+            if len(got.m):
                 for a, b in zip(astuple(got.zs(s)), astuple(want.zs(s))):
                     assert np.array_equal(a, b)
         if case.startswith("fixed-tau") and served:
