@@ -16,11 +16,11 @@ import time
 import hokdv
 from hokdv import cli
 
-TRACED = "perfbench/spans.py traces it until ROADMAP item 1 retires its span"
+SPAN_REASON = "perfbench/spans.py traces it until ROADMAP item 1 retires its span"
 ALLOWED = {
-    "torus.convolve": TRACED,
-    "dispersion.free_evolve": TRACED,
-    "norms.spacetime_from_timeseries": TRACED,
+    "torus.convolve": SPAN_REASON,
+    "dispersion.free_evolve": SPAN_REASON,
+    "norms.spacetime_from_timeseries": SPAN_REASON,
     "norms.read_frames": "the README documents it as the reader of frames.bin",
     "expquad.lagrange_monomial_basis": "runs at import time, for iterates' quadrature basis",
 }
