@@ -5,10 +5,10 @@ experiment forms from a dense SpaceTimeField and the estimate searches from
 sparse modulation fields.
 
 A SpaceTimeField holds coefficients on the product of a spatial frequency
-lattice and a uniform tau lattice dual to a finite time window.  All
-tau integrals are cell-measure weighted sums (measure dtau), and the k
-sums carry the 1/lam counting normalization, so every norm here is the
-literal lattice transcription of its continuum definition.
+lattice and a uniform, symmetric tau lattice (an odd number of slots) dual
+to a finite time window.  All tau integrals are cell-measure weighted sums
+(measure dtau), and the k sums carry the 1/lam counting normalization, so
+every norm here is the literal lattice transcription of its continuum definition.
 
 The frequency lattice is zero-free: the k = 0 column is held at zero
 (fields entering this machinery are mean-zero), mirroring the punctured
@@ -33,7 +33,7 @@ import numpy as np
 
 from .dispersion import DispersionModel, Region, region_masks
 from .reporting import atomic_write_bytes
-from .torus import TorusGrid, SpectralField, check_range, doubles
+from .torus import TorusGrid, check_range, doubles
 
 
 class NormRangeWarning(UserWarning):
@@ -64,22 +64,12 @@ def angle_bracket(x) -> np.ndarray:
     return np.hypot(1.0, np.asarray(x, dtype=np.float64))
 
 
-def sobolev_norm(
-    u: SpectralField | np.ndarray, s: float, grid: TorusGrid | None = None
-) -> float | np.ndarray:
-    """H^s norm, ((1/lam) sum <k>^{2s} |coeff|^2)^{1/2}.
-
-    u is a SpectralField, or with `grid` given a coefficient array whose last
-    axis is the lattice: an (n_frames, M) series gives one norm per frame.
-    """
-    if grid is None:
-        grid, coeffs = u.grid, u.coeffs
-    else:
-        coeffs = np.asarray(u)
+def sobolev_norm(coeffs: np.ndarray, s: float, grid: TorusGrid) -> np.ndarray:
+    """H^s norm, ((1/lam) sum <k>^{2s} |coeff|^2)^{1/2}, of coefficient arrays whose
+    last axis is grid's lattice: an (n_frames, M) series gives one norm per frame."""
     w = angle_bracket(grid.k_values) ** s
     mass = np.sum((w * np.abs(coeffs)) ** 2, axis=-1)
-    norm = np.sqrt(mass / grid.lam)
-    return float(norm) if norm.ndim == 0 else norm
+    return np.sqrt(mass / grid.lam)
 
 
 @dataclass(frozen=True)
@@ -87,8 +77,8 @@ class SpaceTimeField:
     """Coefficients on the (k, tau) lattice: rows spatial modes (fft order),
     columns the tau lattice in ascending order with spacing dtau.
 
-    The tau lattice is dtau * (-T/2 .. T/2 - 1); the unpaired extreme slot
-    and the k = 0 row are held at zero (symmetric lattice, mean-zero field).
+    The tau lattice is dtau * (-(T-1)/2 .. (T-1)/2), symmetric, so T is odd;
+    the k = 0 row is held at zero (mean-zero field).
     """
 
     grid: TorusGrid
@@ -101,14 +91,12 @@ class SpaceTimeField:
             raise ValueError(
                 f"coefficients must be (modes, T_modes), got {c.shape}"
             )
-        if c.shape[1] < 2:
-            raise ValueError("tau lattice needs at least two slots")
+        if c.shape[1] < 3 or c.shape[1] % 2 == 0:
+            raise ValueError(f"tau lattice needs an odd number of slots, >= 3, not {c.shape[1]}")
         if self.dtau <= 0:
             raise ValueError("dtau must be positive")
         c[self.grid.nyquist_index, :] = 0.0
         c[0, :] = 0.0  # zero-free spatial lattice: mean-zero fields only
-        if c.shape[1] % 2 == 0:
-            c[:, 0] = 0.0  # unpaired extreme tau slot, mirrors the Nyquist rule
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -118,10 +106,8 @@ class SpaceTimeField:
 
     @property
     def tau_values(self) -> np.ndarray:
-        n = self.t_modes
-        if n % 2 == 0:
-            return self.dtau * np.arange(-n // 2, n // 2)
-        return self.dtau * np.arange(-(n - 1) // 2, (n - 1) // 2 + 1)
+        half = self.t_modes // 2
+        return self.dtau * np.arange(-half, half + 1)
 
     def cell_arrays(self, model: DispersionModel):
         """Flattened (m, k, sigma, coeff) arrays over all lattice cells."""
@@ -162,6 +148,21 @@ def _lone(n: int) -> np.ndarray:
     return np.array([0, n])
 
 
+def _block(k_bracket, sigma_bracket, mask: np.ndarray, s: float, b: float, bounds) -> tuple:
+    """(cells, weights, bounds) of the cells where mask holds: their indices
+    (kept_indices), their <k>^{2s} <sigma>^{2b} weights from the brackets, and the
+    offsets among them of the fields at offsets bounds."""
+    cells = kept_indices(mask)
+    weights = k_bracket.take(cells) ** (2.0 * s) * sigma_bracket.take(cells) ** (2.0 * b)
+    return cells, weights, np.searchsorted(cells, bounds)
+
+
+def _block_mass(block: tuple, mass: np.ndarray, cell_measure: float, lam: float) -> np.ndarray:
+    """The weighted mass of a _block, one entry per field, from the cells' |coeff|^2."""
+    cells, weights, bounds = block
+    return segment_sums(weights * mass.take(cells), bounds) * cell_measure / lam
+
+
 def xsb_mass(
     k: np.ndarray,
     sigma: np.ndarray,
@@ -170,21 +171,18 @@ def xsb_mass(
     lam: float,
     s: float,
     b: float,
-    bounds: np.ndarray | None = None,
-    what: str = "the X_{s,b} weights",
+    bounds: np.ndarray,
+    what: str,
 ) -> np.ndarray:
     """Squared X_{s,b} mass of the listed cells (k = 0 cells excluded), fields at
-    offsets bounds (None: one field): one entry per field.  DoubleRangeError names
-    `what` if a bracket power under- or overflows, a weight leaves
-    [2^-1022, 2^1022], or a mass overflows."""
-    bounds = _lone(len(k)) if bounds is None else bounds
-    sel = k != 0
+    offsets bounds: one entry per field.  DoubleRangeError names `what` if a
+    bracket power under- or overflows, a weight leaves [2^-1022, 2^1022], or a
+    mass overflows."""
     with doubles(what, under="raise"):
-        weight = angle_bracket(k[sel]) ** (2.0 * s) * angle_bracket(sigma[sel]) ** (2.0 * b)
-    check_range(what, weight)
+        block = _block(angle_bracket(k), angle_bracket(sigma), k != 0, s, b, bounds)
+    check_range(what, block[1])
     with doubles(what):
-        terms = weight * np.abs(coeffs[sel]) ** 2
-        return segment_sums(terms, kept_bounds(sel, bounds)) * cell_measure / lam
+        return _block_mass(block, np.abs(coeffs) ** 2, cell_measure, lam)
 
 
 def _ys_columns(m: np.ndarray, k: np.ndarray, s: float, bounds: np.ndarray) -> tuple:
@@ -255,12 +253,9 @@ def zs_region_exponents(model: DispersionModel, s: float) -> dict[str, tuple[flo
 
 @dataclass(frozen=True)
 class ZsWeights:
-    """The cells-only half of the Z^s norm of one cell set at one s.
-
-    blocks holds, for the D1 u D5, D2 and D3 u D4 blocks, (cells, weights,
-    bounds): the block's cell indices (kept_indices), its cells' <k>^{2s_r}
-    <sigma>^{2b_r} weights, and the fields' offsets among them.  ys is the Y^s
-    column layout of _ys_columns.
+    """The cells-only half of the Z^s norm of one cell set at one s: blocks holds
+    the _block of each of the D1 u D5, D2 and D3 u D4 blocks at its (s_r, b_r), and
+    ys the Y^s column layout of _ys_columns.
     """
 
     blocks: tuple
@@ -275,10 +270,7 @@ class ZsWeights:
         amps, lam = np.abs(coeffs), self.lam
         with doubles("the Z^s mass"):
             mass = amps**2
-            x = [
-                np.sqrt(segment_sums(weights * mass.take(cells), bounds) * cell_measure / lam)
-                for cells, weights, bounds in self.blocks
-            ]
+            x = [np.sqrt(_block_mass(block, mass, cell_measure, lam)) for block in self.blocks]
             ys = np.sqrt(_ys_mass(self.ys, amps, cell_measure, lam))
         return ZsNorm(*x, ys)
 
@@ -300,18 +292,12 @@ def zs_weights(
     masks = region_masks(model, k, sigma)
     exps = zs_region_exponents(model, s)
     # brackets formed once for the three blocks; the region masks exclude k = 0
-    k_bracket, sigma_bracket = angle_bracket(k), angle_bracket(sigma)
-
-    def block(mask: np.ndarray, se: float, be: float):
-        cells = kept_indices(mask)
-        weights = k_bracket.take(cells) ** (2.0 * se) * sigma_bracket.take(cells) ** (2.0 * be)
-        return cells, weights, np.searchsorted(cells, bounds)
-
+    brackets = angle_bracket(k), angle_bracket(sigma)
     with doubles("the Z^s weights", under="raise"):
         blocks = (
-            block(masks[Region.D1] | masks[Region.D5], *exps["d1d5"]),
-            block(masks[Region.D2], *exps["d2"]),
-            block(masks[Region.D3] | masks[Region.D4], *exps["d3d4"]),
+            _block(*brackets, masks[Region.D1] | masks[Region.D5], *exps["d1d5"], bounds),
+            _block(*brackets, masks[Region.D2], *exps["d2"], bounds),
+            _block(*brackets, masks[Region.D3] | masks[Region.D4], *exps["d3d4"], bounds),
         )
         ys = _ys_columns(m, k, s, bounds)
     check_range("the Z^s weights", np.concatenate([weights for _, weights, _ in blocks] + [ys[3]]))
@@ -326,15 +312,15 @@ def zs_norm_cells(
     cell_measure: float,
     model: DispersionModel,
     s: float,
+    weights: dict,
     warn_range: bool = True,
-    weights: dict | None = None,
     bounds: np.ndarray | None = None,
 ) -> ZsNorm:
     """Z^s of the listed cells: the weight pass zs_weights, then its coefficient
-    pass.  weights, if given, is a cache of weight passes by s for these very
-    cells: one found there is used, one formed here is stored there.  The cells
-    are fields at offsets bounds (None: one field), and the norm holds one array
-    entry per field."""
+    pass.  weights is a cache of weight passes by s for these very cells: one
+    found there is used, one formed here is stored there.  The cells are fields
+    at offsets bounds (None: one field), and the norm holds one array entry per
+    field."""
     if warn_range and not (-model.j + 0.5 <= s <= -model.j / 2.0):
         warnings.warn(
             f"s = {s} outside the window [{-model.j + 0.5}, {-model.j / 2.0}] the "
@@ -342,11 +328,9 @@ def zs_norm_cells(
             NormRangeWarning,
             stacklevel=2,
         )
-    zw = None if weights is None else weights.get(s)
+    zw = weights.get(s)
     if zw is None:
-        zw = zs_weights(m, k, sigma, model, s, bounds)
-        if weights is not None:
-            weights[s] = zw
+        zw = weights[s] = zs_weights(m, k, sigma, model, s, bounds)
     return zw.norm(coeffs, cell_measure)
 
 
@@ -388,7 +372,7 @@ def uniform_step(times: np.ndarray) -> float:
 def spacetime_from_timeseries(
     grid: TorusGrid, frames: np.ndarray, times: np.ndarray
 ) -> SpaceTimeField:
-    """Transform a uniform (n_frames, M) time series of spatial coefficients in
+    """Transform a uniform time series of n_frames (odd) spatial coefficient rows in
     time; the caller windows the frames (e.g. by smooth_bump_window) first.
 
     Produces coefficients F(k, tau_n) = dt * sum_i u_i(k) e^{-i tau_n t_i}
@@ -407,7 +391,7 @@ def time_transform_phase(times: np.ndarray, dt: float) -> tuple[np.ndarray, floa
 
 
 def time_transform(grid: TorusGrid, frames: np.ndarray, phase: np.ndarray, dtau: float):
-    """The SpaceTimeField of (n_frames, M) frames, n_frames = len(phase) >= 8."""
+    """The SpaceTimeField of (n_frames, M) frames, n_frames = len(phase) >= 8 and odd."""
     frames = np.asarray(frames)
     if frames.shape != (len(phase), grid.modes) or len(frames) < 8:
         raise ValueError(f"frames must be ({len(phase)}, {grid.modes}), at least 8 frames; "

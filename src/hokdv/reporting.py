@@ -70,13 +70,23 @@ def rows_to_csv(rows: Sequence[Mapping[str, Any]], fields: Sequence[str]) -> str
     return "\n".join(lines) + "\n"
 
 
+def _plain(value: Any) -> Any:
+    """The Python value of a numpy array, bool, integer or float of any width (a long
+    double's tolist() is itself); TypeError names any other type."""
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, (np.ndarray, np.bool_, np.integer)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def dump_json(payload: Any) -> str:
-    """Sorted, indented JSON; numpy scalars and arrays go through `tolist`.  A nan or
+    """Sorted, indented JSON; numpy scalars and arrays go through `_plain`.  A nan or
     infinite float raises NonFiniteError: NaN and Infinity are not JSON.  Without the
     circular check, the encoder raises ValueError for nothing else."""
     try:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
-                          check_circular=False, default=lambda v: v.tolist())
+                          check_circular=False, default=_plain)
     except ValueError as err:
         raise NonFiniteError(str(err)) from None
     return text + "\n"

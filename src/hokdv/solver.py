@@ -241,7 +241,7 @@ def duhamel_map(
     u_frames: np.ndarray,
     times: np.ndarray,
     *,
-    held: FrameGrid | None = None,
+    held: FrameGrid,
 ) -> np.ndarray:
     """Apply the cutoff Duhamel map to an (n_frames, M) frame series:
 
@@ -250,12 +250,10 @@ def duhamel_map(
     The integral is factored through S(t) S(-s) so the cumulative quadrature
     (fourth-order, uniform grid anchored at t = 0) runs once over the frames.
     eta is `smooth_bump_window()`; a fixed point of this map solves the
-    equation on its flat core [-1, 1].  held, if given, is frame_grid(model,
-    phi.grid, times), built once for maps over the same frame grid.
+    equation on its flat core [-1, 1].  held is frame_grid(model, phi.grid,
+    times), built once for maps over the same frame grid.
     """
-    if held is None:
-        held = frame_grid(model, phi.grid, times)
-    elif held.model != model or held.grid != phi.grid or not np.array_equal(held.times, times):
+    if held.model != model or held.grid != phi.grid or not np.array_equal(held.times, times):
         raise ValueError("held frame grid was built for another model, torus or times")
     grid = phi.grid
     u_frames = np.asarray(u_frames)

@@ -238,10 +238,9 @@ class ModulationField:
     already in that canonical form are kept as given, without a sort.
 
     The object is a stack of fields: field i is the cells bounds[i]:bounds[i + 1]
-    of the given arrays (bounds None: [0, len(m)], one field), put in canonical
-    form on its own, and self.bounds gives their offsets among the kept cells.
-    The norms are arrays with one entry per field, each with the bits the field
-    gives alone.
+    of the given arrays ([0, len(m)]: one field), put in canonical form on its
+    own, and self.bounds gives their offsets among the kept cells.  The norms
+    are arrays with one entry per field, each with the bits the field gives alone.
     memo, if given, is a search's PlanMemo: a plan for the same cells is taken
     from there, and a new plan is kept there.
     """
@@ -249,13 +248,12 @@ class ModulationField:
     __slots__ = ("model", "m", "sig_scaled", "coeffs", "bounds", "sig_scale", "_plan")
 
     def __init__(
-        self, model: DispersionModel, m, sig_scaled, coeffs, bounds=None,
-        memo: PlanMemo | None = None,
+        self, model: DispersionModel, m, sig_scaled, coeffs, bounds, memo: PlanMemo | None = None,
     ):
         m = np.asarray(m, dtype=np.int64)
         sig = np.asarray(sig_scaled, dtype=np.int64)
         vals = np.asarray(coeffs, dtype=np.complex128)
-        offsets = np.array([0, len(m)]) if bounds is None else np.asarray(bounds, dtype=np.int64)
+        offsets = np.asarray(bounds, dtype=np.int64)
         keep = vals != 0
         if keep.all():
             key = None if memo is None else (model, m.tobytes(), sig.tobytes(), offsets.tobytes())
@@ -308,7 +306,7 @@ class ModulationField:
             keep |= masks[r]
         return self.where(keep)
 
-    def describe(self, i: int = 0) -> dict:
+    def describe(self, i: int) -> dict:
         """The cells of field i."""
         a, b = self.bounds[i : i + 2]
         cells = zip(*(x[a:b].tolist() for x in (self.m, self.sig_scaled, self.coeffs)))
@@ -326,13 +324,13 @@ class ModulationField:
 
     def xsb(self, s: float, b: float, what: str = "the X_{s,b} weights") -> np.ndarray:
         mass = xsb_mass(self.k, self.sigma, self.coeffs, self.dtau, self.model.lam, s, b,
-                        bounds=self.bounds, what=what)
+                        self.bounds, what)
         return np.sqrt(mass)
 
     def zs(self, s: float) -> ZsNorm:
         return zs_norm_cells(
             self.m, self.k, self.sigma, self.coeffs, self.dtau, self.model, s,
-            warn_range=False, weights=self._plan.zs_weights, bounds=self.bounds,
+            self._plan.zs_weights, warn_range=False, bounds=self.bounds,
         )
 
 
@@ -387,7 +385,7 @@ def _pairs(fb: np.ndarray, gb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def convolve_modulation(
-    f: ModulationField, g: ModulationField, memo: PlanMemo | None = None
+    f: ModulationField, g: ModulationField, memo: PlanMemo
 ) -> ModulationField:
     """Bilinear (k, tau) convolution with the normalized measure.
 
@@ -395,12 +393,11 @@ def convolve_modulation(
     the exact integer gap p(k1) + p(k2) - p(k1+k2) on the scaled lattice.
     For two stacks of as many fields, field i of the product is f_i * g_i.
 
-    memo, if given, is a search's PlanMemo, which holds the cell plans of
-    products by their input cells.  A plan found there skips the int64 guard,
-    which its cells passed when it was built, and forms the new product from
-    its pairs by rank (_CellPlan.pair_sums), with the bits of a fresh call.  A
-    product with a zero pair value is canonicalized from its values, as any
-    field is.
+    memo is a search's PlanMemo, which holds the cell plans of products by
+    their input cells.  A plan found there skips the int64 guard, which its
+    cells passed when it was built, and forms the new product from its pairs by
+    rank (_CellPlan.pair_sums), with the bits of a fresh call.  A product with a
+    zero pair value is canonicalized from its values, as any field is.
     """
     model = f.model
     if g.model != model:
@@ -409,11 +406,9 @@ def convolve_modulation(
     if len(fb) != len(gb):
         raise ValueError("stacks of different numbers of fields")
     scale = f.dtau / model.lam
-    key = plan = None
-    if memo is not None:
-        cells = (f.m, f.sig_scaled, fb, g.m, g.sig_scaled, gb)
-        key = (model, *(a.tobytes() for a in cells))
-        plan = memo.recall(key)
+    cells = (f.m, f.sig_scaled, fb, g.m, g.sig_scaled, gb)
+    key = (model, *(a.tobytes() for a in cells))
+    plan = memo.recall(key)
     if plan is None:  # every pair of nonempty fields must multiply exactly in int64
         sides = ((f.m, fb), (g.m, gb), (f.sig_scaled, fb), (g.sig_scaled, gb))
         mf, mg, sf, sg = (_field_maxima(a, b) for a, b in sides)
@@ -431,8 +426,7 @@ def convolve_modulation(
     if not vals.all():
         return ModulationField(model, m, sig, vals, bounds)
     plan = _CellPlan(model, m, sig, bounds)
-    if memo is not None:
-        memo.keep(key, plan)
+    memo.keep(key, plan)
     return ModulationField._planned(plan, plan.apply(vals))
 
 
@@ -580,7 +574,7 @@ def field_cells(
     name: str, model: DispersionModel, cfg: RatioSearchConfig, rng, s: float = -1.5
 ) -> tuple:
     """The raw cells (m, sig_scaled, coeffs) of one field drawn by the named
-    generator; ModulationField(model, *cells) is the field."""
+    generator; ModulationField(model, *cells, [0, len(cells[0])]) is the field."""
     if name == "gaussian-random":
         return _gaussian_cells(model, cfg, rng)
     if name == "dyadic-concentrated":

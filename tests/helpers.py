@@ -11,6 +11,7 @@ from hokdv.norms import (
     SpaceTimeField, ZsNorm, _lone, _ys_columns, _ys_mass, xsb_mass, zs_norm_cells,
 )
 from hokdv.torus import SpectralField, TorusGrid
+from hokdv.verifier import ModulationField
 
 
 def random_band_limited(
@@ -57,7 +58,7 @@ def homogeneous_sobolev_norm(
     u: SpectralField | np.ndarray, s: float, grid: TorusGrid | None = None
 ) -> float | np.ndarray:
     """Homogeneous H-dot^s norm, ((1/lam) sum_{k != 0} |k|^{2s} |coeff|^2)^{1/2}:
-    the k = 0 mode is dropped.  u and grid as for `norms.sobolev_norm`."""
+    the k = 0 mode is dropped.  u is a SpectralField, or coefficient rows on grid."""
     if grid is None:
         grid, coeffs = u.grid, u.coeffs
     else:
@@ -69,11 +70,16 @@ def homogeneous_sobolev_norm(
     return float(norm) if norm.ndim == 0 else norm
 
 
+def lone_field(model: DispersionModel, m, sig_scaled, coeffs) -> ModulationField:
+    """The ModulationField of one field with these raw cells."""
+    return ModulationField(model, m, sig_scaled, coeffs, [0, len(m)])
+
+
 def xsb_norm(u: SpaceTimeField, s: float, b: float, model: DispersionModel) -> float:
     """X_{s,b} norm with weights <k>^s <tau - p(k)>^b over the cell lattice."""
     model.check_grid(u.grid)
     _, k, sigma, vals = u.cell_arrays(model)
-    mass = xsb_mass(k, sigma, vals, u.dtau, u.grid.lam, s, b)
+    mass = xsb_mass(k, sigma, vals, u.dtau, u.grid.lam, s, b, _lone(len(k)), "the X_{s,b} weights")
     return float(np.sqrt(mass)[0])
 
 
@@ -94,7 +100,7 @@ def zs_norm(u: SpaceTimeField, s: float, model: DispersionModel) -> ZsNorm:
     """Region-decomposed Z^s norm; returns the four components and their sum."""
     model.check_grid(u.grid)
     m, k, sigma, vals = u.cell_arrays(model)
-    return zs_norm_cells(m, k, sigma, vals, u.dtau, model, s).field(0)
+    return zs_norm_cells(m, k, sigma, vals, u.dtau, model, s, {}).field(0)
 
 
 def scale_transform(

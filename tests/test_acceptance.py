@@ -304,7 +304,7 @@ def test_criterion_8_norm_machinery():
     # punctured lattice
     model = DispersionModel(2, 1.0)
     small = TorusGrid(1.0, 16)
-    u = SpaceTimeField(small, 0.5, random_spacetime_coeffs(np.random.default_rng(3), 16, 32))
+    u = SpaceTimeField(small, 0.5, random_spacetime_coeffs(np.random.default_rng(3), 16, 33))
     _, k, sigma, vals = u.cell_arrays(model)
     top = int(np.ceil(np.log2(np.hypot(1, sigma).max()))) + 1
     shells = [DyadicShell(l).mask(sigma) for l in range(top + 1)]

@@ -59,8 +59,8 @@ def test_free_evolve_preserves_sobolev_norms(s):
     grid = TorusGrid(1.0, 64)
     model = DispersionModel(2, 1.0)
     u = random_band_limited(grid, np.random.default_rng(1), 20)
-    before = sobolev_norm(u, s)
-    after = sobolev_norm(free_evolve(model, u, 1.7), s)
+    before = sobolev_norm(u.coeffs, s, grid)
+    after = sobolev_norm(free_evolve(model, u, 1.7).coeffs, s, grid)
     assert after == pytest.approx(before, rel=1e-13)
 
 

@@ -23,10 +23,9 @@ from hokdv.norms import (
     zs_weights,
 )
 from hokdv.torus import DoubleRangeError, SpectralField, TorusGrid
-from hokdv.verifier import ModulationField
 
 from helpers import (
-    homogeneous_sobolev_norm, random_band_limited, random_spacetime_coeffs,
+    homogeneous_sobolev_norm, lone_field, random_band_limited, random_spacetime_coeffs,
     reference_zs_norm_cells, xsb_norm, ys_mass, ys_norm, zs_norm,
 )
 
@@ -41,7 +40,7 @@ def grid():
     return TorusGrid(1.0, 16)
 
 
-def random_field(grid, seed=0, t_modes=32, dtau=0.5):
+def random_field(grid, seed=0, t_modes=33, dtau=0.5):
     rng = np.random.default_rng(seed)
     return SpaceTimeField(grid, dtau, random_spacetime_coeffs(rng, grid.modes, t_modes))
 
@@ -63,13 +62,13 @@ def test_two_mode_data_has_unit_scale_homogeneous_norm(N, s):
 
 
 def test_sobolev_norm_of_zero_field(grid):
-    assert sobolev_norm(SpectralField.zero(grid), -1.0) == 0.0
+    assert sobolev_norm(SpectralField.zero(grid).coeffs, -1.0, grid) == 0.0
 
 
 def test_sobolev_single_mode_bracket_weight(grid):
     c = 0.3 - 1.2j
     u = SpectralField.from_modes(grid, {2: c})
-    assert sobolev_norm(u, 1.0) == pytest.approx(np.sqrt(5.0) * abs(c))
+    assert sobolev_norm(u.coeffs, 1.0, grid) == pytest.approx(np.sqrt(5.0) * abs(c))
 
 
 # -- X_{s,b} -----------------------------------------------------------------
@@ -81,7 +80,7 @@ def test_xsb_unit_weights_recover_total_mass(model, grid):
 
 
 def test_xsb_single_cell_closed_form(model, grid):
-    c = np.zeros((16, 32), dtype=complex)
+    c = np.zeros((16, 33), dtype=complex)
     grid_idx, tau_idx = grid.index_of(3), 20
     c[grid_idx, tau_idx] = 1.5 + 0.5j
     u = SpaceTimeField(grid, 0.25, c)
@@ -98,7 +97,7 @@ def test_xsb_single_cell_closed_form(model, grid):
 
 def test_xsb_monotone_in_modulation_exponent(model, grid):
     for seed in range(100):
-        u = random_field(grid, seed=seed, t_modes=16)
+        u = random_field(grid, seed=seed, t_modes=17)
         lo = xsb_norm(u, -1.0, 0.25, model)
         hi = xsb_norm(u, -1.0, 0.75, model)
         assert lo <= hi * (1 + 1e-12)
@@ -108,7 +107,7 @@ def test_xsb_monotone_in_modulation_exponent(model, grid):
 
 
 def test_ys_single_cell(model, grid):
-    c = np.zeros((16, 32), dtype=complex)
+    c = np.zeros((16, 33), dtype=complex)
     c[grid.index_of(2), 5] = 2.0 + 1.0j
     u = SpaceTimeField(grid, 0.5, c)
     expected = np.hypot(1, 2.0) ** (-1.5) * abs(2 + 1j) * 0.5
@@ -119,7 +118,7 @@ def test_ys_is_additive_in_tau_width(model, grid):
     # constant over W cells at one k scales like W, not sqrt(W)
     values = []
     for width in (2, 4, 8):
-        c = np.zeros((16, 32), dtype=complex)
+        c = np.zeros((16, 33), dtype=complex)
         c[grid.index_of(2), 4 : 4 + width] = 1.0
         values.append(ys_norm(SpaceTimeField(grid, 0.5, c), 0.0))
     assert values[1] == pytest.approx(2 * values[0])
@@ -129,7 +128,7 @@ def test_ys_is_additive_in_tau_width(model, grid):
 def test_ys_cauchy_schwarz_against_xsb(model, grid):
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        c = np.zeros((16, 32), dtype=complex)
+        c = np.zeros((16, 33), dtype=complex)
         width = 6
         c[:, 10 : 10 + width] = random_spacetime_coeffs(rng, 16, width)
         u = SpaceTimeField(grid, 0.5, c)
@@ -143,7 +142,7 @@ def test_ys_mass_is_independent_of_cell_order(seed, s):
     """Cells sorted by m (the sparse-field order, no sort inside) give the dense
     ys_norm exactly; any shuffle of the same cells gives it to rounding."""
     grid = TorusGrid(1.0, 16)
-    u = random_field(grid, seed=seed, t_modes=8)
+    u = random_field(grid, seed=seed, t_modes=9)
     m, k, _, vals = u.cell_arrays(DispersionModel(2, 1.0))
     order = np.argsort(m, kind="stable")
     sorted_mass = ys_mass(m[order], k[order], vals[order], u.dtau, grid.lam, s)
@@ -180,7 +179,7 @@ def test_zs_field_supported_in_single_region(model, grid):
 
 
 def test_zs_zero_field(model, grid):
-    z = zs_norm(SpaceTimeField(grid, 0.5, np.zeros((16, 8))), -1.5, model)
+    z = zs_norm(SpaceTimeField(grid, 0.5, np.zeros((16, 9))), -1.5, model)
     assert z.total == 0.0
 
 
@@ -227,12 +226,12 @@ def test_zs_norm_cells_matches_the_xsb_mass_reference(j, lam, s, seed, cells, de
     model = DispersionModel(j, float(lam))
     rng = np.random.default_rng(seed)
     if dense:
-        u = random_field(TorusGrid(float(lam), 16), seed, t_modes=8 + cells, dtau=rng.uniform(0.1, 50))
+        u = random_field(TorusGrid(float(lam), 16), seed, t_modes=(8 + cells) | 1, dtau=rng.uniform(0.1, 50))
         m, k, sigma, vals = u.cell_arrays(model)
         cell_measure = u.dtau
     else:
         sig = rng.choice([-1, 1], cells) * 2.0 ** rng.uniform(0, 12 + 5 * j, cells)
-        w = ModulationField(
+        w = lone_field(
             model, rng.integers(-8, 9, cells), sig.astype(np.int64), rng.normal(size=cells) + 1j
         )
         m, k, sigma, vals, cell_measure = w.m, w.k, w.sigma, w.coeffs, w.dtau
@@ -245,9 +244,9 @@ def test_zs_norm_cells_matches_the_xsb_mass_reference(j, lam, s, seed, cells, de
     for coeffs in (vals, other):
         want = astuple(reference_zs_norm_cells(m, k, sigma, coeffs, cell_measure, model, s))
         for got in (
-            zs_norm_cells(m, k, sigma, coeffs, cell_measure, model, s, warn_range=False),
+            zs_norm_cells(m, k, sigma, coeffs, cell_measure, model, s, {}, warn_range=False),
             weights.norm(coeffs, cell_measure).field(0),
-            zs_norm_cells(m, k, sigma, coeffs, cell_measure, model, s, False, weights=cache),
+            zs_norm_cells(m, k, sigma, coeffs, cell_measure, model, s, cache, False),
         ):
             assert astuple(got) == want
     assert list(cache) == [s]  # the second coefficient vector reused the first's weights
@@ -271,7 +270,7 @@ def test_free_solution_mass_sits_in_bottom_shell(model, grid):
     # tau window spans +-pi*F/T = +-804, safely past |p(3)| = 243
     rng = np.random.default_rng(4)
     phi = random_band_limited(grid, rng, 3)
-    times = -4.0 + 8.0 * np.arange(2048) / 2048
+    times = -4.0 + 8.0 * np.arange(2049) / 2048
     frames = np.array([free_evolve(model, phi, t).coeffs for t in times])
     stf = spacetime_from_timeseries(grid, smooth_bump_window()(times)[:, None] * frames, times)
     sigma, mass = cell_masses(stf, model)
@@ -301,7 +300,7 @@ def test_shell_masses_and_shell_mask_agree_just_below_a_power_of_two(model, grid
     floor(log2(<sigma>)) rounds up to 3: the cell belongs to shell 2, which holds
     the field's whole mass."""
     sigma = 7.937253933193771
-    coeffs = np.zeros((grid.modes, 4), dtype=np.complex128)
+    coeffs = np.zeros((grid.modes, 5), dtype=np.complex128)
     coeffs[grid.index_of(1), 3] = 1.0  # tau = dtau, sigma = dtau - p(1) with p(1) = -1
     u = SpaceTimeField(grid, sigma + model.phase(1.0), coeffs)
     cell_sigma = u.cell_arrays(model)[2][np.flatnonzero(u.coeffs.reshape(-1))]
@@ -318,7 +317,7 @@ def test_shell_masses_and_shell_mask_agree_just_below_a_power_of_two(model, grid
 
 def test_time_independent_frames_concentrate_at_zero_tau(model, grid):
     phi = random_band_limited(grid, np.random.default_rng(6), 4)
-    times = -4.0 + 8.0 * np.arange(512) / 512
+    times = -4.0 + 8.0 * np.arange(513) / 512
     frames = np.tile(phi.coeffs, (len(times), 1))
     stf = spacetime_from_timeseries(grid, smooth_bump_window()(times)[:, None] * frames, times)
     tau = stf.tau_values
@@ -328,10 +327,12 @@ def test_time_independent_frames_concentrate_at_zero_tau(model, grid):
 
 
 def test_zero_frames_give_zero_field(grid):
-    times = np.arange(16) * 0.25 - 2.0
+    times = np.arange(17) * 0.25 - 2.0
     frames = np.zeros((len(times), grid.modes), dtype=np.complex128)
     stf = spacetime_from_timeseries(grid, frames, times)
     assert np.all(stf.coeffs == 0)
+    with pytest.raises(ValueError, match="odd number of slots"):  # a symmetric tau lattice
+        spacetime_from_timeseries(grid, frames[1:], times[1:])
 
 
 def test_too_few_frames_rejected(grid):
@@ -381,7 +382,7 @@ def test_frames_container_round_trip(tmp_path, model, grid):
 def test_norms_are_absolutely_homogeneous(scale, seed):
     model = DispersionModel(2, 1.0)
     grid = TorusGrid(1.0, 8)
-    u = random_field(grid, seed=seed, t_modes=16)
+    u = random_field(grid, seed=seed, t_modes=17)
     scaled = SpaceTimeField(grid, u.dtau, u.coeffs * scale)
     assert xsb_norm(scaled, -1.5, 0.5, model) == pytest.approx(
         scale * xsb_norm(u, -1.5, 0.5, model), rel=1e-12
@@ -397,8 +398,8 @@ def test_norms_are_absolutely_homogeneous(scale, seed):
 def test_norms_satisfy_triangle_inequality(seed):
     model = DispersionModel(2, 1.0)
     grid = TorusGrid(1.0, 8)
-    u = random_field(grid, seed=seed, t_modes=16)
-    v = random_field(grid, seed=seed + 1, t_modes=16)
+    u = random_field(grid, seed=seed, t_modes=17)
+    v = random_field(grid, seed=seed + 1, t_modes=17)
     w = SpaceTimeField(grid, u.dtau, u.coeffs + v.coeffs)
     for norm in (
         lambda f: xsb_norm(f, -1.5, 0.5, model),
@@ -413,7 +414,7 @@ def test_norms_satisfy_triangle_inequality(seed):
 def test_xsb_weights_leave_the_doubles_by_the_callers_name(s, b, message):
     """A bracket power that over- or underflows, or a weight past 2^1022 (here
     <1000>^102.65 = 2^1023), is refused under the name the caller gives its weights."""
-    u = ModulationField(DispersionModel(2, 1.0), [3, -5], [2, 1000], [1.0, 1.0j])
+    u = lone_field(DispersionModel(2, 1.0), [3, -5], [2, 1000], [1.0, 1.0j])
     with pytest.raises(DoubleRangeError, match=message) as refused:
         u.xsb(s, b, "the X_{0,b} weights")
     assert refused.value.what == "the X_{0,b} weights"

@@ -1,8 +1,12 @@
-"""Every public function and method of the package is reached by a command.
+"""Every public function and method of the package is reached by a command, and
+every default it declares is taken by one.
 
 One small run per command and branch goes through `cli.main` in process, under a
-profile hook that records each Python function entered.  A public definition that
-no run enters is code only the tests use: it belongs in the tests, or on ALLOWED.
+profile hook that records each Python function entered and, for each parameter
+with a default, whether a call bound the default object itself (a small int or
+short string passed explicitly is the same object, and reads as taken).  A
+public definition that no run enters, or a default that no run takes, is code
+only the tests use: it belongs in the tests, or on ALLOWED.
 """
 
 import contextlib
@@ -23,6 +27,7 @@ ALLOWED = {
     "norms.spacetime_from_timeseries": SPAN_REASON,
     "norms.read_frames": "the README documents it as the reader of frames.bin",
     "expquad.lagrange_monomial_basis": "runs at import time, for iterates' quadrature basis",
+    "cli.main(argv)": "the console script calls main() with no argument, for sys.argv",
 }
 SIMULATE = "simulate --set j=2 --set M=16 --set dt=1e-3 --set T=2e-3 --set frame_stride=1"
 SEARCH = "estimate-search --set k_max=8 --set support=8 --set estimate="
@@ -38,8 +43,9 @@ RUNS = [  # and the smooth-random IFRK4 simulate, from a config file
 
 
 def public_definitions():
-    """(name, code) of each public function, and of each public method, property or
-    cached property of a public class, that a hokdv module defines."""
+    """(name, function) of each public function, of each public method, property or
+    cached property of a public class, and of each hand-written constructor of a
+    public class (not one a dataclass generates), that a hokdv module defines."""
     for info in pkgutil.iter_modules(hokdv.__path__):
         module = importlib.import_module(f"hokdv.{info.name}")
         for name, obj in vars(module).items():
@@ -49,18 +55,36 @@ def public_definitions():
             for attr, member in members:
                 for inner in ("__func__", "fget", "func", "__wrapped__"):
                     member = getattr(member, inner, member)
-                if inspect.isfunction(member) and not attr.startswith("_"):
-                    yield f"{info.name}.{name}" + (f".{attr}" if attr else ""), member.__code__
+                if not inspect.isfunction(member) or member.__code__.co_filename != module.__file__:
+                    continue
+                if not attr.startswith("_") or attr == "__init__":
+                    yield f"{info.name}.{name}" + (f".{attr}" if attr else ""), member
 
 
-def test_every_public_definition_is_reached_by_a_command(tmp_path):
+def defaults(function) -> dict:
+    """{parameter: default object} of each parameter of function with a default."""
+    params = inspect.signature(function).parameters.items()
+    return {name: p.default for name, p in params if p.default is not p.empty}
+
+
+def test_every_public_definition_and_default_is_reached_by_a_command(tmp_path):
     config = tmp_path / "simulate.cfg"
     config.write_text("j = 2\nM = 16\ndt = 1e-3\nT = 2e-3\nframe_stride = 1\n")
     runs = [["simulate", "--config", str(config)], *(line.split() for line in RUNS)]
-    entered = set()
+    definitions = list(public_definitions())
+    watched = {f.__code__: defaults(f) for _, f in definitions}
+    entered, taken = set(), set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+            for param, default in watched.get(frame.f_code, {}).items():
+                if frame.f_locals[param] is default:
+                    taken.add((frame.f_code, param))
+
     cli.build_parser.cache_clear()  # it is built once per process, maybe before the hook
     start = time.perf_counter()
-    sys.setprofile(lambda frame, event, arg: event == "call" and entered.add(frame.f_code))
+    sys.setprofile(hook)
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             codes = [cli.main([*argv, "--out-root", str(tmp_path / "runs")]) for argv in runs]
@@ -68,5 +92,8 @@ def test_every_public_definition_is_reached_by_a_command(tmp_path):
         sys.setprofile(None)
     assert time.perf_counter() - start < 1.0
     assert codes == [0] * len(runs)
-    unreached = sorted(name for name, code in public_definitions() if code not in entered)
-    assert unreached == sorted(ALLOWED)
+    unreached = [name for name, f in definitions
+                 if f.__code__ not in entered and not name.endswith(".__init__")]
+    untaken = [f"{name}({param})" for name, f in definitions if f.__code__ in entered
+               for param in watched[f.__code__] if (f.__code__, param) not in taken]
+    assert sorted(unreached + untaken) == sorted(ALLOWED)

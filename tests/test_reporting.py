@@ -45,6 +45,7 @@ def test_dump_json_writes_numpy_values_as_python_values():
         "b": np.bool_(True),
         "a": np.array([[1.5, -0.0], [2.0, 0.1]]),
         "n": [np.int32(3), np.float32(0.5)],
+        "w": [np.longdouble(0.25), np.float16(-2.0), np.uint64(2**64 - 1)],
     }
     plain = {
         "f": 1.0 / 3.0,
@@ -52,9 +53,13 @@ def test_dump_json_writes_numpy_values_as_python_values():
         "b": True,
         "a": [[1.5, -0.0], [2.0, 0.1]],
         "n": [3, 0.5],
+        "w": [0.25, -2.0, 2**64 - 1],
     }
     assert dump_json(values) == dump_json(plain)
     assert '"f": 0.3333333333333333' in dump_json(values)
+    for value, name in ((np.complex128(1 + 2j), "complex128"), (np.array([1j]), "complex")):
+        with pytest.raises(TypeError, match=f"^{name} is not JSON serializable"):
+            dump_json({"z": value})
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -np.inf, np.float64("nan")])
@@ -79,6 +84,8 @@ def test_csv_cells_and_json_refuse_non_finite_floats_by_one_error(value):
 def test_csv_cells_refuse_non_finite_numpy_floats_of_any_width(value):
     with pytest.raises(NonFiniteError, match="non-finite value"):
         rows_to_csv([{"a": 1.0, "b": value}], ["a", "b"])
+    with pytest.raises(NonFiniteError, match="not JSON compliant"):
+        dump_json({"a": 1.0, "b": value})
 
 
 def test_writes_go_in_place_with_mode_0600(tmp_path):

@@ -239,7 +239,7 @@ def test_duhamel_of_zero_is_windowed_free_flow():
     times = frame_times(301)
     eta = smooth_bump_window()
     zero = np.zeros((len(times), grid.modes), dtype=np.complex128)
-    out = duhamel_map(model, phi, zero, times)
+    out = duhamel_map(model, phi, zero, times, held=frame_grid(model, grid, times))
     for idx in (0, 60, 150, 222, 300):
         expect = eta(times[idx]) * free_evolve(model, phi, times[idx]).coeffs
         assert np.max(np.abs(out[idx] - expect)) < 1e-14
@@ -250,10 +250,11 @@ def test_duhamel_rejects_frames_that_do_not_match_times():
     model = DispersionModel(2, 1.0)
     phi = SpectralField.from_modes(grid, {1: 0.05, -1: 0.05})
     times = frame_times(301)
+    held = frame_grid(model, grid, times)
     with pytest.raises(ValueError, match="frames have shape"):
-        duhamel_map(model, phi, np.zeros((100, grid.modes), dtype=np.complex128), times)
+        duhamel_map(model, phi, np.zeros((100, grid.modes), dtype=np.complex128), times, held=held)
     with pytest.raises(ValueError, match="frames have shape"):
-        duhamel_map(model, phi, np.zeros((len(times), 8), dtype=np.complex128), times)
+        duhamel_map(model, phi, np.zeros((len(times), 8), dtype=np.complex128), times, held=held)
 
 
 def test_duhamel_refuses_unevenly_spaced_times():
@@ -261,12 +262,8 @@ def test_duhamel_refuses_unevenly_spaced_times():
     at t = 0 is refused rather than integrated with the wrong step."""
     grid = TorusGrid(1.0, 16)
     model = DispersionModel(2, 1.0)
-    phi = SpectralField.from_modes(grid, {1: 0.05, -1: 0.05})
     times = np.concatenate((0.022 * np.arange(-65, 0), 0.073 * np.arange(66)))
     assert len(times) == 131
-    zero = np.zeros((len(times), grid.modes), dtype=np.complex128)
-    with pytest.raises(ValueError, match="uniformly spaced"):
-        duhamel_map(model, phi, zero, times)
     with pytest.raises(ValueError, match="uniformly spaced"):
         frame_grid(model, grid, times)
 
@@ -285,7 +282,6 @@ def test_duhamel_held_frame_grid_gives_the_same_bits():
             [smooth_bump_window()(t) * free_evolve(model, phi, t).coeffs for t in times]
         ))
         frames = duhamel_map(model, phi, free, times, held=held)
-        assert np.array_equal(frames, duhamel_map(model, phi, free, times))
         assert np.array_equal(frames, reference_duhamel_map(model, phi, free, times))
         assert held.zs_norm(frames, s) == zs_norm(
             spacetime_from_timeseries(grid, frames, times), s, model
@@ -337,7 +333,7 @@ def test_duhamel_picard_two_matches_closed_second_iterate():
     eta = smooth_bump_window()
     eta_t = eta(times)
     u1 = np.array([eta_t[i] * free_evolve(model, phi, t).coeffs for i, t in enumerate(times)])
-    out = duhamel_map(model, phi, u1, times)
+    out = duhamel_map(model, phi, u1, times, held=frame_grid(model, grid, times))
     worst = 0.0
     for idx in range(0, len(times), 137):
         t = times[idx]
@@ -361,9 +357,10 @@ def test_fixed_point_residual_of_converged_iteration():
     current = np.array(
         [eta_t[i] * free_evolve(model, phi, t).coeffs for i, t in enumerate(times)]
     )
+    held = frame_grid(model, grid, times)
     for _ in range(8):
-        current = duhamel_map(model, phi, current, times)
-    again = duhamel_map(model, phi, current, times)
+        current = duhamel_map(model, phi, current, times, held=held)
+    again = duhamel_map(model, phi, current, times, held=held)
     residual = np.max(np.abs(again - current))
     scale = np.max(np.abs(current))
     assert residual < 1e-8 * scale
@@ -495,7 +492,7 @@ def test_inhomogeneous_norm_scaling_within_five_percent_at_high_frequency():
     amps.update({-m: 1.0 for m in range(32, 49)})
     u0 = SpectralField.from_modes(grid, amps)
     scaled, _ = scale_transform(model, u0, 2)
-    ratio = sobolev_norm(scaled, -1.5) / sobolev_norm(u0, -1.5)
+    ratio = sobolev_norm(scaled.coeffs, -1.5, scaled.grid) / sobolev_norm(u0.coeffs, -1.5, grid)
     assert ratio == pytest.approx(2.0 ** (-2 * 2 + 0.5 + 1.5), rel=0.05)
 
 

@@ -30,7 +30,7 @@ from hokdv.verifier import (
 )
 
 from helpers import (
-    random_spacetime_coeffs, reference_modulation_cells, reference_run_trials,
+    lone_field, random_spacetime_coeffs, reference_modulation_cells, reference_run_trials,
     reference_zs_norm_cells,
 )
 
@@ -43,11 +43,11 @@ def model():
 def resonant_pair(model, cfg, rng, s, N=None):
     """The resonant two-mode family's two fields (verifier._resonant_cells)."""
     u1, u2 = verifier._resonant_cells(model, cfg, rng, s, N)
-    return ModulationField(model, *u1), ModulationField(model, *u2)
+    return lone_field(model, *u1), lone_field(model, *u2)
 
 
 def test_modulation_field_accumulates_duplicate_cells(model):
-    f = ModulationField(model, [1, 1, 2], [0, 0, 5], [1.0, 2.0, 3.0])
+    f = lone_field(model, [1, 1, 2], [0, 0, 5], [1.0, 2.0, 3.0])
     assert len(f.m) == 2
     idx = list(zip(f.m.tolist(), f.sig_scaled.tolist()))
     assert (1, 0) in idx and (2, 5) in idx
@@ -55,7 +55,7 @@ def test_modulation_field_accumulates_duplicate_cells(model):
 
 
 def test_modulation_field_drops_zero_mode_and_zero_values(model):
-    f = ModulationField(model, [0, 1, 2], [0, 0, 0], [5.0, 0.0, 1.0])
+    f = lone_field(model, [0, 1, 2], [0, 0, 0], [5.0, 0.0, 1.0])
     assert f.m.tolist() == [2]
 
 
@@ -93,7 +93,7 @@ def test_modulation_field_matches_the_lexsort_reference(cells, copies, shuffle, 
     vals = np.array([0j if all_zero else c[2] for c in cells], dtype=np.complex128)
     if canonical:
         m, sig, vals = reference_modulation_cells(m, sig, vals)
-    f = ModulationField(DispersionModel(2, 1.0), m, sig, vals)
+    f = lone_field(DispersionModel(2, 1.0), m, sig, vals)
     ref_m, ref_sig, ref_vals = reference_modulation_cells(m, sig, vals)
     assert f.m.dtype == np.int64 and f.sig_scaled.dtype == np.int64
     assert f.coeffs.dtype == np.complex128
@@ -115,14 +115,14 @@ def test_large_shuffles_match_the_lexsort_reference(model, m_span):
     m = rng.choice(m_pool, n)
     sig = rng.choice(sig_pool, n)
     vals = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, n) + 1j * rng.normal(size=n)
-    f = ModulationField(model, m, sig, vals)
+    f = lone_field(model, m, sig, vals)
     ref_m, ref_sig, ref_vals = reference_modulation_cells(m, sig, vals)
     assert np.array_equal(f.m, ref_m) and np.array_equal(f.sig_scaled, ref_sig)
     assert np.array_equal(f.coeffs, ref_vals)
 
 
 def test_canonical_cells_are_not_resorted(model):
-    f = ModulationField(model, [3, -2, 3, 1, -2], [5, 7, -1, 0, 7], [1.0, 2.0, 3.0, 4.0, 5.0])
+    f = lone_field(model, [3, -2, 3, 1, -2], [5, 7, -1, 0, 7], [1.0, 2.0, 3.0, 4.0, 5.0])
     assert f.m.tolist() == [-2, 1, 3, 3] and f.sig_scaled.tolist() == [7, 0, -1, 5]
     w = smoothed_derivative(f)
     assert w.m is f.m and w.sig_scaled is f.sig_scaled
@@ -130,8 +130,8 @@ def test_canonical_cells_are_not_resorted(model):
 
 def test_convolution_shift_is_the_resonance_gap(model):
     # (m=1, sigma=0) * (m=1, sigma=0) -> m=2 at sigma = p(1)+p(1)-p(2) = 30
-    f = ModulationField(model, [1], [0], [1.0])
-    out = convolve_modulation(f, f)
+    f = lone_field(model, [1], [0], [1.0])
+    out = convolve_modulation(f, f, PlanMemo())
     assert out.m.tolist() == [2]
     assert out.sig_scaled.tolist() == [30]
     assert out.coeffs[0] == pytest.approx(1.0)  # dtau / lam = 1
@@ -139,9 +139,9 @@ def test_convolution_shift_is_the_resonance_gap(model):
 
 def test_stored_sigma_is_the_resonance_mismatch_at_integral_lam():
     model = DispersionModel(2, 2.0)
-    f = ModulationField(model, [1, 3], [0, 0], [1.0, 1.0])
-    g = ModulationField(model, [2, -5], [0, 0], [1.0, 1.0])
-    out = convolve_modulation(f, g)
+    f = lone_field(model, [1, 3], [0, 0], [1.0, 1.0])
+    g = lone_field(model, [2, -5], [0, 0], [1.0, 1.0])
+    out = convolve_modulation(f, g, PlanMemo())
     assert len(out.m) == 4
     for m, sigma in zip(out.m, out.sigma):
         pairs = [(a, int(m) - a) for a in (1, 3) if int(m) - a in (2, -5)]
@@ -153,7 +153,7 @@ def test_stored_sigma_is_the_resonance_mismatch_at_integral_lam():
 
 def test_non_integral_lam_is_refused():
     with pytest.raises(ValueError, match="integral lam"):
-        ModulationField(DispersionModel(2, 1.5), [1], [0], [1.0])
+        lone_field(DispersionModel(2, 1.5), [1], [0], [1.0])
 
 
 def test_convolution_refuses_sigma_sums_past_int64():
@@ -163,7 +163,7 @@ def test_convolution_refuses_sigma_sums_past_int64():
     big = 64 * 256**7
     with pytest.raises(ValueError, match="int64"):
         convolve_modulation(
-            ModulationField(model, [2], [big], [1.0]), ModulationField(model, [-1], [big], [1.0])
+            lone_field(model, [2], [big], [1.0]), lone_field(model, [-1], [big], [1.0]), PlanMemo()
         )
 
 
@@ -173,12 +173,12 @@ def test_convolution_just_inside_int64_matches_python_ints(sign):
     n = model.order
     sig1 = 2**62
     sig2 = 2**63 - 1 - 3 * 3**n - sig1  # 3 (|m1| + |m2|)^n + |sig1| + |sig2| = 2^63 - 1
-    f = ModulationField(model, [2], [sign * sig1], [1.0])
-    out = convolve_modulation(f, ModulationField(model, [-1], [sign * sig2], [1.0]))
+    f = lone_field(model, [2], [sign * sig1], [1.0])
+    out = convolve_modulation(f, lone_field(model, [-1], [sign * sig2], [1.0]), PlanMemo())
     assert out.m.tolist() == [1]
     assert out.sig_scaled.tolist() == [sign * (sig1 + sig2) + model.sign * resonance_q0(n, 2, -1)]
     with pytest.raises(ValueError, match="int64"):
-        convolve_modulation(f, ModulationField(model, [-1], [sign * (sig2 + 1)], [1.0]))
+        convolve_modulation(f, lone_field(model, [-1], [sign * (sig2 + 1)], [1.0]), PlanMemo())
 
 
 def _largest_resonant_N(model):
@@ -213,7 +213,7 @@ def test_resonant_pair_refuses_N_past_int64(j, delta, far):
             continue
         u1, u2 = resonant_pair(model, RatioSearchConfig(), None, -1.5, N=N)
         for f, g in ((u1, u2), (u2, u2)):
-            out = convolve_modulation(f, g)
+            out = convolve_modulation(f, g, PlanMemo())
             expect = {
                 (a + b, int(sa) + int(sb) + model.sign * resonance_q0(n, int(a), int(b)))
                 for a, sa in zip(f.m.tolist(), f.sig_scaled.tolist())
@@ -224,9 +224,9 @@ def test_resonant_pair_refuses_N_past_int64(j, delta, far):
     # one past the edge, u2's cells still fit int64 but their square does not
     N = edge + 1
     shift = model.sign * resonance_q0(n, N, N)
-    u2 = ModulationField(model, [2 * N, -2 * N], [shift, -shift], [1.0, 1.0])
+    u2 = lone_field(model, [2 * N, -2 * N], [shift, -shift], [1.0, 1.0])
     with pytest.raises(ValueError, match="int64"):
-        convolve_modulation(u2, u2)
+        convolve_modulation(u2, u2, PlanMemo())
 
 
 def _raw_product(f, g):
@@ -286,12 +286,13 @@ def _plan_cells(draw):
 def test_cell_plans_match_a_fresh_product_and_the_reference(cells, data):
     """Within one memo, (f, g) cells come up three times with fresh coefficients,
     then f's cells with h's: every product, smoothed derivative and Z^s equals a
-    fresh no-memo call and the reference consolidation of the raw outer cells."""
+    call through a fresh PlanMemo and the reference consolidation of the raw
+    outer cells."""
     model, f_cells, g_cells, h_cells = cells
 
     def field(cells):
         coeffs = data.draw(st.lists(_PLAN_COEFF, min_size=len(cells), max_size=len(cells)))
-        return ModulationField(model, [c[0] for c in cells], [c[1] for c in cells], coeffs)
+        return lone_field(model, [c[0] for c in cells], [c[1] for c in cells], coeffs)
 
     memo, plans = PlanMemo(), []
     products = [(field(f_cells), field(g_cells)) for _ in range(3)]
@@ -303,7 +304,7 @@ def test_cell_plans_match_a_fresh_product_and_the_reference(cells, data):
             plans.append(out._plan)
             assert all(plan is plans[0] for plan in plans)
             assert list(memo.plans.values()) == [plans[0]]
-        fresh = convolve_modulation(f, g)
+        fresh = convolve_modulation(f, g, PlanMemo())
         ref = _reference_product(f, g)
         for got in (out, fresh):
             assert np.array_equal(got.m, ref[0]) and np.array_equal(got.sig_scaled, ref[1])
@@ -326,9 +327,9 @@ def test_search_lattice_check_accepts_the_criterion_9_range():
 
 
 def test_convolution_collision_accumulates(model):
-    f = ModulationField(model, [1, 2], [0, 0], [1.0, 1.0])
-    g = ModulationField(model, [1, 2], [0, 0], [1.0, 1.0])
-    out = convolve_modulation(f, g)
+    f = lone_field(model, [1, 2], [0, 0], [1.0, 1.0])
+    g = lone_field(model, [1, 2], [0, 0], [1.0, 1.0])
+    out = convolve_modulation(f, g, PlanMemo())
     # (1,2) and (2,1) land on the same (m=3, sigma) cell
     cell_ms = out.m.tolist()
     assert cell_ms.count(3) == 1
@@ -337,21 +338,21 @@ def test_convolution_collision_accumulates(model):
 
 
 def test_empty_inputs_give_empty_output(model):
-    empty = ModulationField(model, [], [], [])
-    g = ModulationField(model, [1], [0], [1.0])
-    assert len(convolve_modulation(empty, g).m) == 0
+    empty = lone_field(model, [], [], [])
+    g = lone_field(model, [1], [0], [1.0])
+    assert len(convolve_modulation(empty, g, PlanMemo()).m) == 0
 
 
 def test_ratios_are_scale_invariant(model):
     rng = np.random.default_rng(0)
     u1, u2 = resonant_pair(model, RatioSearchConfig(), rng, -1.5, N=6)
     def ratio(a, b):
-        w = smoothed_derivative(convolve_modulation(a, b))
+        w = smoothed_derivative(convolve_modulation(a, b, PlanMemo()))
         return w.zs(-1.5).total / (a.zs(-1.5).total * b.zs(-1.5).total)
     base = ratio(u1, u2)
     scaled = ratio(
-        ModulationField(model, u1.m, u1.sig_scaled, u1.coeffs * 7.3),
-        ModulationField(model, u2.m, u2.sig_scaled, u2.coeffs * 0.011),
+        lone_field(model, u1.m, u1.sig_scaled, u1.coeffs * 7.3),
+        lone_field(model, u2.m, u2.sig_scaled, u2.coeffs * 0.011),
     )
     assert scaled == pytest.approx(base, rel=1e-12)
 
@@ -366,9 +367,9 @@ def test_search_reports_are_deterministic(model):
 
 
 def test_zero_factor_gives_zero_ratio(model):
-    u = ModulationField(model, [1], [0], [1.0])
-    empty = ModulationField(model, [], [], [])
-    out = convolve_modulation(u, empty)
+    u = lone_field(model, [1], [0], [1.0])
+    empty = lone_field(model, [], [], [])
+    out = convolve_modulation(u, empty, PlanMemo())
     assert out.l2_norm() == 0.0
 
 
@@ -376,10 +377,10 @@ def test_product_l2_single_cell_closed_form(model):
     """One cell against one cell: every norm is a single term."""
     c1, c2 = 1.5 + 0.5j, -2.0 + 1.0j
     sig1, sig2 = 3, -7
-    u = ModulationField(model, [2], [sig1], [c1])
-    v = ModulationField(model, [5], [sig2], [c2])
+    u = lone_field(model, [2], [sig1], [c1])
+    v = lone_field(model, [5], [sig2], [c2])
     a, b = 0.4, 0.3
-    out = convolve_modulation(u, v)
+    out = convolve_modulation(u, v, PlanMemo())
     lhs = out.l2_norm()
     assert lhs == pytest.approx(abs(c1 * c2))  # dtau=lam=1, single output cell
     rhs = u.xsb(0.0, a) * v.xsb(0.0, b)
@@ -418,8 +419,8 @@ def test_fixed_tau_control_grows_like_sqrt_k(model):
     cfg32 = RatioSearchConfig(trials=1, k_max=32, generator="fixed-tau", seed=1)
     cfg128 = RatioSearchConfig(trials=1, k_max=128, generator="fixed-tau", seed=1)
     def unweighted_ratio(cfg):
-        u = ModulationField(model, *field_cells("fixed-tau", model, cfg, rng))
-        return convolve_modulation(u, u).l2_norm() / u.l2_norm() ** 2
+        u = lone_field(model, *field_cells("fixed-tau", model, cfg, rng))
+        return convolve_modulation(u, u, PlanMemo()).l2_norm() / u.l2_norm() ** 2
     r32, r128 = unweighted_ratio(cfg32), unweighted_ratio(cfg128)
     assert r128 / r32 == pytest.approx(2.0, rel=0.25)  # sqrt(128/32) = 2
 
@@ -466,7 +467,7 @@ def test_d1_restricted_field_satisfies_direct_weight_comparison(model):
     rng = np.random.default_rng(2)
     cells_m = rng.integers(1, 20, 40)
     cells_sig = rng.integers(-3, 4, 40)
-    u = ModulationField(model, cells_m, cells_sig, np.ones(40)).region_restricted(
+    u = lone_field(model, cells_m, cells_sig, np.ones(40)).region_restricted(
         (Region.D1,)
     )
     assert len(u.m)
@@ -485,7 +486,7 @@ def test_resonant_family_growth_below_threshold(j):
     ratios = []
     for N in (4, 16, 64):
         u1, u2 = resonant_pair(model, cfg, rng, s, N=N)
-        w = smoothed_derivative(convolve_modulation(u1, u2))
+        w = smoothed_derivative(convolve_modulation(u1, u2, PlanMemo()))
         ratios.append(w.zs(s).total / (u1.zs(s).total * u2.zs(s).total))
     measured = np.polyfit(np.log([4, 16, 64]), np.log(ratios), 1)[0]
     assert measured == pytest.approx(-2 * s - (2 * j - 1), abs=0.1)
@@ -500,7 +501,7 @@ def test_resonant_family_saturates_at_threshold(j):
     ratios = []
     for N in (4, 16, 64):
         u1, u2 = resonant_pair(model, cfg, rng, s, N=N)
-        w = smoothed_derivative(convolve_modulation(u1, u2))
+        w = smoothed_derivative(convolve_modulation(u1, u2, PlanMemo()))
         ratios.append(w.zs(s).total / (u1.zs(s).total * u2.zs(s).total))
     assert max(ratios) <= 1.1 * min(ratios) + 1e-9
 
@@ -516,7 +517,7 @@ def test_bilinear_zs_search_runs_on_scaled_tori(lam):
 
 def _bilinear_zs(model, fields, s):
     u1, u2 = fields
-    w = smoothed_derivative(convolve_modulation(u1, u2))
+    w = smoothed_derivative(convolve_modulation(u1, u2, PlanMemo()))
     return w.zs(s).total / (u1.zs(s).total * u2.zs(s).total)
 
 
@@ -535,12 +536,13 @@ def _embedding(model, fields, s):
 def _dyadic_bilinear(model, fields, s):
     u1, u2 = fields
     prefactor = 1.0 * (2.0**3) ** (1.0 / (2.0 * (2.0 * model.j + 1.0)))  # l1 = 0, l2 = 3
-    return convolve_modulation(u1, u2).l2_norm() / (prefactor * u1.l2_norm() * u2.l2_norm())
+    lhs = convolve_modulation(u1, u2, PlanMemo()).l2_norm()
+    return lhs / (prefactor * u1.l2_norm() * u2.l2_norm())
 
 
 def _product_l2(model, fields, s):
     u, v = fields
-    return convolve_modulation(u, v).l2_norm() / (u.xsb(0.0, 0.3) * v.xsb(0.0, 0.3))
+    return convolve_modulation(u, v, PlanMemo()).l2_norm() / (u.xsb(0.0, 0.3) * v.xsb(0.0, 0.3))
 
 
 _SMALL = RatioSearchConfig(trials=30, k_max=16, t_modes=32, support=24, seed=77)
@@ -566,7 +568,7 @@ def test_witness_serialization_replays(model, search, replay, cfg):
     for desc in report.witness["fields"]:
         cells = desc["cells"]
         fields.append(
-            ModulationField(
+            lone_field(
                 model,
                 [c["m"] for c in cells],
                 [c["sigma_scaled"] for c in cells],
@@ -689,7 +691,7 @@ def test_a_lone_field_is_a_stack_of_one(model):
     m, sig, vals = (np.concatenate(parts) for parts in zip(*draws))
     bounds = np.cumsum([0] + [len(d[0]) for d in draws])
     stack = ModulationField(model, m, sig, vals, bounds)
-    alone = ModulationField(model, *draws[1])
+    alone = lone_field(model, *draws[1])
     pairs = [(alone.l2_norm(), stack.l2_norm()), (alone.xsb(s, 0.3), stack.xsb(s, 0.3))]
     pairs += zip(astuple(alone.zs(s)), astuple(stack.zs(s)))
     for got, of_stack in pairs:
@@ -714,19 +716,19 @@ def test_stacked_products_check_int64_per_field():
         check_int64_lattice(5, 2 * big_m, 2 * big_sig)
     m, sig, vals = [big_m, -3, 1, 2], [0, 5, big_sig, 0], [1.0, 2j, -1.0, 0.5]
     f = ModulationField(model, m, sig, vals, bounds=[0, 2, 4])
-    out = convolve_modulation(f, f)
+    out = convolve_modulation(f, f, PlanMemo())
     for i, cells in enumerate((slice(0, 2), slice(2, 4))):
-        u = ModulationField(model, m[cells], sig[cells], vals[cells])
-        alone = convolve_modulation(u, u)
+        u = lone_field(model, m[cells], sig[cells], vals[cells])
+        alone = convolve_modulation(u, u, PlanMemo())
         got = slice(*out.bounds[i : i + 2])
         assert np.array_equal(out.m[got], alone.m) and np.array_equal(out.sig_scaled[got], alone.sig_scaled)
         assert np.array_equal(out.coeffs[got], alone.coeffs)
     past = ModulationField(model, m + [1], sig + [2**62], vals + [1.0], bounds=[0, 2, 5])
     with pytest.raises(ValueError, match="int64") as batched:
-        convolve_modulation(past, past)
-    lone = ModulationField(model, [1, 2, 1], [big_sig, 0, 2**62], [-1.0, 0.5, 1.0])
+        convolve_modulation(past, past, PlanMemo())
+    lone = lone_field(model, [1, 2, 1], [big_sig, 0, 2**62], [-1.0, 0.5, 1.0])
     with pytest.raises(ValueError, match="int64") as alone:
-        convolve_modulation(lone, lone)
+        convolve_modulation(lone, lone, PlanMemo())
     assert str(batched.value) == str(alone.value)
 
 
@@ -773,17 +775,17 @@ def _served_cases():
     for j, lam in ((2, 1.0), (3, 2.0)):
         model = DispersionModel(j, lam)
         m, sig, _ = field_cells("fixed-tau", model, RatioSearchConfig(k_max=8), None)
-        fixed.append((model, (m, sig, None), (m, sig, None)))
+        fixed.append((model, (m, sig, [0, len(m)]), (m, sig, [0, len(m)])))
     model = DispersionModel(2, 1.0)
     free = field_cells("free-solution-like", model, RatioSearchConfig(k_max=8), np.random.default_rng(0))
     return {
         "fixed-tau-j2-lam1": fixed[0],
         "fixed-tau-j3-lam2": fixed[1],
         # every pair meets at m = 0: nothing is left once those cells are dropped
-        "empty-product": (model, ([1], [0], None), ([-1], [0], None)),
+        "empty-product": (model, ([1], [0], [0, 1]), ([-1], [0], [0, 1])),
         # field 0's product is empty, field 1's keeps three of four cells
         "empty-field": (model, ([1, 3, 2], [0, 5, 0], [0, 1, 3]), ([-1, -3, 2], [0, 0, 7], [0, 1, 3])),
-        "underflow": (model, free[:2] + (None,), free[:2] + (None,)),
+        "underflow": (model, free[:2] + ([0, len(free[0])],), free[:2] + ([0, len(free[0])],)),
     }
 
 
@@ -791,7 +793,7 @@ def _served_cases():
 def test_served_plans_match_a_fresh_product_bit_for_bit(case):
     """The same cells come up three times in one memo with fresh coefficients: the
     product from the plan the memo serves (summed by rank), its smoothed
-    derivative and both Z^s norms equal a fresh no-memo call bit for bit.
+    derivative and both Z^s norms equal a fresh PlanMemo's call bit for bit.
     fixed-tau cells meet up to 2 k_max - 1 pairs per output cell, so every tail rank
     and the long cells (5 pairs or more) are summed; the last underflow call's
     first pairs are 1e-340 -> 0, which sends the product back to its values."""
@@ -804,7 +806,7 @@ def test_served_plans_match_a_fresh_product_bit_for_bit(case):
                 c[:2] = 1e-170
         f, g = (ModulationField(model, m, sig, c, bounds)
                 for (m, sig, bounds), c in zip((f_cells, g_cells), coeffs))
-        out, fresh = convolve_modulation(f, g, memo), convolve_modulation(f, g)
+        out, fresh = convolve_modulation(f, g, memo), convolve_modulation(f, g, PlanMemo())
         served = out._plan.head is not None
         assert served == (call == 1 or (call == 2 and case != "underflow"))
         for got, want in ((out, fresh), (smoothed_derivative(out), smoothed_derivative(fresh))):
@@ -838,7 +840,7 @@ def test_free_solution_trials_of_a_search_share_one_product_plan(monkeypatch, k_
     products, stacks = [], []
     convolve, stack = verifier.convolve_modulation, verifier._stack
     monkeypatch.setattr(verifier, "convolve_modulation",
-                        lambda f, g, memo=None: products.append(convolve(f, g, memo)) or products[-1])
+                        lambda f, g, memo: products.append(convolve(f, g, memo)) or products[-1])
     monkeypatch.setattr(verifier, "_stack", lambda *a: stacks.append(stack(*a)) or stacks[-1])
     model = DispersionModel(2, 1.0)
     cfg = RatioSearchConfig(trials=32, k_max=k_max, seed=9)
