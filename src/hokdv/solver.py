@@ -9,7 +9,8 @@ either by integrating-factor RK4 or by ETDRK4.  The quadratic product is the
 field's half spectrum, its nonnegative modes 0 .. M/2, and folds the product's
 constants and the output mask into step weights built once per run on that
 half, so each stage is one real-FFT pair (`torus.lattice_square`) on the kept
-modes alone, the input mask; `duhamel_map` runs `torus.lattice_product`.
+modes alone, the input mask; `duhamel_map` runs `torus.lattice_product` on
+the frame grid its caller builds once (`frame_grid`).
 """
 
 from __future__ import annotations

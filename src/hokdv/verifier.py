@@ -17,7 +17,8 @@ convolution picks up exactly the resonance shift
 
 evaluated in exact integer arithmetic on the scaled-sigma lattice.  Each
 search refuses with torus.Refused, before it draws, a lattice whose cells would
-wrap in int64 (`check_search_lattice`, naming k_max, lam, t_modes, l1 or l2).
+wrap in int64 (`check_search_lattice`, naming k_max, lam, t_modes, l1 or l2),
+and forms its products through its own PlanMemo (`convolve_modulation`).
 """
 
 from __future__ import annotations

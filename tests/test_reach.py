@@ -67,7 +67,7 @@ def defaults(function) -> dict:
     return {name: p.default for name, p in params if p.default is not p.empty}
 
 
-def test_every_public_definition_and_default_is_reached_by_a_command(tmp_path):
+def test_every_public_definition_is_reached_by_a_command(tmp_path):
     config = tmp_path / "simulate.cfg"
     config.write_text("j = 2\nM = 16\ndt = 1e-3\nT = 2e-3\nframe_stride = 1\n")
     runs = [["simulate", "--config", str(config)], *(line.split() for line in RUNS)]
