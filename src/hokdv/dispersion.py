@@ -70,10 +70,8 @@ class DispersionModel:
         return -1 if self.j % 2 == 0 else 1  # (-1)^(j+1)
 
     def phase(self, k):
-        """Semigroup phase speed p(k) = (-1)^{j+1} k^{2j+1}."""
-        k = np.asarray(k, dtype=np.float64)
-        p = self.sign * k**self.order
-        return p if p.ndim else float(p)
+        """Semigroup phase speed p(k) = (-1)^{j+1} k^{2j+1} (a numpy scalar for a scalar k)."""
+        return self.sign * np.asarray(k, dtype=np.float64) ** self.order
 
     def check_grid(self, grid: TorusGrid) -> None:
         """Refuse a grid on another torus: the model's multipliers read k = m/lam."""

@@ -13,7 +13,8 @@ and A3 to u1's waves and A2's, which A3 reads off the pairs A2's kernel
 walks.  Each pair of waves has an exact integer gap whose frequency w sets
 its weight E(t, w) = (e^{itw} - 1)/(iw), so the resonant limit E(t, 0) = t
 is taken exactly, never by a floating-point threshold.  The kernel phases
-only the modes its pairs fill.
+only the modes its pairs fill.  `second_iterate_closed` returns A2 as a
+SpectralField, `third_iterate_closed` the pair (A3, resonant_terms).
 
 The growth sweep walks A3 once per N, at the amplitude where A3 ~ N^0, and
 rescales it to every s, since A3 is cubic in the data.
@@ -35,7 +36,6 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,14 +48,6 @@ from .torus import (TINY, Refused, SpectralField, TorusGrid, check_range, checke
 
 class ResonanceConsistencyError(RuntimeError):
     """A denominator resonance vanished where the integer bound forbids it."""
-
-
-@dataclass(frozen=True)
-class IterateResult:
-    """A closed-form iterate and its count of resonant terms."""
-
-    field: SpectralField
-    resonant_terms: int
 
 
 def phi_n_data(N: int, s: float, grid: TorusGrid) -> SpectralField:
@@ -144,7 +136,7 @@ def _duhamel_kernel(
     return out, resonant
 
 
-def second_iterate_closed(model: DispersionModel, u0: SpectralField, t: float) -> IterateResult:
+def second_iterate_closed(model: DispersionModel, u0: SpectralField, t: float) -> SpectralField:
     """Evaluate A2(u0)(t), the Duhamel kernel on the free waves of u0 twice.
 
     Output mode k picks up, for every splitting k = k1 + k2 of nonzero
@@ -157,10 +149,12 @@ def second_iterate_closed(model: DispersionModel, u0: SpectralField, t: float) -
     if resonant:
         m1, m2 = resonant[0]
         raise ResonanceConsistencyError(f"q0 = 0 at nonzero output mode ({m1}, {m2})")
-    return IterateResult(SpectralField(u0.grid, out), 0)
+    return SpectralField(u0.grid, out)
 
 
-def third_iterate_closed(model: DispersionModel, u0: SpectralField, t: float) -> IterateResult:
+def third_iterate_closed(
+    model: DispersionModel, u0: SpectralField, t: float
+) -> tuple[SpectralField, int]:
     """Evaluate A3(u0)(t) = 2 int_0^t S(t-s) d_x(u1 A2)(s) ds.
 
     A2(s) is a sum of waves, built from the pairs A2's kernel walks: the pair
@@ -169,7 +163,7 @@ def third_iterate_closed(model: DispersionModel, u0: SpectralField, t: float) ->
     bound and raises.  The Duhamel kernel on u1 and these waves then meets,
     per triple k = k1 + k23 != 0, the gaps q1 = m1^n + m2^n + m3^n - m^n and
     q2 = q0(k1, k23).  q2 is never zero, since k1, k23 and k are all
-    nonzero, so `resonant_terms` counts the triples with q1 = 0.
+    nonzero.  Returns (A3, resonant_terms), the count of triples with q1 = 0.
     """
     u1 = _free_waves(model, u0)
     n = model.order
@@ -180,7 +174,7 @@ def third_iterate_closed(model: DispersionModel, u0: SpectralField, t: float) ->
         amp = a / w23
         a2 += [(m23, amp, m23**n + gap), (m23, -amp, m23**n)]
     out, resonant = _duhamel_kernel(model, u0.grid, t, u1, a2)
-    return IterateResult(SpectralField(u0.grid, 2.0 * out), len(resonant))
+    return SpectralField(u0.grid, 2.0 * out), len(resonant)
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +316,10 @@ def growth_sweep(
     for N in n_list:
         grid = TorusGrid(model.lam, grid_size_for_mode(3 * N))
         data = phi_n_data(N, -g / 3.0, grid)  # amplitude N^(g/3)
-        result = third_iterate_closed(model, data, t)
-        filled = np.flatnonzero(result.field.coeffs)  # never mode 0
-        walks.append((N, float(N) ** (g / 3.0), result.resonant_terms,
-                      np.abs(grid.k_values[filled]), result.field.coeffs[filled]))
+        a3, resonant_terms = third_iterate_closed(model, data, t)
+        filled = np.flatnonzero(a3.coeffs)  # never mode 0
+        walks.append((N, float(N) ** (g / 3.0), resonant_terms,
+                      np.abs(grid.k_values[filled]), a3.coeffs[filled]))
     check_range("A3", np.abs(np.concatenate([walk[-1] for walk in walks])))
     log_n = np.log(n_list)
     threshold = -model.j + 0.5

@@ -1,5 +1,6 @@
-"""Space-time fields, dyadic modulation shells, and the norms the commands
-use: H^s of spatial fields, and X_{s,b} and the region-decomposed Z^s (with
+"""Space-time fields, dyadic modulation shells, the time window eta(t)
+(`smooth_bump_window`), and the norms the commands use: H^s of spatial fields
+(H^0 is the lattice L2 norm), and X_{s,b} and the region-decomposed Z^s (with
 its Y^s part) over flat arrays of (k, tau) cells, which the contraction
 experiment forms from a dense SpaceTimeField and the estimate searches from
 sparse modulation fields.
@@ -27,7 +28,6 @@ import struct
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -141,11 +141,6 @@ def kept_indices(keep: np.ndarray) -> np.ndarray:
     """The indices of keep's True cells, in the narrowest unsigned type: a.take()
     on them gives a[keep] several times faster, from less memory than keep."""
     return np.flatnonzero(keep).astype(np.min_scalar_type(len(keep)))
-
-
-def _lone(n: int) -> np.ndarray:
-    """The offsets of n cells that form one field."""
-    return np.array([0, n])
 
 
 def _block(k_bracket, sigma_bracket, mask: np.ndarray, s: float, b: float, bounds) -> tuple:
@@ -281,14 +276,13 @@ def zs_weights(
     sigma: np.ndarray,
     model: DispersionModel,
     s: float,
-    bounds: np.ndarray | None = None,
+    bounds: np.ndarray,
 ) -> ZsWeights:
-    """The Z^s weights of the cells (m, k, sigma), fields at offsets bounds (None:
-    one field): region masks, bracket powers and Y^s columns, everything of the
-    norm that does not read a coefficient, laid out for one entry per field.
-    DoubleRangeError names the Z^s weights if a bracket power under- or
-    overflows, or a weight leaves [2^-1022, 2^1022]."""
-    bounds = _lone(len(m)) if bounds is None else bounds
+    """The Z^s weights of the cells (m, k, sigma), fields at offsets bounds: region
+    masks, bracket powers and Y^s columns, everything of the norm that does not read
+    a coefficient, laid out for one entry per field.  DoubleRangeError names the Z^s
+    weights if a bracket power under- or overflows, or a weight leaves
+    [2^-1022, 2^1022]."""
     masks = region_masks(model, k, sigma)
     exps = zs_region_exponents(model, s)
     # brackets formed once for the three blocks; the region masks exclude k = 0
@@ -330,34 +324,30 @@ def zs_norm_cells(
         )
     zw = weights.get(s)
     if zw is None:
+        bounds = np.array([0, len(m)]) if bounds is None else bounds  # one field
         zw = weights[s] = zs_weights(m, k, sigma, model, s, bounds)
     return zw.norm(coeffs, cell_measure)
 
 
-def smooth_bump_window() -> Callable:
-    """C-infinity cutoff equal to 1 on [-1, 1], supported in [-2, 2].
+def _mollifier_step(x: np.ndarray) -> np.ndarray:
+    """The classical exp(-1/x) for x > 0, zero elsewhere."""
+    out = np.zeros_like(x)
+    pos = x > 0
+    out[pos] = np.exp(-1.0 / x[pos])
+    return out
 
-    Built from the classical exp(-1/x) mollifier step.
-    """
 
-    def psi(x: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(x)
-        pos = x > 0
-        out[pos] = np.exp(-1.0 / x[pos])
-        return out
-
-    def eta(t) -> np.ndarray:
-        t = np.abs(np.asarray(t, dtype=np.float64))
-        y = t - 1.0
-        num = psi(1.0 - y)
-        den = num + psi(y)
-        with np.errstate(invalid="ignore"):
-            val = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
-        val = np.where(t <= 1.0, 1.0, val)
-        val = np.where(t >= 2.0, 0.0, val)
-        return val
-
-    return eta
+def smooth_bump_window(t) -> np.ndarray:
+    """The C-infinity cutoff eta(t), equal to 1 on [-1, 1] and supported in [-2, 2],
+    built from the classical exp(-1/x) mollifier step."""
+    t = np.abs(np.asarray(t, dtype=np.float64))
+    y = t - 1.0
+    num = _mollifier_step(1.0 - y)
+    den = num + _mollifier_step(y)
+    with np.errstate(invalid="ignore"):
+        val = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
+    val = np.where(t <= 1.0, 1.0, val)
+    return np.where(t >= 2.0, 0.0, val)
 
 
 def uniform_step(times: np.ndarray) -> float:

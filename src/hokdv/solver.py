@@ -10,7 +10,9 @@ field's half spectrum, its nonnegative modes 0 .. M/2, and folds the product's
 constants and the output mask into step weights built once per run on that
 half, so each stage is one real-FFT pair (`torus.lattice_square`) on the kept
 modes alone, the input mask; `duhamel_map` runs `torus.lattice_product` on
-the frame grid its caller builds once (`frame_grid`).
+the frame grid its caller builds once (`frame_grid`).  Frame series are
+(n_frames, M) coefficient arrays: `conserved_quantities` reads the means and
+physical L2 norms (the H^0 norm over sqrt(2 pi)) of all frames at once.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from .norms import (
     uniform_step,
     zs_norm_cells,
 )
-from .torus import (TINY, Refused, SpectralField, TorusGrid, check_range, dealias_cutoff,
-                    dealias_mask, full_spectrum, half_spectrum, lattice_product, lattice_square,
-                    physical_l2_norm, product_scale)
+from .torus import (TINY, TWO_PI, Refused, SpectralField, TorusGrid, check_range,
+                    dealias_cutoff, dealias_mask, full_spectrum, half_spectrum, lattice_product,
+                    lattice_square, product_scale)
 
 
 class BlowUpError(RuntimeError):
@@ -120,7 +122,7 @@ def integrate(
     half_mult = phase_multiplier(model, grid.half_k_values, dt / 2.0)
     lin = model.phase(grid.half_k_values)  # finite: its multiplier passed
     full_mult = half_mult * half_mult
-    initial_l2 = physical_l2_norm(u0)
+    initial_l2 = conserved_quantities(u0.coeffs, grid)[1]
 
     g = _stage_factor(grid)  # folded into every step weight
     if cfg.scheme == "etdrk4":
@@ -166,18 +168,18 @@ def integrate(
                 c = fc + out_1 * q1 + out_23 * (q2 + q3) + out_4 * q4
             t_now = (step + 1) * dt
             if (step + 1) % cfg.frame_stride == 0 or step + 1 == steps:
-                frame = SpectralField(grid, full_spectrum(c, modes))
-                frames.append(frame.coeffs)
+                frames.append(full_spectrum(c, modes))
                 times.append(t_now)
-                ratio = physical_l2_norm(frame) / max(initial_l2, 1e-300)
+                ratio = conserved_quantities(frames[-1], grid)[1] / max(initial_l2, 1e-300)
                 if not np.isfinite(ratio) or ratio > 10.0:
                     raise BlowUpError(t_now, ratio, times[-2])
     return np.array(times), np.array(frames)
 
 
-def conserved_quantities(u: SpectralField) -> tuple[float, float]:
-    """(spatial mean, physical L2 norm) of the field."""
-    return float(np.real(u.mean_value())), physical_l2_norm(u)
+def conserved_quantities(coeffs: np.ndarray, grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(spatial means coeff(0) / (2 pi lam), physical L2 norms H^0 / sqrt(2 pi)) of
+    coefficient arrays whose last axis is grid's lattice, one entry per frame."""
+    return coeffs[..., 0].real / grid.period, sobolev_norm(coeffs, 0.0, grid) / np.sqrt(TWO_PI)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,7 +232,7 @@ def frame_grid(model: DispersionModel, grid: TorusGrid, times: np.ndarray) -> Fr
     if abs(times[anchor]) > 1e-12:
         raise ValueError("frame times must include t = 0")
     forward = phase_multiplier(model, grid.k_values, times[:, None])
-    eta_t = np.asarray(smooth_bump_window()(times), dtype=np.float64)[:, None]
+    eta_t = smooth_bump_window(times)[:, None]
     # S(-t) is the conjugate of S(t), the bits of exp(-1j * t * p(k)) on every grid
     return FrameGrid(model, grid, times, dt, anchor, eta_t, forward, forward.conj(),
                      dealias_mask(grid), *time_transform_phase(times, dt))
@@ -250,7 +252,7 @@ def duhamel_map(
 
     The integral is factored through S(t) S(-s) so the cumulative quadrature
     (fourth-order, uniform grid anchored at t = 0) runs once over the frames.
-    eta is `smooth_bump_window()`; a fixed point of this map solves the
+    eta is `smooth_bump_window`; a fixed point of this map solves the
     equation on its flat core [-1, 1].  held is frame_grid(model, phi.grid,
     times), built once for maps over the same frame grid.
     """

@@ -225,16 +225,6 @@ def lattice_product(coeffs: np.ndarray, grid: TorusGrid, mask: np.ndarray) -> np
     return np.fft.fft(w * w) * (grid.period / grid.modes) * TWO_PI * mask
 
 
-def l2_norm(f: SpectralField) -> float:
-    """Lattice L2 norm sqrt((1/lam) sum |coeff|^2) (== sqrt(2 pi) * physical L2)."""
-    return float(np.sqrt(np.sum(np.abs(f.coeffs) ** 2) / f.grid.lam))
-
-
-def physical_l2_norm(f: SpectralField) -> float:
-    """Physical-space L2 norm sqrt(integral |f|^2 dx)."""
-    return l2_norm(f) / np.sqrt(TWO_PI)
-
-
 def dealias_cutoff(modes: int) -> int:
     """Orszag's 2/3-rule cutoff (M - 1)//3: a product of two modes |m| <= cutoff that
     wraps around the M-point lattice lands on |m| >= M - 2*cutoff > cutoff."""

@@ -512,17 +512,18 @@ def _fixed_tau_cells(model: DispersionModel, cfg: RatioSearchConfig, rng) -> tup
     return m, sig, np.ones(len(m), dtype=complex)
 
 
-def _resonant_cells(
-    model: DispersionModel, cfg: RatioSearchConfig, rng, s: float, N: int | None = None
-) -> tuple[tuple, tuple]:
+def _resonant_cells(model: DispersionModel, cfg: RatioSearchConfig, rng, s: float) -> tuple:
+    """The resonant pair at N drawn from 2 .. max(3, k_max // 2), rng's first draw."""
+    return _resonant_pair(model, int(rng.integers(2, max(3, cfg.k_max // 2) + 1)), s)
+
+
+def _resonant_pair(model: DispersionModel, N: int, s: float) -> tuple[tuple, tuple]:
     """The raw cells of the two-mode free datum and its windowed second-iterate
     profile, whose product meets the dispersion surface where q1 vanishes at the
     triple (-N, N, N): the growth sweep's secular mechanism in one estimate.
     DoubleRangeError names the phi_N amplitude N^-s or the A2-like amplitude if
     it leaves the normal doubles."""
-    if N is None:
-        N = rng.integers(2, max(3, cfg.k_max // 2) + 1)
-    N, n = int(N), model.order
+    n = model.order
     q0 = resonance_q0(n, N, N)
     try:  # every product of the pair's cells; u2 with itself has the largest sums
         check_int64_lattice(n, 4 * N, 2 * abs(q0))

@@ -8,7 +8,7 @@ import numpy as np
 
 from hokdv.dispersion import DispersionModel
 from hokdv.norms import (
-    SpaceTimeField, ZsNorm, _lone, _ys_columns, _ys_mass, xsb_mass, zs_norm_cells,
+    SpaceTimeField, ZsNorm, _ys_columns, _ys_mass, xsb_mass, zs_norm_cells,
 )
 from hokdv.torus import SpectralField, TorusGrid
 from hokdv.verifier import ModulationField
@@ -26,6 +26,12 @@ def random_band_limited(
     if not real:
         amps[0] = 0.0
     return SpectralField.from_modes(grid, amps)
+
+
+def physical_l2_norm(coeffs: np.ndarray, grid: TorusGrid) -> float:
+    """sqrt((1/lam) sum |coeff|^2) / sqrt(2 pi) of one coefficient row: the physical L2
+    norm as summed before `solver.conserved_quantities` read it off the H^0 norm."""
+    return float(np.sqrt(np.sum(np.abs(coeffs) ** 2) / grid.lam)) / np.sqrt(2.0 * np.pi)
 
 
 def random_spacetime_coeffs(
@@ -79,14 +85,14 @@ def xsb_norm(u: SpaceTimeField, s: float, b: float, model: DispersionModel) -> f
     """X_{s,b} norm with weights <k>^s <tau - p(k)>^b over the cell lattice."""
     model.check_grid(u.grid)
     _, k, sigma, vals = u.cell_arrays(model)
-    mass = xsb_mass(k, sigma, vals, u.dtau, u.grid.lam, s, b, _lone(len(k)), "the X_{s,b} weights")
+    mass = xsb_mass(k, sigma, vals, u.dtau, u.grid.lam, s, b, np.array([0, len(k)]), "the X_{s,b} weights")
     return float(np.sqrt(mass)[0])
 
 
 def ys_mass(m, k, coeffs, cell_measure: float, lam: float, s: float) -> np.ndarray:
     """Squared Y^s mass of the cells as one field, l2 in k of <k>^s times the
     L1-in-tau column integral: one entry per field, an array of length 1."""
-    return _ys_mass(_ys_columns(m, k, s, _lone(len(m))), np.abs(coeffs), cell_measure, lam)
+    return _ys_mass(_ys_columns(m, k, s, np.array([0, len(m)])), np.abs(coeffs), cell_measure, lam)
 
 
 def ys_norm(u: SpaceTimeField, s: float) -> float:
@@ -381,16 +387,16 @@ def reference_growth_sweep(model, s, n_list, t):
     rows = []
     for N in n_list:
         grid = TorusGrid(model.lam, grid_size_for_mode(3 * N))
-        result = third_iterate_closed(model, phi_n_data(N, s, grid), t)
+        a3, resonant_terms = third_iterate_closed(model, phi_n_data(N, s, grid), t)
         rows.append(
             {
                 "j": model.j,
                 "s": s,
                 "N": N,
                 "t": t,
-                "h_s_norm": homogeneous_sobolev_norm(result.field, s),
-                "resonant_terms": result.resonant_terms,
-                "nonzero_modes": int(np.count_nonzero(result.field.coeffs)),
+                "h_s_norm": homogeneous_sobolev_norm(a3, s),
+                "resonant_terms": resonant_terms,
+                "nonzero_modes": int(np.count_nonzero(a3.coeffs)),
             }
         )
     log_n = np.log([row["N"] for row in rows])
@@ -482,7 +488,7 @@ def reference_duhamel_map(model, phi, u_frames, times):
     dt = times[1] - times[0]
     anchor = int(np.argmin(np.abs(times)))
     lin = model.phase(grid.k_values)
-    eta_t = np.asarray(smooth_bump_window()(times), dtype=np.float64)[:, None]
+    eta_t = np.asarray(smooth_bump_window(times), dtype=np.float64)[:, None]
     t_col = times[:, None]
     q = -0.5j * grid.k_values * lattice_product(u_frames, grid, dealias_mask(grid)) * (-2.0)
     integrand = np.exp(-1j * t_col * lin) * (eta_t * q)
@@ -513,7 +519,7 @@ def reference_contraction_experiment(model, phi, s, *, max_iter, n_frames):
     def hs_sup(frames):
         return float(np.max(sobolev_norm(frames, s, grid)))
 
-    eta_t = np.asarray(smooth_bump_window()(times), dtype=np.float64)[:, None]
+    eta_t = np.asarray(smooth_bump_window(times), dtype=np.float64)[:, None]
     current = eta_t * np.array([free_evolve(model, phi, t).coeffs for t in times])
     trace = ContractionTrace()
     scale = max(z_of(current), 1e-300)
@@ -545,7 +551,7 @@ def reference_integrate(model, u0, cfg):
     rebuilt on every step."""
     from hokdv.expquad import phi_functions
     from hokdv.solver import BlowUpError
-    from hokdv.torus import dealias_mask, lattice_product, physical_l2_norm
+    from hokdv.torus import dealias_mask, lattice_product
 
     def product_term(coeffs, grid, mask):
         return -0.5j * grid.k_values * lattice_product(coeffs, grid, mask)
@@ -570,7 +576,7 @@ def reference_integrate(model, u0, cfg):
     mask = dealias_mask(grid)
     half_mult = np.exp(1j * lin * cfg.dt / 2.0)
     full_mult = half_mult * half_mult
-    initial_l2 = physical_l2_norm(u0)
+    initial_l2 = physical_l2_norm(u0.coeffs, grid)
 
     if cfg.scheme == "etdrk4":
         z = 1j * lin * cfg.dt
@@ -604,7 +610,7 @@ def reference_integrate(model, u0, cfg):
             frame = SpectralField(grid, c)
             frames.append(frame.coeffs)
             times.append(t_now)
-            ratio = physical_l2_norm(frame) / max(initial_l2, 1e-300)
+            ratio = physical_l2_norm(frame.coeffs, grid) / max(initial_l2, 1e-300)
             if not np.isfinite(ratio) or ratio > 10.0:
                 raise BlowUpError(t_now, ratio, times[-2])
     return np.array(times), np.array(frames)

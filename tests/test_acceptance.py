@@ -136,7 +136,7 @@ def test_criterion_3_oracle_agreement_at_fixed_budget():
                         second_iterate_quadrature(model, u0, t, steps)
                     rows.append(f"j={j} N={N} t={t}: refused (theta={theta:.3g})")
                     continue
-                closed = second_iterate_closed(model, u0, t).field.coeffs
+                closed = second_iterate_closed(model, u0, t).coeffs
                 quad = second_iterate_quadrature(model, u0, t, steps).coeffs
                 err = float(np.max(np.abs(closed - quad)))
                 good = err <= 1e-6
@@ -150,7 +150,7 @@ def test_criterion_3_convergence_order():
     model = DispersionModel(2, 1.0)
     grid = TorusGrid(1.0, 64)
     u0 = phi_n_data(4, 0.0, grid)
-    closed = second_iterate_closed(model, u0, 0.3).field.coeffs
+    closed = second_iterate_closed(model, u0, 0.3).coeffs
     errs = [
         np.max(np.abs(closed - second_iterate_quadrature(model, u0, 0.3, n).coeffs))
         for n in (512, 1024, 2048)
@@ -173,7 +173,7 @@ def test_criterion_4_secular_slope():
         N, s = 8, -2.0
         u0 = phi_n_data(N, s, grid)
         ts = np.linspace(0.02, 0.1, 9)
-        mags = [abs(third_iterate_closed(model, u0, t).field.coeffs[grid.index_of(N)]) for t in ts]
+        mags = [abs(third_iterate_closed(model, u0, t)[0].coeffs[grid.index_of(N)]) for t in ts]
         slope = np.polyfit(ts, mags, 1)[0]
         hand = 2 * N * (2 * N) * float(N) ** (-3 * s) / (
             (2 ** (2 * j + 1) - 2) * float(N) ** (2 * j + 1)
@@ -197,10 +197,9 @@ def test_criterion_5_solver_invariants():
         grid = TorusGrid(1.0, 256)
         u0 = smooth_data(grid)
         _, frames = integrate(model, u0, SolverConfig(dt=5e-4, T=1.0, frame_stride=200))
-        quantities = [conserved_quantities(SpectralField(grid, row)) for row in frames]
-        mean0, l20 = quantities[0]
-        mean_drift = max(abs(mean - mean0) for mean, _ in quantities)
-        l2_drift = max(abs(l2 - l20) / l20 for _, l2 in quantities)
+        means, l2s = conserved_quantities(frames, grid)
+        mean_drift = max(abs(means - means[0]))
+        l2_drift = max(abs(l2s - l2s[0]) / l2s[0])
         _, lin_frames = integrate(
             model, u0, SolverConfig(dt=0.01, T=1.0, nonlinear=False, frame_stride=100)
         )

@@ -142,7 +142,7 @@ def test_second_iterate_vanishes_at_zero_time():
     model = DispersionModel(2, 1.0)
     u = phi_n_data(4, 0.0, grid)
     out = second_iterate_closed(model, u, 0.0)
-    assert np.all(out.field.coeffs == 0)
+    assert np.all(out.coeffs == 0)
 
 
 def test_second_iterate_two_mode_hand_value():
@@ -158,8 +158,8 @@ def test_second_iterate_two_mode_hand_value():
             * abs(np.exp(1j * t * model.phase(2.0 * N)) - np.exp(2j * t * model.phase(float(N))))
             / q0
         )
-        assert abs(result.field.coeffs[grid.index_of(2 * N)]) == pytest.approx(hand, rel=1e-12)
-        assert set(grid.m_ints[np.abs(result.field.coeffs) > 1e-14]) <= {-2 * N, 2 * N}
+        assert abs(result.coeffs[grid.index_of(2 * N)]) == pytest.approx(hand, rel=1e-12)
+        assert set(grid.m_ints[np.abs(result.coeffs) > 1e-14]) <= {-2 * N, 2 * N}
 
 
 def test_second_iterate_support_is_sum_set():
@@ -168,7 +168,7 @@ def test_second_iterate_support_is_sum_set():
     u = SpectralField.from_modes(grid, {2: 1.0, -2: 1.0, 5: 0.5, -5: 0.5})
     out = second_iterate_closed(model, u, 0.2)
     sums = {a + b for a in (2, -2, 5, -5) for b in (2, -2, 5, -5)} - {0}
-    assert set(grid.m_ints[np.abs(out.field.coeffs) > 1e-14]) <= sums
+    assert set(grid.m_ints[np.abs(out.coeffs) > 1e-14]) <= sums
 
 
 def test_third_iterate_support_is_triple_sum_set():
@@ -176,9 +176,9 @@ def test_third_iterate_support_is_triple_sum_set():
     model = DispersionModel(2, 1.0)
     modes = (3, -3, 7, -7)
     u = SpectralField.from_modes(grid, {m: 1.0 for m in modes})
-    out = third_iterate_closed(model, u, 0.2)
+    out, _ = third_iterate_closed(model, u, 0.2)
     sums = {a + b + c for a in modes for b in modes for c in modes} - {0}
-    assert set(grid.m_ints[out.field.coeffs != 0]) <= sums
+    assert set(grid.m_ints[out.coeffs != 0]) <= sums
 
 
 def test_second_iterate_of_real_data_is_real():
@@ -186,7 +186,7 @@ def test_second_iterate_of_real_data_is_real():
     model = DispersionModel(2, 1.0)
     u = random_band_limited(grid, np.random.default_rng(8), 5)
     out = second_iterate_closed(model, u, 0.4)
-    samples = inverse_transform(out.field)
+    samples = inverse_transform(out)
     assert np.max(np.abs(samples.imag)) < 1e-10 * max(1, np.max(np.abs(samples.real)))
 
 
@@ -205,7 +205,7 @@ def test_second_iterate_matches_oscillatory_quadrature(j, lam):
     model = DispersionModel(j, lam)
     u = SpectralField.from_modes(grid, {1: 1.0, -1: 1.0, 3: 0.25, -3: 0.25})
     for t in (0.1, 0.45):
-        closed = second_iterate_closed(model, u, t).field.coeffs
+        closed = second_iterate_closed(model, u, t).coeffs
         reference = reference_second_iterate(model, u, t)
         assert np.max(np.abs(closed - reference)) < 1e-9
     # The phi_N grid of acceptance criterion 3, including the cells where a
@@ -214,7 +214,7 @@ def test_second_iterate_matches_oscillatory_quadrature(j, lam):
     for N in (2, 4, 8):
         u = phi_n_data(N, 0.0, grid)
         for t in (0.1, 0.3):
-            closed = second_iterate_closed(model, u, t).field.coeffs
+            closed = second_iterate_closed(model, u, t).coeffs
             reference = reference_second_iterate(model, u, t)
             assert np.max(np.abs(closed - reference)) <= 1e-9 * np.max(np.abs(closed))
 
@@ -223,7 +223,7 @@ def test_duhamel_quadrature_converges_at_fourth_order():
     grid = TorusGrid(1.0, 64)
     model = DispersionModel(2, 1.0)
     u = phi_n_data(4, 0.0, grid)
-    closed = second_iterate_closed(model, u, 0.3).field.coeffs
+    closed = second_iterate_closed(model, u, 0.3).coeffs
     errs = [
         np.max(np.abs(closed - second_iterate_quadrature(model, u, 0.3, steps).coeffs))
         for steps in (512, 1024, 2048)
@@ -236,7 +236,7 @@ def test_duhamel_quadrature_resolved_regime_accuracy():
     grid = TorusGrid(1.0, 64)
     model = DispersionModel(2, 1.0)
     u = phi_n_data(2, 0.0, grid)
-    closed = second_iterate_closed(model, u, 0.3).field.coeffs
+    closed = second_iterate_closed(model, u, 0.3).coeffs
     quad256 = second_iterate_quadrature(model, u, 0.3, 256).coeffs
     assert np.max(np.abs(closed - quad256)) < 1e-10
 
@@ -250,7 +250,7 @@ def test_duhamel_quadrature_refuses_unresolved_budget():
     assert quadrature_steps_needed(model, u, 0.3) == 392
     with pytest.raises(ValueError, match="steps must be >= 392"):
         second_iterate_quadrature(model, u, 0.3, 391)
-    closed = second_iterate_closed(model, u, 0.3).field.coeffs
+    closed = second_iterate_closed(model, u, 0.3).coeffs
     quad = second_iterate_quadrature(model, u, 0.3, 392).coeffs
     assert np.max(np.abs(closed - quad)) <= 4e-3 * np.max(np.abs(closed))
 
@@ -287,7 +287,7 @@ def test_blocked_quadrature_matches_the_per_panel_reference(j, lam, modes):
     for N, t in ((1, 0.05), (2, 0.3), (min(4, (modes // 2 - 1) // 3), 0.2 * lam)):
         u = phi_n_data(N, 0.0, grid)
         needed = quadrature_steps_needed(model, u, t)
-        closed = second_iterate_closed(model, u, t).field.coeffs
+        closed = second_iterate_closed(model, u, t).coeffs
         # 16 panels, the smallest accepted budget, part of one block, whole
         # blocks, and whole blocks plus a partial one
         budgets = {16, needed, max(needed, block // 2 + 1), 3 * block, 2 * block + 7}
@@ -370,23 +370,23 @@ def test_blocked_quadrature_keeps_zero_time_and_refusals():
 def test_third_iterate_vanishes_at_zero_time():
     grid = TorusGrid(1.0, 64)
     model = DispersionModel(2, 1.0)
-    out = third_iterate_closed(model, phi_n_data(4, -2.0, grid), 0.0)
-    assert np.max(np.abs(out.field.coeffs)) < 1e-18
+    out, _ = third_iterate_closed(model, phi_n_data(4, -2.0, grid), 0.0)
+    assert np.max(np.abs(out.coeffs)) < 1e-18
 
 
 def test_third_iterate_counts_resonant_triples():
     grid = TorusGrid(1.0, 64)
     model = DispersionModel(2, 1.0)
-    out = third_iterate_closed(model, phi_n_data(4, -2.0, grid), 0.5)
-    assert out.resonant_terms == 2  # (-N, N, N) hitting +N and its mirror
+    _, resonant_terms = third_iterate_closed(model, phi_n_data(4, -2.0, grid), 0.5)
+    assert resonant_terms == 2  # (-N, N, N) hitting +N and its mirror
 
 
 def test_third_iterate_of_real_data_is_real():
     grid = TorusGrid(1.0, 128)
     model = DispersionModel(2, 1.0)
     u = random_band_limited(grid, np.random.default_rng(9), 4)
-    out = third_iterate_closed(model, u, 0.3)
-    samples = inverse_transform(out.field)
+    out, _ = third_iterate_closed(model, u, 0.3)
+    samples = inverse_transform(out)
     assert np.max(np.abs(samples.imag)) < 1e-10 * max(1, np.max(np.abs(samples.real)))
 
 
@@ -397,7 +397,7 @@ def test_third_iterate_matches_oscillatory_quadrature(j, lam):
     model = DispersionModel(j, lam)
     for N, t in ((2, 0.3), (8, 0.1)):
         u = phi_n_data(N, 0.0, grid)
-        closed = third_iterate_closed(model, u, t).field.coeffs
+        closed = third_iterate_closed(model, u, t)[0].coeffs
         reference = reference_third_iterate(model, u, t)
         assert np.max(np.abs(closed - reference)) < 1e-9
 
@@ -406,7 +406,7 @@ def test_third_iterate_general_support_against_reference():
     grid = TorusGrid(1.0, 128)
     model = DispersionModel(2, 1.0)
     u = SpectralField.from_modes(grid, {1: 0.8, -1: 0.8, 4: 0.3, -4: 0.3})
-    closed = third_iterate_closed(model, u, 0.25).field.coeffs
+    closed = third_iterate_closed(model, u, 0.25)[0].coeffs
     reference = reference_third_iterate(model, u, 0.25)
     assert np.max(np.abs(closed - reference)) < 1e-9
 
@@ -418,7 +418,7 @@ def test_resonant_mode_grows_linearly_with_hand_slope():
         for N, s in ((4, -2.0), (8, -2.0)):
             u = phi_n_data(N, s, grid)
             ts = np.linspace(0.02, 0.1, 9)
-            mags = [abs(third_iterate_closed(model, u, t).field.coeffs[grid.index_of(N)]) for t in ts]
+            mags = [abs(third_iterate_closed(model, u, t)[0].coeffs[grid.index_of(N)]) for t in ts]
             slope = np.polyfit(ts, mags, 1)[0]
             hand = (
                 2.0 * N * (2.0 * N) * float(N) ** (-3 * s)
@@ -457,8 +457,8 @@ def test_second_iterate_keeps_the_bits_of_the_hand_derived_sum(j, lam):
     ]:
         result = second_iterate_closed(model, u, 0.3)
         coeffs, resonant = reference_second_iterate_closed(model, u, 0.3)
-        assert np.array_equal(result.field.coeffs, coeffs)
-        assert result.resonant_terms == resonant == 0
+        assert np.array_equal(result.coeffs, coeffs)
+        assert resonant == 0
 
 
 @pytest.mark.parametrize("lam", [1.0, 2.0])
@@ -478,12 +478,12 @@ def test_third_iterate_matches_the_hand_derived_sum(j, lam):
         cases += [(random_support(grid, rng, 8, real=real), 0.4) for _ in range(3)]
     resonant_seen = 0
     for u, t in cases:
-        result = third_iterate_closed(model, u, t)
+        result, resonant_terms = third_iterate_closed(model, u, t)
         coeffs, resonant = reference_third_iterate_closed(model, u, t)
         scale = np.max(np.abs(coeffs))
         assert scale > 0
-        assert np.max(np.abs(result.field.coeffs - coeffs)) <= 1e-13 * scale
-        assert result.resonant_terms == resonant
+        assert np.max(np.abs(result.coeffs - coeffs)) <= 1e-13 * scale
+        assert resonant_terms == resonant
         resonant_seen += resonant
     assert resonant_seen > 0
 
@@ -565,7 +565,7 @@ def _sweep_walks(monkeypatch) -> list[np.ndarray]:
 
     def recording(model, u0, t):
         result = closed(model, u0, t)
-        walks.append(result.field.coeffs)
+        walks.append(result[0].coeffs)
         return result
 
     monkeypatch.setattr(hokdv.iterates, "third_iterate_closed", recording)
@@ -617,7 +617,7 @@ def test_unit_amplitude_walk_loses_the_3n_modes_at_j40():
     s_c = -39.5
     want = reference_growth_sweep(model, s_c, SWEEP_N, 1.0)
     grid = TorusGrid(1.0, grid_size_for_mode(3 * 128))
-    unit = third_iterate_closed(model, phi_n_data(128, 0.0, grid), 1.0).field.coeffs
+    unit = third_iterate_closed(model, phi_n_data(128, 0.0, grid), 1.0)[0].coeffs
     rescaled = float(128) ** (-3 * s_c) * unit
     assert want.rows[-1]["nonzero_modes"] == 4
     assert np.count_nonzero(rescaled) == 2
@@ -631,11 +631,11 @@ def test_phasing_only_the_filled_modes_is_bit_identical(monkeypatch, j, lam, N, 
     model = DispersionModel(j, lam)
     grid = TorusGrid(lam, grid_size_for_mode(3 * N))
     u0 = phi_n_data(N, -1.5, grid)
-    got = [second_iterate_closed(model, u0, t).field.coeffs,
-           third_iterate_closed(model, u0, t).field.coeffs]
+    got = [second_iterate_closed(model, u0, t).coeffs,
+           third_iterate_closed(model, u0, t)[0].coeffs]
     monkeypatch.setattr(hokdv.iterates, "_duhamel_kernel", full_lattice_duhamel_kernel)
-    want = [second_iterate_closed(model, u0, t).field.coeffs,
-            third_iterate_closed(model, u0, t).field.coeffs]
+    want = [second_iterate_closed(model, u0, t).coeffs,
+            third_iterate_closed(model, u0, t)[0].coeffs]
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
 
@@ -651,7 +651,7 @@ def test_growth_sweep_norms_keep_the_bits_of_the_whole_lattice_norm(j, lam):
     for s, report in zip(s_list, reports):
         for N, row in zip(SWEEP_N, report.rows):
             grid = TorusGrid(lam, grid_size_for_mode(3 * N))
-            walk = third_iterate_closed(model, phi_n_data(N, -g / 3.0, grid), 0.7).field.coeffs
+            walk = third_iterate_closed(model, phi_n_data(N, -g / 3.0, grid), 0.7)[0].coeffs
             scale = (float(N) ** (-s) / float(N) ** (g / 3.0)) ** 3
             assert row["h_s_norm"] == homogeneous_sobolev_norm(scale * walk, s, grid)
 
@@ -692,7 +692,7 @@ def test_a3_cancellation_error_follows_the_refused_bound(j, lam, N, log2_tw0):
     n = model.order
     t = 2.0**log2_tw0 / ((2**n - 2) * (N / lam) ** n)
     grid = TorusGrid(lam, grid_size_for_mode(3 * N))
-    got = third_iterate_closed(model, phi_n_data(N, 0.0, grid), t).field.coeffs[N]
+    got = third_iterate_closed(model, phi_n_data(N, 0.0, grid), t)[0].coeffs[N]
     got /= np.exp(1j * t * model.phase(grid.k_values[N]))
     re, im = _exact_a3_mode_n(model, N, t)
     error2 = ((Fraction(got.real) - re) ** 2 + (Fraction(got.imag) - im) ** 2) / (re**2 + im**2)

@@ -2,14 +2,14 @@
 every default it declares is taken by one.
 
 One small run per command and branch goes through `cli.main` in process, under a
-profile hook that records each Python function entered and, for each parameter
-with a default, whether a call bound the default object itself (a small int or
-short string passed explicitly is the same object, and reads as taken).  A
-public definition that no run enters, or a default that no run takes, is code
-only the tests use: it belongs in the tests, or on ALLOWED.
+profile hook that records each Python function entered, with each public function
+and method that declares a default wrapped to record the parameters a call leaves
+out: those defaults are taken.  A public definition that no run enters, or a default
+that no run takes, is code only the tests use: it belongs in the tests, or on ALLOWED.
 """
 
 import contextlib
+import functools
 import importlib
 import inspect
 import io
@@ -67,7 +67,7 @@ def defaults(function) -> dict:
     return {name: p.default for name, p in params if p.default is not p.empty}
 
 
-def test_every_public_definition_is_reached_by_a_command(tmp_path):
+def test_every_public_definition_is_reached_by_a_command(tmp_path, monkeypatch):
     config = tmp_path / "simulate.cfg"
     config.write_text("j = 2\nM = 16\ndt = 1e-3\nT = 2e-3\nframe_stride = 1\n")
     runs = [["simulate", "--config", str(config)], *(line.split() for line in RUNS)]
@@ -75,12 +75,28 @@ def test_every_public_definition_is_reached_by_a_command(tmp_path):
     watched = {f.__code__: defaults(f) for _, f in definitions}
     entered, taken = set(), set()
 
+    def recording(value, code):
+        signature = inspect.signature(value)
+
+        @functools.wraps(value)
+        def call(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs).arguments
+            taken.update((code, param) for param in watched[code] if param not in bound)
+            return value(*args, **kwargs)
+        return call
+
+    # a function is called through every name bound to it: in its module, in the
+    # modules that import it, or in its class
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "hokdv"]
+    for holder in modules + [c for m in modules for c in vars(m).values()
+                             if inspect.isclass(c) and c.__module__ == m.__name__]:
+        for name, value in list(vars(holder).items()):
+            if inspect.isfunction(value) and watched.get(code := inspect.unwrap(value).__code__):
+                monkeypatch.setattr(holder, name, recording(value, code))
+
     def hook(frame, event, arg):
         if event == "call":
             entered.add(frame.f_code)
-            for param, default in watched.get(frame.f_code, {}).items():
-                if frame.f_locals[param] is default:
-                    taken.add((frame.f_code, param))
 
     cli.build_parser.cache_clear()  # it is built once per process, maybe before the hook
     start = time.perf_counter()

@@ -37,6 +37,7 @@ from hokdv.torus import (
 
 from helpers import (
     homogeneous_sobolev_norm,
+    physical_l2_norm,
     random_band_limited,
     reference_contraction_experiment,
     reference_duhamel_map,
@@ -75,11 +76,10 @@ def test_invariants_over_unit_time(j):
     cfg = SolverConfig(dt=5e-4, T=1.0, frame_stride=200)
     _, frames = integrate(model, u0, cfg)
     assert np.all(frames[:, grid.nyquist_index] == 0)
-    mean0, l20 = conserved_quantities(SpectralField(grid, frames[0]))
-    for row in frames:
-        mean, l2 = conserved_quantities(SpectralField(grid, row))
-        assert abs(mean - mean0) < 1e-12
-        assert abs(l2 - l20) / l20 < 1e-8
+    means, l2s = conserved_quantities(frames, grid)
+    for mean, l2 in zip(means, l2s):
+        assert abs(mean - means[0]) < 1e-12
+        assert abs(l2 - l2s[0]) / l2s[0] < 1e-8
 
 
 def test_temporal_convergence_order():
@@ -108,8 +108,8 @@ def test_nonlinear_solution_follows_the_picard_expansion(j, T, dt):
     model = DispersionModel(j, 1.0)
     phi = phi_n_data(2, 0.0, grid)
     u1 = free_evolve(model, phi, T).coeffs
-    a2 = second_iterate_closed(model, phi, T).field.coeffs
-    a3 = third_iterate_closed(model, phi, T).field.coeffs
+    a2 = second_iterate_closed(model, phi, T).coeffs
+    a3 = third_iterate_closed(model, phi, T)[0].coeffs
     remainders = []
     for eps in (0.4, 0.2, 0.1):
         data = SpectralField(grid, eps * phi.coeffs)
@@ -211,16 +211,33 @@ def test_integrate_refuses_a_field_that_is_not_real():
 def test_conserved_quantities_of_named_fields():
     grid = TorusGrid(1.0, 32)
     constant = SpectralField.from_modes(grid, {0: 2.0 * np.pi * 1.7})  # f(x) = 1.7
-    mean, l2 = conserved_quantities(constant)
+    mean, l2 = conserved_quantities(constant.coeffs, grid)
     assert mean == pytest.approx(1.7)
     assert l2 == pytest.approx(1.7 * np.sqrt(2 * np.pi))
     from hokdv.iterates import phi_n_data
 
     two_mode = phi_n_data(4, -1.0, grid)
-    mean2, l22 = conserved_quantities(two_mode)
+    mean2, l22 = conserved_quantities(two_mode.coeffs, grid)
     assert mean2 == 0.0
     # Parseval: integral |u|^2 = (1/(2 pi)) * (1/lam) sum |coeff|^2
     assert l22 == pytest.approx(np.sqrt(2 * 16.0 / (2 * np.pi)))
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0, 3.5])
+@pytest.mark.parametrize("modes", [8, 256, 512, 1024])
+def test_conserved_quantities_keep_the_bits_of_the_summed_l2_norm(modes, lam):
+    """The L2 norm read off H^0 (<k>^0 is exactly 1.0) is the per-row sum of |coeff|^2,
+    bit for bit, over a frame array and row by row; the means are coeff(0) / (2 pi lam)."""
+    grid = TorusGrid(lam, modes)
+    rng = np.random.default_rng(modes)
+    half = rng.normal(size=(31, modes // 2 + 1)) + 1j * rng.normal(size=(31, modes // 2 + 1))
+    half[:, 0] = half[:, 0].real
+    frames = full_spectrum(half, modes) * 10.0 ** rng.integers(-8, 8, (31, 1))
+    l2s = [physical_l2_norm(row, grid) for row in frames]
+    means = [SpectralField(grid, row).mean_value().real for row in frames]
+    assert np.array_equal(conserved_quantities(frames, grid), [means, l2s])
+    for row, mean, l2 in zip(frames, means, l2s):
+        assert np.array_equal(conserved_quantities(row, grid), (mean, l2))
 
 
 # -- Duhamel map ------------------------------------------------------------------
@@ -237,7 +254,7 @@ def test_duhamel_of_zero_is_windowed_free_flow():
     model = DispersionModel(2, 1.0)
     phi = SpectralField.from_modes(grid, {1: 0.05, -1: 0.05})
     times = frame_times(301)
-    eta = smooth_bump_window()
+    eta = smooth_bump_window
     zero = np.zeros((len(times), grid.modes), dtype=np.complex128)
     out = duhamel_map(model, phi, zero, times, held=frame_grid(model, grid, times))
     for idx in (0, 60, 150, 222, 300):
@@ -279,7 +296,7 @@ def test_duhamel_held_frame_grid_gives_the_same_bits():
         phi = smooth_data(grid, scale=0.2, seed=seed)
         free = held.free_flow(phi)
         assert np.array_equal(free, np.array(
-            [smooth_bump_window()(t) * free_evolve(model, phi, t).coeffs for t in times]
+            [smooth_bump_window(t) * free_evolve(model, phi, t).coeffs for t in times]
         ))
         frames = duhamel_map(model, phi, free, times, held=held)
         assert np.array_equal(frames, reference_duhamel_map(model, phi, free, times))
@@ -330,7 +347,7 @@ def test_duhamel_picard_two_matches_closed_second_iterate():
     model = DispersionModel(2, 1.0)
     phi = SpectralField.from_modes(grid, {1: 0.05 * np.pi, -1: 0.05 * np.pi})
     times = frame_times(2801)
-    eta = smooth_bump_window()
+    eta = smooth_bump_window
     eta_t = eta(times)
     u1 = np.array([eta_t[i] * free_evolve(model, phi, t).coeffs for i, t in enumerate(times)])
     out = duhamel_map(model, phi, u1, times, held=frame_grid(model, grid, times))
@@ -341,7 +358,7 @@ def test_duhamel_picard_two_matches_closed_second_iterate():
             continue
         expect = (
             free_evolve(model, phi, t).coeffs
-            - 0.5 * second_iterate_closed(model, phi, t).field.coeffs
+            - 0.5 * second_iterate_closed(model, phi, t).coeffs
         )
         worst = max(worst, np.max(np.abs(out[idx] - expect)))
     assert worst < 1e-8
@@ -352,7 +369,7 @@ def test_fixed_point_residual_of_converged_iteration():
     model = DispersionModel(2, 1.0)
     phi = SpectralField.from_modes(grid, {1: 0.01 * np.pi, -1: 0.01 * np.pi})
     times = frame_times(301)
-    eta = smooth_bump_window()
+    eta = smooth_bump_window
     eta_t = eta(times)
     current = np.array(
         [eta_t[i] * free_evolve(model, phi, t).coeffs for i, t in enumerate(times)]

@@ -14,11 +14,13 @@ from hokdv.torus import (
     dealias_mask,
     full_spectrum,
     half_spectrum,
-    l2_norm,
     lattice_product,
     lattice_square,
     product_scale,
 )
+
+from hokdv.norms import sobolev_norm
+from hokdv.solver import conserved_quantities
 
 from helpers import forward_transform, inverse_transform, random_band_limited
 
@@ -251,4 +253,5 @@ def test_l2_norm_of_constant_field():
     grid = TorusGrid(1.0, 16)
     f = SpectralField.from_modes(grid, {0: TWO_PI})  # f(x) = 1
     # physical L2 of 1 on [0, 2 pi) is sqrt(2 pi); lattice norm carries sqrt(2 pi) more
-    assert l2_norm(f) == pytest.approx(TWO_PI)
+    assert sobolev_norm(f.coeffs, 0.0, grid) == pytest.approx(TWO_PI)
+    assert conserved_quantities(f.coeffs, grid)[1] == pytest.approx(np.sqrt(TWO_PI))

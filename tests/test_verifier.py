@@ -40,9 +40,9 @@ def model():
     return DispersionModel(2, 1.0)
 
 
-def resonant_pair(model, cfg, rng, s, N=None):
-    """The resonant two-mode family's two fields (verifier._resonant_cells)."""
-    u1, u2 = verifier._resonant_cells(model, cfg, rng, s, N)
+def resonant_pair(model, N, s):
+    """The resonant two-mode family's two fields at N (verifier._resonant_pair)."""
+    u1, u2 = verifier._resonant_pair(model, N, s)
     return lone_field(model, *u1), lone_field(model, *u2)
 
 
@@ -187,7 +187,7 @@ def _largest_resonant_N(model):
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
-            resonant_pair(model, RatioSearchConfig(), None, -1.5, N=mid)
+            resonant_pair(model, mid, -1.5)
             lo = mid
         except ValueError:
             hi = mid
@@ -209,9 +209,9 @@ def test_resonant_pair_refuses_N_past_int64(j, delta, far):
     for N in (edge + delta, far):
         if N > edge:
             with pytest.raises(ValueError, match=f"N = {N}"):
-                resonant_pair(model, RatioSearchConfig(), None, -1.5, N=N)
+                resonant_pair(model, N, -1.5)
             continue
-        u1, u2 = resonant_pair(model, RatioSearchConfig(), None, -1.5, N=N)
+        u1, u2 = resonant_pair(model, N, -1.5)
         for f, g in ((u1, u2), (u2, u2)):
             out = convolve_modulation(f, g, PlanMemo())
             expect = {
@@ -275,7 +275,7 @@ def _plan_cells(draw):
         shift = [model.sign * resonance_q0(model.order, m, target_m - m) for m, _ in f]
         g = [(target_m - m, target_sig - sig - q) for (m, sig), q in zip(f, shift)]
     else:
-        u1, u2 = resonant_pair(model, RatioSearchConfig(), None, -1.5, N=draw(st.integers(2, 64)))
+        u1, u2 = resonant_pair(model, draw(st.integers(2, 64)), -1.5)
         pair = [list(zip(u.m.tolist(), u.sig_scaled.tolist())) for u in (u1, u2)]
         f, g = pair if draw(st.booleans()) else pair[::-1]
     return model, f, g, h
@@ -344,8 +344,7 @@ def test_empty_inputs_give_empty_output(model):
 
 
 def test_ratios_are_scale_invariant(model):
-    rng = np.random.default_rng(0)
-    u1, u2 = resonant_pair(model, RatioSearchConfig(), rng, -1.5, N=6)
+    u1, u2 = resonant_pair(model, 6, -1.5)
     def ratio(a, b):
         w = smoothed_derivative(convolve_modulation(a, b, PlanMemo()))
         return w.zs(-1.5).total / (a.zs(-1.5).total * b.zs(-1.5).total)
@@ -481,11 +480,9 @@ def test_resonant_family_growth_below_threshold(j):
     """Below s = -j + 1/2 the resonant pair drives the ratio like N^{-2s-(2j-1)}."""
     model = DispersionModel(j, 1.0)
     s = -j + 0.25  # a quarter below the threshold
-    cfg = RatioSearchConfig()
-    rng = np.random.default_rng(0)
     ratios = []
     for N in (4, 16, 64):
-        u1, u2 = resonant_pair(model, cfg, rng, s, N=N)
+        u1, u2 = resonant_pair(model, N, s)
         w = smoothed_derivative(convolve_modulation(u1, u2, PlanMemo()))
         ratios.append(w.zs(s).total / (u1.zs(s).total * u2.zs(s).total))
     measured = np.polyfit(np.log([4, 16, 64]), np.log(ratios), 1)[0]
@@ -496,11 +493,9 @@ def test_resonant_family_growth_below_threshold(j):
 def test_resonant_family_saturates_at_threshold(j):
     model = DispersionModel(j, 1.0)
     s = -j + 0.5
-    cfg = RatioSearchConfig()
-    rng = np.random.default_rng(0)
     ratios = []
     for N in (4, 16, 64):
-        u1, u2 = resonant_pair(model, cfg, rng, s, N=N)
+        u1, u2 = resonant_pair(model, N, s)
         w = smoothed_derivative(convolve_modulation(u1, u2, PlanMemo()))
         ratios.append(w.zs(s).total / (u1.zs(s).total * u2.zs(s).total))
     assert max(ratios) <= 1.1 * min(ratios) + 1e-9
