@@ -66,10 +66,12 @@ def angle_bracket(x) -> np.ndarray:
 
 def sobolev_norm(coeffs: np.ndarray, s: float, grid: TorusGrid) -> np.ndarray:
     """H^s norm, ((1/lam) sum <k>^{2s} |coeff|^2)^{1/2}, of coefficient arrays whose
-    last axis is grid's lattice: an (n_frames, M) series gives one norm per frame."""
-    w = angle_bracket(grid.k_values) ** s
-    mass = np.sum((w * np.abs(coeffs)) ** 2, axis=-1)
-    return np.sqrt(mass / grid.lam)
+    last axis is grid's lattice: an (n_frames, M) series gives one norm per frame.
+    The weighted moduli are formed and squared in place, in one temporary."""
+    mass = np.abs(coeffs)
+    mass *= angle_bracket(grid.k_values) ** s
+    np.square(mass, out=mass)
+    return np.sqrt(np.sum(mass, axis=-1) / grid.lam)
 
 
 @dataclass(frozen=True)

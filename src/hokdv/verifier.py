@@ -308,14 +308,13 @@ class ModulationField:
         return self.where(keep)
 
     def describe(self, i: int) -> dict:
-        """The cells of field i."""
-        a, b = self.bounds[i : i + 2]
-        cells = zip(*(x[a:b].tolist() for x in (self.m, self.sig_scaled, self.coeffs)))
+        """The cells of field i as four equal-length columns: ModulationField(model,
+        m, sigma_scaled, np.array(re) + 1j * np.array(im), [0, len(m)]) rebuilds it."""
+        cells = slice(*self.bounds[i : i + 2].tolist())
+        vals = self.coeffs[cells]
         return {
-            "cells": [
-                {"m": mm, "sigma_scaled": ss, "re": v.real, "im": v.imag} for mm, ss, v in cells
-            ],
-            "sig_scale": self.sig_scale,
+            "m": self.m[cells].tolist(), "sigma_scaled": self.sig_scaled[cells].tolist(),
+            "re": vals.real.tolist(), "im": vals.imag.tolist(), "sig_scale": self.sig_scale,
         }
 
     # -- norms (one entry per field) -----------------------------------------

@@ -708,9 +708,8 @@ def reference_run_trials(search, model, cfg, **params) -> dict:
         return {"lhs": lhs, "rhs": rhs, "ratio": ratio(lhs, rhs)}, ratio(lhs, rhs)
 
     def describe(u):
-        cells = [{"m": int(mm), "sigma_scaled": int(ss), "re": float(vv.real), "im": float(vv.imag)}
-                 for mm, ss, vv in zip(*u)]
-        return {"cells": cells, "sig_scale": scale}
+        return {"m": u[0].tolist(), "sigma_scaled": u[1].tolist(), "re": u[2].real.tolist(),
+                "im": u[2].imag.tolist(), "sig_scale": scale}
 
     out = {"rows": [], "max_ratio": 0.0, "argmax_trial": -1, "skipped": 0, "witness": None}
     for trial in range(cfg.trials):

@@ -15,6 +15,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,8 @@ import hokdv
 import hokdv.solver
 from hokdv.cli import COMMANDS, build_parser, main, resolve_config
 from hokdv.config import ConfigError, parse_config_text, validate_config, Field
+from hokdv.dispersion import DispersionModel, Region
+from hokdv.verifier import ModulationField, PlanMemo, convolve_modulation, smoothed_derivative
 
 from helpers import accepted_s_edges, reference_phi_functions
 
@@ -262,6 +265,47 @@ def test_data_files_identical_across_runs(tmp_path, argv, data_files):
         assert sorted(summary["summary"]) == [
             "argmax_trial", "flags", "max_ratio", "skipped", "witness"
         ]
+
+
+def _witness_ratio(estimate, model, fields, s):
+    """The ratio of estimate 3.1 or 2.5 (the largest of its three directions) on fields."""
+    if estimate == "3.1":
+        u1, u2 = fields
+        w = smoothed_derivative(convolve_modulation(u1, u2, PlanMemo()))
+        return (w.zs(s).total / (u1.zs(s).total * u2.zs(s).total))[0]
+    (u,) = fields
+    j = model.j
+    u12 = u.region_restricted((Region.D1, Region.D2))
+    return max(
+        u.xsb(s, 1.0 / (2.0 * j))[0] / u.zs(s).total[0],
+        u.zs(s).total[0] / u.xsb(s, (2.0 * j - 1.0) / (2.0 * j))[0],
+        u12.xsb(s, 0.5)[0] / u12.zs(s).total[0],
+    )
+
+
+@pytest.mark.parametrize(
+    "estimate,sets,cells",
+    [("3.1", ["--set", "lam = 2", "--set", "k_max = 32"], [64, 64]), ("2.5", [], [64])],
+    ids=["3.1-free-solution", "2.5"],
+)
+def test_estimate_search_witness_replays_from_summary_json(tmp_path, estimate, sets, cells):
+    """The witness columns in summary.json have equal lengths per field, and the
+    fields rebuilt from them give the manifest's max_ratio bit for bit."""
+    argv = ["estimate-search", "--set", f"estimate = {estimate}", "--set", "trials = 32", *sets]
+    assert run(tmp_path, *argv) == 0
+    run_dir = only_run_dir(tmp_path)
+    summary = json.loads((run_dir / "summary.json").read_text())
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    cfg = manifest["config"]
+    model = DispersionModel(cfg["j"], cfg["lam"])
+    fields = []
+    for desc in summary["summary"]["witness"]["fields"]:
+        columns = [desc[key] for key in ("m", "sigma_scaled", "re", "im")]
+        assert len({len(col) for col in columns}) == 1
+        m, sig, re, im = columns
+        fields.append(ModulationField(model, m, sig, np.array(re) + 1j * np.array(im), [0, len(m)]))
+    assert [len(u.m) for u in fields] == cells
+    assert _witness_ratio(estimate, model, fields, cfg["s"]) == manifest["verdicts"]["max_ratio"]
 
 
 def test_estimate_search_unknown_id(tmp_path):

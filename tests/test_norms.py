@@ -14,6 +14,7 @@ from hokdv.norms import (
     DyadicShell,
     NormRangeWarning,
     SpaceTimeField,
+    angle_bracket,
     read_frames,
     smooth_bump_window,
     sobolev_norm,
@@ -69,6 +70,21 @@ def test_sobolev_single_mode_bracket_weight(grid):
     c = 0.3 - 1.2j
     u = SpectralField.from_modes(grid, {2: c})
     assert sobolev_norm(u.coeffs, 1.0, grid) == pytest.approx(np.sqrt(5.0) * abs(c))
+
+
+@pytest.mark.parametrize("n_frames", [None, 101, 301])
+@pytest.mark.parametrize("M", [16, 256, 512])
+def test_sobolev_norm_keeps_the_bits_of_the_weighted_square(M, n_frames):
+    """The in-place weighted square gives the bits of sum((<k>^s |c|)^2), for one
+    coefficient array and for a frame series, at s of either sign."""
+    grid = TorusGrid(2.0, M)
+    rng = np.random.default_rng(M + (n_frames or 0))
+    shape = (M,) if n_frames is None else (n_frames, M)
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for s in (-1.5, 0.0, 0.5, 2.0):
+        w = angle_bracket(grid.k_values) ** s
+        want = np.sqrt(np.sum((w * np.abs(coeffs)) ** 2, axis=-1) / grid.lam)
+        assert np.array_equal(sobolev_norm(coeffs, s, grid), want)
 
 
 # -- X_{s,b} -----------------------------------------------------------------
