@@ -6,12 +6,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from hokdv.dispersion import DispersionModel
+from hokdv.dispersion import DispersionModel, Region
 from hokdv.norms import (
     SpaceTimeField, ZsNorm, _ys_columns, _ys_mass, xsb_mass, zs_norm_cells,
 )
 from hokdv.torus import SpectralField, TorusGrid
-from hokdv.verifier import ModulationField
+from hokdv.verifier import ModulationField, PlanMemo, convolve_modulation, smoothed_derivative
 
 
 def random_band_limited(
@@ -79,6 +79,26 @@ def homogeneous_sobolev_norm(
 def lone_field(model: DispersionModel, m, sig_scaled, coeffs) -> ModulationField:
     """The ModulationField of one field with these raw cells."""
     return ModulationField(model, m, sig_scaled, coeffs, [0, len(m)])
+
+
+def replay_bilinear_zs(model: DispersionModel, fields, s: float) -> np.ndarray:
+    """Estimate 3.1's ratio on two lone fields, as a length-1 array."""
+    u1, u2 = fields
+    w = smoothed_derivative(convolve_modulation(u1, u2, PlanMemo()))
+    return w.zs(s).total / (u1.zs(s).total * u2.zs(s).total)
+
+
+def replay_embedding(model: DispersionModel, fields, s: float) -> np.ndarray:
+    """Estimate 2.5's ratio on one lone field, the largest of its three
+    direction ratios, as a length-1 array."""
+    (u,) = fields
+    j = model.j
+    u12 = u.region_restricted((Region.D1, Region.D2))
+    return max(
+        u.xsb(s, 1.0 / (2.0 * j)) / u.zs(s).total,
+        u.zs(s).total / u.xsb(s, (2.0 * j - 1.0) / (2.0 * j)),
+        u12.xsb(s, 0.5) / u12.zs(s).total,
+    )
 
 
 def xsb_norm(u: SpaceTimeField, s: float, b: float, model: DispersionModel) -> float:

@@ -24,10 +24,10 @@ import hokdv
 import hokdv.solver
 from hokdv.cli import COMMANDS, build_parser, main, resolve_config
 from hokdv.config import ConfigError, parse_config_text, validate_config, Field
-from hokdv.dispersion import DispersionModel, Region
-from hokdv.verifier import ModulationField, PlanMemo, convolve_modulation, smoothed_derivative
+from hokdv.dispersion import DispersionModel
+from hokdv.verifier import ModulationField
 
-from helpers import accepted_s_edges, reference_phi_functions
+from helpers import accepted_s_edges, reference_phi_functions, replay_bilinear_zs, replay_embedding
 
 
 def run(tmp_path, *argv):
@@ -267,28 +267,13 @@ def test_data_files_identical_across_runs(tmp_path, argv, data_files):
         ]
 
 
-def _witness_ratio(estimate, model, fields, s):
-    """The ratio of estimate 3.1 or 2.5 (the largest of its three directions) on fields."""
-    if estimate == "3.1":
-        u1, u2 = fields
-        w = smoothed_derivative(convolve_modulation(u1, u2, PlanMemo()))
-        return (w.zs(s).total / (u1.zs(s).total * u2.zs(s).total))[0]
-    (u,) = fields
-    j = model.j
-    u12 = u.region_restricted((Region.D1, Region.D2))
-    return max(
-        u.xsb(s, 1.0 / (2.0 * j))[0] / u.zs(s).total[0],
-        u.zs(s).total[0] / u.xsb(s, (2.0 * j - 1.0) / (2.0 * j))[0],
-        u12.xsb(s, 0.5)[0] / u12.zs(s).total[0],
-    )
-
-
 @pytest.mark.parametrize(
-    "estimate,sets,cells",
-    [("3.1", ["--set", "lam = 2", "--set", "k_max = 32"], [64, 64]), ("2.5", [], [64])],
+    "estimate,sets,cells,replay",
+    [("3.1", ["--set", "lam = 2", "--set", "k_max = 32"], [64, 64], replay_bilinear_zs),
+     ("2.5", [], [64], replay_embedding)],
     ids=["3.1-free-solution", "2.5"],
 )
-def test_estimate_search_witness_replays_from_summary_json(tmp_path, estimate, sets, cells):
+def test_estimate_search_witness_replays_from_summary_json(tmp_path, estimate, sets, cells, replay):
     """The witness columns in summary.json have equal lengths per field, and the
     fields rebuilt from them give the manifest's max_ratio bit for bit."""
     argv = ["estimate-search", "--set", f"estimate = {estimate}", "--set", "trials = 32", *sets]
@@ -305,7 +290,7 @@ def test_estimate_search_witness_replays_from_summary_json(tmp_path, estimate, s
         m, sig, re, im = columns
         fields.append(ModulationField(model, m, sig, np.array(re) + 1j * np.array(im), [0, len(m)]))
     assert [len(u.m) for u in fields] == cells
-    assert _witness_ratio(estimate, model, fields, cfg["s"]) == manifest["verdicts"]["max_ratio"]
+    assert replay(model, fields, cfg["s"]) == manifest["verdicts"]["max_ratio"]
 
 
 def test_estimate_search_unknown_id(tmp_path):

@@ -31,7 +31,7 @@ from hokdv.verifier import (
 
 from helpers import (
     lone_field, random_spacetime_coeffs, reference_modulation_cells, reference_run_trials,
-    reference_zs_norm_cells,
+    reference_zs_norm_cells, replay_bilinear_zs, replay_embedding,
 )
 
 
@@ -510,24 +510,6 @@ def test_bilinear_zs_search_runs_on_scaled_tori(lam):
     assert len(report.rows) + report.skipped == cfg.trials
 
 
-def _bilinear_zs(model, fields, s):
-    u1, u2 = fields
-    w = smoothed_derivative(convolve_modulation(u1, u2, PlanMemo()))
-    return w.zs(s).total / (u1.zs(s).total * u2.zs(s).total)
-
-
-def _embedding(model, fields, s):
-    """The largest of the three embedding direction ratios."""
-    (u,) = fields
-    j = model.j
-    u12 = u.region_restricted((Region.D1, Region.D2))
-    return max(
-        u.xsb(s, 1.0 / (2.0 * j)) / u.zs(s).total,
-        u.zs(s).total / u.xsb(s, (2.0 * j - 1.0) / (2.0 * j)),
-        u12.xsb(s, 0.5) / u12.zs(s).total,
-    )
-
-
 def _dyadic_bilinear(model, fields, s):
     u1, u2 = fields
     prefactor = 1.0 * (2.0**3) ** (1.0 / (2.0 * (2.0 * model.j + 1.0)))  # l1 = 0, l2 = 3
@@ -546,9 +528,9 @@ _SMALL = RatioSearchConfig(trials=30, k_max=16, t_modes=32, support=24, seed=77)
 @pytest.mark.parametrize(
     "search,replay,cfg",
     [
-        (lambda model, cfg: bilinear_zs_ratio(model, -1.5, cfg), _bilinear_zs, _SMALL),
+        (lambda model, cfg: bilinear_zs_ratio(model, -1.5, cfg), replay_bilinear_zs, _SMALL),
         # the README run, whose largest ratio (trial 89, zs_vs_high) is not low_vs_zs's
-        (lambda model, cfg: embedding_ratio(model, -1.5, cfg), _embedding,
+        (lambda model, cfg: embedding_ratio(model, -1.5, cfg), replay_embedding,
          RatioSearchConfig(trials=200)),
         (lambda model, cfg: dyadic_bilinear_ratio(model, 0, 3, cfg), _dyadic_bilinear, _SMALL),
         (lambda model, cfg: product_l2_ratio(model, 0.3, 0.3, cfg), _product_l2, _SMALL),
